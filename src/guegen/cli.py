@@ -63,7 +63,13 @@ def build_parser():
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--convention", choices=["unscaled", "intro"], default="unscaled")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="split the stream into W child streams that run one after another"
+        " (output ordered by child stream, reproducible for any W)",
+    )
     sp.add_argument("--max-proposals", type=int, default=samplers.DEFAULT_MAX_PROPOSALS)
     sp.add_argument("--out")
 

@@ -17,7 +17,11 @@ double range, so heavy lifting happens in two guarded forms:
       phi_k(x)^2 = psi_k(x)^2 e^{-x^2/2} / sqrt(2 pi),
 
   assembled in log space so tails underflow cleanly to zero instead of
-  corrupting the mantissa path.
+  corrupting the mantissa path.  The step coefficients do not depend on
+  the degree, so the vectorized evaluator :func:`phi_squared_degrees`
+  takes one degree per point and runs the recurrence once, up to the
+  largest degree, for all of them; :func:`phi_squared_many` is its
+  one-degree case.
 
 The module also hosts the quadrature utilities used by the CDF oracles:
 an adaptive Gauss-Kronrod (G7/K15) panel integrator whose initial panel
@@ -117,7 +121,7 @@ def hermite_poly(k, x):
 def _psi_scaled(k, x):
     """Normalized recurrence value psi_k(x) = H_k(x)/sqrt(k!) as (mantissa, exp2).
 
-    Scalar path; the vectorized equivalent lives in :func:`_psi_scaled_many`.
+    Scalar path; the vectorized equivalent lives in :func:`_psi_scaled_sorted`.
     """
     if k == 0:
         return 1.0, 0
@@ -179,48 +183,110 @@ def _pair_rescale(prev, cur, expo):
     return prev, cur, expo
 
 
-def _psi_scaled_many(k, x):
-    """Vectorized psi_k over an array: returns (mantissas, base-2 exponents)."""
+def _psi_scaled_sorted(ks, x):
+    """psi_k(x) per lane as (mantissas, base-2 exponents), one degree per lane.
+
+    ``ks`` must be sorted in descending order. The step-j coefficients of
+    the normalized recurrence do not depend on the degree, so one pass up
+    to the largest degree serves every lane: a lane of degree k stops after
+    step k-1, and the lanes still running always form a prefix that
+    shrinks at each degree boundary.
+    """
     x = np.ascontiguousarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x), np.zeros(x.shape, dtype=np.int64)
-    if k == 1:
-        return x.copy(), np.zeros(x.shape, dtype=np.int64)
-    absx = float(np.max(np.abs(x))) if x.size else 0.0
+    mant = np.ones_like(x)  # psi_0 = 1
+    expo = np.zeros(x.shape, dtype=np.int64)
+    degrees, counts = np.unique(ks, return_counts=True)
+    ends = np.cumsum(counts[::-1])[::-1].tolist()  # lanes of degree >= degrees[i]
+    degrees = degrees.tolist()
+    if degrees[0] == 0:
+        degrees, ends = degrees[1:], ends[1:]
+    if not degrees:
+        return mant, expo
+    absx = float(np.max(np.abs(x)))
     log2x = math.log2(absx) if absx > 1.0 else 0.0
     threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    prev = np.ones_like(x)
-    cur = x.copy()
-    expo = np.zeros(x.shape, dtype=np.int64)
-    t1 = np.empty_like(x)
-    t2 = np.empty_like(x)
-    sq = np.sqrt(np.arange(k + 1, dtype=float))
-    inv_sq = 1.0 / sq[1:]
+    sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
+    inv_sq = (1.0 / sq[1:]).tolist()
+    sq = sq.tolist()
+    m = ends[0]
+    xv, ev = x[:m], expo[:m]
+    prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
+    t1, t2 = np.empty(m), np.empty(m)
     budget = 1.0
-    for j in range(1, k):
-        np.multiply(x, cur, out=t1)
-        np.multiply(sq[j], prev, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(t1, inv_sq[j], out=t1)
-        prev, cur, t1 = cur, t1, prev
-        growth = (absx + sq[j]) * inv_sq[j]
-        if growth > 1.0:
-            budget += math.log2(growth)
-        if budget > threshold:
-            prev, cur, expo = _pair_rescale(prev, cur, expo)
-            budget = 1.0
-    return cur.copy(), expo
+    start = 1
+    for i, d in enumerate(degrees):
+        m = ends[i]
+        if m < cur.size:
+            xv, ev, prev, cur, t1, t2 = (a[:m] for a in (xv, ev, prev, cur, t1, t2))
+        for j in range(start, d):
+            np.multiply(xv, cur, out=t1)
+            np.multiply(sq[j], prev, out=t2)
+            np.subtract(t1, t2, out=t1)
+            np.multiply(t1, inv_sq[j], out=t1)
+            prev, cur, t1 = cur, t1, prev
+            growth = (absx + sq[j]) * inv_sq[j]
+            if growth > 1.0:
+                budget += math.log2(growth)
+            if budget > threshold:
+                prev, cur, ev = _pair_rescale(prev, cur, ev)
+                budget = 1.0
+        start = d
+        done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
+        mant[done:m] = cur[done:]
+    return mant, expo
 
 
 _CHUNK = 32768
 
 
-def phi_squared_many(k, x, return_log=False):
-    """Vectorized phi_k^2 over an array of points.
+def _log_phi_sq_sorted(ks, x):
+    """log phi_k(x)^2 over one slice of lanes sorted by degree, largest first."""
+    safe = np.abs(x) < 1e154
+    xs_safe = np.where(safe, x, 0.0)
+    mant, expo = _psi_scaled_sorted(ks, xs_safe)
+    with np.errstate(divide="ignore"):
+        lp = 2.0 * (np.log(np.abs(mant)) + expo * LN2)
+    lp -= 0.5 * xs_safe * xs_safe + LN_SQRT_2PI
+    lp[~safe] = -np.inf
+    return lp
 
-    Long inputs are processed in cache-sized chunks; each chunk runs the
-    full O(k) recurrence across its lanes.
+
+def _from_log(log_phi, shape, return_log):
+    if return_log:
+        return log_phi.reshape(shape)
+    with np.errstate(under="ignore"):
+        phi = np.exp(log_phi)
+    return phi.reshape(shape)
+
+
+def phi_squared_degrees(ks, x, return_log=False):
+    """phi_k(x)^2 with one degree per point: ``ks[i]`` is the degree at ``x[i]``.
+
+    Points are sorted by degree, largest first, and processed in
+    ``_CHUNK``-sized slices of that order; each slice runs the recurrence
+    once, up to its largest degree. At a single degree the result is
+    bit-for-bit :func:`phi_squared_many`.
     """
+    x = np.asarray(x, dtype=float)
+    ks = np.asarray(ks)
+    if ks.shape != x.shape:
+        raise ParameterError(f"degrees {ks.shape} and points {x.shape} differ in shape")
+    shape = x.shape
+    x = np.ravel(x)
+    ks = np.ravel(ks).astype(np.int64)
+    if ks.size and int(ks.min()) < 0:
+        raise ParameterError(f"degrees must be >= 0, got {int(ks.min())}")
+    order = np.argsort(-ks, kind="stable")
+    log_phi = np.empty(x.size)
+    for lo in range(0, x.size, _CHUNK):
+        lanes = order[lo : lo + _CHUNK]
+        log_phi[lanes] = _log_phi_sq_sorted(ks[lanes], x[lanes])
+    return _from_log(log_phi, shape, return_log)
+
+
+def phi_squared_many(k, x, return_log=False):
+    """Vectorized phi_k^2 over an array of points: the one-degree case of
+    :func:`phi_squared_degrees`, in ``_CHUNK``-sized slices."""
     k = int(k)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
@@ -230,19 +296,8 @@ def phi_squared_many(k, x, return_log=False):
     log_phi = np.empty(x.size)
     for lo in range(0, x.size, _CHUNK):
         xs = x[lo : lo + _CHUNK]
-        safe = np.abs(xs) < 1e154
-        xs_safe = np.where(safe, xs, 0.0)
-        mant, expo = _psi_scaled_many(k, xs_safe)
-        with np.errstate(divide="ignore"):
-            lp = 2.0 * (np.log(np.abs(mant)) + expo * LN2)
-        lp -= 0.5 * xs_safe * xs_safe + LN_SQRT_2PI
-        lp[~safe] = -np.inf
-        log_phi[lo : lo + _CHUNK] = lp
-    if return_log:
-        return log_phi.reshape(shape)
-    with np.errstate(under="ignore"):
-        phi = np.exp(log_phi)
-    return phi.reshape(shape)
+        log_phi[lo : lo + _CHUNK] = _log_phi_sq_sorted(np.full(xs.size, k), xs)
+    return _from_log(log_phi, shape, return_log)
 
 
 def mixture_density_many(n, x):
@@ -493,13 +548,29 @@ def phi_sq_cdf_many(k, xs, tol=1e-8):
     k = int(k)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
+    f = lambda pts: phi_squared_many(k, pts)
+    return _even_cdf_many(f, tail_cutoff(k), oscillation_width(k), xs, tol)
+
+
+def mixture_cdf_many(n, xs, tol=1e-8):
+    """CDF of the GUE(n) one-eigenvalue density (see
+    :func:`mixture_density_many`) at many points, as :func:`phi_sq_cdf_many`
+    does for one degree."""
+    n = int(n)
+    if n < 1:
+        raise ParameterError(f"ensemble size must be >= 1, got {n}")
+    f = lambda pts: mixture_density_many(n, pts)
+    return _even_cdf_many(f, tail_cutoff(n - 1), oscillation_width(n - 1), xs, tol)
+
+
+def _even_cdf_many(f, cutoff, width, xs, tol):
+    """CDF at ``xs`` of the even density ``f`` with negligible mass beyond
+    ``cutoff``, from panels of initial ``width`` refined to ``tol``."""
     xs = np.asarray(xs, dtype=float)
     shape = xs.shape
     xs = np.ravel(xs)
-    cutoff = tail_cutoff(k)
-    f = lambda pts: phi_squared_many(k, pts)
     _, _, base_edges, _ = integrate_adaptive(
-        f, 0.0, cutoff, tol, initial_width=oscillation_width(k), return_panels=True
+        f, 0.0, cutoff, tol, initial_width=width, return_panels=True
     )
     queries = np.clip(np.abs(xs), 0.0, cutoff)
     edges = np.unique(np.concatenate([base_edges, queries]))

@@ -3,10 +3,11 @@
 Every sampler in this package draws its randomness through a
 :class:`RandomStream`.  The stream wraps a PCG64 bit generator (period
 2^128) and exposes uniforms plus the derived variates the samplers
-need: standard normals (Marsaglia polar method), fair signs, and exact
-gamma variates (Marsaglia-Tsang rejection with the shape-boost identity
-for shape < 1).  All derived variates are built from the uniform stream,
-so a (seed, call sequence) pair fully determines the output.
+need: standard normals (Marsaglia polar method), fair signs, exactly
+uniform indices, and exact gamma variates (Marsaglia-Tsang rejection with
+the shape-boost identity for shape < 1).  All variates are built from the
+generator's 64-bit words (one per uniform), so a (seed, call sequence)
+pair fully determines the output.
 
 Child streams for parallel batches come from ``spawn``, which derives
 independent states via numpy's SeedSequence spawn keys.
@@ -30,6 +31,12 @@ class RandomStream:
         Master seed, any integer in [0, 2^64).
     spawn_key : tuple of int, optional
         Derivation path for child streams; leave empty for a root stream.
+
+    Attributes
+    ----------
+    draw_count : int
+        Number of 64-bit words taken from the generator so far: one per
+        uniform, and one per index plus any redrawn words.
     """
 
     def __init__(self, seed, spawn_key=()):
@@ -82,16 +89,31 @@ class RandomStream:
         return np.where(self.uniforms(size) < 0.5, 1.0, -1.0)
 
     def index(self, n):
-        """Uniform integer in {0, ..., n-1} (one uniform)."""
-        if n < 1:
-            raise ParameterError(f"index range must be >= 1, got {n}")
-        return min(int(self.uniform() * n), n - 1)
+        """Uniform integer in {0, ..., n-1}; see :meth:`indices`."""
+        return int(self.indices(n, 1)[0])
 
     def indices(self, n, size):
-        if n < 1:
-            raise ParameterError(f"index range must be >= 1, got {n}")
-        k = (self.uniforms(size) * n).astype(np.int64)
-        return np.minimum(k, n - 1)
+        """Array of ``size`` exactly uniform integers in {0, ..., n-1}.
+
+        Each index is a raw 64-bit word w taken as w mod n. Words at or
+        above the largest multiple of n that fits in 64 bits are drawn
+        again, which happens with probability below n 2^-64 per index, so
+        ``draw_count`` grows by ``size`` plus the rare redrawn words.
+        """
+        n, size = int(n), int(size)
+        if not 1 <= n <= 2**63:
+            raise ParameterError(f"index range must be in [1, 2^63], got {n}")
+        limit = 2**64 - 2**64 % n  # a multiple of n; words below it are kept
+        out = np.empty(size, dtype=np.uint64)
+        have = 0
+        while have < size:
+            words = self._gen.bit_generator.random_raw(size - have)
+            self.draw_count += words.size
+            if limit < 2**64:
+                words = words[words < np.uint64(limit)]
+            out[have : have + words.size] = words % np.uint64(n)
+            have += words.size
+        return out.astype(np.int64)
 
     # ------------------------------------------------------------------
     # normals (Marsaglia polar method)

@@ -16,16 +16,26 @@ Three layers, all targeting the same densities exactly:
 Degree 0 short-circuits to a standard normal draw, since the degree-0
 density is exactly the standard normal density.
 
+The batch entry points share one rejection engine over (degree, count)
+groups.  ``sample_phi_sq_many`` is its one-group case;
+``sample_gue_eigenvalues`` draws all mixture indices and hands every
+represented degree to the engine as one group.  In each round every
+unfinished group draws a proposal block and applies the squeeze, and the
+proposals left undecided in all groups share one pass of the exact
+recurrence (:func:`hermite.phi_squared_degrees`), which costs the largest
+degree of the round in Python-level steps rather than the sum of the
+degrees.
+
 Scalar entry points consume the stream one proposal at a time, mirroring
-the rejection loop shape; the ``*_many`` batch entry points vectorize
-proposals in blocks and are what the CLI and the verification suites
-use.  Both are deterministic functions of (seed, parameters), but they
-consume the stream in different orders and so produce different (equally
-exact) outputs.
+the rejection loop shape; the batch entry points are what the CLI and
+the verification suites use.  Both are deterministic functions of
+(seed, parameters), but they consume the stream in different orders and
+so produce different (equally exact) outputs.
 """
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,6 +182,141 @@ def sample_gue_eigenvalue(n, stream, stats=None, max_proposals=DEFAULT_MAX_PROPO
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class _Group:
+    """Rejection state of the draws of one degree inside an engine call."""
+
+    k: int
+    count: int
+    offset: int  # where the group's draws start in the engine output
+    spec: dominator.DominatorSpec
+    budget: int
+    filled: int = 0
+    spent: int = 0
+
+
+class _Block(NamedTuple):
+    """One proposal block of a group and the squeeze's verdicts on it."""
+
+    x: np.ndarray  # proposals
+    uh: np.ndarray  # u * h(x), compared against the density
+    lower_acc: np.ndarray  # accepted by the lower squeeze bound
+    upper_rej: np.ndarray  # rejected by the upper squeeze bound
+    lanes: np.ndarray  # ascending positions of the proposals left to the exact test
+
+
+def _check_mode(mode):
+    if mode not in ("plain", "squeeze"):
+        raise ParameterError(f"mode must be 'plain' or 'squeeze', got {mode!r}")
+
+
+def _propose(g, stream, use_squeeze):
+    """Draw the group's next proposal block and apply the squeeze."""
+    need = g.count - g.filled
+    block = int(need * g.spec.mass * 1.2) + 32  # mass = mean proposals per accept
+    block = min(block, _BLOCK_CAP, g.budget - g.spent)
+    if block <= 0:
+        raise BudgetError(
+            f"no acceptance within {g.budget} proposals at degree {g.k}",
+            attempts=g.budget,
+        )
+    x = dominator.sample_envelope_many(g.spec, stream, block)
+    u = stream.uniforms(block)
+    uh = u * dominator.envelope_many(g.spec, x)
+    lower_acc = np.zeros(block, dtype=bool)
+    upper_rej = np.zeros(block, dtype=bool)
+    if use_squeeze:
+        window = np.abs(x) <= g.spec.x1
+        lo, up = vanveen.squeeze_bounds_many(g.k, x[window])
+        uhw = uh[window]
+        lower_acc[window] = uhw <= lo
+        upper_rej[window] = uhw > up
+    return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(~(lower_acc | upper_rej)))
+
+
+def _decide(batch, pooled, out, stats):
+    """Exact-test the undecided proposals of every (group, block) pair in
+    ``batch`` with one kernel call, then take each group's accepts.
+
+    Counters reflect the sequential semantics: a block is truncated at the
+    proposal that produced the group's last needed accept, and everything
+    after it is discarded as if never drawn.
+    """
+    xs = np.concatenate([b.x[b.lanes] for _, b in batch])
+    if not xs.size:
+        phi = xs
+    elif pooled:
+        ks = np.repeat([g.k for g, _ in batch], [b.lanes.size for _, b in batch])
+        phi = hermite.phi_squared_degrees(ks, xs)
+    else:
+        phi = hermite.phi_squared_many(batch[0][0].k, xs)
+    start = 0
+    for g, b in batch:
+        accept = b.lower_acc.copy()
+        accept[b.lanes] = b.uh[b.lanes] <= phi[start : start + b.lanes.size]
+        start += b.lanes.size
+        need = g.count - g.filled
+        pos = np.flatnonzero(accept)
+        cut = pos[need - 1] + 1 if pos.size >= need else b.x.size
+        take = pos[:need]
+        out[g.offset + g.filled : g.offset + g.filled + take.size] = b.x[take]
+        g.filled += take.size
+        g.spent += int(cut)
+        stats.proposals += int(cut)
+        stats.squeeze_lower_accepts += int(b.lower_acc[:cut].sum())
+        stats.squeeze_upper_rejects += int(b.upper_rej[:cut].sum())
+        stats.exact_evals += int(np.searchsorted(b.lanes, cut))
+        stats.accepted += take.size
+
+
+def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
+    """The rejection engine: ``counts[i]`` exact draws from the density of
+    degree ``degrees[i]``, returned concatenated in group order.
+
+    Degree-0 groups are standard normal draws. Every other group draws
+    proposal blocks sized from its envelope mass until it has its count,
+    spending at most ``max_proposals * count`` proposals. In each round
+    every unfinished group, in order, draws its block and applies the
+    squeeze; the proposals the squeeze leaves undecided in all groups are
+    then evaluated together, so one pass of the exact recurrence serves
+    every degree of the round. A round's blocks are evaluated in batches
+    of about one kernel slice (``hermite._CHUNK``) of undecided proposals,
+    and at most about ``_BLOCK_CAP`` proposals. That bounds memory without
+    adding recurrence steps per lane, and the stream is consumed the same
+    way wherever the batches split.
+    """
+    t0 = time.perf_counter()
+    use_squeeze = mode == "squeeze"
+    out = np.empty(sum(counts))
+    groups = []
+    offset = 0
+    for k, count in zip(degrees, counts):
+        if k == 0:
+            out[offset : offset + count] = stream.standard_normals(count)
+            stats.proposals += count
+            stats.accepted += count
+        elif count:
+            spec = dominator.make_spec(k)
+            groups.append(_Group(k, count, offset, spec, max_proposals * count))
+        offset += count
+    pooled = len(groups) > 1
+    while groups:
+        batch, size, undecided = [], 0, 0
+        for g in groups:
+            block = _propose(g, stream, use_squeeze)
+            batch.append((g, block))
+            size += block.x.size
+            undecided += block.lanes.size
+            if size >= _BLOCK_CAP or undecided >= hermite._CHUNK:
+                _decide(batch, pooled, out, stats)
+                batch, size, undecided = [], 0, 0
+        if batch:
+            _decide(batch, pooled, out, stats)
+        groups = [g for g in groups if g.filled < g.count]
+    stats.elapsed += time.perf_counter() - t0
+    return out
+
+
 def sample_phi_sq_many(
     k,
     count,
@@ -180,7 +325,8 @@ def sample_phi_sq_many(
     stats=None,
     max_proposals=DEFAULT_MAX_PROPOSALS,
 ):
-    """``count`` exact draws from the degree-k density, vectorized.
+    """``count`` exact draws from the degree-k density, vectorized: the
+    one-group case of the rejection engine.
 
     Proposals are generated in blocks sized from the known acceptance
     rate. Counters in ``stats`` reflect the sequential semantics: blocks
@@ -193,76 +339,10 @@ def sample_phi_sq_many(
         raise ParameterError(f"degree must be >= 0, got {k}")
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
-    if mode not in ("plain", "squeeze"):
-        raise ParameterError(f"mode must be 'plain' or 'squeeze', got {mode!r}")
-    t0 = time.perf_counter()
+    _check_mode(mode)
     if stats is None:
         stats = SamplerStats()
-    if count == 0:
-        return np.empty(0)
-    if k == 0:
-        out = stream.standard_normals(count)
-        stats.proposals += count
-        stats.accepted += count
-        stats.elapsed += time.perf_counter() - t0
-        return out
-
-    spec = dominator.make_spec(k)
-    expected_trials = spec.mass  # mean proposals per accept
-    budget = max_proposals * count
-    use_squeeze = mode == "squeeze"
-
-    out = np.empty(count)
-    filled = 0
-    spent = 0
-    while filled < count:
-        need = count - filled
-        block = int(need * expected_trials * 1.2) + 32
-        block = min(block, _BLOCK_CAP, budget - spent)
-        if block <= 0:
-            raise BudgetError(
-                f"no acceptance within {budget} proposals at degree {k}",
-                attempts=budget,
-            )
-        x = dominator.sample_envelope_many(spec, stream, block)
-        u = stream.uniforms(block)
-        uh = u * dominator.envelope_many(spec, x)
-
-        accept = np.zeros(block, dtype=bool)
-        lower_acc = np.zeros(block, dtype=bool)
-        upper_rej = np.zeros(block, dtype=bool)
-        exact = np.zeros(block, dtype=bool)
-        if use_squeeze:
-            window = np.abs(x) <= spec.x1
-            lo, up = vanveen.squeeze_bounds_many(k, x[window])
-            uhw = uh[window]
-            qa = uhw <= lo
-            qr = uhw > up
-            lower_acc[window] = qa
-            upper_rej[window] = qr
-            exact[window] = ~qa & ~qr
-            exact[~window] = True
-        else:
-            exact[:] = True
-        idx = np.flatnonzero(exact)
-        if idx.size:
-            phi = hermite.phi_squared_many(k, x[idx])
-            accept[idx] = uh[idx] <= phi
-        accept[lower_acc] = True
-
-        pos = np.flatnonzero(accept)
-        cut = pos[need - 1] + 1 if pos.size >= need else block
-        take = pos[:need]
-        out[filled : filled + take.size] = x[take]
-        filled += take.size
-        spent += int(cut)
-        stats.proposals += int(cut)
-        stats.squeeze_lower_accepts += int(lower_acc[:cut].sum())
-        stats.squeeze_upper_rejects += int(upper_rej[:cut].sum())
-        stats.exact_evals += int(exact[:cut].sum())
-        stats.accepted += take.size
-    stats.elapsed += time.perf_counter() - t0
-    return out
+    return _sample_degrees([k], [count], stream, mode, stats, max_proposals)
 
 
 def sample_gue_eigenvalues(
@@ -275,22 +355,28 @@ def sample_gue_eigenvalues(
 ):
     """``count`` uniformly chosen GUE(n) eigenvalues, vectorized.
 
-    Draws all mixture indices first, then samples each represented
-    degree as one batch; output order matches the index draw order.
+    Draws all mixture indices first, then hands every represented degree
+    to the rejection engine as one group, so the exact recurrence runs
+    once per round for all degrees together. Draw ``i`` comes from the
+    degree of index draw ``i``.
     """
     n = int(n)
     count = int(count)
     if n < 1:
         raise ParameterError(f"ensemble size must be >= 1, got {n}")
+    if count < 0:
+        raise ParameterError(f"count must be >= 0, got {count}")
+    _check_mode(mode)
     if stats is None:
         stats = SamplerStats()
     ks = stream.indices(n, count)
+    order = np.argsort(ks, kind="stable")
+    degrees, counts = np.unique(ks, return_counts=True)
+    draws = _sample_degrees(
+        degrees.tolist(), counts.tolist(), stream, mode, stats, max_proposals
+    )
     out = np.empty(count)
-    for k in np.unique(ks):
-        sel = ks == k
-        out[sel] = sample_phi_sq_many(
-            int(k), int(sel.sum()), stream, mode, stats, max_proposals
-        )
+    out[order] = draws
     return out
 
 

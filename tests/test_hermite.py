@@ -113,6 +113,48 @@ def test_phi_squared_batch_matches_scalar():
         assert np.allclose(batch, scal, rtol=1e-12, atol=1e-300)
 
 
+def test_phi_squared_degrees_matches_single_degree(monkeypatch):
+    # one degree per lane: unsorted, duplicated, including degrees 0, 1, 2
+    rng = np.random.default_rng(11)
+    ks = rng.choice([0, 1, 2, 2, 5, 37, 37, 400, 1000], 500)
+    x = rng.uniform(-1.0, 1.0, ks.size) * (2.0 * np.sqrt(ks + 1.0) + 3.0)
+    x[::40] = 1e154
+    x[1::40] = -1e200
+    x[2::40] = 1e6
+    for chunk in (hermite._CHUNK, 16):  # one slice, and many slices
+        monkeypatch.setattr(hermite, "_CHUNK", chunk)
+        got = hermite.phi_squared_degrees(ks, x)
+        for k in np.unique(ks):
+            sel = ks == k
+            ref = hermite.phi_squared_many(k, x[sel])
+            assert np.allclose(got[sel], ref, rtol=1e-11, atol=1e-300)
+    scal = np.array([hermite.phi_squared(k, t) for k, t in zip(ks, x)])
+    assert np.allclose(got, scal, rtol=1e-11, atol=1e-300)
+    huge = np.abs(x) >= 1e154
+    assert np.all(got[huge] == 0.0)
+    assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[huge] == -math.inf)
+    # at a single degree the kernel is bit-for-bit the one-degree path
+    for k in (0, 1, 2, 37, 1000):
+        same = np.full(x.shape, k)
+        assert np.array_equal(hermite.phi_squared_degrees(same, x), hermite.phi_squared_many(k, x))
+        assert np.array_equal(
+            hermite.phi_squared_degrees(same, x, return_log=True),
+            hermite.phi_squared_many(k, x, return_log=True),
+        )
+
+
+def test_phi_squared_degrees_edge_inputs():
+    assert hermite.phi_squared_degrees([], []).shape == (0,)
+    grid = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    got = hermite.phi_squared_degrees([[0, 4, 1], [4, 0, 2]], grid)
+    assert got.shape == (2, 3)
+    assert got[0, 0] == hermite.phi_squared_many(0, grid[0, :1])[0]
+    with pytest.raises(ParameterError):
+        hermite.phi_squared_degrees([3, -1], [0.0, 1.0])
+    with pytest.raises(ParameterError):
+        hermite.phi_squared_degrees([3, 4], [0.0, 1.0, 2.0])
+
+
 def test_phi_squared_extreme_points():
     # tail-piece proposals can be enormous; evaluation must not overflow
     assert hermite.phi_squared(50, 1e6) == 0.0

@@ -126,6 +126,34 @@ def test_index_bounds():
         s.index(0)
 
 
+def test_indices_are_exact_word_residues():
+    # each index is a raw 64-bit word mod n; words at or above the largest
+    # multiple of n below 2^64 are redrawn
+    n = 3 * 2**61  # 2^64 mod n = 2^62, so a quarter of the words are redrawn
+    s = RandomStream(17)
+    ks = s.indices(n, 1000)
+    assert s.draw_count > 1000
+    words = np.random.PCG64(np.random.SeedSequence(17)).random_raw(s.draw_count)
+    kept = words[words < np.uint64(2**64 - 2**62)]
+    assert kept.size == 1000
+    assert np.array_equal(ks, (kept % np.uint64(n)).astype(np.int64))
+
+
+def test_indices_uniform_one_word_each():
+    n, size = 7, 70_000
+    s = RandomStream(18)
+    ks = s.indices(n, size)
+    assert s.draw_count == size
+    counts = np.bincount(ks, minlength=n)
+    chi2 = float(((counts - size / n) ** 2 / (size / n)).sum())
+    assert chi2 < 22.46  # chi-square, 6 degrees of freedom, alpha = 0.001
+    t = RandomStream(19)
+    assert t.index(1000) == RandomStream(19).indices(1000, 1)[0]
+    assert t.draw_count == 1
+    with pytest.raises(ParameterError):
+        t.indices(2**63 + 1, 3)
+
+
 def test_seed_validation():
     with pytest.raises(ParameterError):
         RandomStream(-1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from guegen import dominator, hermite, samplers, vanveen
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
-from guegen.stats import ks_one_sample, ks_two_sample
+from guegen.stats import ks_critical, ks_one_sample, ks_two_sample
 
 
 def test_degree_zero_returns_plain_normals():
@@ -122,17 +123,59 @@ def test_mixture_size_one_is_standard_normal():
     assert np.array_equal(xs, ref_stream.standard_normals(count))
 
 
-def test_mixture_agrees_with_explicit_conditioning():
-    # grouping by index and sampling each degree reproduces the engine
-    n, count = 4, 400
-    xs = samplers.sample_gue_eigenvalues(n, count, RandomStream(45))
-    st = RandomStream(45)
-    ks = st.indices(n, count)
-    ref = np.empty(count)
-    for k in np.unique(ks):
-        sel = ks == k
-        ref[sel] = samplers.sample_phi_sq_many(int(k), int(sel.sum()), st)
-    assert np.array_equal(xs, ref)
+def test_engine_one_group_matches_fixed_degree():
+    # the fixed-degree sampler is the one-group case of the mixed engine
+    for mode in ("squeeze", "plain"):
+        for k, count in ((0, 50), (1, 300), (9, 300), (250, 200)):
+            st_a, st_b = samplers.SamplerStats(), samplers.SamplerStats()
+            a = samplers._sample_degrees([k], [count], RandomStream(60 + k), mode, st_a, 1000)
+            b = samplers.sample_phi_sq_many(k, count, RandomStream(60 + k), mode, st_b, 1000)
+            assert a.tobytes() == b.tobytes()
+            assert replace(st_a, elapsed=0.0) == replace(st_b, elapsed=0.0)
+
+
+def test_engine_mixed_degrees_follow_each_law():
+    degrees, count = [2, 30, 400], 3000
+    for mode, seed in (("squeeze", 61), ("plain", 62)):
+        stats = samplers.SamplerStats()
+        draws = samplers._sample_degrees(
+            degrees, [count] * 3, RandomStream(seed), mode, stats, 1000
+        )
+        assert stats.accepted == 3 * count
+        for i, k in enumerate(degrees):
+            res = ks_one_sample(
+                draws[i * count : (i + 1) * count],
+                lambda s, k=k: hermite.phi_sq_cdf_many(k, s),
+            )
+            assert res.scaled < ks_critical(0.001), (mode, k, res.scaled)
+
+
+def test_mixture_batch_splits_keep_draws(monkeypatch):
+    # pooled exact tests are flushed every kernel slice of undecided lanes;
+    # where the flushes fall must not change the draws or the counters
+    runs = []
+    for chunk in (hermite._CHUNK, 64):
+        monkeypatch.setattr(hermite, "_CHUNK", chunk)
+        stats = samplers.SamplerStats()
+        xs = samplers.sample_gue_eigenvalues(300, 2000, RandomStream(65), "squeeze", stats)
+        runs.append((xs.tobytes(), stats.proposals, stats.exact_evals, stats.accepted))
+    assert runs[0] == runs[1]
+
+
+def test_mixture_places_each_draw_at_its_degree():
+    n, count = 3, 6000
+    xs = samplers.sample_gue_eigenvalues(n, count, RandomStream(63))
+    ks = RandomStream(63).indices(n, count)  # the mixture draws its indices first
+    for k in range(n):
+        res = ks_one_sample(xs[ks == k], lambda s, k=k: hermite.phi_sq_cdf_many(k, s))
+        assert res.scaled < ks_critical(0.001), (k, res.scaled)
+
+
+def test_mixture_law_ks_against_quadrature():
+    n = 1000
+    xs = samplers.sample_gue_eigenvalues(n, 20_000, RandomStream(64))
+    res = ks_one_sample(xs, lambda s: hermite.mixture_cdf_many(n, s))
+    assert res.scaled < ks_critical(0.001)
 
 
 def test_mixture_second_moment_short():
