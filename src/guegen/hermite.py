@@ -23,6 +23,9 @@ double range, so heavy lifting happens in two guarded forms:
   largest degree, for all of them; :func:`phi_squared_many` is its
   one-degree case.
 
+:func:`decreasing_beyond` certifies, in one scalar pass, that phi_k^2 is
+strictly decreasing beyond a point; the samplers' tail table rests on it.
+
 The module also hosts the quadrature utilities used by the CDF oracles:
 an adaptive Gauss-Kronrod (G7/K15) panel integrator whose initial panel
 width tracks the local oscillation scale pi / sqrt(4k+2) of phi_k^2.
@@ -172,6 +175,45 @@ def phi_eval(k, x):
 def phi_squared(k, x):
     """The squared Hermite function density phi_k(x)^2."""
     return phi_eval(k, x).phi_sq
+
+
+def decreasing_beyond(k, x):
+    """Whether phi_k^2 is certified strictly decreasing on [x, infinity).
+
+    Two conditions at one point ``x > 0`` suffice:
+
+    * psi_0(x), ..., psi_k(x) are all positive.  By the Sturm property of
+      orthogonal polynomials, the sign changes of that sequence count the
+      zeros of H_k above x, so H_k, and with it phi_k, has none there.
+    * phi_k'(x) < 0.  With psi_k' = sqrt(k) psi_{k-1} (H_k' = k H_{k-1})
+      this reads sqrt(k) psi_{k-1}(x) < (x/2) psi_k(x).
+
+    phi_k solves f'' = (x^2/4 - k - 1/2) f (Szego, Orthogonal Polynomials,
+    section 6.3).  So, with phi_k > 0 on [x, infinity), phi_k' cannot rise
+    back to zero there: below the turning point sqrt(4k+2), f'' < 0 makes
+    f' strictly decreasing wherever it vanishes, and beyond it f is convex
+    and tends to zero.  The check costs one O(k) scalar pass of the
+    normalized recurrence.
+    """
+    k = int(k)
+    x = float(x)
+    if k < 0:
+        raise ParameterError(f"degree must be >= 0, got {k}")
+    if not x > 0.0:
+        return False
+    if k == 0:
+        return True
+    limit = 2.0 ** min(_RESCALE_LOG2, _OVERFLOW_LOG2 - max(math.log2(x), 0.0))
+    sq = np.sqrt(np.arange(k + 1, dtype=float)).tolist()
+    prev, cur = 1.0, x  # psi_0, psi_1; rescaling by powers of two keeps signs
+    for j in range(1, k):
+        prev, cur = cur, (x * cur - sq[j] * prev) / sq[j + 1]
+        if not cur > 0.0:
+            return False
+        if cur > limit:
+            sh = math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, -sh), math.ldexp(cur, -sh)
+    return sq[k] * prev < 0.5 * x * cur
 
 
 def _pair_rescale(prev, cur, expo):

@@ -5,9 +5,10 @@ Three layers, all targeting the same densities exactly:
 * plain rejection from the piecewise envelope, paying one O(k)
   recurrence evaluation per proposal;
 * squeeze-accelerated rejection, which resolves most proposals against
-  the constant-time sandwich bounds and falls back to the exact
-  recurrence only on the inconclusive band (or when the proposal lands
-  outside the squeeze window |x| <= x1, where the bounds do not apply);
+  the constant-time sandwich bounds inside the squeeze window
+  |x| <= x1 and against a per-degree tail table outside it, and falls
+  back to the exact recurrence only on the inconclusive band and in
+  undecided table cells;
 * the uniform-index mixture: pick K uniform on {0, ..., n-1}, draw from
   the squared Hermite function density of degree K.  The result is one
   uniformly chosen eigenvalue of an n x n GUE matrix in the unscaled
@@ -26,6 +27,19 @@ recurrence (:func:`hermite.phi_squared_degrees`), which costs the largest
 degree of the round in Python-level steps rather than the sum of the
 degrees.
 
+The tail table (:class:`TailTable`) holds phi_k^2 at _TABLE_CELLS + 1
+points from x1 to a little past the spectral edge.  Before a degree gets
+one, :func:`hermite.decreasing_beyond` certifies that phi_k^2 is strictly
+decreasing on [x1, infinity), so each cell's end values, widened by a
+relative slack of 1e-8 that covers the kernel's float error, bound phi_k^2
+from both sides and decide exactly as the recurrence would.  Draws, and
+the ``proposals`` and ``accepted`` counters, are therefore the same with
+or without tables.  A group uses a table only when its expected
+out-of-window proposals pay for building one (:func:`_table_pays`, a rule
+on the degree and draw count alone); tables of the last _TABLE_CACHE
+degrees are kept, so later calls at the same degree reuse them.  Plain
+mode and the scalar samplers use no table.
+
 Scalar entry points consume the stream one proposal at a time, mirroring
 the rejection loop shape; the batch entry points are what the CLI and
 the verification suites use.  Both are deterministic functions of
@@ -33,6 +47,7 @@ the verification suites use.  Both are deterministic functions of
 so produce different (equally exact) outputs.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,14 +60,27 @@ from .errors import BudgetError, ParameterError
 DEFAULT_MAX_PROPOSALS = 10**6
 _BLOCK_CAP = 1_500_000
 
+# tail table: cells on [x1, edge + _TABLE_REACH * k^(-1/6)], where phi_k^2
+# is below 1e-20 of the envelope for k = 1 ... 1e5 but still a normal double
+_TABLE_CELLS = 1024
+_TABLE_REACH = 10.0
+_TABLE_SLACK = 1e-8  # 100x the float kernel's relative error (tests/test_hermite.py)
+_TABLE_CACHE = 32  # degrees kept, about 8 KB each; the size is not measured
+# one recurrence step costs about 2.4 us of per-step overhead plus 1.2 ns per
+# lane, so a pass's overhead is worth about this many lanes
+_STEP_OVERHEAD_LANES = 2000
+
 
 @dataclass
 class SamplerStats:
     """Counters describing the work a sampler performed.
 
     ``exact_evals`` counts proposals whose decision needed the O(k)
-    recurrence, i.e. squeeze-inconclusive proposals plus all proposals
-    outside the squeeze window (and every proposal in plain mode).
+    recurrence: in squeeze mode the in-window inconclusive proposals plus
+    the out-of-window proposals in an undecided tail-table cell (every
+    out-of-window proposal where no table is used); in plain mode every
+    proposal.  Decisions made by the tail table count as squeeze accepts
+    (``squeeze_lower_accepts``) and rejects (``squeeze_upper_rejects``).
     """
 
     proposals: int = 0
@@ -182,6 +210,87 @@ def sample_gue_eigenvalue(n, stream, stats=None, max_proposals=DEFAULT_MAX_PROPO
 # ----------------------------------------------------------------------
 
 
+class TailTable(NamedTuple):
+    """phi_k^2 tabulated on a grid from the squeeze window's edge x1 outward,
+    where it is certified strictly decreasing."""
+
+    start: float  # x1, the first grid point
+    step: float  # grid point i is start + i * step
+    phi: np.ndarray  # phi_k^2 at the _TABLE_CELLS + 1 grid points
+
+    def bounds(self, x):
+        """Certified (lower, upper) bounds on phi_k^2 at points |x| >= x1.
+
+        On cell [t_i, t_{i+1}] the bounds would be phi(t_{i+1}) (1 - s) and
+        phi(t_i) (1 + s), and beyond the last point 0 and phi(t_m) (1 + s).
+        The cell index comes from arithmetic, which rounding can put one
+        cell off, so each bound is taken one cell further out: phi(t_{i-1})
+        above and phi(t_{i+2}) below.  The slack s covers the float kernel's
+        error at both the grid point and x, so a decision the bounds make is
+        the one the exact comparison would make.
+        """
+        m = self.phi.size - 1
+        i = np.minimum((np.abs(x) - self.start) / self.step, m).astype(np.intp)
+        upper = self.phi[np.maximum(i - 1, 0)] * (1.0 + _TABLE_SLACK)
+        lower = np.append(self.phi, 0.0)[np.minimum(i + 2, m + 1)] * (1.0 - _TABLE_SLACK)
+        return lower, upper
+
+    def undecided_bound(self, spec):
+        """Upper bound on the envelope mass over [x1, infinity) on which
+        :meth:`bounds` leaves a proposal undecided, the integral of
+        min(upper, h) - lower; ``spec`` is the degree's envelope."""
+        m = self.phi.size - 1
+        # a point of cell j gets a computed index within one of j
+        j = np.arange(m)
+        upper = self.phi[np.maximum(j - 2, 0)] * (1.0 + _TABLE_SLACK)
+        lower = np.append(self.phi, 0.0)[np.minimum(j + 3, m + 1)] * (1.0 - _TABLE_SLACK)
+        inside = self.step * float(np.sum(upper - lower))
+        # beyond the last point the upper bound is at most u, and the envelope
+        # is its tail piece T / (x - edge)^4, so min(u, h) integrates to at
+        # most (4/3) u^(3/4) T^(1/4)
+        u = self.phi[m - 2] * (1.0 + _TABLE_SLACK)
+        t = dominator.TAIL_COEFF * spec.n ** (-5.0 / 6.0)
+        return float(inside + 4.0 / 3.0 * u**0.75 * t**0.25)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def tail_table(k):
+    """The degree-k tail table, or None when monotonicity is not certified.
+
+    The certificate (:func:`hermite.decreasing_beyond` at x1) makes phi_k^2
+    strictly decreasing on [x1, infinity); the tabulated values must also
+    fall strictly and stay positive, so that float rounding cannot have
+    broken the cell bounds.  Results for the last _TABLE_CACHE degrees
+    are cached.
+    """
+    spec = dominator.make_spec(k)
+    if not hermite.decreasing_beyond(k, spec.x1):
+        return None
+    end = spec.edge + _TABLE_REACH * k ** (-1.0 / 6.0)
+    step = (end - spec.x1) / _TABLE_CELLS
+    phi = hermite.phi_squared_many(k, spec.x1 + step * np.arange(_TABLE_CELLS + 1))
+    if not (phi[-1] > 0.0 and np.all(np.diff(phi) < 0.0)):
+        return None
+    phi.flags.writeable = False
+    return TailTable(spec.x1, step, phi)
+
+
+def _table_pays(spec, count):
+    """Whether a group of ``count`` draws at degree ``spec.n`` decides its
+    out-of-window proposals from the tail table.
+
+    A table costs one exact pass over its _TABLE_CELLS + 1 lanes, about
+    k * (_TABLE_CELLS + _STEP_OVERHEAD_LANES) lane-steps with the pass's
+    per-step overhead, and saves k lane-steps on each out-of-window
+    proposal it decides.  So a group uses one only when the call's expected
+    out-of-window proposals, count * mass * (p2 + p3) / half_mass, cover
+    that.  The rule reads (k, count) alone, never the cache, so a cached
+    table changes no counter.
+    """
+    outside = count * spec.mass * (spec.p2 + spec.p3) / spec.half_mass
+    return outside >= _TABLE_CELLS + _STEP_OVERHEAD_LANES
+
+
 @dataclass
 class _Group:
     """Rejection state of the draws of one degree inside an engine call."""
@@ -191,6 +300,7 @@ class _Group:
     offset: int  # where the group's draws start in the engine output
     spec: dominator.DominatorSpec
     budget: int
+    table: TailTable | None  # decides out-of-window proposals in squeeze mode
     filled: int = 0
     spent: int = 0
 
@@ -227,10 +337,13 @@ def _propose(g, stream, use_squeeze):
     upper_rej = np.zeros(block, dtype=bool)
     if use_squeeze:
         window = np.abs(x) <= g.spec.x1
-        lo, up = vanveen.squeeze_bounds_many(g.k, x[window])
-        uhw = uh[window]
-        lower_acc[window] = uhw <= lo
-        upper_rej[window] = uhw > up
+        decided = [(window, vanveen.squeeze_bounds_many(g.k, x[window]))]
+        if g.table is not None:
+            decided.append((~window, g.table.bounds(x[~window])))
+        for mask, (lo, up) in decided:
+            uhm = uh[mask]
+            lower_acc[mask] = uhm <= lo
+            upper_rej[mask] = uhm > up
     return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(~(lower_acc | upper_rej)))
 
 
@@ -297,7 +410,8 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
             stats.accepted += count
         elif count:
             spec = dominator.make_spec(k)
-            groups.append(_Group(k, count, offset, spec, max_proposals * count))
+            table = tail_table(k) if use_squeeze and _table_pays(spec, count) else None
+            groups.append(_Group(k, count, offset, spec, max_proposals * count, table))
         offset += count
     pooled = len(groups) > 1
     while groups:
@@ -392,6 +506,9 @@ class BenchRow:
     ``cost_proxy`` is the Wald-style work estimate per accepted draw:
     (proposals + n * exact_evals) / accepted, counting one unit per
     constant-time proposal and n units per exact recurrence evaluation.
+    The per-degree tail table is cached setup, built once per degree
+    while the degree stays in the cache, and is not in this per-draw
+    proxy.
     """
 
     n: int

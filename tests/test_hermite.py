@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guegen import dominator, hermite
+from guegen import dominator, hermite, samplers
 from guegen.errors import ParameterError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -191,6 +192,52 @@ def test_phi_squared_nonnegative_even_property(k, x):
     v = hermite.phi_squared(k, x)
     assert v >= 0.0 and math.isfinite(v)
     assert v == hermite.phi_squared(k, -x)
+
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _phi_squared_decimal(k, x):
+    """phi_k(x)^2 from the raw recurrence H_{j+1} = x H_j - j H_{j-1} in
+    60-digit decimal arithmetic, whose exponent range needs no rescaling."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emax, ctx.Emin = 10**8, -(10**8)
+        x = Decimal(x)  # the exact binary value of the float
+        prev, cur, fact = Decimal(1), x, Decimal(1)
+        for j in range(1, k):
+            prev, cur = cur, x * cur - j * prev
+            fact *= j + 1
+        return float(cur * cur * (-x * x / 2).exp() / (fact * (2 * _PI_60).sqrt()))
+
+
+def test_phi_squared_matches_decimal_reference():
+    # the tail table's slack must cover the float kernel's relative error,
+    # inside the squeeze window and out to the table's last point
+    slack = samplers._TABLE_SLACK
+    for k in (10, 1000, 100_000):
+        spec = dominator.make_spec(k)
+        end = spec.edge + samplers._TABLE_REACH * k ** (-1.0 / 6.0)
+        xs = [f * spec.x1 for f in (0.0, 0.3, 0.6, 0.9)]
+        xs += [spec.x1 + f * (end - spec.x1) for f in (0.0, 0.01, 0.1, 0.5, 1.0)]
+        ref = np.array([_phi_squared_decimal(k, x) for x in xs])
+        got = hermite.phi_squared_many(k, np.array(xs))
+        assert np.all(ref > 0.0)
+        assert np.all(np.abs(got - ref) <= slack / 100.0 * ref), (k, got / ref - 1.0)
+
+
+def test_decreasing_beyond_certificate():
+    for k in (0, 1, 2, 7, 100, 5000):
+        assert hermite.decreasing_beyond(k, dominator.make_spec(max(k, 1)).x1)
+    # inside the bulk phi_k has zeros and maxima further out
+    assert not hermite.decreasing_beyond(10, 1.0)
+    assert not hermite.decreasing_beyond(100, 19.5)
+    # beyond the last zero but before the last maximum: only the slope fails
+    k = 100
+    zero = np.max(np.polynomial.hermite_e.hermegauss(k)[0])
+    assert not hermite.decreasing_beyond(k, zero + 0.01)
+    assert not hermite.decreasing_beyond(k, zero - 0.01)  # psi_k < 0 there
+    assert not hermite.decreasing_beyond(3, 0.0)
 
 
 # ----------------------------------------------------------------------

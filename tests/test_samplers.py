@@ -86,9 +86,61 @@ def test_exact_share_declines_with_degree():
         stats = samplers.SamplerStats()
         samplers.sample_phi_sq_many(k, 2_000, RandomStream(900 + k), "squeeze", stats)
         shares.append(stats.exact_evals / stats.proposals)
-    # measured ~0.60 at degree 100 and ~0.24 at degree 10^4
+    # in-window sandwich gap over the envelope half mass: 0.023 at degree 100
+    # and 0.0115 at degree 10^4 (0.60 and 0.24 without tail tables)
     assert shares[1] < shares[0]
     assert shares[1] < 0.30
+
+
+@pytest.fixture
+def fresh_tables():
+    tail_table = samplers.tail_table  # the cached original, even if patched later
+    tail_table.cache_clear()
+    yield
+    tail_table.cache_clear()
+
+
+def _counted_draws(k, count, seed):
+    stats = samplers.SamplerStats()
+    xs = samplers.sample_phi_sq_many(k, count, RandomStream(seed), "squeeze", stats)
+    return xs.tobytes(), stats
+
+
+def test_tail_table_keeps_draws_and_cuts_exact_evals(monkeypatch, fresh_tables):
+    # table decisions equal the exact comparison: same draws and proposals
+    cases = ((1, 200), (10, 200), (100, 200), (1000, 300), (10_000, 500))
+    with_tables = [_counted_draws(k, c, 70 + k) for k, c in cases]
+    monkeypatch.setattr(samplers, "tail_table", lambda k: None)
+    for (k, c), (xs, on) in zip(cases, with_tables):
+        xs_off, off = _counted_draws(k, c, 70 + k)
+        assert xs == xs_off, k
+        assert (on.proposals, on.accepted) == (off.proposals, off.accepted), k
+        assert on.exact_evals < off.exact_evals, k
+
+
+def test_failed_certificate_falls_back_to_exact(monkeypatch, fresh_tables):
+    k, count = 100, 500
+    monkeypatch.setattr(samplers, "tail_table", lambda k: None)
+    xs_off, off = _counted_draws(k, count, 71)
+    monkeypatch.undo()
+    monkeypatch.setattr(hermite, "decreasing_beyond", lambda k, x: False)
+    assert samplers.tail_table(k) is None
+    xs, failed = _counted_draws(k, count, 71)
+    assert xs == xs_off
+    assert replace(failed, elapsed=0.0) == replace(off, elapsed=0.0)
+
+
+def test_tail_table_bounds_and_cache(fresh_tables):
+    for k in range(1, 2 * samplers._TABLE_CACHE):
+        table = samplers.tail_table(k)
+        spec = dominator.make_spec(k)
+        x = np.linspace(spec.x1, 2.0 * spec.edge + 5.0, 3001)
+        lower, upper = table.bounds(np.concatenate([x, -x]))
+        phi = hermite.phi_squared_many(k, np.concatenate([x, -x]))
+        assert np.all(lower <= phi) and np.all(phi <= upper), k
+    info = samplers.tail_table.cache_info()
+    assert info.maxsize == samplers._TABLE_CACHE
+    assert info.currsize == samplers._TABLE_CACHE
 
 
 def test_budget_error_scalar_and_batch():
