@@ -15,34 +15,15 @@ from .errors import (
     OracleError,
     ParameterError,
 )
-from .hermite import (
-    HermiteEval,
-    ScaledValue,
-    hermite_poly,
-    mixture_density,
-    phi_sq_cdf,
-    phi_squared,
-)
-from .joint import (
-    JointProposal,
-    JointSample,
-    sample_joint,
-    sample_joint_many,
-    vandermonde_max,
-)
+from .hermite import mixture_density, phi_sq_cdf, phi_squared
+from .joint import sample_joint_many, vandermonde_max
 from .rng import RandomStream
 from .samplers import (
-    SampleBatch,
-    SamplerConfig,
     SamplerStats,
     benchmark,
-    sample_gue_eigenvalue,
     sample_gue_eigenvalues,
     sample_phi_sq_many,
-    sample_phi_sq_plain,
-    sample_phi_sq_squeeze,
 )
-from .vanveen import VanVeenTerms, delta_eps, evaluate as vanveen_terms
 
 __version__ = "0.1.0"
 
@@ -51,31 +32,18 @@ __all__ = [
     "ConvergenceError",
     "DominatorSpec",
     "GuegenError",
-    "HermiteEval",
-    "JointProposal",
-    "JointSample",
     "OracleError",
     "ParameterError",
     "RandomStream",
-    "SampleBatch",
-    "SamplerConfig",
     "SamplerStats",
-    "ScaledValue",
-    "VanVeenTerms",
     "benchmark",
-    "delta_eps",
-    "hermite_poly",
     "make_spec",
     "mixture_density",
     "phi_sq_cdf",
     "phi_squared",
-    "sample_gue_eigenvalue",
     "sample_gue_eigenvalues",
-    "sample_joint",
     "sample_joint_many",
     "sample_phi_sq_many",
-    "sample_phi_sq_plain",
-    "sample_phi_sq_squeeze",
     "vandermonde_max",
     "__version__",
 ]

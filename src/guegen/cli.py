@@ -64,13 +64,12 @@ def build_parser():
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--convention", choices=["unscaled", "intro"], default="unscaled")
     sp.add_argument(
-        "--workers",
+        "--max-proposals",
         type=int,
-        default=1,
-        help="split the stream into W child streams that run one after another"
-        " (output ordered by child stream, reproducible for any W)",
+        default=samplers.DEFAULT_MAX_PROPOSALS,
+        help="budget: each degree may spend this many proposals per draw of"
+        " that degree, pooled over its draws (exit 2 when exhausted)",
     )
-    sp.add_argument("--max-proposals", type=int, default=samplers.DEFAULT_MAX_PROPOSALS)
     sp.add_argument("--out")
 
     jp = sub.add_parser("sample-joint", help="draw full ordered spectra")
@@ -78,7 +77,12 @@ def build_parser():
     jp.add_argument("--beta", type=float, default=2.0)
     jp.add_argument("--count", type=int, required=True)
     jp.add_argument("--seed", type=_seed, default=0)
-    jp.add_argument("--max-attempts", type=int, default=joint.DEFAULT_MAX_ATTEMPTS)
+    jp.add_argument(
+        "--max-attempts",
+        type=int,
+        default=joint.DEFAULT_MAX_ATTEMPTS,
+        help="budget: attempts allowed for each spectrum (exit 2 when exhausted)",
+    )
     jp.add_argument("--format", choices=["csv", "json"], default="csv")
     jp.add_argument("--out")
 
@@ -119,56 +123,32 @@ def _cmd_sample(args):
         raise ParameterError("sample needs --n (mixture) or --k (fixed degree)")
     if args.count < 1:
         raise ParameterError("--count must be >= 1")
-    if args.workers < 1:
-        raise ParameterError("--workers must be >= 1")
     if args.k is not None and args.convention == "intro":
         raise ParameterError("--convention intro applies to eigenvalue sampling, not --k")
     if args.k is not None and args.n is not None and args.k >= args.n:
         raise ParameterError(f"--k must be below --n, got k={args.k}, n={args.n}")
-    master = RandomStream(args.seed)
-    streams = master.spawn(args.workers) if args.workers > 1 else [master]
-    shares = [args.count // args.workers] * args.workers
-    for i in range(args.count % args.workers):
-        shares[i] += 1
+    stream = RandomStream(args.seed)
     stats = samplers.SamplerStats()
-    chunks = []
-    for st, share in zip(streams, shares):
-        if share == 0:
-            continue
-        if args.k is not None:
-            chunks.append(
-                samplers.sample_phi_sq_many(
-                    args.k, share, st, args.mode, stats, args.max_proposals
-                )
-            )
-        else:
-            chunks.append(
-                samplers.sample_gue_eigenvalues(
-                    args.n, share, st, args.mode, stats, args.max_proposals
-                )
-            )
-    values = np.concatenate(chunks)
+    if args.k is not None:
+        values = samplers.sample_phi_sq_many(
+            args.k, args.count, stream, args.mode, stats, args.max_proposals
+        )
+    else:
+        values = samplers.sample_gue_eigenvalues(
+            args.n, args.count, stream, args.mode, stats, args.max_proposals
+        )
     if args.convention == "intro":
         values = values / math.sqrt(args.n)
-    batch = samplers.SampleBatch(
-        values=values,
-        mode=args.mode,
-        seed=args.seed,
-        n=args.n,
-        k=args.k,
-        convention=args.convention,
-        stats=stats,
-    )
     if args.format == "json":
         _emit(
             [
                 json.dumps(
                     {
-                        "n": batch.n,
-                        "k": batch.k,
-                        "mode": batch.mode,
-                        "seed": batch.seed,
-                        "convention": batch.convention,
+                        "n": args.n,
+                        "k": args.k,
+                        "mode": args.mode,
+                        "seed": args.seed,
+                        "convention": args.convention,
                         "count": len(values),
                         "proposals": stats.proposals,
                         "exact_evals": stats.exact_evals,

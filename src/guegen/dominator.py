@@ -80,18 +80,8 @@ def make_spec(n):
     return DominatorSpec(n=n, B=B_CONST, x1=x1, x2=x2, p1=p1, p2=p2, p3=p3, edge=edge)
 
 
-def envelope(spec, x):
-    """Envelope value at a scalar point (even in x)."""
-    ax = abs(float(x))
-    if ax <= spec.x1:
-        return EIGHT_PI_3 / math.sqrt(4.0 * spec.n + 2.0 - ax * ax)
-    if ax <= spec.x2:
-        return spec.sup_value
-    return TAIL_COEFF * spec.n ** (-5.0 / 6.0) / (ax - spec.edge) ** 4
-
-
 def envelope_many(spec, x):
-    """Vectorized envelope values."""
+    """Envelope values at an array of points (even in x)."""
     ax = np.abs(np.asarray(x, dtype=float))
     n = spec.n
     out = np.empty_like(ax)
@@ -125,29 +115,12 @@ def tail_inverse(spec, v):
     return spec.edge + (spec.x2 - spec.edge) * v ** (-1.0 / 3.0)
 
 
-def _abs_from_uv(spec, u, v):
-    t = spec.half_mass
-    if u < spec.p1 / t:
-        return float(bulk_inverse(spec, v))
-    if u < (spec.p1 + spec.p2) / t:
-        return float(plateau_inverse(spec, v))
-    return float(tail_inverse(spec, 1.0 - v))
-
-
-def sample_envelope(spec, stream):
-    """One draw from the normalized envelope density.
-
-    Consumes exactly three uniforms per call: sign, piece selector, and
-    the piece-level inversion variate.
-    """
-    s = stream.rademacher()
-    u = stream.uniform()
-    v = stream.uniform()
-    return s * _abs_from_uv(spec, u, v)
-
-
 def sample_envelope_many(spec, stream, size):
-    """Vectorized envelope draws (three uniform arrays, same piece logic)."""
+    """``size`` draws from the normalized envelope density.
+
+    Consumes three uniform arrays of ``size``: signs, piece selectors, and
+    the piece-level inversion variates.
+    """
     size = int(size)
     s = stream.rademachers(size)
     u = stream.uniforms(size)

@@ -3,25 +3,23 @@
 The probabilists' Hermite polynomials follow the three-term recurrence
 ``H_{k+1}(x) = x H_k(x) - k H_{k-1}(x)`` with ``H_0 = 1``, ``H_1 = x``.
 Raw values near the spectral edge reach magnitudes around e^k, far past
-double range, so heavy lifting happens in two guarded forms:
+double range, so the density runs the normalized recurrence over
+``psi_k = H_k / sqrt(k!)``,
 
-* :class:`ScaledValue`, a (mantissa, base-2 exponent) pair, carries raw
-  ``H_k(x)`` out of :func:`hermite_poly`;
-* the normalized recurrence over ``psi_k = H_k / sqrt(k!)``,
+    psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1}) / sqrt(k+1),
 
-      psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1}) / sqrt(k+1),
+with periodic power-of-two rescaling of the running pair, and assembles
+the squared Hermite function density
 
-  with periodic power-of-two rescaling of the running pair, drives the
-  squared Hermite function density
+    phi_k(x)^2 = psi_k(x)^2 e^{-x^2/2} / sqrt(2 pi)
 
-      phi_k(x)^2 = psi_k(x)^2 e^{-x^2/2} / sqrt(2 pi),
-
-  assembled in log space so tails underflow cleanly to zero instead of
-  corrupting the mantissa path.  The step coefficients do not depend on
-  the degree, so the vectorized evaluator :func:`phi_squared_degrees`
-  takes one degree per point and runs the recurrence once, up to the
-  largest degree, for all of them; :func:`phi_squared_many` is its
-  one-degree case.
+in log space, so tails underflow cleanly to zero instead of corrupting
+the mantissa path.  The step coefficients do not depend on the degree,
+so the vectorized evaluator :func:`phi_squared_degrees` takes one degree
+per point and runs the recurrence once, up to the largest degree, for
+all of them; :func:`phi_squared_many` is its one-degree case.
+:func:`phi_squared` is the scalar float reference the kernel is tested
+against.
 
 :func:`decreasing_beyond` certifies, in one scalar pass, that phi_k^2 is
 strictly decreasing beyond a point; the samplers' tail table rests on it.
@@ -32,7 +30,6 @@ width tracks the local oscillation scale pi / sqrt(4k+2) of phi_k^2.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,91 +38,15 @@ from .errors import ConvergenceError, ParameterError
 LN2 = math.log(2.0)
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# keep the working pair inside [2^-512, 2^limit]; the limit shrinks when
+# rescale the working pair before it can pass 2^512; the limit shrinks when
 # |x| is so large that one more multiply could overflow
 _RESCALE_LOG2 = 512.0
 _OVERFLOW_LOG2 = 1000.0
 
 
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number stored as mantissa * 2^exponent.
-
-    The mantissa is normalized to |mantissa| in [1, 2), or exactly 0 with
-    exponent 0, which keeps log-magnitudes recoverable for exponents far
-    beyond the double range.
-    """
-
-    mantissa: float
-    exponent: int
-
-    @staticmethod
-    def normalize(value, exponent=0):
-        if value == 0.0:
-            return ScaledValue(0.0, 0)
-        m, e = math.frexp(value)  # |m| in [0.5, 1)
-        return ScaledValue(2.0 * m, exponent + e - 1)
-
-    def to_float(self):
-        """Collapse to a double; overflows to +-inf, underflows to 0."""
-        return math.ldexp(self.mantissa, self.exponent)
-
-    @property
-    def log_abs(self):
-        """Natural log of |value|; -inf for zero."""
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.exponent * LN2
-
-
-@dataclass(frozen=True)
-class HermiteEval:
-    """One evaluation of the squared Hermite function density."""
-
-    k: int
-    x: float
-    phi_sq: float
-    log_phi_sq: float
-
-
-def hermite_poly(k, x):
-    """Probabilists' Hermite polynomial H_k(x) as a :class:`ScaledValue`.
-
-    Runs the raw three-term recurrence in O(k) operations, rescaling the
-    working pair by powers of two whenever it threatens the double range.
-    """
-    k = int(k)
-    if k < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {k}")
-    x = float(x)
-    if k == 0:
-        return ScaledValue.normalize(1.0)
-    log2x = math.frexp(abs(x))[1] if x != 0.0 else 0
-    limit = math.ldexp(1.0, int(min(_RESCALE_LOG2, _OVERFLOW_LOG2 - max(log2x, 0))))
-    prev, cur, expo = 1.0, x, 0
-    if abs(x) > 2.0**500:
-        # pre-scale so the first x*cur product cannot overflow; the
-        # recurrence is linear in the (prev, cur) pair
-        sh = math.frexp(x)[1]
-        prev = math.ldexp(prev, -sh)
-        cur = math.ldexp(cur, -sh)
-        expo = sh
-    for j in range(1, k):
-        prev, cur = cur, x * cur - j * prev
-        m = max(abs(prev), abs(cur))
-        if m > limit or (0.0 < m < 2.0**-512):
-            sh = math.frexp(m)[1]
-            prev = math.ldexp(prev, -sh)
-            cur = math.ldexp(cur, -sh)
-            expo += sh
-    return ScaledValue.normalize(cur, expo)
-
-
 def _psi_scaled(k, x):
-    """Normalized recurrence value psi_k(x) = H_k(x)/sqrt(k!) as (mantissa, exp2).
-
-    Scalar path; the vectorized equivalent lives in :func:`_psi_scaled_sorted`.
-    """
+    """Normalized recurrence value psi_k(x) = H_k(x)/sqrt(k!) as (mantissa, exp2)
+    at one point, for :func:`phi_squared`."""
     if k == 0:
         return 1.0, 0
     if k == 1:
@@ -153,8 +74,13 @@ def _psi_scaled(k, x):
     return cur, expo
 
 
-def phi_eval(k, x):
-    """Evaluate phi_k(x)^2 with its log, via the normalized recurrence."""
+def phi_squared(k, x):
+    """The squared Hermite function density phi_k(x)^2 at one point.
+
+    This is the scalar float reference that the vectorized kernel
+    (:func:`phi_squared_degrees`) is tested against: the same normalized
+    recurrence, one point at a time, with its own rescaling schedule.
+    """
     k = int(k)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
@@ -162,19 +88,12 @@ def phi_eval(k, x):
     if not math.isfinite(x):
         raise ParameterError(f"evaluation point must be finite, got {x}")
     if abs(x) >= 1e154:
-        # e^{-x^2/2} is far below the subnormal range; short-circuit
-        return HermiteEval(k, x, 0.0, -math.inf)
+        return 0.0  # e^{-x^2/2} is far below the subnormal range
     mant, expo = _psi_scaled(k, x)
     if mant == 0.0:
-        return HermiteEval(k, x, 0.0, -math.inf)
+        return 0.0
     log_phi = 2.0 * (math.log(abs(mant)) + expo * LN2) - 0.5 * x * x - LN_SQRT_2PI
-    phi = math.exp(log_phi) if log_phi > -745.0 else 0.0
-    return HermiteEval(k, x, phi, log_phi)
-
-
-def phi_squared(k, x):
-    """The squared Hermite function density phi_k(x)^2."""
-    return phi_eval(k, x).phi_sq
+    return math.exp(log_phi) if log_phi > -745.0 else 0.0
 
 
 def decreasing_beyond(k, x):

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-_SQRT2 = math.sqrt(2.0)
-
 
 class RandomStream:
     """Single-owner source of variates; not thread-safe by design.
@@ -48,7 +46,6 @@ class RandomStream:
         ss = np.random.SeedSequence(seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self.draw_count = 0
-        self._spare_normal = None
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -63,14 +60,6 @@ class RandomStream:
     # uniforms
     # ------------------------------------------------------------------
 
-    def uniform(self):
-        """One uniform double in [0, 1); never returns 1.0.
-
-        Advances the underlying bit generator by exactly one 64-bit word.
-        """
-        self.draw_count += 1
-        return float(self._gen.random())
-
     def uniforms(self, size):
         """Array of ``size`` uniforms in [0, 1)."""
         size = int(size)
@@ -81,16 +70,9 @@ class RandomStream:
     # signs and indices
     # ------------------------------------------------------------------
 
-    def rademacher(self):
-        """Fair sign: +1.0 or -1.0 with probability 1/2 each (one uniform)."""
-        return 1.0 if self.uniform() < 0.5 else -1.0
-
     def rademachers(self, size):
+        """Array of ``size`` fair signs, +1.0 or -1.0 (one uniform each)."""
         return np.where(self.uniforms(size) < 0.5, 1.0, -1.0)
-
-    def index(self, n):
-        """Uniform integer in {0, ..., n-1}; see :meth:`indices`."""
-        return int(self.indices(n, 1)[0])
 
     def indices(self, n, size):
         """Array of ``size`` exactly uniform integers in {0, ..., n-1}.
@@ -119,28 +101,8 @@ class RandomStream:
     # normals (Marsaglia polar method)
     # ------------------------------------------------------------------
 
-    def standard_normal(self):
-        """One N(0,1) variate.
-
-        The polar method yields pairs; the unused partner is cached and
-        returned by the next scalar call, so consumption alternates
-        between ~2.55 uniforms and zero.
-        """
-        if self._spare_normal is not None:
-            z, self._spare_normal = self._spare_normal, None
-            return z
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                break
-        scale = math.sqrt(-2.0 * math.log(s) / s)
-        self._spare_normal = v * scale
-        return u * scale
-
     def standard_normals(self, size):
-        """Array of ``size`` N(0,1) variates (does not touch the scalar cache)."""
+        """Array of ``size`` N(0,1) variates."""
         size = int(size)
         out = np.empty(size)
         have = 0
@@ -163,39 +125,12 @@ class RandomStream:
     # gamma (Marsaglia-Tsang, exact rejection)
     # ------------------------------------------------------------------
 
-    def gamma(self, shape):
-        """One Gamma(shape, scale=1) variate; shape must be > 0.
+    def gammas(self, shape, size):
+        """Array of ``size`` Gamma(shape, 1) variates; shape must be > 0.
 
         Shapes below 1 use the boost identity
         Gamma(a) = Gamma(a+1) * U^(1/a).
         """
-        shape = float(shape)
-        if not shape > 0.0:
-            raise ParameterError(f"gamma shape must be > 0, got {shape}")
-        if shape < 1.0:
-            g = self._gamma_mt(shape + 1.0)
-            u = self.uniform()
-            return g * u ** (1.0 / shape)
-        return self._gamma_mt(shape)
-
-    def _gamma_mt(self, shape):
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.standard_normal()
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = self.uniform()
-            if u < 1.0 - 0.0331 * x * x * x * x:
-                return d * v
-            # u == 0 always accepts (log 0 = -inf beats any finite bound)
-            if u == 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
-
-    def gammas(self, shape, size):
-        """Array of ``size`` Gamma(shape, 1) variates."""
         shape = float(shape)
         if not shape > 0.0:
             raise ParameterError(f"gamma shape must be > 0, got {shape}")

@@ -17,7 +17,7 @@ Three layers, all targeting the same densities exactly:
 Degree 0 short-circuits to a standard normal draw, since the degree-0
 density is exactly the standard normal density.
 
-The batch entry points share one rejection engine over (degree, count)
+Both entry points share one rejection engine over (degree, count)
 groups.  ``sample_phi_sq_many`` is its one-group case;
 ``sample_gue_eigenvalues`` draws all mixture indices and hands every
 represented degree to the engine as one group.  In each round every
@@ -38,18 +38,17 @@ or without tables.  A group uses a table only when its expected
 out-of-window proposals pay for building one (:func:`_table_pays`, a rule
 on the degree and draw count alone); tables of the last _TABLE_CACHE
 degrees are kept, so later calls at the same degree reuse them.  Plain
-mode and the scalar samplers use no table.
+mode uses no table.
 
-Scalar entry points consume the stream one proposal at a time, mirroring
-the rejection loop shape; the batch entry points are what the CLI and
-the verification suites use.  Both are deterministic functions of
-(seed, parameters), but they consume the stream in different orders and
-so produce different (equally exact) outputs.
+There is one budget: each group may spend ``max_proposals * count``
+proposals, where ``count`` is its number of draws, and raises BudgetError
+when it needs more.  Every output is a deterministic function of (seed,
+parameters).
 """
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,125 +88,6 @@ class SamplerStats:
     exact_evals: int = 0
     accepted: int = 0
     elapsed: float = 0.0
-
-    def merge(self, other):
-        self.proposals += other.proposals
-        self.squeeze_lower_accepts += other.squeeze_lower_accepts
-        self.squeeze_upper_rejects += other.squeeze_upper_rejects
-        self.exact_evals += other.exact_evals
-        self.accepted += other.accepted
-        self.elapsed += other.elapsed
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Validated sampler parameters."""
-
-    mode: str = "squeeze"
-    k: int | None = None
-    n: int = 1
-    max_proposals: int = DEFAULT_MAX_PROPOSALS
-
-    def __post_init__(self):
-        if self.mode not in ("plain", "squeeze"):
-            raise ParameterError(f"mode must be 'plain' or 'squeeze', got {self.mode!r}")
-        if self.k is not None and self.k < 0:
-            raise ParameterError(f"degree k must be >= 0, got {self.k}")
-        if self.n < 1:
-            raise ParameterError(f"ensemble size n must be >= 1, got {self.n}")
-        if self.k is not None and self.k >= self.n > 1:
-            raise ParameterError(
-                f"mixture mode requires k < n, got k={self.k}, n={self.n}"
-            )
-        if self.max_proposals < 1:
-            raise ParameterError("max_proposals must be >= 1")
-
-
-@dataclass
-class SampleBatch:
-    """A batch of draws plus the metadata needed to reproduce it."""
-
-    values: np.ndarray
-    mode: str
-    seed: int
-    n: int | None = None
-    k: int | None = None
-    beta: float = 2.0
-    convention: str = "unscaled"
-    stats: SamplerStats = field(default_factory=SamplerStats)
-
-
-# ----------------------------------------------------------------------
-# scalar samplers (one proposal at a time)
-# ----------------------------------------------------------------------
-
-
-def _sample_scalar(k, stream, stats, squeeze, max_proposals):
-    t0 = time.perf_counter()
-    if k == 0:
-        x = stream.standard_normal()
-        if stats is not None:
-            stats.proposals += 1
-            stats.accepted += 1
-            stats.elapsed += time.perf_counter() - t0
-        return x
-    spec = dominator.make_spec(k)
-    for _ in range(max_proposals):
-        x = dominator.sample_envelope(spec, stream)
-        u = stream.uniform()
-        if stats is not None:
-            stats.proposals += 1
-        uh = u * dominator.envelope(spec, x)
-        if squeeze and abs(x) <= spec.x1:
-            t = vanveen.evaluate(k, x)
-            lower = max(t.f - t.eps_minus, 0.0)
-            if uh <= lower:
-                if stats is not None:
-                    stats.squeeze_lower_accepts += 1
-                    stats.accepted += 1
-                    stats.elapsed += time.perf_counter() - t0
-                return x
-            if uh > t.f + t.eps_plus:
-                if stats is not None:
-                    stats.squeeze_upper_rejects += 1
-                continue
-        if stats is not None:
-            stats.exact_evals += 1
-        if uh <= hermite.phi_squared(k, x):
-            if stats is not None:
-                stats.accepted += 1
-                stats.elapsed += time.perf_counter() - t0
-            return x
-    raise BudgetError(
-        f"no acceptance within {max_proposals} proposals at degree {k}",
-        attempts=max_proposals,
-    )
-
-
-def sample_phi_sq_plain(k, stream, stats=None, max_proposals=DEFAULT_MAX_PROPOSALS):
-    """One exact draw from the degree-k squared Hermite function density,
-    evaluating the O(k) recurrence on every proposal."""
-    return _sample_scalar(int(k), stream, stats, False, max_proposals)
-
-
-def sample_phi_sq_squeeze(k, stream, stats=None, max_proposals=DEFAULT_MAX_PROPOSALS):
-    """One exact draw, squeeze-accelerated: constant-time bounds decide
-    most proposals, the exact recurrence only the inconclusive band."""
-    return _sample_scalar(int(k), stream, stats, True, max_proposals)
-
-
-def sample_gue_eigenvalue(n, stream, stats=None, max_proposals=DEFAULT_MAX_PROPOSALS):
-    """One uniformly chosen eigenvalue of GUE(n), unscaled convention."""
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {n}")
-    k = stream.index(n)
-    return _sample_scalar(k, stream, stats, True, max_proposals)
-
-
-# ----------------------------------------------------------------------
-# batch engine
-# ----------------------------------------------------------------------
 
 
 class TailTable(NamedTuple):
@@ -445,7 +325,8 @@ def sample_phi_sq_many(
     Proposals are generated in blocks sized from the known acceptance
     rate. Counters in ``stats`` reflect the sequential semantics: blocks
     are truncated at the proposal that produced the last needed accept,
-    and everything after it is discarded as if never drawn.
+    and everything after it is discarded as if never drawn. The call may
+    spend ``max_proposals * count`` proposals, then raises BudgetError.
     """
     k = int(k)
     count = int(count)
@@ -472,7 +353,9 @@ def sample_gue_eigenvalues(
     Draws all mixture indices first, then hands every represented degree
     to the rejection engine as one group, so the exact recurrence runs
     once per round for all degrees together. Draw ``i`` comes from the
-    degree of index draw ``i``.
+    degree of index draw ``i``. Each degree group may spend
+    ``max_proposals`` times its number of draws in proposals, then raises
+    BudgetError.
     """
     n = int(n)
     count = int(count)

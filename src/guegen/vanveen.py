@@ -22,7 +22,6 @@ and callers must bypass the squeeze.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,32 +34,9 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EDGE_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class VanVeenTerms:
-    """All intermediate quantities of one squeeze evaluation."""
-
-    n: int
-    x: float
-    alpha: float
-    log_prefactor: float
-    B_term: float
-    R_term: float
-    f: float
-    eps_plus: float
-    eps_minus: float
-
-
 def domain_edge(n):
     """Right end of the representation's validity domain: 2 sqrt(n+1)."""
     return 2.0 * math.sqrt(n + 1.0)
-
-
-def _check_domain(n, ax, edge):
-    if ax > edge * (1.0 - _EDGE_GUARD):
-        raise ParameterError(
-            f"|x|={ax} is at or beyond the representation domain 2*sqrt(n+1)={edge}"
-            f" (singular sin(alpha))"
-        )
 
 
 def _raw_terms(n, ax):
@@ -80,41 +56,12 @@ def _raw_terms(n, ax):
     return alpha, log_pref, b, r
 
 
-def evaluate(n, x):
-    """Squeeze terms at one point; raises outside |x| < 2 sqrt(n+1).
-
-    Even in x: the computation uses |x| throughout.
-    """
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"degree must be >= 1, got {n}")
-    x = float(x)
-    ax = abs(x)
-    edge = domain_edge(n)
-    _check_domain(n, ax, edge)
-    alpha, log_pref, b, r = _raw_terms(n, ax)
-    pref = math.exp(log_pref)
-    f = b * b * pref
-    eps_plus = pref * (2.0 * _MU_BOUND * max(b, 0.0) * r + _MU_BOUND**2 * r * r)
-    eps_minus = pref * 2.0 * _MU_BOUND * abs(b * r)
-    return VanVeenTerms(
-        n=n,
-        x=x,
-        alpha=float(alpha),
-        log_prefactor=float(log_pref),
-        B_term=float(b),
-        R_term=float(r),
-        f=float(f),
-        eps_plus=float(eps_plus),
-        eps_minus=float(eps_minus),
-    )
-
-
 def terms_many(n, x):
-    """Vectorized (f, eps_plus, eps_minus) for the sampler hot path.
+    """(f, eps_plus, eps_minus) at an array of points, even in x.
 
-    Callers must keep |x| strictly inside the domain; the squeeze window
-    used by the samplers (|x| <= x1 < 2 sqrt(n+1)) guarantees this.
+    Raises ParameterError unless every |x| is strictly inside the domain
+    (sin(alpha) is singular at its edge); the squeeze window used by the
+    samplers (|x| <= x1 < 2 sqrt(n+1)) guarantees this.
     """
     n = int(n)
     ax = np.abs(np.asarray(x, dtype=float))
@@ -137,18 +84,9 @@ def squeeze_bounds_many(n, x):
     return np.maximum(f - em, 0.0), f + ep
 
 
-def delta_eps(n, x, spec=None):
-    """Gap between the sandwich bounds: min(f+eps+, h_n) - (f-eps-)_+."""
-    if spec is None:
-        spec = dominator.make_spec(n)
-    t = evaluate(n, x)
-    upper = min(t.f + t.eps_plus, dominator.envelope(spec, x))
-    lower = max(t.f - t.eps_minus, 0.0)
-    return upper - lower
-
-
 def delta_eps_many(n, x, spec=None):
-    """Vectorized sandwich gap, for quadrature."""
+    """Gap between the sandwich bounds, min(f+eps+, h_n) - (f-eps-)_+,
+    at an array of points, for quadrature."""
     if spec is None:
         spec = dominator.make_spec(n)
     x = np.asarray(x, dtype=float)

@@ -38,18 +38,6 @@ def test_sample_hex_seed(capsys):
     assert out1 == out2
 
 
-def test_sample_workers_split(capsys):
-    code, out, _ = run(
-        capsys, "sample", "--n", "5", "--count", "7", "--seed", "3", "--workers", "3"
-    )
-    assert code == 0
-    assert len(out.strip().splitlines()) == 8
-    code, out2, _ = run(
-        capsys, "sample", "--n", "5", "--count", "7", "--seed", "3", "--workers", "3"
-    )
-    assert out == out2
-
-
 def test_sample_intro_convention_scales(capsys):
     _, raw, _ = run(capsys, "sample", "--n", "4", "--count", "3", "--seed", "9")
     _, scaled, _ = run(

@@ -33,7 +33,9 @@ def test_spec_rejects_bad_degree():
 def test_envelope_value_at_origin():
     spec = dominator.make_spec(1)
     assert math.isclose(
-        dominator.envelope(spec, 0.0), 8.0 * math.pi / (3.0 * math.sqrt(6.0)), rel_tol=1e-14
+        dominator.envelope_many(spec, np.array([0.0]))[0],
+        8.0 * math.pi / (3.0 * math.sqrt(6.0)),
+        rel_tol=1e-14,
     )
 
 
@@ -57,13 +59,22 @@ def test_envelope_even():
     )
 
 
-def test_envelope_scalar_matches_batch():
-    spec = dominator.make_spec(33)
-    xs = np.linspace(-spec.x2 - 4.0, spec.x2 + 4.0, 301)
-    batch = dominator.envelope_many(spec, xs)
-    scal = np.array([dominator.envelope(spec, t) for t in xs])
-    # scalar pow and numpy's power-by-squaring differ by an ulp in the tail
-    assert np.allclose(batch, scal, rtol=1e-14, atol=0.0)
+def test_envelope_matches_piece_formulas():
+    n = 33
+    spec = dominator.make_spec(n)
+    bulk = lambda a: 8.0 * math.pi / 3.0 / math.sqrt(4 * n + 2 - a * a)
+    plateau = lambda a: 8.0 * (math.pi + 1.0) / 3.0 * n ** (-1 / 6)
+    tail = lambda a: 2.0 * math.sqrt(2.0) * spec.B**2 * n ** (-5 / 6) / (a - spec.edge) ** 4
+    pieces = (
+        (np.linspace(0.0, spec.x1, 50), bulk),
+        (np.linspace(spec.x1 + 1e-9, spec.x2, 50), plateau),
+        (np.linspace(spec.x2 + 1e-9, spec.x2 + 40.0, 50), tail),
+    )
+    for xs, formula in pieces:
+        ref = np.array([formula(a) for a in xs])
+        for signed in (xs, -xs):
+            # scalar pow and numpy's power-by-squaring differ by an ulp in the tail
+            assert np.allclose(dominator.envelope_many(spec, signed), ref, rtol=1e-14, atol=0.0)
 
 
 def test_piece_masses_match_quadrature():
@@ -122,12 +133,6 @@ def test_sampler_sign_symmetric():
     stream = RandomStream(11)
     xs = dominator.sample_envelope_many(spec, stream, 10**5)
     assert abs((xs > 0).mean() - 0.5) < 3.0 * 0.5 / math.sqrt(xs.size)
-
-
-def test_scalar_sampler_deterministic():
-    a = [dominator.sample_envelope(dominator.make_spec(6), RandomStream(5)) for _ in range(1)]
-    b = [dominator.sample_envelope(dominator.make_spec(6), RandomStream(5)) for _ in range(1)]
-    assert a == b
 
 
 def test_cdf_abs_hits_piece_masses():

@@ -13,71 +13,36 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ----------------------------------------------------------------------
-# ScaledValue
+# the polynomial recurrence, through the scalar reference
 # ----------------------------------------------------------------------
 
 
-def test_scaled_value_normalization():
-    sv = hermite.ScaledValue.normalize(-12.0)
-    assert 1.0 <= abs(sv.mantissa) < 2.0
-    assert sv.to_float() == -12.0
-    assert hermite.ScaledValue.normalize(0.0).mantissa == 0.0
-    assert hermite.ScaledValue.normalize(0.0).log_abs == -math.inf
-
-
-@settings(max_examples=200, deadline=None)
-@given(v=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-def test_scaled_value_roundtrip(v):
-    sv = hermite.ScaledValue.normalize(v)
-    assert sv.to_float() == v
-    if v != 0.0:
-        assert 1.0 <= abs(sv.mantissa) < 2.0
-        assert math.isclose(sv.log_abs, math.log(abs(v)), rel_tol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# raw polynomial recurrence
-# ----------------------------------------------------------------------
+def _density_from_poly(h, k, x):
+    """phi_k(x)^2 from a hand value h = H_k(x)."""
+    return h * h * math.exp(-x * x / 2.0) / (math.factorial(k) * SQRT_2PI)
 
 
 def test_polynomial_hand_values():
-    assert hermite.hermite_poly(0, 123.4).to_float() == 1.0
-    assert hermite.hermite_poly(1, 3.5).to_float() == 3.5
-    assert hermite.hermite_poly(2, 0.0).to_float() == -1.0
-    # H_2(1)=0, H_3(1)=-2, H_4(1)=1*(-2)-3*0=-2
-    assert hermite.hermite_poly(4, 1.0).to_float() == -2.0
+    # H_0 = 1, H_1(x) = x, H_2(0) = -1; H_2(1)=0, H_3(1)=-2, H_4(1)=1*(-2)-3*0=-2
+    for h, k, x in ((1.0, 0, 12.3), (3.5, 1, 3.5), (-1.0, 2, 0.0), (-2.0, 4, 1.0)):
+        assert math.isclose(hermite.phi_squared(k, x), _density_from_poly(h, k, x), rel_tol=1e-13)
 
 
 def test_polynomial_rejects_negative_degree():
     with pytest.raises(ParameterError):
-        hermite.hermite_poly(-1, 0.0)
+        hermite.phi_squared(-1, 0.0)
+    with pytest.raises(ParameterError):
+        hermite.phi_squared_many(-1, np.zeros(2))
 
 
 def test_polynomial_survives_huge_magnitudes():
-    # raw H_k near the spectral edge is ~e^k; exponent must absorb it
-    sv = hermite.hermite_poly(5000, 2.0 * math.sqrt(5000.0))
-    assert math.isfinite(sv.mantissa) and sv.mantissa != 0.0
-    assert sv.exponent > 10000
-
-
-def test_polynomial_survives_huge_argument():
-    # H_3(x) = x^3 - 3x; at x = 1e200 the value only fits as (mantissa, exp)
-    sv = hermite.hermite_poly(3, 1e200)
-    assert math.isfinite(sv.mantissa)
-    assert abs(sv.log_abs - 3.0 * math.log(1e200)) < 1e-10 * abs(sv.log_abs)
-
-
-def test_polynomial_consistent_with_density():
-    # H_k e^{-x^2/4}/sqrt(k! sqrt(2pi)) squared should equal phi_squared
-    rng = np.random.default_rng(0)
-    for k in (2, 17, 151, 300):
-        for x in rng.uniform(-2.0 * math.sqrt(k), 2.0 * math.sqrt(k), 5):
-            sv = hermite.hermite_poly(k, x)
-            log_phi = 2.0 * (
-                sv.log_abs - x * x / 4.0 - 0.5 * (math.lgamma(k + 1) + 0.5 * math.log(2 * math.pi))
-            )
-            ref = hermite.phi_squared_many(k, np.array([x]), return_log=True)[0]
-            assert abs(log_phi - ref) < 1e-9
+    # raw H_k near the spectral edge is ~e^k; the rescaled recurrence must
+    # carry it to a finite, positive density
+    k = 5000
+    x = 2.0 * math.sqrt(k)
+    scal = hermite.phi_squared(k, x)
+    assert 0.0 < scal < 8.0 * (math.pi + 1.0) / 3.0 * k ** (-1.0 / 6.0)
+    assert math.isclose(scal, hermite.phi_squared_many(k, np.array([x]))[0], rel_tol=1e-11)
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +125,8 @@ def test_phi_squared_extreme_points():
     # tail-piece proposals can be enormous; evaluation must not overflow
     assert hermite.phi_squared(50, 1e6) == 0.0
     assert hermite.phi_squared(50, 1e200) == 0.0
-    ev = hermite.phi_eval(3, 1e160)
-    assert ev.phi_sq == 0.0 and ev.log_phi_sq == -math.inf
+    assert hermite.phi_squared(3, 1e160) == 0.0
+    assert hermite.phi_squared_many(3, np.array([1e160]), return_log=True)[0] == -math.inf
 
 
 def test_phi_squared_bounded_by_sup():

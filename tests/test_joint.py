@@ -17,43 +17,38 @@ def test_pair_exponents():
 
 
 def test_pair_transform_ordering():
-    s = RandomStream(1)
-    for _ in range(5000):
-        x, y = joint.pair_transform(2.0, s)
-        assert y > x
+    x, y, _ = joint._pair_block(2.0, 1.0, RandomStream(1), 5000)
+    assert np.all(y > x)
 
 
 def test_pair_transform_p0_half_normal():
     # at p=0 the half-gap sqrt(2)(Y-X)/2 is distributed like |N|
-    s = RandomStream(2)
-    gaps = np.array([joint.pair_transform(0.0, s) for _ in range(20000)])
-    half = (gaps[:, 1] - gaps[:, 0]) / 2.0 * math.sqrt(2.0)
+    x, y, _ = joint._pair_block(0.0, 1.0, RandomStream(2), 20000)
+    half = (y - x) / 2.0 * math.sqrt(2.0)
     ref = np.abs(RandomStream(3).standard_normals(20000))
     assert ks_two_sample(half, ref).passes(0.01)
 
 
 def test_pair_transform_second_moment():
     # E[(Y-X)^2] = E[W^2] = 4 * (p+1)/2
-    s = RandomStream(4)
-    gaps = np.array([joint.pair_transform(2.0, s) for _ in range(100_000)])
-    w2 = (gaps[:, 1] - gaps[:, 0]) ** 2
+    x, y, _ = joint._pair_block(2.0, 1.0, RandomStream(4), 100_000)
+    w2 = (y - x) ** 2
     assert abs(w2.mean() - 6.0) < 3.0 * w2.std() / math.sqrt(w2.size)
 
 
 def test_pair_transform_rejects_negative_exponent():
     with pytest.raises(ParameterError):
-        joint.pair_transform(-1.0, RandomStream(5))
+        joint._pair_block(-1.0, 1.0, RandomStream(5), 1)
 
 
 def test_pair_back_transform_components():
     # X+Y recovers the Gaussian part, (Y-X)^2/4 the gamma part
     p = 3.0
-    s = RandomStream(17)
-    pairs = np.array([joint.pair_transform(p, s) for _ in range(100_000)])
-    z = pairs[:, 0] + pairs[:, 1]
+    x, y, _ = joint._pair_block(p, 1.0, RandomStream(17), 100_000)
+    z = x + y
     var = z.var()
     assert abs(var - 2.0) < 3.0 * 2.0 * math.sqrt(2.0 / (z.size - 1))
-    v = (pairs[:, 1] - pairs[:, 0]) ** 2 / 4.0
+    v = (y - x) ** 2 / 4.0
     # shape (p+1)/2 = 2, so the CDF is exactly 1 - e^-v (1 + v)
     v.sort()
     f = 1.0 - np.exp(-v) * (1.0 + v)
@@ -65,55 +60,52 @@ def test_pair_back_transform_components():
 
 def test_propose_layout():
     s = RandomStream(6)
-    prop = joint.propose(4, 2.0, s)
-    assert prop.pair_exponents == (10, 2)
-    v = prop.values
-    assert v[3] > v[0] and v[2] > v[1]  # within-pair order
-    prop3 = joint.propose(3, 2.0, s)
-    assert prop3.pair_exponents == (6,)
-    assert prop3.values[2] > prop3.values[0]
+    v, gaps = joint._propose_block(4, 2.0, s, 100)
+    assert v.shape == (100, 4) and gaps.shape == (2, 100)
+    assert np.all(v[:, 3] > v[:, 0]) and np.all(v[:, 2] > v[:, 1])  # within-pair order
+    assert np.allclose(gaps, [v[:, 3] - v[:, 0], v[:, 2] - v[:, 1]], rtol=1e-12, atol=1e-12)
+    v3, gaps3 = joint._propose_block(3, 2.0, s, 100)
+    assert v3.shape == (100, 3) and gaps3.shape == (1, 100)
+    assert np.all(v3[:, 2] > v3[:, 0])
 
 
 def test_accept_test_certain_at_n2():
     s = RandomStream(7)
-    for _ in range(10_000):
-        prop = joint.propose(2, 2.0, s)
-        assert joint.accept_test(prop, s)
+    coords, gaps = joint._propose_block(2, 2.0, s, 10_000)
+    assert np.all(joint._ratio_test(coords, gaps, 2.0, s.uniforms(10_000)))
 
 
 def test_accept_test_rejects_unordered():
-    prop = joint.JointProposal(
-        n=3, values=np.array([1.0, 0.0, 2.0]), beta=2.0, pair_exponents=(6,)
-    )
-    assert joint.accept_test(prop, RandomStream(8)) is False
+    coords = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    gaps = np.array([[1.0, 1.0]])
+    assert not np.any(joint._ratio_test(coords, gaps, 2.0, np.full(2, 1e-300)))
 
 
 def test_bound_dominates_target_on_random_tuples():
+    # with u = e^(1e-9) a row passes the ratio test only where the log
+    # target exceeds the log bound by more than 1e-9
     rng = np.random.default_rng(9)
     for n in (3, 4, 6, 9):
-        for _ in range(2500):
-            v = np.sort(rng.normal(size=n) * rng.uniform(0.5, 3.0))
-            if np.any(np.diff(v) <= 0.0):
-                continue
-            dom, target = joint._log_bound_and_target(v, 2.0)
-            assert dom >= target - 1e-9
+        v = np.sort(rng.normal(size=(2500, n)) * rng.uniform(0.5, 3.0, (2500, 1)), axis=1)
+        v = v[np.all(np.diff(v, axis=1) > 0.0, axis=1)]
+        gaps = (v[:, ::-1][:, : n // 2] - v[:, : n // 2]).T  # x_{n+1-j} - x_j
+        u = np.full(v.shape[0], math.exp(1e-9))
+        assert not np.any(joint._ratio_test(v, gaps, 2.0, u))
 
 
 def test_scalar_sample_n2_structure():
-    s = RandomStream(10)
-    got = joint.sample_joint(2, 2.0, s)
+    values, attempts = joint.sample_joint_many(2, 1, 2.0, RandomStream(10))
+    # the sampler draws proposal blocks of at least 512: pair normals, then gammas
     ref = RandomStream(10)
-    z = math.sqrt(2.0) * ref.standard_normal()
-    w = 2.0 * math.sqrt(ref.gamma(1.5))
-    assert got.attempts == 1
-    assert got.values[0] == (z - w) / 2.0 and got.values[1] == (z + w) / 2.0
+    z = math.sqrt(2.0) * ref.standard_normals(512)[0]
+    w = 2.0 * math.sqrt(ref.gammas(1.5, 512)[0])
+    assert attempts[0] == 1
+    assert values[0, 0] == (z - w) / 2.0 and values[0, 1] == (z + w) / 2.0
 
 
 def test_batch_matches_attempt_budget_semantics():
     with pytest.raises(BudgetError):
         joint.sample_joint_many(6, 3, 2.0, RandomStream(11), max_attempts=2)
-    with pytest.raises(BudgetError):
-        joint.sample_joint(6, 2.0, RandomStream(11), max_attempts=1)
 
 
 def test_batch_outputs_ordered_and_counted():
@@ -139,21 +131,17 @@ def test_progress_callback_fires():
         5, 2000, 2.0, RandomStream(14), progress=seen.append, progress_every=1000
     )
     assert seen and seen == sorted(seen)
-    # scalar path reports every progress_every attempts
-    seen = []
-    joint.sample_joint(
-        6, 2.0, RandomStream(18), progress=seen.append, progress_every=10
-    )
-    assert seen == sorted(seen) and len(seen) >= 1
 
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        joint.sample_joint(1, 2.0, RandomStream(1))
+        joint.sample_joint_many(1, 1, 2.0, RandomStream(1))
     with pytest.raises(ParameterError):
-        joint.sample_joint(3, 0.0, RandomStream(1))
+        joint.sample_joint_many(3, 1, 0.0, RandomStream(1))
     with pytest.raises(ParameterError):
-        joint.sample_joint(3, 2.0, RandomStream(1), max_attempts=0)
+        joint.sample_joint_many(3, 1, 2.0, RandomStream(1), max_attempts=0)
+    with pytest.raises(ParameterError):
+        joint.sample_joint_many(3, -1, 2.0, RandomStream(1))
 
 
 def test_beta_two_paths_identical():
