@@ -15,11 +15,14 @@ the squared Hermite function density
 
 in log space, so tails underflow cleanly to zero instead of corrupting
 the mantissa path.  The step coefficients do not depend on the degree,
-so the vectorized evaluator :func:`phi_squared_degrees` takes one degree
-per point and runs the recurrence once, up to the largest degree, for
-all of them; :func:`phi_squared_many` is its one-degree case.
-:func:`phi_squared` is the scalar float reference the kernel is tested
-against.
+so the one vectorized kernel takes one degree per point and runs the
+recurrence once, up to the largest degree, for all of them, ending with
+each point's last pair (psi_{k-1}, psi_k).  :func:`phi_squared_degrees`
+and its one-degree case :func:`phi_squared_many` read psi_k;
+:func:`mixture_density_many` evaluates (1/n) sum_{k<n} phi_k^2 as the
+confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
+:func:`phi_squared` is only the float reference the kernel is tested
+against and the public one-point call.
 
 :func:`decreasing_beyond` certifies, in one scalar pass, that phi_k^2 is
 strictly decreasing beyond a point; the samplers' tail table rests on it.
@@ -42,6 +45,11 @@ LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # |x| is so large that one more multiply could overflow
 _RESCALE_LOG2 = 512.0
 _OVERFLOW_LOG2 = 1000.0
+# densities are 0 at and beyond this |x| at any degree (by Mehler's formula
+# phi_k(x)^2 <= 2^k exp(-x^2/6)); the recurrence is not run there, because its
+# budget starts from psi_1 = x at exponent 0, so from about 1e77 on a product
+# x * psi_j can overflow before the first rescale
+_HUGE_X = 1e76
 
 
 def _psi_scaled(k, x):
@@ -87,8 +95,8 @@ def phi_squared(k, x):
     x = float(x)
     if not math.isfinite(x):
         raise ParameterError(f"evaluation point must be finite, got {x}")
-    if abs(x) >= 1e154:
-        return 0.0  # e^{-x^2/2} is far below the subnormal range
+    if abs(x) >= _HUGE_X:
+        return 0.0
     mant, expo = _psi_scaled(k, x)
     if mant == 0.0:
         return 0.0
@@ -145,15 +153,17 @@ def _pair_rescale(prev, cur, expo):
 
 
 def _psi_scaled_sorted(ks, x):
-    """psi_k(x) per lane as (mantissas, base-2 exponents), one degree per lane.
+    """(psi_{k-1}(x), psi_k(x)) per lane, one degree per lane, as two mantissa
+    arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
 
     ``ks`` must be sorted in descending order. The step-j coefficients of
     the normalized recurrence do not depend on the degree, so one pass up
     to the largest degree serves every lane: a lane of degree k stops after
     step k-1, and the lanes still running always form a prefix that
-    shrinks at each degree boundary.
+    shrinks at each degree boundary. A pair is rescaled as one.
     """
     x = np.ascontiguousarray(x, dtype=float)
+    last = np.zeros_like(x)
     mant = np.ones_like(x)  # psi_0 = 1
     expo = np.zeros(x.shape, dtype=np.int64)
     degrees, counts = np.unique(ks, return_counts=True)
@@ -162,7 +172,7 @@ def _psi_scaled_sorted(ks, x):
     if degrees[0] == 0:
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
-        return mant, expo
+        return last, mant, expo
     absx = float(np.max(np.abs(x)))
     log2x = math.log2(absx) if absx > 1.0 else 0.0
     threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
@@ -193,31 +203,54 @@ def _psi_scaled_sorted(ks, x):
                 budget = 1.0
         start = d
         done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
+        last[done:m] = prev[done:]
         mant[done:m] = cur[done:]
-    return mant, expo
+    return last, mant, expo
 
 
 _CHUNK = 32768
 
 
+def _sliced(log_slice, ks, x, return_log):
+    """``log_slice(ks, x)`` over ``_CHUNK``-sized slices of the flat points
+    (degrees ``ks`` descending), as values or exponentials in the shape of
+    ``x``; points at or beyond _HUGE_X are passed in as 0 and get -inf."""
+    x = np.asarray(x, dtype=float)
+    flat = np.ravel(x)
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _CHUNK):
+        xs = flat[lo : lo + _CHUNK]
+        safe = np.abs(xs) < _HUGE_X
+        values = log_slice(ks[lo : lo + _CHUNK], np.where(safe, xs, 0.0))
+        values[~safe] = -np.inf
+        out[lo : lo + _CHUNK] = values
+    if not return_log:
+        with np.errstate(under="ignore"):
+            out = np.exp(out)
+    return out.reshape(x.shape)
+
+
 def _log_phi_sq_sorted(ks, x):
     """log phi_k(x)^2 over one slice of lanes sorted by degree, largest first."""
-    safe = np.abs(x) < 1e154
-    xs_safe = np.where(safe, x, 0.0)
-    mant, expo = _psi_scaled_sorted(ks, xs_safe)
+    _, mant, expo = _psi_scaled_sorted(ks, x)
     with np.errstate(divide="ignore"):
         lp = 2.0 * (np.log(np.abs(mant)) + expo * LN2)
-    lp -= 0.5 * xs_safe * xs_safe + LN_SQRT_2PI
-    lp[~safe] = -np.inf
-    return lp
+    return lp - (0.5 * x * x + LN_SQRT_2PI)
 
 
-def _from_log(log_phi, shape, return_log):
-    if return_log:
-        return log_phi.reshape(shape)
-    with np.errstate(under="ignore"):
-        phi = np.exp(log_phi)
-    return phi.reshape(shape)
+def _log_mixture_sorted(ks, x):
+    """log of (1/n) sum_{k<n} phi_k(x)^2 with n = ks + 1 per lane, from the
+    confluent Christoffel-Darboux form on the pair (b, a) = (psi_{n-2}, psi_{n-1}):
+
+        sum_{k<n} psi_k^2 = n a^2 - x sqrt(n-1) a b + (n-1) b^2.
+
+    The pair is normalized to a largest magnitude in [0.5, 1) first, so no
+    intermediate can overflow.
+    """
+    prev, cur, expo = _pair_rescale(*_psi_scaled_sorted(ks, x))
+    n = ks + 1.0
+    total = n * cur * cur - np.sqrt(ks) * x * cur * prev + ks * prev * prev
+    return np.log(total / n) + 2.0 * expo * LN2 - (0.5 * x * x + LN_SQRT_2PI)
 
 
 def phi_squared_degrees(ks, x, return_log=False):
@@ -232,86 +265,33 @@ def phi_squared_degrees(ks, x, return_log=False):
     ks = np.asarray(ks)
     if ks.shape != x.shape:
         raise ParameterError(f"degrees {ks.shape} and points {x.shape} differ in shape")
-    shape = x.shape
-    x = np.ravel(x)
     ks = np.ravel(ks).astype(np.int64)
     if ks.size and int(ks.min()) < 0:
         raise ParameterError(f"degrees must be >= 0, got {int(ks.min())}")
     order = np.argsort(-ks, kind="stable")
-    log_phi = np.empty(x.size)
-    for lo in range(0, x.size, _CHUNK):
-        lanes = order[lo : lo + _CHUNK]
-        log_phi[lanes] = _log_phi_sq_sorted(ks[lanes], x[lanes])
-    return _from_log(log_phi, shape, return_log)
+    out = np.empty(x.size)
+    out[order] = _sliced(_log_phi_sq_sorted, ks[order], np.ravel(x)[order], return_log)
+    return out.reshape(x.shape)
 
 
 def phi_squared_many(k, x, return_log=False):
     """Vectorized phi_k^2 over an array of points: the one-degree case of
-    :func:`phi_squared_degrees`, in ``_CHUNK``-sized slices."""
+    :func:`phi_squared_degrees`."""
     k = int(k)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.ravel(x)
-    log_phi = np.empty(x.size)
-    for lo in range(0, x.size, _CHUNK):
-        xs = x[lo : lo + _CHUNK]
-        log_phi[lo : lo + _CHUNK] = _log_phi_sq_sorted(np.full(xs.size, k), xs)
-    return _from_log(log_phi, shape, return_log)
+    ks = np.broadcast_to(np.int64(k), np.size(x))
+    return _sliced(_log_phi_sq_sorted, ks, x, return_log)
 
 
 def mixture_density_many(n, x):
-    """Density of one uniformly chosen eigenvalue: (1/n) sum_{k<n} phi_k^2."""
+    """Density of one uniformly chosen eigenvalue: (1/n) sum_{k<n} phi_k^2,
+    in closed form on the kernel's degree-(n-1) pair."""
     n = int(n)
     if n < 1:
         raise ParameterError(f"ensemble size must be >= 1, got {n}")
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.ravel(x)
-    out = np.empty(x.size)
-    for lo in range(0, x.size, _CHUNK):
-        out[lo : lo + _CHUNK] = _mixture_chunk(n, x[lo : lo + _CHUNK])
-    return out.reshape(shape)
-
-
-def _mixture_chunk(n, x):
-    x = np.ascontiguousarray(x, dtype=float)
-    safe = np.abs(x) < 1e154
-    x = np.where(safe, x, 0.0)
-    absx = float(np.max(np.abs(x))) if x.size else 0.0
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2 / 2.0, (_OVERFLOW_LOG2 - log2x) / 2.0)
-    prev = np.ones_like(x)
-    cur = x.copy()
-    expo = np.zeros(x.shape, dtype=np.int64)
-    acc = 1.0 + x * x  # psi_0^2 + psi_1^2 at the current scale
-    if n == 1:
-        acc = np.ones_like(x)
-        cur = prev
-    sq = np.sqrt(np.arange(n + 1, dtype=float))
-    budget = 1.0
-    for j in range(1, n - 1):
-        nxt = (x * cur - sq[j] * prev) / sq[j + 1]
-        prev, cur = cur, nxt
-        acc += cur * cur
-        growth = (absx + sq[j]) / sq[j + 1]
-        if growth > 1.0:
-            budget += math.log2(growth)
-        if budget > threshold:
-            big = np.maximum(np.abs(prev), np.abs(cur))
-            sh = np.frexp(big)[1]
-            np.ldexp(prev, -sh, out=prev)
-            np.ldexp(cur, -sh, out=cur)
-            np.ldexp(acc, -2 * sh, out=acc)
-            expo += sh
-            budget = 1.0
-    with np.errstate(divide="ignore"):
-        log_mix = np.log(acc) + 2.0 * expo * LN2
-    log_mix -= 0.5 * x * x + LN_SQRT_2PI + math.log(n)
-    log_mix[~safe] = -np.inf
-    with np.errstate(under="ignore"):
-        return np.exp(log_mix)
+    ks = np.broadcast_to(np.int64(n - 1), np.size(x))
+    return _sliced(_log_mixture_sorted, ks, x, False)
 
 
 def mixture_density(n, x):
@@ -466,7 +446,7 @@ def tail_cutoff(k):
     """Point beyond which the phi_k^2 tail mass is negligible (< 1e-18)."""
     base = 2.0 * math.sqrt(k + 1.0) + 2.0 + 12.0 * (k + 1.0) ** (-1.0 / 6.0)
     for _ in range(200):
-        if phi_squared(k, base) < 1e-22:
+        if phi_squared_many(k, [base])[0] < 1e-22:
             return base
         base += 1.0 + 0.01 * base
     raise ConvergenceError(f"could not locate a tail cutoff for degree {k}")

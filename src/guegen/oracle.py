@@ -16,7 +16,6 @@ real/imaginary parts N(0, 1/2), giving the spectrum supported on roughly
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +26,6 @@ _JACOBI_TOL = 1e-14
 _MAX_EIG_N = 64
 
 _CONVENTIONS = ("unscaled", "intro")
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """An n x n Hermitian matrix with its size tag."""
-
-    n: int
-    entries: np.ndarray
 
 
 def _check_convention(convention):
@@ -70,11 +61,6 @@ def sample_gue_matrices(n, count, convention="unscaled", stream=None):
     if convention == "intro":
         h /= math.sqrt(n)
     return h
-
-
-def sample_gue_matrix(n, convention="unscaled", stream=None):
-    """One GUE(n) matrix."""
-    return HermitianMatrix(n=int(n), entries=sample_gue_matrices(n, 1, convention, stream)[0])
 
 
 def _real_embedding(h):
@@ -131,21 +117,6 @@ def _jacobi_spectra(mats, tol=_JACOBI_TOL, max_sweeps=_MAX_JACOBI_SWEEPS):
     raise ConvergenceError(
         f"Jacobi sweep did not converge within {max_sweeps} sweeps"
     )
-
-
-def eigenvalues_small(matrix):
-    """Sorted eigenvalues of one Hermitian matrix (n <= 64 guard)."""
-    h = matrix.entries if isinstance(matrix, HermitianMatrix) else np.asarray(matrix)
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ParameterError(f"need a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    if n > _MAX_EIG_N:
-        raise ParameterError(f"eigensolver is guarded to n <= {_MAX_EIG_N}, got {n}")
-    if not np.allclose(h, h.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(h).max()))):
-        raise ParameterError("matrix is not Hermitian")
-    doubled = _jacobi_spectra(_real_embedding(h[None]))[0]
-    return doubled[::2].copy()
 
 
 def spectra_many(mats):

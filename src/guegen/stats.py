@@ -1,10 +1,9 @@
 """Goodness-of-fit and scaling-fit helpers for the verification suites.
 
 Both Kolmogorov-Smirnov variants report the raw sup-distance together
-with the sqrt(n)-scaled statistic and pass/fail decisions at the
-standard significance levels, using the asymptotic critical values
-c(alpha) = sqrt(-ln(alpha/2) / 2).  Decisions are auxiliary; acceptance
-thresholds always compare the scaled statistic itself.
+with the sqrt(n)-scaled statistic, which acceptance thresholds compare
+against the asymptotic critical values c(alpha) = sqrt(-ln(alpha/2) / 2)
+(:func:`ks_critical`).
 """
 
 import math
@@ -14,7 +13,6 @@ import numpy as np
 
 from .errors import OracleError, ParameterError
 
-ALPHAS = (0.05, 0.01, 0.001)
 _MIN_SAMPLES = 100
 
 
@@ -30,7 +28,6 @@ class KSResult:
     statistic: float
     n_effective: float
     scaled: float
-    pass_at: dict
 
     def passes(self, alpha):
         return self.scaled < ks_critical(alpha)
@@ -38,12 +35,7 @@ class KSResult:
 
 def _result(statistic, n_effective):
     scaled = statistic * math.sqrt(n_effective)
-    return KSResult(
-        statistic=float(statistic),
-        n_effective=float(n_effective),
-        scaled=float(scaled),
-        pass_at={a: scaled < ks_critical(a) for a in ALPHAS},
-    )
+    return KSResult(float(statistic), float(n_effective), float(scaled))
 
 
 def ks_one_sample(samples, cdf_oracle):

@@ -129,6 +129,29 @@ def test_phi_squared_extreme_points():
     assert hermite.phi_squared_many(3, np.array([1e160]), return_log=True)[0] == -math.inf
 
 
+@pytest.mark.parametrize("k", [3, 300])
+def test_huge_points_underflow_to_zero(k):
+    # every density underflows here; the recurrence must not overflow first
+    huge = np.array([1e76, 1e100, 1e140, 1e150, 1e153])
+    huge = np.concatenate([huge, -huge])
+    for x in huge:
+        assert hermite.phi_squared(k, x) == 0.0, x
+        assert hermite.mixture_density(k, x) == 0.0, x
+    # next to an ordinary point, whose value they must not change
+    x = np.append(huge, 0.5)
+    ks = np.full(x.shape, k)
+    for phi in (
+        hermite.phi_squared_many(k, x),
+        hermite.phi_squared_degrees(ks, x),
+        hermite.mixture_density_many(k, x),
+    ):
+        assert np.all(phi[:-1] == 0.0)
+    assert np.all(hermite.phi_squared_many(k, x, return_log=True)[:-1] == -math.inf)
+    assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[:-1] == -math.inf)
+    assert hermite.phi_squared_many(k, x)[-1] == hermite.phi_squared_many(k, [0.5])[0]
+    assert hermite.mixture_density_many(k, x)[-1] == hermite.mixture_density(k, 0.5)
+
+
 def test_phi_squared_bounded_by_sup():
     for k in (1, 5, 60, 2000):
         grid = np.linspace(0.0, 2.0 * math.sqrt(k + 1.0) + 3.0, 4001)
@@ -162,18 +185,21 @@ def test_phi_squared_nonnegative_even_property(k, x):
 _PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
-def _phi_squared_decimal(k, x):
-    """phi_k(x)^2 from the raw recurrence H_{j+1} = x H_j - j H_{j-1} in
-    60-digit decimal arithmetic, whose exponent range needs no rescaling."""
+def _phi_squares_decimal(n, x):
+    """phi_0(x)^2, ..., phi_{n-1}(x)^2 from the raw recurrence
+    H_{j+1} = x H_j - j H_{j-1} in 60-digit decimal arithmetic, whose
+    exponent range needs no rescaling."""
     with localcontext() as ctx:
         ctx.prec = 60
         ctx.Emax, ctx.Emin = 10**8, -(10**8)
         x = Decimal(x)  # the exact binary value of the float
-        prev, cur, fact = Decimal(1), x, Decimal(1)
-        for j in range(1, k):
-            prev, cur = cur, x * cur - j * prev
-            fact *= j + 1
-        return float(cur * cur * (-x * x / 2).exp() / (fact * (2 * _PI_60).sqrt()))
+        weight = (-x * x / 2).exp() / (2 * _PI_60).sqrt()
+        prev, cur, fact = Decimal(0), Decimal(1), Decimal(1)  # H_{-1}, H_0, 0!
+        out = []
+        for j in range(n):
+            out.append(cur * cur / fact * weight)
+            prev, cur, fact = cur, x * cur - j * prev, fact * (j + 1)
+        return out
 
 
 def test_phi_squared_matches_decimal_reference():
@@ -185,7 +211,7 @@ def test_phi_squared_matches_decimal_reference():
         end = spec.edge + samplers._TABLE_REACH * k ** (-1.0 / 6.0)
         xs = [f * spec.x1 for f in (0.0, 0.3, 0.6, 0.9)]
         xs += [spec.x1 + f * (end - spec.x1) for f in (0.0, 0.01, 0.1, 0.5, 1.0)]
-        ref = np.array([_phi_squared_decimal(k, x) for x in xs])
+        ref = np.array([float(_phi_squares_decimal(k + 1, x)[-1]) for x in xs])
         got = hermite.phi_squared_many(k, np.array(xs))
         assert np.all(ref > 0.0)
         assert np.all(np.abs(got - ref) <= slack / 100.0 * ref), (k, got / ref - 1.0)
@@ -257,10 +283,24 @@ def test_mixture_two_terms_at_zero():
 
 
 def test_mixture_matches_explicit_sum():
-    xs = np.linspace(-9.0, 9.0, 25)
-    for n in (2, 7, 40):
-        direct = sum(hermite.phi_squared_many(k, xs) for k in range(n)) / n
-        assert np.allclose(hermite.mixture_density_many(n, xs), direct, rtol=1e-11)
+    # the closed form against the sum of its n terms, out past the edge
+    for n in (2, 7, 40, 1000):
+        xs = np.linspace(-1.0, 1.0, 41) * (2.0 * math.sqrt(n) + 8.0)
+        ks = np.repeat(np.arange(n), xs.size)
+        terms = hermite.phi_squared_degrees(ks, np.tile(xs, n)).reshape(n, -1)
+        got = hermite.mixture_density_many(n, xs)
+        assert np.allclose(got, terms.mean(axis=0), rtol=1e-11, atol=0.0)
+
+
+def test_mixture_matches_decimal_reference():
+    n = 1000
+    edge = 2.0 * math.sqrt(n)
+    xs = [f * edge for f in (0.0, 0.37, 0.81)]  # bulk
+    xs += [edge + d for d in (-1.0, 0.0, 1.5, 4.0, 8.0)]  # edge and tail
+    ref = np.array([float(sum(_phi_squares_decimal(n, x))) / n for x in xs])
+    got = hermite.mixture_density_many(n, np.array(xs))
+    assert np.all(ref > 0.0)
+    assert np.allclose(got, ref, rtol=1e-10, atol=0.0), got / ref - 1.0
 
 
 def test_mixture_second_moment_equals_size():

@@ -10,26 +10,24 @@ from guegen.stats import ks_two_sample
 
 
 def test_diagonal_matrix():
-    eig = oracle.eigenvalues_small(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    eig = oracle.spectra_many(np.diag([3.0, 1.0, 2.0]).astype(complex)[None])[0]
     assert np.allclose(eig, [1.0, 2.0, 3.0], atol=1e-12)
 
 
 def test_two_by_two_closed_form():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a, d, b, c = rng.normal(size=4)
-        h = np.array([[a, b + 1j * c], [b - 1j * c, d]])
-        lam = oracle.eigenvalues_small(h)
-        disc = math.sqrt(((a - d) / 2.0) ** 2 + b * b + c * c)
-        ref = np.array([(a + d) / 2.0 - disc, (a + d) / 2.0 + disc])
-        rho = np.abs(ref).max() + 1e-300
-        assert np.max(np.abs(lam - ref)) < 1e-10 * rho
+    a, d, b, c = np.random.default_rng(1).normal(size=(4, 100))
+    h = np.array([[a, b + 1j * c], [b - 1j * c, d]]).transpose(2, 0, 1)
+    lam = oracle.spectra_many(h)
+    disc = np.sqrt(((a - d) / 2.0) ** 2 + b * b + c * c)
+    ref = np.stack([(a + d) / 2.0 - disc, (a + d) / 2.0 + disc], axis=1)
+    rho = np.abs(ref).max(axis=1) + 1e-300
+    assert np.all(np.max(np.abs(lam - ref), axis=1) < 1e-10 * rho)
 
 
 def test_eigen_sum_matches_trace():
     st = RandomStream(2)
-    h = oracle.sample_gue_matrix(8, "unscaled", st).entries
-    eig = oracle.eigenvalues_small(h)
+    h = oracle.sample_gue_matrices(8, 1, "unscaled", st)[0]
+    eig = oracle.spectra_many(h[None])[0]
     assert abs(eig.sum() - np.trace(h).real) < 1e-10 * np.abs(eig).max() * 8
 
 
@@ -45,16 +43,16 @@ def test_hermiticity_exact():
     st = RandomStream(4)
     mats = oracle.sample_gue_matrices(5, 200, "unscaled", st)
     assert np.array_equal(mats, np.conj(np.transpose(mats, (0, 2, 1))))
-    hm = oracle.sample_gue_matrix(3, "unscaled", RandomStream(5))
-    assert np.array_equal(hm.entries, hm.entries.conj().T)
-    assert np.all(hm.entries.diagonal().imag == 0.0)
+    h = oracle.sample_gue_matrices(3, 1, "unscaled", RandomStream(5))[0]
+    assert np.array_equal(h, h.conj().T)
+    assert np.all(h.diagonal().imag == 0.0)
 
 
 def test_size_one_is_standard_normal_draw():
     st = RandomStream(6)
-    hm = oracle.sample_gue_matrix(1, "unscaled", st)
-    assert hm.entries.shape == (1, 1)
-    assert hm.entries[0, 0] == RandomStream(6).standard_normals(1)[0]
+    h = oracle.sample_gue_matrices(1, 1, "unscaled", st)
+    assert h.shape == (1, 1, 1)
+    assert h[0, 0, 0] == RandomStream(6).standard_normals(1)[0]
 
 
 def test_trace_variance():
@@ -80,9 +78,7 @@ def test_intro_convention_spectra_distribution():
 
 def test_guards():
     with pytest.raises(ParameterError):
-        oracle.eigenvalues_small(np.eye(65, dtype=complex))
-    with pytest.raises(ParameterError):
-        oracle.eigenvalues_small(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+        oracle.spectra_many(np.eye(65, dtype=complex)[None])
     with pytest.raises(ParameterError):
         oracle.sample_gue_matrices(3, 5, "other", RandomStream(1))
     with pytest.raises(ParameterError):
@@ -93,5 +89,5 @@ def test_degenerate_spectra_converge():
     # repeated eigenvalues exercise the 45-degree rotation branch
     h = np.diag([2.0, 2.0, 2.0, 5.0]).astype(complex)
     h[0, 1] = h[1, 0] = 1e-3
-    eig = oracle.eigenvalues_small(h)
+    eig = oracle.spectra_many(h[None])[0]
     assert np.allclose(eig, np.linalg.eigvalsh(h), atol=1e-12)

@@ -209,8 +209,8 @@ def test_mixture_places_each_draw_at_its_degree():
         assert res.scaled < ks_critical(0.001), (k, res.scaled)
 
 
-def test_mixture_law_ks_against_quadrature():
-    n = 1000
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_mixture_law_ks_against_quadrature(n):
     xs = samplers.sample_gue_eigenvalues(n, 20_000, RandomStream(64))
     res = ks_one_sample(xs, lambda s: hermite.mixture_cdf_many(n, s))
     assert res.scaled < ks_critical(0.001)

@@ -18,8 +18,7 @@ def test_critical_values():
 def test_one_sample_null_passes():
     u = RandomStream(1).uniforms(10**5)
     res = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
-    assert res.scaled < 1.95
-    assert res.pass_at[0.001]
+    assert res.scaled < ks_critical(0.001)
 
 
 def test_one_sample_scalar_oracle_accepted():
