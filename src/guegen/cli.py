@@ -210,6 +210,8 @@ def _cmd_bench(args):
         "accepted",
         "proposals",
         "exact_evals",
+        "exact_in_window",
+        "exact_out_of_window",
         "proposals_per_accept",
         "exact_share",
         "cost_proxy",
@@ -225,6 +227,8 @@ def _cmd_bench(args):
                     r.accepted,
                     r.proposals,
                     r.exact_evals,
+                    r.exact_in_window,
+                    r.exact_out_of_window,
                     r.proposals_per_accept,
                     r.exact_share,
                     r.cost_proxy,
@@ -249,7 +253,7 @@ def _cmd_tabulate_envelope(args):
     if args.points < 2:
         raise ParameterError("--points must be >= 2")
     spec = dominator.make_spec(args.n)
-    span = spec.x2 + 3.0 * (spec.x2 - spec.edge)
+    span = spec.edge + 4.0 / spec.rate  # the turning point plus four tail lengths
     grid = np.linspace(-span, span, args.points)
     h = dominator.envelope_many(spec, grid)
     phi = hermite.phi_squared_many(args.n, grid)

@@ -1,122 +1,188 @@
-"""Piecewise dominating envelope for the squared Hermite function density.
+"""Certified dominating hat for the squared Hermite function density.
 
-For degree n the envelope has three pieces in |x|:
+For degree n >= 1 write f = phi_n, e = 2 sqrt(n+1) (the edge of the van
+Veen representation, :mod:`guegen.vanveen`), x_t = sqrt(4n + 2) (the
+turning point of f'' = (x^2/4 - n - 1/2) f) and x1 < x_t for the edge of
+the squeeze window.  The hat has four pieces in |x|:
 
-* bulk, |x| <= x1:      (8 pi / 3) / sqrt(4n + 2 - x^2)
-* plateau, x1 < |x| <= x2:   (8 (pi+1) / 3) n^{-1/6}   (the sup bound)
-* tail, |x| > x2:       2 sqrt(2) B^2 n^{-5/6} (|x| - sqrt(4n+2))^{-4}
+* bulk, |x| <= x_c:  C L(x), with L(x) = pref pi e / ((n+1) sqrt(e^2 - x^2)).
+  L is pref a^2 with a = sqrt(pi / ((n+1) sin alpha)), and the van Veen
+  bound gives phi^2 <= pref (a + 4.2 r)^2 = pref a^2 (1 + 4.2 r/a)^2 with
+  r = 1 / (3 (n+1) sin^2 alpha).  r/a grows with |x|, so
+  C = (1 + 4.2 r/a)^2 taken at x_c covers the whole piece.
+* shoulder, x_c < |x| <= x1:  S(x1), where S = f^2 + f'^2 / q with
+  q = n + 1/2 - x^2/4.  S' = x f'^2 / (2 q^2) >= 0 on [0, x_t)
+  (Sonine-Polya; Szego, Orthogonal Polynomials, section 7.31), so
+  f^2 <= S(x1) on [0, x1].
+* plateau, x1 < |x| <= x_t + s:  f(x1)^2, since f^2 is certified strictly
+  decreasing beyond x1 (:func:`hermite.decreasing_beyond`).
+* tail, |x| > x_t + s:  f(x1)^2 exp(-c sqrt(s) (|x| - x_t)), with
+  c = (4/3) sqrt(x_t / 2) and s = c^(-2/3).  Beyond x_t, E = f'^2 - Q f^2
+  with Q = x^2/4 - n - 1/2 has E' = -(x/2) f^2 <= 0 and tends to 0, so
+  f'/f <= -sqrt(Q) <= -sqrt(x_t (x - x_t) / 2) and
+  f^2 <= f(x1)^2 exp(-c t^(3/2)) <= f(x1)^2 exp(-c sqrt(s) t) for
+  t = |x| - x_t >= s.
 
-with B = (pi+1)^2 sqrt(8 (pi+1) / 3).  The breakpoints are chosen so all
-three pieces match continuously and every piece integrates in closed
-form, which makes exact inversion sampling of the normalized envelope a
-constant-time operation: pick a piece proportionally to its mass, then
-invert that piece's CDF.
+f(x1) and f'(x1) come from the one O(n) scalar pass that certifies the
+decrease.  Each level carries a relative slack of 1e-8, because the hat
+touches phi_n^2 at x1 and the sampler compares against the float kernel.
+x_c minimizes the closed-form mass over [0, x1] (golden-section search
+with a fixed step count).  Every piece integrates and inverts in closed
+form, so sampling the normalized hat costs one sign, one piece selector
+and one inversion variate per draw.  Specs are cached.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite
-from .errors import ParameterError
+from . import hermite, vanveen
+from .errors import CertificateError, ParameterError
 
 PI = math.pi
-EIGHT_PI_3 = 8.0 * PI / 3.0
-SUP_COEFF = 8.0 * (PI + 1.0) / 3.0
-B_CONST = (PI + 1.0) ** 2 * math.sqrt(8.0 * (PI + 1.0) / 3.0)
-TAIL_COEFF = 2.0 * math.sqrt(2.0) * B_CONST**2
-# x2 - sqrt(4n+2) = X2_OFFSET * n^{-1/6}
-X2_OFFSET = math.sqrt(B_CONST) * (3.0 / (2.0 * math.sqrt(2.0) * (PI + 1.0))) ** 0.25
-P3_COEFF = (
-    math.sqrt(B_CONST)
-    * (2.0 * math.sqrt(2.0) / 3.0) ** 1.75
-    * (PI + 1.0) ** 0.75
-)
+# relative slack on each level: 100x the float kernel's relative error
+# against a 60-digit reference (tests/test_hermite.py)
+SLACK = 1e-8
+_GOLDEN_STEPS = 64  # shrinks the search interval by 0.618^64, about 4e-14
+# specs kept; one takes about 0.6 KB with its cache entry (tracemalloc), so
+# the cache stays below 0.6 MB
+_SPEC_CACHE = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominatorSpec:
-    """Precomputed envelope description for one degree n.
-
-    p1, p2, p3 are the closed-form masses of the three pieces over the
-    positive half-line; the envelope is even, so its total integral is
-    2 (p1 + p2 + p3).
-    """
+    """The hat of one degree n: breakpoints, levels and the closed-form
+    masses p1 ... p4 of its four pieces over the positive half-line.  The
+    hat is even, so its total integral, the mean number of proposals per
+    accept, is 2 (p1 + p2 + p3 + p4)."""
 
     n: int
-    B: float
-    x1: float
-    x2: float
+    x_c: float  # bulk / shoulder breakpoint
+    x1: float  # squeeze-window edge: shoulder / plateau breakpoint
+    edge: float  # turning point sqrt(4n + 2)
+    x_tail: float  # plateau / tail breakpoint, edge + s
+    vv_edge: float  # 2 sqrt(n + 1), where the bulk piece's L is singular
+    bulk: float  # the bulk piece is bulk / sqrt(vv_edge^2 - x^2)
+    shoulder: float  # S(x1)
+    plateau: float  # phi_n(x1)^2
+    rate: float  # the tail piece is plateau exp(-rate (|x| - edge))
     p1: float
     p2: float
     p3: float
-    edge: float  # sqrt(4n + 2)
+    p4: float
+
+    @property
+    def masses(self):
+        return (self.p1, self.p2, self.p3, self.p4)
 
     @property
     def half_mass(self):
-        return self.p1 + self.p2 + self.p3
+        return self.p1 + self.p2 + self.p3 + self.p4
 
     @property
     def mass(self):
-        return 2.0 * (self.p1 + self.p2 + self.p3)
-
-    @property
-    def sup_value(self):
-        return SUP_COEFF * self.n ** (-1.0 / 6.0)
+        return 2.0 * self.half_mass
 
 
+def _golden_min(f, lo, hi):
+    """Approximate minimizer of a unimodal ``f`` on [lo, hi]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return c if fc <= fd else d
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE)
 def make_spec(n):
-    """Build the envelope description for degree ``n`` from closed forms."""
+    """Build the hat of degree ``n``: one O(n) scalar pass at x1, then
+    closed forms.  Raises CertificateError if phi_n^2 is not certified
+    decreasing beyond x1."""
     n = int(n)
     if n < 1:
         raise ParameterError(f"envelope degree must be >= 1, got {n}")
     edge = math.sqrt(4.0 * n + 2.0)
     x1 = math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0))
-    x2 = edge + X2_OFFSET * n ** (-1.0 / 6.0)
-    p1 = EIGHT_PI_3 * math.asin(x1 / edge)
-    p2 = SUP_COEFF * n ** (-1.0 / 6.0) * (x2 - x1)
-    p3 = P3_COEFF * n ** (-1.0 / 3.0)
-    return DominatorSpec(n=n, B=B_CONST, x1=x1, x2=x2, p1=p1, p2=p2, p3=p3, edge=edge)
+    cert = hermite.decreasing_beyond(n, x1)
+    if cert is None:
+        raise CertificateError(f"phi_{n}^2 is not certified decreasing beyond x1 = {x1}")
+    f, df = cert
+    shoulder = (f * f + df * df / (n + 0.5 - 0.25 * x1 * x1)) * (1.0 + SLACK)
+    plateau = f * f * (1.0 + SLACK)
+    c = 4.0 / 3.0 * math.sqrt(edge / 2.0)
+    s = c ** (-2.0 / 3.0)
+    rate = c * math.sqrt(s)
+    e = vanveen.domain_edge(n)
+    level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
+    r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
+
+    def bulk(x_c):
+        sin_a = math.sqrt(1.0 - (x_c / e) ** 2)
+        return level * (1.0 + vanveen.MU_BOUND * r_over_a * sin_a**-1.5) ** 2 * (1.0 + SLACK)
+
+    def inner_mass(x_c):
+        return bulk(x_c) * math.asin(x_c / e) + shoulder * (x1 - x_c)
+
+    x_c = _golden_min(inner_mass, 0.0, x1)
+    b = bulk(x_c)
+    return DominatorSpec(
+        n=n,
+        x_c=x_c,
+        x1=x1,
+        edge=edge,
+        x_tail=edge + s,
+        vv_edge=e,
+        bulk=b,
+        shoulder=shoulder,
+        plateau=plateau,
+        rate=rate,
+        p1=b * math.asin(x_c / e),
+        p2=shoulder * (x1 - x_c),
+        p3=plateau * (edge + s - x1),
+        p4=plateau * math.exp(-rate * s) / rate,
+    )
 
 
 def envelope_many(spec, x):
-    """Envelope values at an array of points (even in x)."""
+    """Hat values at an array of points (even in x)."""
     ax = np.abs(np.asarray(x, dtype=float))
-    n = spec.n
-    out = np.empty_like(ax)
-    bulk = ax <= spec.x1
-    tail = ax > spec.x2
-    plateau = ~bulk & ~tail
-    out[bulk] = EIGHT_PI_3 / np.sqrt(4.0 * n + 2.0 - ax[bulk] ** 2)
-    out[plateau] = spec.sup_value
-    out[tail] = TAIL_COEFF * n ** (-5.0 / 6.0) / (ax[tail] - spec.edge) ** 4
+    out = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
+    bulk = ax <= spec.x_c
+    out[bulk] = spec.bulk / np.sqrt(spec.vv_edge**2 - ax[bulk] ** 2)
+    tail = ax > spec.x_tail
+    out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
     return out
 
 
 # ----------------------------------------------------------------------
-# inversion sampling of the normalized envelope
+# inversion sampling of the normalized hat
 # ----------------------------------------------------------------------
 
 
-def bulk_inverse(spec, v):
-    """Inverse CDF of the bulk piece on [0, x1]; v in [0, 1]."""
-    return spec.edge * np.sin(v * np.arcsin(spec.x1 / spec.edge))
-
-
-def plateau_inverse(spec, v):
-    """Inverse CDF of the constant piece on [x1, x2]; v in [0, 1]."""
-    return spec.x1 + (spec.x2 - spec.x1) * v
-
-
-def tail_inverse(spec, v):
-    """Inverse (survival-style) CDF of the tail piece; v in (0, 1] maps
-    onto [x2, infinity), with v = 1 landing exactly on x2."""
-    return spec.edge + (spec.x2 - spec.edge) * v ** (-1.0 / 3.0)
+def piece_inverse(spec, piece, v):
+    """Inverse CDF of piece ``piece`` (0 bulk, 1 shoulder, 2 plateau,
+    3 tail) restricted to the positive half-line: v in [0, 1) maps onto
+    the piece, v = 0 onto its inner end."""
+    if piece == 0:
+        return spec.vv_edge * np.sin(v * np.arcsin(spec.x_c / spec.vv_edge))
+    if piece == 3:
+        return spec.x_tail - np.log1p(-v) / spec.rate
+    lo, hi = (spec.x_c, spec.x1) if piece == 1 else (spec.x1, spec.x_tail)
+    return lo + (hi - lo) * v
 
 
 def sample_envelope_many(spec, stream, size):
-    """``size`` draws from the normalized envelope density.
+    """``size`` draws from the normalized hat density.
 
     Consumes three uniform arrays of ``size``: signs, piece selectors, and
     the piece-level inversion variates.
@@ -125,47 +191,41 @@ def sample_envelope_many(spec, stream, size):
     s = stream.rademachers(size)
     u = stream.uniforms(size)
     v = stream.uniforms(size)
-    t = spec.half_mass
+    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
     x = np.empty(size)
-    b1 = u < spec.p1 / t
-    b2 = ~b1 & (u < (spec.p1 + spec.p2) / t)
-    b3 = ~b1 & ~b2
-    x[b1] = bulk_inverse(spec, v[b1])
-    x[b2] = plateau_inverse(spec, v[b2])
-    x[b3] = tail_inverse(spec, 1.0 - v[b3])
+    for i in range(4):
+        mask = piece == i
+        x[mask] = piece_inverse(spec, i, v[mask])
     return s * x
 
 
 def envelope_cdf_abs(spec, x):
-    """CDF of |X| under the normalized envelope density (vectorized)."""
+    """CDF of |X| under the normalized hat density (vectorized)."""
     ax = np.abs(np.asarray(x, dtype=float))
-    t = spec.half_mass
-    out = np.empty_like(ax)
-    bulk = ax <= spec.x1
-    tail = ax > spec.x2
-    plateau = ~bulk & ~tail
-    out[bulk] = EIGHT_PI_3 * np.arcsin(ax[bulk] / spec.edge)
-    out[plateau] = spec.p1 + spec.sup_value * (ax[plateau] - spec.x1)
-    ratio = (spec.x2 - spec.edge) / (ax[tail] - spec.edge)
-    out[tail] = spec.p1 + spec.p2 + spec.p3 * (1.0 - ratio**3)
-    return out / t
+    p1, p2, p3, p4 = spec.masses
+    e = spec.vv_edge
+    out = np.where(
+        ax <= spec.x1,
+        p1 + spec.shoulder * (ax - spec.x_c),
+        p1 + p2 + spec.plateau * (ax - spec.x1),
+    )
+    bulk = ax <= spec.x_c
+    out[bulk] = spec.bulk * np.arcsin(ax[bulk] / e)
+    tail = ax > spec.x_tail
+    out[tail] = p1 + p2 + p3 + p4 * -np.expm1(-spec.rate * (ax[tail] - spec.x_tail))
+    return out / spec.half_mass
 
 
 def half_mass_numeric(spec, tol=1e-12):
-    """Numerical quadrature of the envelope over [0, infinity).
+    """Numerical quadrature of the hat over [0, infinity).
 
-    Independent check on the closed-form piece masses: bulk and plateau
-    panels use the adaptive Gauss-Kronrod rule, the tail uses
-    geometrically widening panels out to where the remainder is below
-    1e-20 of the tail mass.
+    Independent check on the closed-form piece masses: adaptive
+    Gauss-Kronrod panels on each piece, the tail out to where its
+    remainder is e^-50 of its mass.
     """
     f = lambda xs: envelope_many(spec, xs)
-    bulk, _ = hermite.integrate_adaptive(
-        f, 0.0, spec.x1, tol * spec.p1, initial_width=spec.x1 / 64.0
+    ends = (0.0, spec.x_c, spec.x1, spec.x_tail, spec.x_tail + 50.0 / spec.rate)
+    return sum(
+        hermite.integrate_adaptive(f, a, b, tol * spec.half_mass)[0]
+        for a, b in zip(ends[:-1], ends[1:])
     )
-    plateau, _ = hermite.integrate_adaptive(f, spec.x1, spec.x2, tol * spec.half_mass)
-    c = spec.x2 - spec.edge
-    # geometric edges: remainder beyond c * 10^7 is ~1e-21 of the tail mass
-    s_edges = c * np.geomspace(1.0, 1e7, 141)
-    tail_vals, _ = hermite._gk_panels(f, spec.edge + s_edges[:-1], spec.edge + s_edges[1:])
-    return bulk + plateau + float(tail_vals.sum())

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ParameterError and OracleError are
-usage/input problems (exit 1); BudgetError and ConvergenceError are
-runtime resource failures (exit 2).
+usage/input problems (exit 1); BudgetError and ConvergenceError, with
+its subclass CertificateError, are runtime resource or numerical
+failures (exit 2).
 """
 
 
@@ -24,6 +25,11 @@ class BudgetError(GuegenError, RuntimeError):
 
 class ConvergenceError(GuegenError, RuntimeError):
     """An iterative numerical routine failed to reach its tolerance."""
+
+
+class CertificateError(ConvergenceError):
+    """A numerical certificate a construction rests on did not hold, such
+    as phi_k^2 being strictly decreasing beyond the squeeze window."""
 
 
 class OracleError(GuegenError, ValueError):

@@ -25,7 +25,8 @@ confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
 against and the public one-point call.
 
 :func:`decreasing_beyond` certifies, in one scalar pass, that phi_k^2 is
-strictly decreasing beyond a point; the samplers' tail table rests on it.
+strictly decreasing beyond a point and returns phi_k and phi_k' there;
+the dominating hat of :mod:`guegen.dominator` rests on it.
 
 The module also hosts the quadrature utilities used by the CDF oracles:
 an adaptive Gauss-Kronrod (G7/K15) panel integrator whose initial panel
@@ -105,42 +106,49 @@ def phi_squared(k, x):
 
 
 def decreasing_beyond(k, x):
-    """Whether phi_k^2 is certified strictly decreasing on [x, infinity).
+    """``(phi_k(x), phi_k'(x))`` when phi_k^2 is certified strictly decreasing
+    on [x, infinity), else None.
 
     Two conditions at one point ``x > 0`` suffice:
 
     * psi_0(x), ..., psi_k(x) are all positive.  By the Sturm property of
       orthogonal polynomials, the sign changes of that sequence count the
       zeros of H_k above x, so H_k, and with it phi_k, has none there.
-    * phi_k'(x) < 0.  With psi_k' = sqrt(k) psi_{k-1} (H_k' = k H_{k-1})
-      this reads sqrt(k) psi_{k-1}(x) < (x/2) psi_k(x).
+    * phi_k'(x) < 0.  With phi_k' = -(x/2) phi_k + sqrt(k) phi_{k-1} (from
+      H_k' = k H_{k-1}) this reads sqrt(k) psi_{k-1}(x) < (x/2) psi_k(x).
 
     phi_k solves f'' = (x^2/4 - k - 1/2) f (Szego, Orthogonal Polynomials,
     section 6.3).  So, with phi_k > 0 on [x, infinity), phi_k' cannot rise
     back to zero there: below the turning point sqrt(4k+2), f'' < 0 makes
     f' strictly decreasing wherever it vanishes, and beyond it f is convex
     and tends to zero.  The check costs one O(k) scalar pass of the
-    normalized recurrence.
+    normalized recurrence, which also yields the returned values, with
+    phi_k = psi_k e^(-x^2/4) / (2 pi)^(1/4).
     """
     k = int(k)
     x = float(x)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
     if not x > 0.0:
-        return False
-    if k == 0:
-        return True
+        return None
     limit = 2.0 ** min(_RESCALE_LOG2, _OVERFLOW_LOG2 - max(math.log2(x), 0.0))
     sq = np.sqrt(np.arange(k + 1, dtype=float)).tolist()
-    prev, cur = 1.0, x  # psi_0, psi_1; rescaling by powers of two keeps signs
+    # psi_{-1}, psi_0 for k = 0, else psi_0, psi_1; rescaling by powers of
+    # two keeps signs, and the pair's shared exponent is expo
+    prev, cur, expo = (0.0, 1.0, 0) if k == 0 else (1.0, x, 0)
     for j in range(1, k):
         prev, cur = cur, (x * cur - sq[j] * prev) / sq[j + 1]
         if not cur > 0.0:
-            return False
+            return None
         if cur > limit:
             sh = math.frexp(cur)[1]
-            prev, cur = math.ldexp(prev, -sh), math.ldexp(cur, -sh)
-    return sq[k] * prev < 0.5 * x * cur
+            prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
+    slope = sq[k] * prev - 0.5 * x * cur
+    if not slope < 0.0:
+        return None
+    sh = math.frexp(cur)[1]  # scale so that psi_k is in [0.5, 1)
+    scale = math.exp((expo + sh) * LN2 - 0.25 * x * x - 0.5 * LN_SQRT_2PI)
+    return math.ldexp(cur, -sh) * scale, math.ldexp(slope, -sh) * scale
 
 
 def _pair_rescale(prev, cur, expo):

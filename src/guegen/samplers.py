@@ -2,13 +2,12 @@
 
 Three layers, all targeting the same densities exactly:
 
-* plain rejection from the piecewise envelope, paying one O(k)
-  recurrence evaluation per proposal;
-* squeeze-accelerated rejection, which resolves most proposals against
-  the constant-time sandwich bounds inside the squeeze window
-  |x| <= x1 and against a per-degree tail table outside it, and falls
-  back to the exact recurrence only on the inconclusive band and in
-  undecided table cells;
+* plain rejection from the certified hat of :mod:`guegen.dominator`,
+  paying one O(k) recurrence evaluation per proposal;
+* squeeze-accelerated rejection, which resolves most proposals inside
+  the squeeze window |x| <= x1 against the constant-time sandwich bounds
+  and falls back to the exact recurrence on the inconclusive band and
+  outside the window;
 * the uniform-index mixture: pick K uniform on {0, ..., n-1}, draw from
   the squared Hermite function density of degree K.  The result is one
   uniformly chosen eigenvalue of an n x n GUE matrix in the unscaled
@@ -27,18 +26,9 @@ recurrence (:func:`hermite.phi_squared_degrees`), which costs the largest
 degree of the round in Python-level steps rather than the sum of the
 degrees.
 
-The tail table (:class:`TailTable`) holds phi_k^2 at _TABLE_CELLS + 1
-points from x1 to a little past the spectral edge.  Before a degree gets
-one, :func:`hermite.decreasing_beyond` certifies that phi_k^2 is strictly
-decreasing on [x1, infinity), so each cell's end values, widened by a
-relative slack of 1e-8 that covers the kernel's float error, bound phi_k^2
-from both sides and decide exactly as the recurrence would.  Draws, and
-the ``proposals`` and ``accepted`` counters, are therefore the same with
-or without tables.  A group uses a table only when its expected
-out-of-window proposals pay for building one (:func:`_table_pays`, a rule
-on the degree and draw count alone); tables of the last _TABLE_CACHE
-degrees are kept, so later calls at the same degree reuse them.  Plain
-mode uses no table.
+Undecided proposals that lie after a block's ``need``-th lower-squeeze
+accept are never evaluated: the group's last needed accept comes at or
+before that point, so they lie past the cut and would be discarded.
 
 There is one budget: each group may spend ``max_proposals * count``
 proposals, where ``count`` is its number of draws, and raises BudgetError
@@ -46,7 +36,6 @@ when it needs more.  Every output is a deterministic function of (seed,
 parameters).
 """
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,116 +48,29 @@ from .errors import BudgetError, ParameterError
 DEFAULT_MAX_PROPOSALS = 10**6
 _BLOCK_CAP = 1_500_000
 
-# tail table: cells on [x1, edge + _TABLE_REACH * k^(-1/6)], where phi_k^2
-# is below 1e-20 of the envelope for k = 1 ... 1e5 but still a normal double
-_TABLE_CELLS = 1024
-_TABLE_REACH = 10.0
-_TABLE_SLACK = 1e-8  # 100x the float kernel's relative error (tests/test_hermite.py)
-_TABLE_CACHE = 32  # degrees kept, about 8 KB each; the size is not measured
-# one recurrence step costs about 2.4 us of per-step overhead plus 1.2 ns per
-# lane, so a pass's overhead is worth about this many lanes
-_STEP_OVERHEAD_LANES = 2000
-
 
 @dataclass
 class SamplerStats:
     """Counters describing the work a sampler performed.
 
-    ``exact_evals`` counts proposals whose decision needed the O(k)
-    recurrence: in squeeze mode the in-window inconclusive proposals plus
-    the out-of-window proposals in an undecided tail-table cell (every
-    out-of-window proposal where no table is used); in plain mode every
-    proposal.  Decisions made by the tail table count as squeeze accepts
-    (``squeeze_lower_accepts``) and rejects (``squeeze_upper_rejects``).
+    ``exact_in_window`` and ``exact_out_of_window`` count proposals whose
+    decision needed the O(k) recurrence, inside the squeeze window
+    |x| <= x1 and outside it: in squeeze mode the in-window inconclusive
+    proposals and every out-of-window proposal, in plain mode every
+    proposal.  ``exact_evals`` is their sum.
     """
 
     proposals: int = 0
     squeeze_lower_accepts: int = 0
     squeeze_upper_rejects: int = 0
-    exact_evals: int = 0
+    exact_in_window: int = 0
+    exact_out_of_window: int = 0
     accepted: int = 0
     elapsed: float = 0.0
 
-
-class TailTable(NamedTuple):
-    """phi_k^2 tabulated on a grid from the squeeze window's edge x1 outward,
-    where it is certified strictly decreasing."""
-
-    start: float  # x1, the first grid point
-    step: float  # grid point i is start + i * step
-    phi: np.ndarray  # phi_k^2 at the _TABLE_CELLS + 1 grid points
-
-    def bounds(self, x):
-        """Certified (lower, upper) bounds on phi_k^2 at points |x| >= x1.
-
-        On cell [t_i, t_{i+1}] the bounds would be phi(t_{i+1}) (1 - s) and
-        phi(t_i) (1 + s), and beyond the last point 0 and phi(t_m) (1 + s).
-        The cell index comes from arithmetic, which rounding can put one
-        cell off, so each bound is taken one cell further out: phi(t_{i-1})
-        above and phi(t_{i+2}) below.  The slack s covers the float kernel's
-        error at both the grid point and x, so a decision the bounds make is
-        the one the exact comparison would make.
-        """
-        m = self.phi.size - 1
-        i = np.minimum((np.abs(x) - self.start) / self.step, m).astype(np.intp)
-        upper = self.phi[np.maximum(i - 1, 0)] * (1.0 + _TABLE_SLACK)
-        lower = np.append(self.phi, 0.0)[np.minimum(i + 2, m + 1)] * (1.0 - _TABLE_SLACK)
-        return lower, upper
-
-    def undecided_bound(self, spec):
-        """Upper bound on the envelope mass over [x1, infinity) on which
-        :meth:`bounds` leaves a proposal undecided, the integral of
-        min(upper, h) - lower; ``spec`` is the degree's envelope."""
-        m = self.phi.size - 1
-        # a point of cell j gets a computed index within one of j
-        j = np.arange(m)
-        upper = self.phi[np.maximum(j - 2, 0)] * (1.0 + _TABLE_SLACK)
-        lower = np.append(self.phi, 0.0)[np.minimum(j + 3, m + 1)] * (1.0 - _TABLE_SLACK)
-        inside = self.step * float(np.sum(upper - lower))
-        # beyond the last point the upper bound is at most u, and the envelope
-        # is its tail piece T / (x - edge)^4, so min(u, h) integrates to at
-        # most (4/3) u^(3/4) T^(1/4)
-        u = self.phi[m - 2] * (1.0 + _TABLE_SLACK)
-        t = dominator.TAIL_COEFF * spec.n ** (-5.0 / 6.0)
-        return float(inside + 4.0 / 3.0 * u**0.75 * t**0.25)
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def tail_table(k):
-    """The degree-k tail table, or None when monotonicity is not certified.
-
-    The certificate (:func:`hermite.decreasing_beyond` at x1) makes phi_k^2
-    strictly decreasing on [x1, infinity); the tabulated values must also
-    fall strictly and stay positive, so that float rounding cannot have
-    broken the cell bounds.  Results for the last _TABLE_CACHE degrees
-    are cached.
-    """
-    spec = dominator.make_spec(k)
-    if not hermite.decreasing_beyond(k, spec.x1):
-        return None
-    end = spec.edge + _TABLE_REACH * k ** (-1.0 / 6.0)
-    step = (end - spec.x1) / _TABLE_CELLS
-    phi = hermite.phi_squared_many(k, spec.x1 + step * np.arange(_TABLE_CELLS + 1))
-    if not (phi[-1] > 0.0 and np.all(np.diff(phi) < 0.0)):
-        return None
-    phi.flags.writeable = False
-    return TailTable(spec.x1, step, phi)
-
-
-def _table_pays(spec, count):
-    """Whether a group of ``count`` draws at degree ``spec.n`` decides its
-    out-of-window proposals from the tail table.
-
-    A table costs one exact pass over its _TABLE_CELLS + 1 lanes, about
-    k * (_TABLE_CELLS + _STEP_OVERHEAD_LANES) lane-steps with the pass's
-    per-step overhead, and saves k lane-steps on each out-of-window
-    proposal it decides.  So a group uses one only when the call's expected
-    out-of-window proposals, count * mass * (p2 + p3) / half_mass, cover
-    that.  The rule reads (k, count) alone, never the cache, so a cached
-    table changes no counter.
-    """
-    outside = count * spec.mass * (spec.p2 + spec.p3) / spec.half_mass
-    return outside >= _TABLE_CELLS + _STEP_OVERHEAD_LANES
+    @property
+    def exact_evals(self):
+        return self.exact_in_window + self.exact_out_of_window
 
 
 @dataclass
@@ -180,7 +82,6 @@ class _Group:
     offset: int  # where the group's draws start in the engine output
     spec: dominator.DominatorSpec
     budget: int
-    table: TailTable | None  # decides out-of-window proposals in squeeze mode
     filled: int = 0
     spent: int = 0
 
@@ -217,14 +118,17 @@ def _propose(g, stream, use_squeeze):
     upper_rej = np.zeros(block, dtype=bool)
     if use_squeeze:
         window = np.abs(x) <= g.spec.x1
-        decided = [(window, vanveen.squeeze_bounds_many(g.k, x[window]))]
-        if g.table is not None:
-            decided.append((~window, g.table.bounds(x[~window])))
-        for mask, (lo, up) in decided:
-            uhm = uh[mask]
-            lower_acc[mask] = uhm <= lo
-            upper_rej[mask] = uhm > up
-    return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(~(lower_acc | upper_rej)))
+        lo, up = vanveen.squeeze_bounds_many(g.k, x[window])
+        uhw = uh[window]
+        lower_acc[window] = uhw <= lo
+        upper_rej[window] = uhw > up
+    undecided = ~(lower_acc | upper_rej)
+    # the group's last needed accept comes at or before its need-th lower
+    # accept, so the undecided proposals after that lie past the cut
+    accepts = np.flatnonzero(lower_acc)
+    if accepts.size >= need:
+        undecided[accepts[need - 1] :] = False
+    return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(undecided))
 
 
 def _decide(batch, pooled, out, stats):
@@ -258,7 +162,10 @@ def _decide(batch, pooled, out, stats):
         stats.proposals += int(cut)
         stats.squeeze_lower_accepts += int(b.lower_acc[:cut].sum())
         stats.squeeze_upper_rejects += int(b.upper_rej[:cut].sum())
-        stats.exact_evals += int(np.searchsorted(b.lanes, cut))
+        evaluated = b.lanes[: np.searchsorted(b.lanes, cut)]
+        outside = int(np.count_nonzero(np.abs(b.x[evaluated]) > g.spec.x1))
+        stats.exact_in_window += evaluated.size - outside
+        stats.exact_out_of_window += outside
         stats.accepted += take.size
 
 
@@ -290,8 +197,7 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
             stats.accepted += count
         elif count:
             spec = dominator.make_spec(k)
-            table = tail_table(k) if use_squeeze and _table_pays(spec, count) else None
-            groups.append(_Group(k, count, offset, spec, max_proposals * count, table))
+            groups.append(_Group(k, count, offset, spec, max_proposals * count))
         offset += count
     pooled = len(groups) > 1
     while groups:
@@ -389,9 +295,7 @@ class BenchRow:
     ``cost_proxy`` is the Wald-style work estimate per accepted draw:
     (proposals + n * exact_evals) / accepted, counting one unit per
     constant-time proposal and n units per exact recurrence evaluation.
-    The per-degree tail table is cached setup, built once per degree
-    while the degree stays in the cache, and is not in this per-draw
-    proxy.
+    ``exact_evals`` is ``exact_in_window + exact_out_of_window``.
     """
 
     n: int
@@ -399,6 +303,8 @@ class BenchRow:
     accepted: int
     proposals: int
     exact_evals: int
+    exact_in_window: int
+    exact_out_of_window: int
     proposals_per_accept: float
     exact_share: float
     cost_proxy: float
@@ -428,6 +334,8 @@ def benchmark(mode, n_list, samples_per_n, seed=0, max_proposals=DEFAULT_MAX_PRO
                 accepted=stats.accepted,
                 proposals=stats.proposals,
                 exact_evals=stats.exact_evals,
+                exact_in_window=stats.exact_in_window,
+                exact_out_of_window=stats.exact_out_of_window,
                 proposals_per_accept=stats.proposals / max(stats.accepted, 1),
                 exact_share=stats.exact_evals / max(stats.proposals, 1),
                 cost_proxy=(stats.proposals + n * stats.exact_evals)

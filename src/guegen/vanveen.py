@@ -12,7 +12,10 @@ computable in O(1), together with certified envelopes
     eps_plus  = pref * (8.4 (B_n)_+ R_n + 4.2^2 R_n^2)
     eps_minus = pref * 8.4 |B_n R_n|
 
-where pref is the same log-space prefactor.  These give the sandwich
+where pref is the same prefactor, which does not depend on x.  With
+|B_n| <= a = sqrt(pi / ((n+1) sin alpha)) (alpha = arccos(x / 2 sqrt(n+1))),
+f + eps_plus <= pref (a + 4.2 R_n)^2; the bulk piece of the dominating hat
+(:mod:`guegen.dominator`) rests on that bound.  These give the sandwich
 (f - eps_minus)_+ <= phi_n^2 <= (f + eps_plus) ^ h_n used by the
 squeeze-accelerated rejection sampler: most accept/reject decisions
 resolve against the cheap bounds and never touch the O(n) recurrence.
@@ -28,7 +31,7 @@ import numpy as np
 from . import dominator
 from .errors import ParameterError
 
-_MU_BOUND = 4.2
+MU_BOUND = 4.2
 _LN_PI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EDGE_GUARD = 1e-12
@@ -39,21 +42,24 @@ def domain_edge(n):
     return 2.0 * math.sqrt(n + 1.0)
 
 
+def log_prefactor(n):
+    """log of the squared-amplitude prefactor pref = A_n^2 e^{-x^2/2} / (sqrt(2 pi) n!),
+    which does not depend on x: the x^2/4 of log A_n cancels the weight."""
+    np1 = n + 1.0
+    log_a = math.lgamma(n + 1.0) - _LN_PI + np1 / 2.0 - (n / 2.0) * math.log(np1)
+    return 2.0 * log_a - _LN_SQRT_2PI - math.lgamma(n + 1.0)
+
+
 def _raw_terms(n, ax):
     """alpha, log_prefactor, B, R at |x| = ax (scalar or ndarray)."""
     np1 = n + 1.0
     edge = 2.0 * math.sqrt(np1)
     alpha = np.arccos(ax / edge)
     sin_a = np.sin(alpha)
-    x_sq = ax * ax
-    # log A_n, then the squared-amplitude prefactor, all in log space;
-    # the x^2/4 and x^2/2 terms cancel exactly in doubles
-    log_a = math.lgamma(n + 1.0) - _LN_PI + np1 / 2.0 + x_sq / 4.0 - (n / 2.0) * math.log(np1)
-    log_pref = 2.0 * log_a - x_sq / 2.0 - _LN_SQRT_2PI - math.lgamma(n + 1.0)
     phase = (np1 / 2.0) * (np.sin(2.0 * alpha) - 2.0 * alpha) + alpha / 2.0 + 0.75 * math.pi
     b = math.sqrt(math.pi) / np.sqrt(np1 * sin_a) * np.sin(phase)
     r = 1.0 / (3.0 * np1 * sin_a * sin_a)
-    return alpha, log_pref, b, r
+    return alpha, log_prefactor(n), b, r
 
 
 def terms_many(n, x):
@@ -71,10 +77,10 @@ def terms_many(n, x):
             f"squeeze evaluated at |x|={float(ax.max())} near/beyond domain edge {edge}"
         )
     _, log_pref, b, r = _raw_terms(n, ax)
-    pref = np.exp(log_pref)
+    pref = math.exp(log_pref)
     f = b * b * pref
-    eps_plus = pref * (2.0 * _MU_BOUND * np.maximum(b, 0.0) * r + _MU_BOUND**2 * r * r)
-    eps_minus = pref * 2.0 * _MU_BOUND * np.abs(b * r)
+    eps_plus = pref * (2.0 * MU_BOUND * np.maximum(b, 0.0) * r + MU_BOUND**2 * r * r)
+    eps_minus = pref * 2.0 * MU_BOUND * np.abs(b * r)
     return f, eps_plus, eps_minus
 
 
@@ -84,11 +90,9 @@ def squeeze_bounds_many(n, x):
     return np.maximum(f - em, 0.0), f + ep
 
 
-def delta_eps_many(n, x, spec=None):
+def delta_eps_many(n, x, spec):
     """Gap between the sandwich bounds, min(f+eps+, h_n) - (f-eps-)_+,
-    at an array of points, for quadrature."""
-    if spec is None:
-        spec = dominator.make_spec(n)
+    at an array of points, for quadrature; ``spec`` is the degree-n hat."""
     x = np.asarray(x, dtype=float)
     lower, upper = squeeze_bounds_many(n, x)
     upper = np.minimum(upper, dominator.envelope_many(spec, x))

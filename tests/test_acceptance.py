@@ -13,9 +13,9 @@ from guegen import verify
 CRITERIA = [
     ("1", "exactness", "squeeze draws match the quadrature CDF (KS, scaled < 1.95)"),
     ("2", "equivalence", "plain and squeeze outputs agree (two-sample KS, alpha 0.01)"),
-    ("3", "rejection-constant", "proposals per accept equal the envelope mass"),
+    ("3", "rejection-constant", "proposals per accept equal the hat mass"),
     ("4", "sublinearity", "squeeze cost scales sublinearly, plain linearly"),
-    ("5", "squeeze-validity", "sandwich, tail-table bounds and envelope domination hold pointwise"),
+    ("5", "squeeze-validity", "sandwich and whole-line hat domination hold pointwise"),
     ("6", "gap-scaling", "sandwich gap integral falls like n^(-1/3)"),
     ("7", "second-moment", "mixture second moment equals the matrix size"),
     ("8", "joint-n2", "full-spectrum sampler at n=2 accepts every proposal"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guegen import dominator, hermite, samplers
+from guegen import dominator, hermite
 from guegen.errors import ParameterError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -203,12 +203,12 @@ def _phi_squares_decimal(n, x):
 
 
 def test_phi_squared_matches_decimal_reference():
-    # the tail table's slack must cover the float kernel's relative error,
-    # inside the squeeze window and out to the table's last point
-    slack = samplers._TABLE_SLACK
+    # the hat's slack must cover the float kernel's relative error, inside
+    # the squeeze window and out past the turning point
+    slack = dominator.SLACK
     for k in (10, 1000, 100_000):
         spec = dominator.make_spec(k)
-        end = spec.edge + samplers._TABLE_REACH * k ** (-1.0 / 6.0)
+        end = spec.edge + 10.0 * k ** (-1.0 / 6.0)
         xs = [f * spec.x1 for f in (0.0, 0.3, 0.6, 0.9)]
         xs += [spec.x1 + f * (end - spec.x1) for f in (0.0, 0.01, 0.1, 0.5, 1.0)]
         ref = np.array([float(_phi_squares_decimal(k + 1, x)[-1]) for x in xs])
@@ -219,7 +219,14 @@ def test_phi_squared_matches_decimal_reference():
 
 def test_decreasing_beyond_certificate():
     for k in (0, 1, 2, 7, 100, 5000):
-        assert hermite.decreasing_beyond(k, dominator.make_spec(max(k, 1)).x1)
+        x = dominator.make_spec(max(k, 1)).x1
+        f, df = hermite.decreasing_beyond(k, x)
+        # phi_k and phi_k' = -(x/2) phi_k + sqrt(k) phi_{k-1}, with both
+        # phi values positive beyond the last zero
+        assert math.isclose(f * f, hermite.phi_squared(k, x), rel_tol=1e-12)
+        prev = math.sqrt(hermite.phi_squared(k - 1, x)) if k else 0.0
+        assert math.isclose(df, -0.5 * x * f + math.sqrt(k) * prev, rel_tol=1e-10)
+        assert df < 0.0
     # inside the bulk phi_k has zeros and maxima further out
     assert not hermite.decreasing_beyond(10, 1.0)
     assert not hermite.decreasing_beyond(100, 19.5)

@@ -77,61 +77,69 @@ def test_exact_share_declines_with_degree():
         stats = samplers.SamplerStats()
         samplers.sample_phi_sq_many(k, 2_000, RandomStream(900 + k), "squeeze", stats)
         shares.append(stats.exact_evals / stats.proposals)
-    # in-window sandwich gap over the envelope half mass: 0.023 at degree 100
-    # and 0.0115 at degree 10^4 (0.60 and 0.24 without tail tables)
+    # in-window sandwich gap plus out-of-window mass, over the hat's half
+    # mass: about 0.27 at degree 100 and 0.09 at degree 10^4
     assert shares[1] < shares[0]
     assert shares[1] < 0.30
 
 
-@pytest.fixture
-def fresh_tables():
-    tail_table = samplers.tail_table  # the cached original, even if patched later
-    tail_table.cache_clear()
-    yield
-    tail_table.cache_clear()
+def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
+    # undecided proposals after a group's need-th lower-squeeze accept lie
+    # past the cut, so the exact kernel never sees them
+    seen = []
+    decide = samplers._decide
+
+    def checked(batch, pooled, out, stats):
+        for g, b in batch:
+            need = g.count - g.filled
+            accepts = np.flatnonzero(b.lower_acc)
+            if accepts.size >= need and b.lanes.size:
+                assert b.lanes[-1] < accepts[need - 1]
+            seen.append(b.lanes.size)
+        return decide(batch, pooled, out, stats)
+
+    evaluated = []
+
+    def counted(kernel):
+        return lambda *a: evaluated.append(np.size(a[-1])) or kernel(*a)
+
+    for name in ("phi_squared_many", "phi_squared_degrees"):
+        monkeypatch.setattr(hermite, name, counted(getattr(hermite, name)))
+    monkeypatch.setattr(samplers, "_decide", checked)
+    samplers.sample_phi_sq_many(100, 3000, RandomStream(66), "squeeze")
+    samplers.sample_gue_eigenvalues(300, 500, RandomStream(67), "squeeze")
+    assert sum(evaluated) == sum(seen) > 0
 
 
-def _counted_draws(k, count, seed):
-    stats = samplers.SamplerStats()
-    xs = samplers.sample_phi_sq_many(k, count, RandomStream(seed), "squeeze", stats)
-    return xs.tobytes(), stats
+def test_pruning_keeps_draws_and_counters():
+    # the pruned lanes lie past the cut: the same draws and counters as
+    # evaluating every undecided proposal
+    def run():
+        stats = samplers.SamplerStats()
+        xs = samplers.sample_gue_eigenvalues(2000, 40, RandomStream(68), "squeeze", stats)
+        return xs.tobytes(), replace(stats, elapsed=0.0)
+
+    pruned = run()
+    propose = samplers._propose
+
+    def unpruned(g, stream, use_squeeze):
+        b = propose(g, stream, use_squeeze)
+        lanes = np.flatnonzero(~(b.lower_acc | b.upper_rej))
+        return b._replace(lanes=lanes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "_propose", unpruned)
+        assert run() == pruned
 
 
-def test_tail_table_keeps_draws_and_cuts_exact_evals(monkeypatch, fresh_tables):
-    # table decisions equal the exact comparison: same draws and proposals
-    cases = ((1, 200), (10, 200), (100, 200), (1000, 300), (10_000, 500))
-    with_tables = [_counted_draws(k, c, 70 + k) for k, c in cases]
-    monkeypatch.setattr(samplers, "tail_table", lambda k: None)
-    for (k, c), (xs, on) in zip(cases, with_tables):
-        xs_off, off = _counted_draws(k, c, 70 + k)
-        assert xs == xs_off, k
-        assert (on.proposals, on.accepted) == (off.proposals, off.accepted), k
-        assert on.exact_evals < off.exact_evals, k
-
-
-def test_failed_certificate_falls_back_to_exact(monkeypatch, fresh_tables):
-    k, count = 100, 500
-    monkeypatch.setattr(samplers, "tail_table", lambda k: None)
-    xs_off, off = _counted_draws(k, count, 71)
-    monkeypatch.undo()
-    monkeypatch.setattr(hermite, "decreasing_beyond", lambda k, x: False)
-    assert samplers.tail_table(k) is None
-    xs, failed = _counted_draws(k, count, 71)
-    assert xs == xs_off
-    assert replace(failed, elapsed=0.0) == replace(off, elapsed=0.0)
-
-
-def test_tail_table_bounds_and_cache(fresh_tables):
-    for k in range(1, 2 * samplers._TABLE_CACHE):
-        table = samplers.tail_table(k)
-        spec = dominator.make_spec(k)
-        x = np.linspace(spec.x1, 2.0 * spec.edge + 5.0, 3001)
-        lower, upper = table.bounds(np.concatenate([x, -x]))
-        phi = hermite.phi_squared_many(k, np.concatenate([x, -x]))
-        assert np.all(lower <= phi) and np.all(phi <= upper), k
-    info = samplers.tail_table.cache_info()
-    assert info.maxsize == samplers._TABLE_CACHE
-    assert info.currsize == samplers._TABLE_CACHE
+def test_exact_counter_split():
+    for mode in ("squeeze", "plain"):
+        stats = samplers.SamplerStats()
+        samplers.sample_phi_sq_many(30, 3000, RandomStream(69), mode, stats)
+        assert stats.exact_out_of_window > 0 and stats.exact_in_window > 0
+        assert stats.exact_evals == stats.exact_in_window + stats.exact_out_of_window
+    # plain mode tests every proposal exactly
+    assert stats.exact_evals == stats.proposals
 
 
 def test_budget_error_per_degree_group():
@@ -140,7 +148,7 @@ def test_budget_error_per_degree_group():
         samplers.sample_phi_sq_many(5, 4, RandomStream(0), "plain", max_proposals=1)
     with pytest.raises(BudgetError):
         samplers.sample_gue_eigenvalues(20, 4, RandomStream(0), "squeeze", max_proposals=1)
-    # about 117 proposals per draw at degree 5 (the envelope mass)
+    # about 3.6 proposals per draw at degree 5 (the hat's mass)
     samplers.sample_phi_sq_many(5, 4, RandomStream(0), "plain", max_proposals=1000)
 
 
