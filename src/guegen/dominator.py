@@ -215,17 +215,3 @@ def envelope_cdf_abs(spec, x):
     out[tail] = p1 + p2 + p3 + p4 * -np.expm1(-spec.rate * (ax[tail] - spec.x_tail))
     return out / spec.half_mass
 
-
-def half_mass_numeric(spec, tol=1e-12):
-    """Numerical quadrature of the hat over [0, infinity).
-
-    Independent check on the closed-form piece masses: adaptive
-    Gauss-Kronrod panels on each piece, the tail out to where its
-    remainder is e^-50 of its mass.
-    """
-    f = lambda xs: envelope_many(spec, xs)
-    ends = (0.0, spec.x_c, spec.x1, spec.x_tail, spec.x_tail + 50.0 / spec.rate)
-    return sum(
-        hermite.integrate_adaptive(f, a, b, tol * spec.half_mass)[0]
-        for a, b in zip(ends[:-1], ends[1:])
-    )

@@ -319,6 +319,8 @@ def benchmark(mode, n_list, samples_per_n, seed=0, max_proposals=DEFAULT_MAX_PRO
     """
     if not n_list:
         raise ParameterError("n_list must be nonempty")
+    if samples_per_n < 1:
+        raise ParameterError(f"samples_per_n must be >= 1, got {samples_per_n}")
     from .rng import RandomStream
 
     master = RandomStream(seed)

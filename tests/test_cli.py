@@ -96,6 +96,9 @@ def test_bench_csv(capsys):
     assert lines[0].startswith("n,mode,accepted")
     assert len(lines) == 3
     assert run(capsys, "bench", "--n-list", "10,abc")[0] == 1
+    # no samples: an error, not a row with a time per sample
+    code, out, _ = run(capsys, "bench", "--n-list", "10", "--samples-per-n", "0")
+    assert code == 1 and out == ""
 
 
 def test_tabulate_envelope_dominates(capsys):

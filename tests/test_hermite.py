@@ -1,12 +1,12 @@
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guegen import dominator, hermite
+from guegen import dominator, hermite, verify
 from guegen.errors import ParameterError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -183,23 +183,47 @@ def test_phi_squared_nonnegative_even_property(k, x):
 
 
 _PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+_DEC_60 = Context(prec=60, Emax=10**8, Emin=-(10**8))
+
+
+def _hermite_decimal(n, x):
+    """The weight w(x) = e^(-x^2/2) / sqrt(2 pi) and the pairs (H_j(x), j!)
+    for j < n, from the raw recurrence H_{j+1} = x H_j - j H_{j-1} in
+    60-digit decimal arithmetic, whose exponent range needs no rescaling.
+    Call it, and do arithmetic on its values, inside localcontext(_DEC_60)."""
+    x = Decimal(x)  # the exact binary value of the float
+    weight = (-x * x / 2).exp() / (2 * _PI_60).sqrt()
+    prev, cur, fact = Decimal(0), Decimal(1), Decimal(1)  # H_{-1}, H_0, 0!
+    pairs = []
+    for j in range(n):
+        pairs.append((cur, fact))
+        prev, cur, fact = cur, x * cur - j * prev, fact * (j + 1)
+    return weight, pairs
 
 
 def _phi_squares_decimal(n, x):
-    """phi_0(x)^2, ..., phi_{n-1}(x)^2 from the raw recurrence
-    H_{j+1} = x H_j - j H_{j-1} in 60-digit decimal arithmetic, whose
-    exponent range needs no rescaling."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        ctx.Emax, ctx.Emin = 10**8, -(10**8)
-        x = Decimal(x)  # the exact binary value of the float
-        weight = (-x * x / 2).exp() / (2 * _PI_60).sqrt()
-        prev, cur, fact = Decimal(0), Decimal(1), Decimal(1)  # H_{-1}, H_0, 0!
-        out = []
-        for j in range(n):
-            out.append(cur * cur / fact * weight)
-            prev, cur, fact = cur, x * cur - j * prev, fact * (j + 1)
-        return out
+    """phi_0(x)^2, ..., phi_{n-1}(x)^2 in 60-digit decimal arithmetic."""
+    with localcontext(_DEC_60):
+        weight, pairs = _hermite_decimal(n, x)
+        return [h * h / fact * weight for h, fact in pairs]
+
+
+def _phi_sq_cdf_decimal(k, x):
+    """F_k(x) for x >= 0 in 60-digit decimal arithmetic: the ladder sum
+    w sum_{j=1..k} psi_j psi_{j-1} / sqrt(j) = w sum_{j=1..k} H_j H_{j-1} / j!
+    subtracted from Phi(x) = 1/2 + w sum_{m>=0} x^(2m+1) / (1 3 5 ... (2m+1)),
+    a series of positive terms."""
+    with localcontext(_DEC_60):
+        weight, pairs = _hermite_decimal(k + 1, x)
+        ladder = sum(pairs[j][0] * pairs[j - 1][0] / pairs[j][1] for j in range(1, k + 1))
+        x = Decimal(x)
+        term = series = x
+        m = 0
+        while term > series * Decimal("1e-62"):
+            m += 1
+            term = term * x * x / (2 * m + 1)
+            series += term
+        return Decimal("0.5") + weight * (series - ladder)
 
 
 def test_phi_squared_matches_decimal_reference():
@@ -239,37 +263,111 @@ def test_decreasing_beyond_certificate():
 
 
 # ----------------------------------------------------------------------
-# CDF quadrature
+# CDFs from the ladder identity
 # ----------------------------------------------------------------------
 
 
+def _quadrature_cdf(density, grid, width):
+    """0.5 plus the integral of an even density from 0 to each point of the
+    ascending grid (which starts at 0), by the verification quadrature."""
+    parts = [
+        verify.integrate_adaptive(density, a, b, 1e-14, initial_width=width)[0]
+        for a, b in zip(grid[:-1], grid[1:])
+    ]
+    return 0.5 + np.concatenate([[0.0], np.cumsum(parts)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 100, 1000])
+def test_cdf_matches_quadrature(k):
+    grid = np.linspace(0.0, math.sqrt(4.0 * k + 2.0) + 8.0, 33)
+    ref = _quadrature_cdf(
+        lambda xs: hermite.phi_squared_many(k, xs), grid, verify._oscillation_width(k)
+    )
+    assert np.max(np.abs(hermite.phi_sq_cdf_many(k, grid) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 1000])
+def test_mixture_cdf_matches_quadrature(n):
+    grid = np.linspace(0.0, math.sqrt(4.0 * n - 2.0) + 8.0, 33)
+    ref = _quadrature_cdf(
+        lambda xs: hermite.mixture_density_many(n, xs), grid, verify._oscillation_width(n - 1)
+    )
+    assert np.max(np.abs(hermite.mixture_cdf_many(n, grid) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1000, 10_000])
+def test_cdf_matches_decimal_reference(k):
+    edge = math.sqrt(4.0 * k + 2.0)
+    xs = [f * edge for f in (0.0, 0.37, 0.81, 0.99)]  # bulk
+    xs += [edge + d for d in (0.0, 1.0, 4.0, 8.0)]  # edge and tail
+    ref = np.array([float(_phi_sq_cdf_decimal(k, x)) for x in xs])
+    got = hermite.phi_sq_cdf_many(k, np.array(xs))
+    assert np.max(np.abs(got - ref)) < 1e-13, got - ref
+
+
 def test_cdf_degree_zero_matches_normal():
-    assert abs(hermite.phi_sq_cdf(0, 1.0, 1e-10) - 0.8413447460685429) < 1e-9
+    assert abs(hermite.phi_sq_cdf(0, 1.0) - 0.8413447460685429) < 1e-15
 
 
 def test_cdf_at_zero_is_half():
     for k in (0, 3, 50):
-        assert hermite.phi_sq_cdf(k, 0.0, 1e-10) == 0.5
+        assert hermite.phi_sq_cdf(k, 0.0) == 0.5
+        assert hermite.phi_sq_cdf(k, -0.0) == 0.5
+    for n in (1, 4, 51):
+        assert np.all(hermite.mixture_cdf_many(n, [0.0, -0.0]) == 0.5)
 
 
 def test_cdf_total_mass_is_one():
     for k in (0, 1, 5, 50, 500):
-        assert abs(hermite.phi_sq_cdf(k, 1e9, 1e-10) - 1.0) < 1e-9
-        assert abs(hermite.phi_sq_cdf(k, -1e9, 1e-10)) < 1e-9
+        assert hermite.phi_sq_cdf(k, 1e9) == 1.0
+        assert hermite.phi_sq_cdf(k, -1e9) == 0.0
+    # far out every term underflows; the ladder sum must not overflow on
+    # the way there (the rescale schedule depends on the largest |x|)
+    for k in (3, 60):
+        for x in 2.0 ** np.arange(8.0, 252.0):
+            assert np.array_equal(hermite.phi_sq_cdf_many(k, [x, -x]), [1.0, 0.0]), (k, x)
+
+
+def test_cdf_even():
+    # F(-x) = 1 - F(x); the ladder sum is odd in x bit for bit, so only the
+    # rounding of Phi(-x) against 1 - Phi(x) shows
+    for k in (1, 4, 37, 600):
+        xs = np.linspace(0.0, math.sqrt(4.0 * k + 2.0) + 6.0, 97)
+        got = hermite.phi_sq_cdf_many(k, -xs) - (1.0 - hermite.phi_sq_cdf_many(k, xs))
+        assert np.max(np.abs(got)) <= 2e-16, k
+    for n in (2, 37):
+        xs = np.linspace(0.0, math.sqrt(4.0 * n) + 6.0, 97)
+        got = hermite.mixture_cdf_many(n, -xs) - (1.0 - hermite.mixture_cdf_many(n, xs))
+        assert np.max(np.abs(got)) <= 2e-16, n
+
+
+def test_cdf_at_huge_points_is_the_normal_cdf():
+    # at +-inf and |x| >= 1e76 the ladder sum is not run: exactly Phi(x)
+    huge = np.array([np.inf, 1e76, 1e100, 1e300])
+    x = np.concatenate([huge, -huge, [0.5]])
+    for k in (0, 3, 300):
+        got = hermite.phi_sq_cdf_many(k, x)
+        assert np.all(got[:4] == 1.0) and np.all(got[4:8] == 0.0)
+        assert got[-1] == hermite.phi_sq_cdf(k, 0.5)
+    got = hermite.mixture_cdf_many(40, x)
+    assert np.all(got[:4] == 1.0) and np.all(got[4:8] == 0.0)
 
 
 def test_cdf_many_matches_scalar_and_monotone():
     k = 37
     xs = np.linspace(-14.0, 14.0, 301)
-    many = hermite.phi_sq_cdf_many(k, xs, tol=1e-9)
-    assert np.all(np.diff(many) >= -1e-12)
+    many = hermite.phi_sq_cdf_many(k, xs)
+    assert np.all(np.diff(many) >= -1e-15)
+    assert hermite.phi_sq_cdf_many(k, xs.reshape(7, 43)).shape == (7, 43)
     for i in (0, 73, 150, 300):
-        assert abs(many[i] - hermite.phi_sq_cdf(k, xs[i], 1e-10)) < 1e-8
+        assert abs(many[i] - hermite.phi_sq_cdf(k, xs[i])) < 1e-15
 
 
-def test_cdf_rejects_bad_tolerance():
+def test_cdf_rejects_bad_parameters():
     with pytest.raises(ParameterError):
-        hermite.phi_sq_cdf(3, 0.5, 0.0)
+        hermite.phi_sq_cdf_many(-1, [0.0])
+    with pytest.raises(ParameterError):
+        hermite.mixture_cdf_many(0, [0.0])
 
 
 # ----------------------------------------------------------------------
@@ -312,34 +410,33 @@ def test_mixture_matches_decimal_reference():
 
 def test_mixture_second_moment_equals_size():
     for n in (2, 7, 50):
-        cut = hermite.tail_cutoff(n - 1)
-        val, _ = hermite.integrate_adaptive(
+        val, _ = verify.integrate_adaptive(
             lambda xs: xs * xs * hermite.mixture_density_many(n, xs),
             0.0,
-            cut,
+            math.sqrt(4.0 * n) + 12.0,
             1e-9 * n,
-            initial_width=hermite.oscillation_width(max(n - 1, 1)),
+            initial_width=verify._oscillation_width(max(n - 1, 1)),
         )
         assert abs(2.0 * val - n) < 1e-7 * n
 
 
 # ----------------------------------------------------------------------
-# generic quadrature
+# the verification quadrature
 # ----------------------------------------------------------------------
 
 
 def test_integrate_adaptive_polynomial_exact():
-    val, err = hermite.integrate_adaptive(lambda x: x**4, 0.0, 2.0, 1e-12)
+    val, err = verify.integrate_adaptive(lambda x: x**4, 0.0, 2.0, 1e-12)
     assert abs(val - 32.0 / 5.0) < 1e-11
 
 
 def test_integrate_adaptive_needs_positive_tol():
     with pytest.raises(ParameterError):
-        hermite.integrate_adaptive(lambda x: x, 0.0, 1.0, -1.0)
+        verify.integrate_adaptive(lambda x: x, 0.0, 1.0, -1.0)
 
 
 def test_integrate_adaptive_refines_sharp_peak():
-    val, err = hermite.integrate_adaptive(
+    val, err = verify.integrate_adaptive(
         lambda x: 1.0 / (1e-4 + (x - 0.7) ** 2), 0.0, 1.0, 1e-9
     )
     ref = (math.atan(0.3 / 1e-2) + math.atan(0.7 / 1e-2)) / 1e-2
@@ -350,6 +447,6 @@ def test_integrate_adaptive_raises_on_exhausted_budget():
     from guegen.errors import ConvergenceError
 
     with pytest.raises(ConvergenceError):
-        hermite.integrate_adaptive(
+        verify.integrate_adaptive(
             lambda x: 1.0 / (1e-12 + (x - 0.5) ** 2), 0.0, 1.0, 1e-14, max_panels=8
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import dominator, hermite, vanveen
+from guegen import dominator, hermite, vanveen, verify
 from guegen.errors import ParameterError
 
 
@@ -82,12 +82,12 @@ def test_gap_integral_finite_and_scaling():
     vals = {}
     for n in (100, 1000):
         spec = dominator.make_spec(n)
-        val, _ = hermite.integrate_adaptive(
+        val, _ = verify.integrate_adaptive(
             lambda xs: vanveen.delta_eps_many(n, xs, spec),
             0.0,
             spec.x1,
             1e-8,
-            initial_width=hermite.oscillation_width(n),
+            initial_width=verify._oscillation_width(n),
         )
         assert math.isfinite(val) and val > 0.0
         vals[n] = val
