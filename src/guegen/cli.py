@@ -8,6 +8,7 @@ numerical convergence.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -204,41 +205,8 @@ def _cmd_bench(args):
     except ValueError:
         raise ParameterError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     rows = samplers.benchmark(args.mode, n_list, args.samples_per_n, seed=args.seed)
-    header = [
-        "n",
-        "mode",
-        "accepted",
-        "proposals",
-        "exact_evals",
-        "exact_in_window",
-        "exact_out_of_window",
-        "proposals_per_accept",
-        "exact_share",
-        "cost_proxy",
-        "ns_per_sample",
-    ]
-    _emit(
-        _csv(
-            header,
-            (
-                (
-                    r.n,
-                    r.mode,
-                    r.accepted,
-                    r.proposals,
-                    r.exact_evals,
-                    r.exact_in_window,
-                    r.exact_out_of_window,
-                    r.proposals_per_accept,
-                    r.exact_share,
-                    r.cost_proxy,
-                    r.ns_per_sample,
-                )
-                for r in rows
-            ),
-        ),
-        args.out,
-    )
+    header = [f.name for f in dataclasses.fields(samplers.BenchRow)]
+    _emit(_csv(header, map(dataclasses.astuple, rows)), args.out)
     return 0
 
 

@@ -197,21 +197,3 @@ def sample_envelope_many(spec, stream, size):
         mask = piece == i
         x[mask] = piece_inverse(spec, i, v[mask])
     return s * x
-
-
-def envelope_cdf_abs(spec, x):
-    """CDF of |X| under the normalized hat density (vectorized)."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    p1, p2, p3, p4 = spec.masses
-    e = spec.vv_edge
-    out = np.where(
-        ax <= spec.x1,
-        p1 + spec.shoulder * (ax - spec.x_c),
-        p1 + p2 + spec.plateau * (ax - spec.x1),
-    )
-    bulk = ax <= spec.x_c
-    out[bulk] = spec.bulk * np.arcsin(ax[bulk] / e)
-    tail = ax > spec.x_tail
-    out[tail] = p1 + p2 + p3 + p4 * -np.expm1(-spec.rate * (ax[tail] - spec.x_tail))
-    return out / spec.half_mass
-

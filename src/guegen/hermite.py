@@ -15,14 +15,19 @@ with periodic power-of-two rescaling of the running pair, and assembles
 
 in log space, so tails underflow cleanly to zero instead of corrupting
 the mantissa path.  The step coefficients do not depend on the degree,
-so the one vectorized kernel takes one degree per point and runs the
-recurrence once, up to the largest degree, for all of them, ending with
-each point's last pair (psi_{k-1}, psi_k).  :func:`phi_squared_degrees`
-and its one-degree case :func:`phi_squared_many` read psi_k;
+so the one kernel takes one degree per point and runs the recurrence
+once, up to the largest degree, for all of them, ending with each
+point's last pair (psi_{k-1}, psi_k).  :func:`phi_squared_degrees` and
+its one-degree case :func:`phi_squared_many` read psi_k, and
+:func:`phi_squared` is the one-point case of that;
 :func:`mixture_density_many` evaluates (1/n) sum_{k<n} phi_k^2 as the
 confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
-:func:`phi_squared` is only the float reference the kernel is tested
-against and the public one-point call.
+
+The kernel has two paths with the same bits: a numpy loop over all
+points per step, and, for slices of at most ``_FEW_LANES`` points, a
+float loop per point, since a numpy step costs microseconds however few
+points it updates.  Both run each step's float operations in one order
+and rescale at the steps of one schedule per slice.
 
 The CDFs are closed forms on the same kernel.  The ladder relations
 phi_j' = -(x/2) phi_j + sqrt(j) phi_{j-1} and
@@ -41,6 +46,7 @@ strictly decreasing beyond a point and returns phi_k and phi_k' there;
 the dominating hat of :mod:`guegen.dominator` rests on it.
 """
 
+import bisect
 import functools
 import math
 
@@ -66,58 +72,19 @@ _LADDER_RESCALE_LOG2 = 448.0
 # budget starts from psi_1 = x at exponent 0, so from about 1e77 on a product
 # x * psi_j can overflow before the first rescale
 _HUGE_X = 1e76
-
-
-def _psi_scaled(k, x):
-    """Normalized recurrence value psi_k(x) = H_k(x)/sqrt(k!) as (mantissa, exp2)
-    at one point, for :func:`phi_squared`."""
-    if k == 0:
-        return 1.0, 0
-    if k == 1:
-        return x, 0
-    absx = abs(x)
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    prev, cur, expo = 1.0, x, 0
-    budget = 1.0
-    for j in range(1, k):
-        sj = math.sqrt(j)
-        sj1 = math.sqrt(j + 1.0)
-        prev, cur = cur, (x * cur - sj * prev) / sj1
-        growth = (absx + sj) / sj1
-        if growth > 1.0:
-            budget += math.log2(growth)
-        if budget > threshold:
-            m = max(abs(prev), abs(cur))
-            if m > 0.0:
-                sh = math.frexp(m)[1]
-                prev = math.ldexp(prev, -sh)
-                cur = math.ldexp(cur, -sh)
-                expo += sh
-            budget = 1.0
-    return cur, expo
+# a kernel slice with at most this many running lanes runs each lane as a
+# float loop: a numpy step costs 2.5-5 us at any width up to a few hundred
+# lanes, a float step 75-300 ns per lane, and the two meet near 32 lanes
+_FEW_LANES = 16
 
 
 def phi_squared(k, x):
-    """The squared Hermite function density phi_k(x)^2 at one point.
-
-    This is the scalar float reference that the vectorized kernel
-    (:func:`phi_squared_degrees`) is tested against: the same normalized
-    recurrence, one point at a time, with its own rescaling schedule.
-    """
-    k = int(k)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k}")
+    """The squared Hermite function density phi_k(x)^2 at one finite point:
+    the one-lane case of :func:`phi_squared_many`, bit for bit."""
     x = float(x)
     if not math.isfinite(x):
         raise ParameterError(f"evaluation point must be finite, got {x}")
-    if abs(x) >= _HUGE_X:
-        return 0.0
-    mant, expo = _psi_scaled(k, x)
-    if mant == 0.0:
-        return 0.0
-    log_phi = 2.0 * (math.log(abs(mant)) + expo * LN2) - 0.5 * x * x - LN_SQRT_2PI
-    return math.exp(log_phi) if log_phi > -745.0 else 0.0
+    return float(phi_squared_many(k, np.array([x]))[0])
 
 
 def decreasing_beyond(k, x):
@@ -177,15 +144,64 @@ def _pair_rescale(prev, cur, expo, acc=None):
     return prev, cur, expo
 
 
+def _rescale_steps(absx, top, ladder, sq, inv_sq):
+    """The steps j < ``top`` after which the kernel rescales its pair, given
+    the slice's largest |x| (``sq``, ``inv_sq``: arrays of sqrt(j) and
+    1/sqrt(j+1)). Step j grows the pair by at most (|x| + sqrt(j)) / sqrt(j+1);
+    a rescale comes once the log2 growth since the last one passes a limit
+    under which no product can overflow."""
+    log2x = math.log2(absx) if absx > 1.0 else 0.0
+    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
+    if ladder:
+        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
+    growth = np.maximum((absx + sq[1:top]) * inv_sq[1:top], 1.0)
+    steps = []
+    budget = 1.0
+    for j, bits in enumerate(map(math.log2, growth.tolist()), 1):
+        budget += bits
+        if budget > threshold:
+            steps.append(j)
+            budget = 1.0
+    return steps
+
+
+def _psi_lane(k, x, rescales, sq, inv_sq, weights):
+    """One lane of degree k >= 1 as a float loop: (psi_{k-1}, psi_k, exponent,
+    ladder sum or None), bit for bit that lane of the numpy loop."""
+    prev, cur, expo = 1.0, x, 0  # psi_0, psi_1
+    acc = None if weights is None else weights[1] * x
+    start = 1
+    # run steps start ... stop, then rescale; the last run ends at step k-1
+    for stop in rescales[: bisect.bisect_left(rescales, k)] + [None]:
+        end = k if stop is None else stop + 1
+        if acc is None:
+            for s, r in zip(sq[start:end], inv_sq[start:end]):
+                prev, cur = cur, (x * cur - s * prev) * r
+        else:
+            for s, r, w in zip(sq[start:end], inv_sq[start:end], weights[start + 1 : end + 1]):
+                prev, cur = cur, (x * cur - s * prev) * r
+                acc += prev * cur * w
+        if stop is None:
+            return prev, cur, expo, acc
+        sh = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
+        if acc is not None:
+            acc = math.ldexp(acc, -2 * sh)
+        start = end
+
+
 def _psi_scaled_sorted(ks, x, weights=None):
     """(psi_{k-1}(x), psi_k(x)) per lane, one degree per lane, as two mantissa
     arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
 
     ``ks`` must be sorted in descending order. The step-j coefficients of
     the normalized recurrence do not depend on the degree, so one pass up
-    to the largest degree serves every lane: a lane of degree k stops after
-    step k-1, and the lanes still running always form a prefix that
-    shrinks at each degree boundary. A pair is rescaled as one.
+    to the largest degree serves every lane, on the slice's one rescale
+    schedule (:func:`_rescale_steps`); a pair is rescaled as one. At most
+    ``_FEW_LANES`` running lanes run one by one as float loops
+    (:func:`_psi_lane`); more run in a numpy loop, where a lane of degree k
+    stops after step k-1 and the lanes still running form a prefix that
+    shrinks at each degree boundary. Both paths give the same bits.
 
     The fourth value is None, or with ``weights`` (one scalar per step,
     indexed by j = 1 ... max degree) the ladder sum
@@ -205,20 +221,23 @@ def _psi_scaled_sorted(ks, x, weights=None):
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
         return last, mant, expo, total
-    absx = float(np.max(np.abs(x)))
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    if weights is not None:
-        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
     sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
-    inv_sq = (1.0 / sq[1:]).tolist()
-    sq = sq.tolist()
+    inv_sq = 1.0 / sq[1:]
+    absx = float(np.max(np.abs(x)))
+    rescales = _rescale_steps(absx, degrees[-1], weights is not None, sq, inv_sq)
+    sq, inv_sq = sq.tolist(), inv_sq.tolist()
     m = ends[0]
+    if m <= _FEW_LANES:
+        for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):
+            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, rescales, sq, inv_sq, weights)
+            if acc is not None:
+                total[i] = acc
+        return last, mant, expo, total
+    rescales = set(rescales)
     xv, ev = x[:m], expo[:m]
     prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
     t1, t2 = np.empty(m), np.empty(m)
     acc = None if weights is None else weights[1] * xv  # psi_1 psi_0 = x
-    budget = 1.0
     start = 1
     for i, d in enumerate(degrees):
         m = ends[i]
@@ -235,12 +254,8 @@ def _psi_scaled_sorted(ks, x, weights=None):
                 np.multiply(prev, cur, out=t2)
                 np.multiply(t2, weights[j + 1], out=t2)
                 np.add(acc, t2, out=acc)
-            growth = (absx + sq[j]) * inv_sq[j]
-            if growth > 1.0:
-                budget += math.log2(growth)
-            if budget > threshold:
+            if j in rescales:
                 prev, cur, ev = _pair_rescale(prev, cur, ev, acc)
-                budget = 1.0
         start = d
         done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
         last[done:m] = prev[done:]
@@ -255,8 +270,9 @@ _CHUNK = 32768
 
 def _sliced(slice_fn, ks, x, fill=-np.inf):
     """``slice_fn(ks, x)`` over ``_CHUNK``-sized slices of the flat points
-    (degrees ``ks`` descending), in the shape of ``x``; points at or beyond
-    _HUGE_X are passed in as 0 and get ``fill``."""
+    (degrees ``ks`` descending), in the shape of ``x``. Points at or beyond
+    _HUGE_X get ``fill`` and NaN points NaN; both are passed in as 0, so
+    that they leave the slice's rescale schedule as it is."""
     x = np.asarray(x, dtype=float)
     flat = np.ravel(x)
     out = np.empty(x.size)
@@ -265,6 +281,7 @@ def _sliced(slice_fn, ks, x, fill=-np.inf):
         safe = np.abs(xs) < _HUGE_X
         values = slice_fn(ks[lo : lo + _CHUNK], np.where(safe, xs, 0.0))
         values[~safe] = fill
+        values[np.isnan(xs)] = np.nan
         out[lo : lo + _CHUNK] = values
     return out.reshape(x.shape)
 

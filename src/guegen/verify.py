@@ -79,15 +79,21 @@ _GK_NODES = np.concatenate([-_GK_HALF[:0:-1, 0], _GK_HALF[:, 0]])
 _GK_WEIGHTS_K, _GK_WEIGHTS_G = np.concatenate([_GK_HALF[:0:-1, 1:], _GK_HALF[:, 1:]]).T.copy()
 
 
+# QUADPACK's round-off rule: a K15-G7 difference within this many machine
+# epsilons of the panel's K15 integral of |f| is rounding, which bisection
+# cannot shrink
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
 def _gk_panels(f, left, right):
-    """K15 values and |K15-G7| error estimates for a batch of panels."""
+    """K15 values, |K15-G7| errors and K15 integrals of |f| for a batch of panels."""
     center = 0.5 * (left + right)
     halfw = 0.5 * (right - left)
     nodes = center[:, None] + halfw[:, None] * _GK_NODES[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     ik = (vals @ _GK_WEIGHTS_K) * halfw
     ig = (vals @ _GK_WEIGHTS_G) * halfw
-    return ik, np.abs(ik - ig)
+    return ik, np.abs(ik - ig), (np.abs(vals) @ _GK_WEIGHTS_K) * halfw
 
 
 def integrate_adaptive(
@@ -104,8 +110,10 @@ def integrate_adaptive(
     Starts from uniform panels of ``initial_width`` (default: one
     sixteenth of the interval) and bisects any panel whose K15-vs-G7
     discrepancy exceeds its share of ``tol`` until the summed estimate
-    is below ``tol``.  Returns ``(value, err)``; raises ConvergenceError
-    when the panel or round budget runs out first.
+    is below ``tol``, or until only panels at the rounding floor
+    (``_ROUNDOFF``) are left, whose ``err`` may exceed ``tol``.  Returns
+    ``(value, err)``; raises ConvergenceError when the panel or round
+    budget runs out first.
     """
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tol}")
@@ -119,26 +127,30 @@ def integrate_adaptive(
     count = int(np.clip(math.ceil((b - a) / initial_width), 4, max_panels))
     edges = np.linspace(a, b, count + 1)
     left, right = edges[:-1], edges[1:]
-    vals, errs = _gk_panels(f, left, right)
+    vals, errs, mags = _gk_panels(f, left, right)
     for _ in range(max_rounds):
         total_err = float(errs.sum())
         if total_err <= tol:
+            break
+        live = errs > _ROUNDOFF * mags
+        if not live.any():
             break
         if left.size >= max_panels:
             raise ConvergenceError(
                 f"quadrature needs more than {max_panels} panels for tol={tol}"
             )
-        bad = errs > tol / (2.0 * left.size)
+        bad = live & (errs > tol / (2.0 * left.size))
         if not bad.any():
-            bad = errs == errs.max()
+            bad = live & (errs == errs[live].max())
         mid = 0.5 * (left[bad] + right[bad])
         new_left = np.concatenate([left[bad], mid])
         new_right = np.concatenate([mid, right[bad]])
-        new_vals, new_errs = _gk_panels(f, new_left, new_right)
+        new_vals, new_errs, new_mags = _gk_panels(f, new_left, new_right)
         left = np.concatenate([left[~bad], new_left])
         right = np.concatenate([right[~bad], new_right])
         vals = np.concatenate([vals[~bad], new_vals])
         errs = np.concatenate([errs[~bad], new_errs])
+        mags = np.concatenate([mags[~bad], new_mags])
     else:
         raise ConvergenceError(
             f"quadrature did not reach tol={tol} in {max_rounds} refinement rounds"

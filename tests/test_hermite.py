@@ -42,7 +42,41 @@ def test_polynomial_survives_huge_magnitudes():
     x = 2.0 * math.sqrt(k)
     scal = hermite.phi_squared(k, x)
     assert 0.0 < scal < 8.0 * (math.pi + 1.0) / 3.0 * k ** (-1.0 / 6.0)
-    assert math.isclose(scal, hermite.phi_squared_many(k, np.array([x]))[0], rel_tol=1e-11)
+    assert scal == hermite.phi_squared_many(k, np.array([x]))[0]
+
+
+# ----------------------------------------------------------------------
+# the kernel's two paths: numpy loop and float lane loop
+# ----------------------------------------------------------------------
+
+
+def _kernel_both_paths(monkeypatch, ks, x, weights=None):
+    out = []
+    for few in (0, 10**9):  # numpy loop only, float lane loop only
+        monkeypatch.setattr(hermite, "_FEW_LANES", few)
+        out.append(hermite._psi_scaled_sorted(ks, x, weights))
+    return out
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 15, 16, 17, 40])
+def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
+    rng = np.random.default_rng(lanes)
+    # one degree per slice, then mixed descending degrees up to 1e4 (the
+    # costly degree, so it gets fewer point scales)
+    small = [(np.full(lanes, k), (0.0, 1.0, 1e3, 1e40, 9e75)) for k in (0, 1, 2, 3, 100)]
+    mixed = np.sort(rng.choice([0, 1, 2, 3, 100, 10**4], lanes))[::-1]
+    mixed[0] = 10**4
+    for ks, scales in small + [(mixed, (0.0, 1.0, 9e75))]:
+        top = int(ks.max())
+        weights = [0.0] + (1.0 / np.sqrt(np.arange(1.0, top + 1))).tolist()
+        for scale in scales:
+            x = rng.uniform(-1.0, 1.0, lanes)
+            x *= 2.0 * math.sqrt(top + 1.0) + 3.0 if scale == 1.0 else scale
+            x[::3] = -x[::3]
+            for w in (None, weights):
+                numpy_path, lane_path = _kernel_both_paths(monkeypatch, ks, x, w)
+                for a, b in zip(numpy_path, lane_path):
+                    assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w is None)
 
 
 # ----------------------------------------------------------------------
@@ -74,8 +108,12 @@ def test_phi_squared_even_bitwise():
 def test_phi_squared_batch_matches_scalar():
     for k in (0, 1, 7, 1000):
         xs = np.linspace(-2.0 * math.sqrt(k + 1.0) - 3.0, 2.0 * math.sqrt(k + 1.0) + 3.0, 41)
-        batch = hermite.phi_squared_many(k, xs)
         scal = np.array([hermite.phi_squared(k, t) for t in xs])
+        one_point = np.concatenate([hermite.phi_squared_many(k, [t]) for t in xs])
+        assert np.array_equal(scal, one_point)
+        # a batch rescales on the schedule of its largest |x|, so it splits
+        # (mantissa, exponent) differently and its logs differ in the last bits
+        batch = hermite.phi_squared_many(k, xs)
         assert np.allclose(batch, scal, rtol=1e-12, atol=1e-300)
 
 
@@ -150,6 +188,30 @@ def test_huge_points_underflow_to_zero(k):
     assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[:-1] == -math.inf)
     assert hermite.phi_squared_many(k, x)[-1] == hermite.phi_squared_many(k, [0.5])[0]
     assert hermite.mixture_density_many(k, x)[-1] == hermite.mixture_density(k, 0.5)
+
+
+def test_nan_points_get_nan():
+    # NaN is not a point beyond _HUGE_X: it gets NaN, like the CDFs there,
+    # and leaves the other lanes' values (and rescale schedule) alone
+    x = np.array([np.nan, 0.5, np.inf, -np.inf, 1e80, -np.nan])
+    k = 40
+    ks = np.full(x.shape, k)
+    for values, logs in (
+        (hermite.phi_squared_many(k, x), hermite.phi_squared_many(k, x, return_log=True)),
+        (hermite.phi_squared_degrees(ks, x), hermite.phi_squared_degrees(ks, x, return_log=True)),
+        (hermite.mixture_density_many(k, x), None),
+    ):
+        for got in (values, logs):
+            if got is not None:
+                assert np.isnan(got[[0, 5]]).all()
+                assert not np.isnan(got[1:5]).any()
+        assert values[1] > 0.0 and np.all(values[2:5] == 0.0)
+    assert hermite.phi_squared_many(k, x)[1] == hermite.phi_squared(k, 0.5)
+    assert hermite.mixture_density_many(k, x)[1] == hermite.mixture_density(k, 0.5)
+    assert np.isnan(hermite.phi_sq_cdf_many(k, x)[[0, 5]]).all()
+    assert np.isnan(hermite.mixture_cdf_many(k, x)[[0, 5]]).all()
+    with pytest.raises(ParameterError):
+        hermite.phi_squared(k, math.nan)
 
 
 def test_phi_squared_bounded_by_sup():
@@ -441,6 +503,13 @@ def test_integrate_adaptive_refines_sharp_peak():
     )
     ref = (math.atan(0.3 / 1e-2) + math.atan(0.7 / 1e-2)) / 1e-2
     assert abs(val - ref) < 1e-7 * ref
+
+
+def test_integrate_adaptive_stops_at_the_rounding_floor():
+    # a tolerance below what float sums can resolve returns the estimate
+    # instead of bisecting to the panel cap
+    val, _ = verify.integrate_adaptive(lambda x: np.exp(-x * x), -6.0, 6.0, 1e-17)
+    assert abs(val - math.sqrt(math.pi)) < 1e-14
 
 
 def test_integrate_adaptive_raises_on_exhausted_budget():

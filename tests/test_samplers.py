@@ -256,3 +256,24 @@ def test_benchmark_rows():
         samplers.benchmark("squeeze", [], 10)
     with pytest.raises(ParameterError):
         samplers.benchmark("squeeze", [10], 0)
+
+
+def test_kernel_paths_give_the_same_draws(monkeypatch):
+    # the kernel's numpy loop and float lane loop are the same bits, so the
+    # samplers' draws and counters do not depend on which one a pass takes
+    runs = (
+        lambda st: samplers.sample_gue_eigenvalues(10**4, 4, RandomStream(3), stats=st),
+        lambda st: samplers.sample_phi_sq_many(10**4, 500, RandomStream(4), "squeeze", st),
+        lambda st: samplers.sample_phi_sq_many(10**4, 500, RandomStream(5), "plain", st),
+        lambda st: samplers.sample_phi_sq_many(100, 2000, RandomStream(6), "squeeze", st),
+    )
+    for run in runs:
+        outputs = []
+        for few in (0, 10**9):  # numpy loop only, float lane loop only
+            monkeypatch.setattr(hermite, "_FEW_LANES", few)
+            stats = samplers.SamplerStats()
+            draws = run(stats)
+            outputs.append((draws, replace(stats, elapsed=0.0)))
+        (a, sa), (b, sb) = outputs
+        assert np.array_equal(a, b)
+        assert sa == sb
