@@ -23,11 +23,15 @@ its one-degree case :func:`phi_squared_many` read psi_k, and
 :func:`mixture_density_many` evaluates (1/n) sum_{k<n} phi_k^2 as the
 confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
 
-The kernel has two paths with the same bits: a numpy loop over all
-points per step, and, for slices of at most ``_FEW_LANES`` points, a
-float loop per point, since a numpy step costs microseconds however few
-points it updates.  Both run each step's float operations in one order
-and rescale at the steps of one schedule per slice.
+The kernel rescales the pair after every ``stride`` steps, one closed
+form per slice from its largest |x|, and once more at the end, so every
+pair it returns has its largest magnitude in [0.5, 1).  Rescaling by a
+power of two is exact, so each value here is a function of its own
+(k, x) alone: the same bits in a batch or alone, wherever ``_CHUNK``
+cuts, on either path.  The two paths are a numpy loop over all points
+per step and, for slices of at most ``_FEW_LANES`` points, a float loop
+per point, since a numpy step costs microseconds however few points it
+updates; both run each step's float operations in one order.
 
 The CDFs are closed forms on the same kernel.  The ladder relations
 phi_j' = -(x/2) phi_j + sqrt(j) phi_{j-1} and
@@ -46,7 +50,6 @@ strictly decreasing beyond a point and returns phi_k and phi_k' there;
 the dominating hat of :mod:`guegen.dominator` rests on it.
 """
 
-import bisect
 import functools
 import math
 
@@ -69,7 +72,7 @@ _OVERFLOW_LOG2 = 1000.0
 _LADDER_RESCALE_LOG2 = 448.0
 # densities are 0 at and beyond this |x| at any degree (by Mehler's formula
 # phi_k(x)^2 <= 2^k exp(-x^2/6)); the recurrence is not run there, because its
-# budget starts from psi_1 = x at exponent 0, so from about 1e77 on a product
+# pair starts from psi_1 = x at exponent 0, so from about 1e77 on a product
 # x * psi_j can overflow before the first rescale
 _HUGE_X = 1e76
 # a kernel slice with at most this many running lanes runs each lane as a
@@ -134,6 +137,9 @@ def decreasing_beyond(k, x):
 
 
 def _pair_rescale(prev, cur, expo, acc=None):
+    """Scale each lane's pair in place by the power of two that puts its
+    largest magnitude in [0.5, 1), and the ladder sum ``acc`` by its
+    square, adding the shift to ``expo``; returns the four arrays."""
     big = np.maximum(np.abs(prev), np.abs(cur))
     sh = np.frexp(big)[1]  # 0 where big == 0
     np.ldexp(prev, -sh, out=prev)
@@ -141,39 +147,17 @@ def _pair_rescale(prev, cur, expo, acc=None):
     if acc is not None:  # a sum of pair products scales by the square
         np.ldexp(acc, -2 * sh, out=acc)
     expo += sh
-    return prev, cur, expo
+    return prev, cur, expo, acc
 
 
-def _rescale_steps(absx, top, ladder, sq, inv_sq):
-    """The steps j < ``top`` after which the kernel rescales its pair, given
-    the slice's largest |x| (``sq``, ``inv_sq``: arrays of sqrt(j) and
-    1/sqrt(j+1)). Step j grows the pair by at most (|x| + sqrt(j)) / sqrt(j+1);
-    a rescale comes once the log2 growth since the last one passes a limit
-    under which no product can overflow."""
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    if ladder:
-        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
-    growth = np.maximum((absx + sq[1:top]) * inv_sq[1:top], 1.0)
-    steps = []
-    budget = 1.0
-    for j, bits in enumerate(map(math.log2, growth.tolist()), 1):
-        budget += bits
-        if budget > threshold:
-            steps.append(j)
-            budget = 1.0
-    return steps
-
-
-def _psi_lane(k, x, rescales, sq, inv_sq, weights):
+def _psi_lane(k, x, stride, sq, inv_sq, weights):
     """One lane of degree k >= 1 as a float loop: (psi_{k-1}, psi_k, exponent,
-    ladder sum or None), bit for bit that lane of the numpy loop."""
+    ladder sum or None), rescaled after every ``stride`` steps and after the
+    last one, bit for bit that lane of the numpy loop."""
     prev, cur, expo = 1.0, x, 0  # psi_0, psi_1
     acc = None if weights is None else weights[1] * x
-    start = 1
-    # run steps start ... stop, then rescale; the last run ends at step k-1
-    for stop in rescales[: bisect.bisect_left(rescales, k)] + [None]:
-        end = k if stop is None else stop + 1
+    for start in range(1, k, stride):
+        end = min(start + stride, k)
         if acc is None:
             for s, r in zip(sq[start:end], inv_sq[start:end]):
                 prev, cur = cur, (x * cur - s * prev) * r
@@ -181,24 +165,28 @@ def _psi_lane(k, x, rescales, sq, inv_sq, weights):
             for s, r, w in zip(sq[start:end], inv_sq[start:end], weights[start + 1 : end + 1]):
                 prev, cur = cur, (x * cur - s * prev) * r
                 acc += prev * cur * w
-        if stop is None:
-            return prev, cur, expo, acc
         sh = math.frexp(max(abs(prev), abs(cur)))[1]
         prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
         if acc is not None:
             acc = math.ldexp(acc, -2 * sh)
-        start = end
+    return prev, cur, expo, acc
 
 
 def _psi_scaled_sorted(ks, x, weights=None):
     """(psi_{k-1}(x), psi_k(x)) per lane, one degree per lane, as two mantissa
     arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
+    Every returned pair is normalized to a largest magnitude in [0.5, 1).
 
     ``ks`` must be sorted in descending order. The step-j coefficients of
     the normalized recurrence do not depend on the degree, so one pass up
-    to the largest degree serves every lane, on the slice's one rescale
-    schedule (:func:`_rescale_steps`); a pair is rescaled as one. At most
-    ``_FEW_LANES`` running lanes run one by one as float loops
+    to the largest degree serves every lane. A pair is rescaled as one,
+    after every ``stride`` steps and at the end. Step j grows it by at most
+    (|x| + sqrt(j)) / sqrt(j+1) < |x| + 1, so a stride of
+    (threshold - 1) / log2(|x| + 2) steps at the slice's largest |x| keeps
+    it below 2^threshold, the least of the rescale limits above that apply.
+    Rescaling by a power of two is exact, so the stride does not change the
+    normalized pair: it is a function of the lane's own (k, x) alone. At
+    most ``_FEW_LANES`` running lanes run one by one as float loops
     (:func:`_psi_lane`); more run in a numpy loop, where a lane of degree k
     stops after step k-1 and the lanes still running form a prefix that
     shrinks at each degree boundary. Both paths give the same bits.
@@ -220,20 +208,22 @@ def _psi_scaled_sorted(ks, x, weights=None):
     if degrees[0] == 0:
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
-        return last, mant, expo, total
+        return _pair_rescale(last, mant, expo, total)
     sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
-    inv_sq = 1.0 / sq[1:]
+    sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
     absx = float(np.max(np.abs(x)))
-    rescales = _rescale_steps(absx, degrees[-1], weights is not None, sq, inv_sq)
-    sq, inv_sq = sq.tolist(), inv_sq.tolist()
+    log2x = math.log2(absx) if absx > 1.0 else 0.0
+    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
+    if weights is not None:
+        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
+    stride = max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
     m = ends[0]
     if m <= _FEW_LANES:
         for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):
-            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, rescales, sq, inv_sq, weights)
+            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights)
             if acc is not None:
                 total[i] = acc
-        return last, mant, expo, total
-    rescales = set(rescales)
+        return _pair_rescale(last, mant, expo, total)
     xv, ev = x[:m], expo[:m]
     prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
     t1, t2 = np.empty(m), np.empty(m)
@@ -254,15 +244,15 @@ def _psi_scaled_sorted(ks, x, weights=None):
                 np.multiply(prev, cur, out=t2)
                 np.multiply(t2, weights[j + 1], out=t2)
                 np.add(acc, t2, out=acc)
-            if j in rescales:
-                prev, cur, ev = _pair_rescale(prev, cur, ev, acc)
+            if j % stride == 0:
+                _pair_rescale(prev, cur, ev, acc)
         start = d
         done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
         last[done:m] = prev[done:]
         mant[done:m] = cur[done:]
         if acc is not None:
             total[done:m] = acc[done:]
-    return last, mant, expo, total
+    return _pair_rescale(last, mant, expo, total)
 
 
 _CHUNK = 32768
@@ -270,9 +260,10 @@ _CHUNK = 32768
 
 def _sliced(slice_fn, ks, x, fill=-np.inf):
     """``slice_fn(ks, x)`` over ``_CHUNK``-sized slices of the flat points
-    (degrees ``ks`` descending), in the shape of ``x``. Points at or beyond
-    _HUGE_X get ``fill`` and NaN points NaN; both are passed in as 0, so
-    that they leave the slice's rescale schedule as it is."""
+    (degrees ``ks`` descending), in the shape of ``x``. Each value depends
+    on its own (degree, point) alone, so the slicing does not change it.
+    Points at or beyond _HUGE_X get ``fill`` and NaN points NaN; both are
+    passed in as 0, so that the stride comes from the in-range points."""
     x = np.asarray(x, dtype=float)
     flat = np.ravel(x)
     out = np.empty(x.size)
@@ -307,11 +298,10 @@ def _log_mixture_sorted(ks, x):
 
         sum_{k<n} psi_k^2 = n a^2 - x sqrt(n-1) a b + (n-1) b^2.
 
-    The pair is normalized to a largest magnitude in [0.5, 1) first, so no
-    intermediate can overflow.
+    The kernel returns the pair normalized to a largest magnitude in
+    [0.5, 1), so no intermediate can overflow.
     """
     prev, cur, expo, _ = _psi_scaled_sorted(ks, x)
-    prev, cur, expo = _pair_rescale(prev, cur, expo)
     n = ks + 1.0
     total = n * cur * cur - np.sqrt(ks) * x * cur * prev + ks * prev * prev
     return np.log(total / n) + 2.0 * expo * LN2 - (0.5 * x * x + LN_SQRT_2PI)

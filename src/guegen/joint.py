@@ -126,7 +126,6 @@ def sample_joint_many(
     stream=None,
     max_attempts=DEFAULT_MAX_ATTEMPTS,
     progress=None,
-    progress_every=PROGRESS_EVERY,
 ):
     """``count`` exact ordered spectra, attempts vectorized in blocks.
 
@@ -135,7 +134,7 @@ def sample_joint_many(
     gap since the previous accept).  ``max_attempts`` caps each
     spectrum's attempts: past it, BudgetError is raised.  ``progress``,
     if given, is called between blocks with the running attempt count
-    once ``progress_every`` attempts have passed since its last call.
+    once ``PROGRESS_EVERY`` attempts have passed since its last call.
     """
     n, beta = _validated(n, beta)
     count = int(count)
@@ -185,7 +184,7 @@ def sample_joint_many(
                     attempts=gap,
                 )
             pending = total + gap
-            if progress is not None and pending - last_report >= progress_every:
+            if progress is not None and pending - last_report >= PROGRESS_EVERY:
                 progress(pending)
                 last_report = pending
         rate = max(filled / max(total + gap, 1), 1e-7)

@@ -185,6 +185,8 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     adding recurrence steps per lane, and the stream is consumed the same
     way wherever the batches split.
     """
+    if max_proposals < 1:
+        raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     t0 = time.perf_counter()
     use_squeeze = mode == "squeeze"
     out = np.empty(sum(counts))

@@ -661,39 +661,23 @@ def _pinned_vandermonde_peak(n, passes=200):
     The log objective is concave, so cyclic coordinate ascent with
     golden-section line searches converges to the global maximum.
     """
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
     x = np.linspace(0.0, 1.0, n)
+    iu = np.triu_indices(n, 1)
 
     def log_obj(pts):
         d = pts[None, :] - pts[:, None]
-        iu = np.triu_indices(n, 1)
         return float(np.sum(np.log(d[iu])))
 
     for _ in range(passes):
         moved = 0.0
         for i in range(1, n - 1):
-            lo = x[i - 1] + 1e-14
-            hi = x[i + 1] - 1e-14
             start = x[i]
 
-            def f(t):
+            def neg_log_obj(t):
                 x[i] = t
-                return log_obj(x)
+                return -log_obj(x)
 
-            a, b = lo, hi
-            c = b - gold * (b - a)
-            d = a + gold * (b - a)
-            fc, fd = f(c), f(d)
-            for _ in range(80):
-                if fc > fd:
-                    b, d, fd = d, c, fc
-                    c = b - gold * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + gold * (b - a)
-                    fd = f(d)
-            best = c if fc > fd else d
+            best = dominator._golden_min(neg_log_obj, x[i - 1] + 1e-14, x[i + 1] - 1e-14)
             moved = max(moved, abs(start - best))
             x[i] = best
         if moved < 1e-13:

@@ -55,6 +55,9 @@ def test_sample_parameter_errors(capsys):
     assert run(capsys, "sample", "--n", "3", "--k", "3", "--count", "2")[0] == 1
     assert run(capsys, "sample", "--k", "2", "--count", "1", "--convention", "intro")[0] == 1
     assert run(capsys, "sample", "--n", "2", "--count", "0")[0] == 1
+    assert run(capsys, "sample", "--k", "5", "--count", "3", "--max-proposals", "-4")[0] == 1
+    assert run(capsys, "sample", "--n", "5", "--count", "3", "--max-proposals", "0")[0] == 1
+    assert run(capsys, "sample-joint", "--n", "3", "--count", "1", "--max-attempts", "0")[0] == 1
     assert run(capsys, "bogus-command")[0] == 1
 
 

@@ -111,10 +111,25 @@ def test_phi_squared_batch_matches_scalar():
         scal = np.array([hermite.phi_squared(k, t) for t in xs])
         one_point = np.concatenate([hermite.phi_squared_many(k, [t]) for t in xs])
         assert np.array_equal(scal, one_point)
-        # a batch rescales on the schedule of its largest |x|, so it splits
-        # (mantissa, exponent) differently and its logs differ in the last bits
-        batch = hermite.phi_squared_many(k, xs)
-        assert np.allclose(batch, scal, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(hermite.phi_squared_many(k, xs), scal)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 1000, 20_000])
+def test_batch_values_equal_one_point_values(k):
+    # every value is a function of its own (k, x): 21 points run the numpy
+    # loop on the stride of |x| = 9e75, one point the lane loop on its own
+    rng = np.random.default_rng(k)
+    edge = 2.0 * math.sqrt(k + 1.0) + 3.0
+    xs = np.array([0.0, 1e-300, -1e-300, 1e20, -1e20, 9e75, -9e75])
+    xs = np.concatenate([xs, rng.uniform(-edge, edge, 14)])
+    for f in (
+        lambda x: hermite.phi_squared_many(k, x, return_log=True),
+        lambda x: hermite.phi_sq_cdf_many(k, x),
+        lambda x: hermite.mixture_cdf_many(k + 1, x),
+        lambda x: hermite.mixture_density_many(k + 1, x),
+    ):
+        alone = np.concatenate([f(np.array([t])) for t in xs])
+        assert np.array_equal(f(xs), alone)
 
 
 def test_phi_squared_degrees_matches_single_degree(monkeypatch):
@@ -125,15 +140,17 @@ def test_phi_squared_degrees_matches_single_degree(monkeypatch):
     x[::40] = 1e154
     x[1::40] = -1e200
     x[2::40] = 1e6
+    sliced = []
     for chunk in (hermite._CHUNK, 16):  # one slice, and many slices
         monkeypatch.setattr(hermite, "_CHUNK", chunk)
         got = hermite.phi_squared_degrees(ks, x)
         for k in np.unique(ks):
             sel = ks == k
-            ref = hermite.phi_squared_many(k, x[sel])
-            assert np.allclose(got[sel], ref, rtol=1e-11, atol=1e-300)
+            assert np.array_equal(got[sel], hermite.phi_squared_many(k, x[sel]))
+        sliced.append(got)
+    assert np.array_equal(sliced[0], sliced[1])
     scal = np.array([hermite.phi_squared(k, t) for k, t in zip(ks, x)])
-    assert np.allclose(got, scal, rtol=1e-11, atol=1e-300)
+    assert np.array_equal(got, scal)
     huge = np.abs(x) >= 1e154
     assert np.all(got[huge] == 0.0)
     assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[huge] == -math.inf)

@@ -124,12 +124,11 @@ def test_trace_variance_n3():
     assert abs(var - 3.0) < 3.0 * 3.0 * math.sqrt(2.0 / (tr.size - 1))
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
     # batch path reports between proposal blocks
+    monkeypatch.setattr(joint, "PROGRESS_EVERY", 1000)
     seen = []
-    joint.sample_joint_many(
-        5, 2000, 2.0, RandomStream(14), progress=seen.append, progress_every=1000
-    )
+    joint.sample_joint_many(5, 2000, 2.0, RandomStream(14), progress=seen.append)
     assert seen and seen == sorted(seen)
 
 

@@ -159,6 +159,12 @@ def test_mode_validation():
         samplers.sample_phi_sq_many(-1, 10, RandomStream(1))
     with pytest.raises(ParameterError):
         samplers.sample_gue_eigenvalues(0, 10, RandomStream(1))
+    # a budget below one proposal per draw is refused, not exhausted
+    for budget in (0, -4):
+        with pytest.raises(ParameterError):
+            samplers.sample_phi_sq_many(5, 3, RandomStream(1), max_proposals=budget)
+        with pytest.raises(ParameterError):
+            samplers.sample_gue_eigenvalues(5, 3, RandomStream(1), max_proposals=budget)
 
 
 def test_mixture_size_one_is_standard_normal():
