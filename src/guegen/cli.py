@@ -35,21 +35,24 @@ def _seed(text):
 
 
 def _emit(lines, out_path):
+    """Write ``lines``, each ending in a newline, to ``out_path`` or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(lines)
 
 
 def _csv(header, rows):
-    yield ",".join(header)
+    """CSV lines of a nonempty table: the header, then each row tuple in
+    one %-format built from the types of the first row."""
+    rows = iter(rows)
+    first = next(rows)
+    fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    yield ",".join(header) + "\n"
+    yield fmt % first
     for row in rows:
-        yield ",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-        )
+        yield fmt % row
 
 
 def build_parser():
@@ -153,15 +156,16 @@ def _cmd_sample(args):
                         "count": len(values),
                         "proposals": stats.proposals,
                         "exact_evals": stats.exact_evals,
-                        "values": [float(v) for v in values],
+                        "values": values.tolist(),
                     }
                 )
+                + "\n"
             ],
             args.out,
         )
     else:
         _emit(
-            _csv(["index", "value"], ((i, float(v)) for i, v in enumerate(values))),
+            _csv(["index", "value"], enumerate(values.tolist())),
             args.out,
         )
     return 0
@@ -183,18 +187,17 @@ def _cmd_sample_joint(args):
                         "n": args.n,
                         "beta": args.beta,
                         "seed": args.seed,
-                        "attempts": [int(a) for a in attempts],
-                        "values": [[float(v) for v in row] for row in values],
+                        "attempts": attempts.tolist(),
+                        "values": values.tolist(),
                     }
                 )
+                + "\n"
             ],
             args.out,
         )
     else:
         header = ["index", "attempts"] + [f"x{i + 1}" for i in range(args.n)]
-        rows = (
-            (i, int(attempts[i]), *map(float, values[i])) for i in range(args.count)
-        )
+        rows = zip(range(args.count), attempts.tolist(), *values.T.tolist())
         _emit(_csv(header, rows), args.out)
     return 0
 
@@ -213,7 +216,7 @@ def _cmd_bench(args):
 def _cmd_verify(args):
     names = [s for s in args.suite.split(",") if s]
     report = verify.run_suites(names if names != ["all"] else None, quick=args.quick)
-    _emit([json.dumps(report, indent=2)], args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return 0 if report["pass"] else 1
 
 
@@ -228,7 +231,7 @@ def _cmd_tabulate_envelope(args):
     _emit(
         _csv(
             ["x", "h", "phi_sq"],
-            ((float(x), float(a), float(b)) for x, a, b in zip(grid, h, phi)),
+            zip(grid.tolist(), h.tolist(), phi.tolist()),
         ),
         args.out,
     )
@@ -248,10 +251,7 @@ def _cmd_tabulate_squeeze(args):
     _emit(
         _csv(
             ["x", "phi_sq", "f", "lower", "upper", "h"],
-            (
-                tuple(map(float, row))
-                for row in zip(grid, phi, f, lower, upper, h)
-            ),
+            zip(*(a.tolist() for a in (grid, phi, f, lower, upper, h))),
         ),
         args.out,
     )
@@ -266,7 +266,7 @@ def _cmd_oracle(args):
     spectra = oracle.spectra_many(mats)
     header = ["index"] + [f"x{i + 1}" for i in range(args.n)]
     _emit(
-        _csv(header, ((i, *map(float, spectra[i])) for i in range(args.count))),
+        _csv(header, zip(range(args.count), *spectra.T.tolist())),
         args.out,
     )
     return 0

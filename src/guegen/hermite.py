@@ -116,24 +116,40 @@ def decreasing_beyond(k, x):
         raise ParameterError(f"degree must be >= 0, got {k}")
     if not x > 0.0:
         return None
-    limit = 2.0 ** min(_RESCALE_LOG2, _OVERFLOW_LOG2 - max(math.log2(x), 0.0))
+    stride = _stride(x)
     sq = np.sqrt(np.arange(k + 1, dtype=float)).tolist()
     # psi_{-1}, psi_0 for k = 0, else psi_0, psi_1; rescaling by powers of
     # two keeps signs, and the pair's shared exponent is expo
     prev, cur, expo = (0.0, 1.0, 0) if k == 0 else (1.0, x, 0)
-    for j in range(1, k):
-        prev, cur = cur, (x * cur - sq[j] * prev) / sq[j + 1]
-        if not cur > 0.0:
-            return None
-        if cur > limit:
-            sh = math.frexp(cur)[1]
-            prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
+    for start in range(1, k, stride):
+        end = min(start + stride, k)
+        for s, t in zip(sq[start:end], sq[start + 1 : end + 1]):
+            prev, cur = cur, (x * cur - s * prev) / t
+            if not cur > 0.0:
+                return None
+        sh = math.frexp(cur)[1]
+        prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
     slope = sq[k] * prev - 0.5 * x * cur
     if not slope < 0.0:
         return None
     sh = math.frexp(cur)[1]  # scale so that psi_k is in [0.5, 1)
     scale = math.exp((expo + sh) * LN2 - 0.25 * x * x - 0.5 * LN_SQRT_2PI)
     return math.ldexp(cur, -sh) * scale, math.ldexp(slope, -sh) * scale
+
+
+def _stride(absx, ladder=False):
+    """Steps between rescales of a pair started from (psi_0, psi_1) at
+    points of magnitude at most ``absx``, with or without a ladder sum.
+
+    Step j grows the pair by at most (|x| + sqrt(j)) / sqrt(j+1) < |x| + 1,
+    so (threshold - 1) / log2(|x| + 2) steps keep it below 2^threshold,
+    the least of the module's rescale limits that apply.
+    """
+    log2x = math.log2(absx) if absx > 1.0 else 0.0
+    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
+    if ladder:
+        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
+    return max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
 
 
 def _pair_rescale(prev, cur, expo, acc=None):
@@ -180,16 +196,14 @@ def _psi_scaled_sorted(ks, x, weights=None):
     ``ks`` must be sorted in descending order. The step-j coefficients of
     the normalized recurrence do not depend on the degree, so one pass up
     to the largest degree serves every lane. A pair is rescaled as one,
-    after every ``stride`` steps and at the end. Step j grows it by at most
-    (|x| + sqrt(j)) / sqrt(j+1) < |x| + 1, so a stride of
-    (threshold - 1) / log2(|x| + 2) steps at the slice's largest |x| keeps
-    it below 2^threshold, the least of the rescale limits above that apply.
-    Rescaling by a power of two is exact, so the stride does not change the
-    normalized pair: it is a function of the lane's own (k, x) alone. At
-    most ``_FEW_LANES`` running lanes run one by one as float loops
-    (:func:`_psi_lane`); more run in a numpy loop, where a lane of degree k
-    stops after step k-1 and the lanes still running form a prefix that
-    shrinks at each degree boundary. Both paths give the same bits.
+    after every :func:`_stride` steps at the slice's largest |x| and at
+    the end. Rescaling by a power of two is exact, so the stride does not
+    change the normalized pair: it is a function of the lane's own (k, x)
+    alone. At most ``_FEW_LANES`` running lanes run one by one as float
+    loops (:func:`_psi_lane`); more run in a numpy loop, where a lane of
+    degree k stops after step k-1 and the lanes still running form a
+    prefix that shrinks at each degree boundary. Both paths give the same
+    bits.
 
     The fourth value is None, or with ``weights`` (one scalar per step,
     indexed by j = 1 ... max degree) the ladder sum
@@ -211,12 +225,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
         return _pair_rescale(last, mant, expo, total)
     sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
     sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
-    absx = float(np.max(np.abs(x)))
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    if weights is not None:
-        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
-    stride = max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
+    stride = _stride(float(np.max(np.abs(x))), weights is not None)
     m = ends[0]
     if m <= _FEW_LANES:
         for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):

@@ -29,7 +29,10 @@ For odd n the middle coordinate carries no pair partner and is drawn
 from the Gaussian factor alone.
 
 :func:`sample_joint_many` runs attempts in blocks: :func:`_propose_block`
-draws a block of proposals and :func:`_ratio_test` decides them.
+draws a block of proposals and :func:`_ratio_test` decides them, taking
+the log target from the C(n, 2) pair differences x_j - x_i (i < j) of
+each row, one (size, C(n, 2)) array per block.  The accepts of a block
+and the attempts each one consumed are read off as whole arrays.
 Acceptance decays quickly with n (this sampler trades speed for an exact
 finite-dimensional spectrum): about 5 attempts per accept at n = 4, 230
 at n = 6 and 9e4 at n = 8.  Use ``max_attempts`` plus the progress
@@ -113,9 +116,8 @@ def _ratio_test(coords, gaps, beta, u):
     ordered = np.all(np.diff(coords, axis=1) > 0.0, axis=1)
     with np.errstate(divide="ignore"):
         lhs = np.log(u) + log_const + _exponents(n, beta) @ np.log(gaps)
-    diffs = coords[:, None, :] - coords[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = beta * np.sum(np.log(diffs[:, iu[0], iu[1]]), axis=1)
+        rhs = beta * np.sum(np.log(coords[:, iu[1]] - coords[:, iu[0]]), axis=1)
     return ordered & (lhs < rhs)
 
 
@@ -148,8 +150,8 @@ def sample_joint_many(
         return values, attempts
 
     filled = 0
-    gap = 0  # attempts since the last accept (carries across blocks)
-    total = 0
+    carried = 0  # attempts since the last accept, across blocks
+    drawn = 0
     last_report = 0
     rate = 0.5  # adaptive acceptance-rate estimate
     block_cap = max(1024, min(400000, 4_000_000 // (n * n)))
@@ -157,37 +159,24 @@ def sample_joint_many(
         block = int(np.clip((count - filled) / rate * 1.2, 512, block_cap))
         coords, gaps = _propose_block(n, beta, stream, block)
         accept = _ratio_test(coords, gaps, beta, stream.uniforms(block))
-
-        pos = np.flatnonzero(accept)
-        need = count - filled
-        if pos.size > need:
-            pos = pos[:need]
-        prev = -1
-        for p_idx in pos:
-            gap += int(p_idx) - prev
-            if gap > max_attempts:
-                raise BudgetError(
-                    f"sample exceeded {max_attempts} attempts at n={n}",
-                    attempts=gap,
-                )
-            attempts[filled] = gap
-            values[filled] = coords[p_idx]
-            filled += 1
-            total += gap
-            gap = 0
-            prev = int(p_idx)
-        if filled < count:
-            gap += block - 1 - prev
-            if gap > max_attempts:
-                raise BudgetError(
-                    f"sample exceeded {max_attempts} attempts at n={n}",
-                    attempts=gap,
-                )
-            pending = total + gap
-            if progress is not None and pending - last_report >= PROGRESS_EVERY:
-                progress(pending)
-                last_report = pending
-        rate = max(filled / max(total + gap, 1), 1e-7)
+        pos = np.flatnonzero(accept)[: count - filled]
+        tries = np.diff(pos, prepend=-1 - carried)
+        carried = block - 1 - int(pos[-1]) if pos.size else carried + block
+        end = filled + pos.size
+        over = np.flatnonzero(tries > max_attempts)
+        if over.size or (end < count and carried > max_attempts):
+            raise BudgetError(
+                f"sample exceeded {max_attempts} attempts at n={n}",
+                attempts=int(tries[over[0]]) if over.size else carried,
+            )
+        values[filled:end] = coords[pos]
+        attempts[filled:end] = tries
+        filled = end
+        drawn += block
+        if filled < count and progress is not None and drawn - last_report >= PROGRESS_EVERY:
+            progress(drawn)
+            last_report = drawn
+        rate = max(filled / drawn, 1e-7)
     return values, attempts
 
 

@@ -72,22 +72,20 @@ def _real_embedding(h):
     return np.concatenate([top, bottom], axis=-2)
 
 
-def _jacobi_spectra(mats, tol=_JACOBI_TOL, max_sweeps=_MAX_JACOBI_SWEEPS):
+def _jacobi_spectra(mats):
     """Eigenvalues of a batch of real symmetric matrices (B, m, m) by
     cyclic Jacobi rotations applied in lockstep across the batch."""
     a = np.array(mats, dtype=float)
-    if a.ndim == 2:
-        a = a[None]
-    b, m, _ = a.shape
+    _, m, _ = a.shape
     if m == 1:
         return a[:, :, 0].copy()
     scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
     idx = np.arange(m)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_JACOBI_SWEEPS):
         sq = a * a
         sq[:, idx, idx] = 0.0  # avoids the cancellation of a trace subtraction
         offsq = np.sum(sq, axis=(1, 2))
-        if np.all(np.sqrt(offsq) <= tol * scale):
+        if np.all(np.sqrt(offsq) <= _JACOBI_TOL * scale):
             diag = np.diagonal(a, axis1=1, axis2=2).copy()
             diag.sort(axis=1)
             return diag
@@ -115,7 +113,7 @@ def _jacobi_spectra(mats, tol=_JACOBI_TOL, max_sweeps=_MAX_JACOBI_SWEEPS):
                 a[:, p, q] = 0.0
                 a[:, q, p] = 0.0
     raise ConvergenceError(
-        f"Jacobi sweep did not converge within {max_sweeps} sweeps"
+        f"Jacobi sweep did not converge within {_MAX_JACOBI_SWEEPS} sweeps"
     )
 
 

@@ -313,7 +313,7 @@ class BenchRow:
     ns_per_sample: float
 
 
-def benchmark(mode, n_list, samples_per_n, seed=0, max_proposals=DEFAULT_MAX_PROPOSALS):
+def benchmark(mode, n_list, samples_per_n, seed=0):
     """Run the sampler across degrees and aggregate its counters.
 
     Each degree gets an independent derived stream, so rows do not
@@ -330,7 +330,7 @@ def benchmark(mode, n_list, samples_per_n, seed=0, max_proposals=DEFAULT_MAX_PRO
     rows = []
     for n, st in zip(n_list, streams):
         stats = SamplerStats()
-        sample_phi_sq_many(n, samples_per_n, st, mode, stats, max_proposals)
+        sample_phi_sq_many(n, samples_per_n, st, mode, stats)
         rows.append(
             BenchRow(
                 n=int(n),

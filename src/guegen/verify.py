@@ -83,6 +83,9 @@ _GK_WEIGHTS_K, _GK_WEIGHTS_G = np.concatenate([_GK_HALF[:0:-1, 1:], _GK_HALF[:, 
 # epsilons of the panel's K15 integral of |f| is rounding, which bisection
 # cannot shrink
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# the quadrature's budget: panels, and bisection rounds
+MAX_PANELS = 300000
+_MAX_ROUNDS = 30
 
 
 def _gk_panels(f, left, right):
@@ -96,15 +99,7 @@ def _gk_panels(f, left, right):
     return ik, np.abs(ik - ig), (np.abs(vals) @ _GK_WEIGHTS_K) * halfw
 
 
-def integrate_adaptive(
-    f,
-    a,
-    b,
-    tol,
-    initial_width=None,
-    max_panels=300000,
-    max_rounds=30,
-):
+def integrate_adaptive(f, a, b, tol, initial_width=None):
     """Adaptive panel integration of a vectorized integrand on [a, b].
 
     Starts from uniform panels of ``initial_width`` (default: one
@@ -113,7 +108,7 @@ def integrate_adaptive(
     is below ``tol``, or until only panels at the rounding floor
     (``_ROUNDOFF``) are left, whose ``err`` may exceed ``tol``.  Returns
     ``(value, err)``; raises ConvergenceError when the panel or round
-    budget runs out first.
+    budget (``MAX_PANELS``, ``_MAX_ROUNDS``) runs out first.
     """
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tol}")
@@ -124,20 +119,20 @@ def integrate_adaptive(
         raise ParameterError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
     if initial_width is None:
         initial_width = (b - a) / 16.0
-    count = int(np.clip(math.ceil((b - a) / initial_width), 4, max_panels))
+    count = int(np.clip(math.ceil((b - a) / initial_width), 4, MAX_PANELS))
     edges = np.linspace(a, b, count + 1)
     left, right = edges[:-1], edges[1:]
     vals, errs, mags = _gk_panels(f, left, right)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total_err = float(errs.sum())
         if total_err <= tol:
             break
         live = errs > _ROUNDOFF * mags
         if not live.any():
             break
-        if left.size >= max_panels:
+        if left.size >= MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature needs more than {max_panels} panels for tol={tol}"
+                f"quadrature needs more than {MAX_PANELS} panels for tol={tol}"
             )
         bad = live & (errs > tol / (2.0 * left.size))
         if not bad.any():
@@ -153,7 +148,7 @@ def integrate_adaptive(
         mags = np.concatenate([mags[~bad], new_mags])
     else:
         raise ConvergenceError(
-            f"quadrature did not reach tol={tol} in {max_rounds} refinement rounds"
+            f"quadrature did not reach tol={tol} in {_MAX_ROUNDS} refinement rounds"
         )
     return float(vals.sum()), float(errs.sum())
 
@@ -163,17 +158,17 @@ def _oscillation_width(k):
     return math.pi / math.sqrt(4.0 * k + 2.0)
 
 
-def half_mass_numeric(spec, tol=1e-12):
+def half_mass_numeric(spec):
     """Numerical quadrature of the hat of ``spec`` over [0, infinity).
 
     Independent check on the closed-form piece masses: adaptive
     Gauss-Kronrod panels on each piece, the tail out to where its
-    remainder is e^-50 of its mass.
+    remainder is e^-50 of its mass, each to 1e-12 of the half mass.
     """
     f = lambda xs: dominator.envelope_many(spec, xs)
     ends = (0.0, spec.x_c, spec.x1, spec.x_tail, spec.x_tail + 50.0 / spec.rate)
     return sum(
-        integrate_adaptive(f, a, b, tol * spec.half_mass)[0]
+        integrate_adaptive(f, a, b, 1e-12 * spec.half_mass)[0]
         for a, b in zip(ends[:-1], ends[1:])
     )
 
@@ -655,11 +650,12 @@ def check_beta(quick=False):
 # ----------------------------------------------------------------------
 
 
-def _pinned_vandermonde_peak(n, passes=200):
+def _pinned_vandermonde_peak(n):
     """Numerically maximize prod_{i<j}(x_j - x_i) with x_1 = 0, x_n = 1.
 
     The log objective is concave, so cyclic coordinate ascent with
-    golden-section line searches converges to the global maximum.
+    golden-section line searches converges to the global maximum; it
+    stops once a sweep moves no point by 1e-13, or after 200 sweeps.
     """
     x = np.linspace(0.0, 1.0, n)
     iu = np.triu_indices(n, 1)
@@ -668,7 +664,7 @@ def _pinned_vandermonde_peak(n, passes=200):
         d = pts[None, :] - pts[:, None]
         return float(np.sum(np.log(d[iu])))
 
-    for _ in range(passes):
+    for _ in range(200):
         moved = 0.0
         for i in range(1, n - 1):
             start = x[i]

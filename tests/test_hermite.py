@@ -529,10 +529,9 @@ def test_integrate_adaptive_stops_at_the_rounding_floor():
     assert abs(val - math.sqrt(math.pi)) < 1e-14
 
 
-def test_integrate_adaptive_raises_on_exhausted_budget():
+def test_integrate_adaptive_raises_on_exhausted_budget(monkeypatch):
     from guegen.errors import ConvergenceError
 
+    monkeypatch.setattr(verify, "MAX_PANELS", 8)
     with pytest.raises(ConvergenceError):
-        verify.integrate_adaptive(
-            lambda x: 1.0 / (1e-12 + (x - 0.5) ** 2), 0.0, 1.0, 1e-14, max_panels=8
-        )
+        verify.integrate_adaptive(lambda x: 1.0 / (1e-12 + (x - 0.5) ** 2), 0.0, 1.0, 1e-14)

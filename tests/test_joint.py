@@ -108,6 +108,26 @@ def test_batch_matches_attempt_budget_semantics():
         joint.sample_joint_many(6, 3, 2.0, RandomStream(11), max_attempts=2)
 
 
+@pytest.mark.parametrize(
+    "n, count, caps",
+    [(5, 300, (1, 5, 20, 60, 120)), (8, 1, (600, 5000))],
+)
+def test_budget_error_reports_the_spectrum_over_budget(n, count, caps):
+    # the budgeted run reads the stream of the unbounded one until it
+    # raises: at the first spectrum over the cap, or earlier at the end of
+    # a block whose trailing gap is already over it
+    ref_values, ref_attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(18))
+    for cap in caps:
+        with pytest.raises(BudgetError) as info:
+            joint.sample_joint_many(n, count, 2.0, RandomStream(18), max_attempts=cap)
+        first_over = ref_attempts[np.argmax(ref_attempts > cap)]
+        assert cap < first_over
+        assert cap < info.value.attempts <= first_over
+    cap = int(ref_attempts.max())  # a spectrum may use the whole budget
+    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(18), max_attempts=cap)
+    assert np.array_equal(values, ref_values) and np.array_equal(attempts, ref_attempts)
+
+
 def test_batch_outputs_ordered_and_counted():
     values, attempts = joint.sample_joint_many(4, 3000, 2.0, RandomStream(12))
     assert values.shape == (3000, 4)
@@ -125,11 +145,15 @@ def test_trace_variance_n3():
 
 
 def test_progress_callback_fires(monkeypatch):
-    # batch path reports between proposal blocks
-    monkeypatch.setattr(joint, "PROGRESS_EVERY", 1000)
+    # reports come between proposal blocks, once PROGRESS_EVERY attempts
+    # have passed since the last one (here the first block, of 512, passes
+    # silently), and not after the last block, which holds the last accept
+    monkeypatch.setattr(joint, "PROGRESS_EVERY", 20_000)
     seen = []
-    joint.sample_joint_many(5, 2000, 2.0, RandomStream(14), progress=seen.append)
-    assert seen and seen == sorted(seen)
+    _, attempts = joint.sample_joint_many(7, 30, 2.0, RandomStream(14), progress=seen.append)
+    assert len(seen) >= 2
+    assert np.all(np.diff(seen, prepend=0) >= 20_000)
+    assert seen[-1] < attempts.sum()
 
 
 def test_parameter_validation():
