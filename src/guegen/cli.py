@@ -9,6 +9,7 @@ numerical convergence.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -55,7 +56,9 @@ def _csv(header, rows):
         yield fmt % row
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     p = _Parser(prog="guegen", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -547,32 +547,41 @@ def check_joint_n2(quick=False):
 
 
 def check_joint_triangle(quick=False):
-    draws = 2_000 if quick else 10_000
+    # the pair bound serves n = 2, 3, 4 and the chain n = 6, 8, both through
+    # sample_joint_many at beta = 2; the chain is also called directly at
+    # n = 3; the n = 6, 8 rows take fewer draws because the eigensolver
+    # costs about 1 ms per spectrum at n = 6 and 2.5 ms at n = 8
+    draws, chain_draws = (2_000, 1_000) if quick else (10_000, 2_000)
+    cases = [(2, draws, "joint"), (3, draws, "joint"), (4, draws, "joint")]
+    cases += [(6, chain_draws, "joint"), (8, chain_draws, "joint"), (3, draws, "chain")]
     crit = stats.ks_critical(0.01)
     out = []
     t0 = time.perf_counter()
-    for i, n in enumerate((2, 3, 4)):
+    for i, (n, count, name) in enumerate(cases):
         st = _stream(70 + i)
-        values, attempts = joint.sample_joint_many(n, draws, 2.0, st)
-        coord_idx = st.indices(n, draws)
-        coords = values[np.arange(draws), coord_idx]
-        mix = samplers.sample_gue_eigenvalues(n, draws, _stream(80 + i))
+        if name == "chain":
+            values, attempts = joint._sample_chain(n, count, st, joint.DEFAULT_MAX_ATTEMPTS, None)
+        else:
+            values, attempts = joint.sample_joint_many(n, count, 2.0, st)
+        coord_idx = st.indices(n, count)
+        coords = values[np.arange(count), coord_idx]
+        mix = samplers.sample_gue_eigenvalues(n, count, _stream(80 + i))
         res = stats.ks_two_sample(coords, mix)
         out.append(
             _less(
-                f"triangle: joint coordinate vs mixture draw, n={n}, alpha=0.01",
+                f"triangle: {name} coordinate vs mixture draw, n={n}, alpha=0.01",
                 res.scaled,
                 crit,
                 detail=f"attempts mean {attempts.mean():.1f}, max {int(attempts.max())}",
             )
         )
-        mats = oracle.sample_gue_matrices(n, draws, "unscaled", _stream(90 + i))
+        mats = oracle.sample_gue_matrices(n, count, "unscaled", _stream(90 + i))
         spectra = oracle.spectra_many(mats)
         for pos in range(n):
             res = stats.ks_two_sample(values[:, pos], spectra[:, pos])
             out.append(
                 _less(
-                    f"triangle: order statistic {pos + 1} joint vs eigensolver, n={n}",
+                    f"triangle: order statistic {pos + 1} {name} vs eigensolver, n={n}",
                     res.scaled,
                     crit,
                 )

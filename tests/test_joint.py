@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import joint
+from guegen import hermite, joint
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
 from guegen.stats import ks_two_sample
@@ -109,22 +109,23 @@ def test_batch_matches_attempt_budget_semantics():
 
 
 @pytest.mark.parametrize(
-    "n, count, caps",
-    [(5, 300, (1, 5, 20, 60, 120)), (8, 1, (600, 5000))],
+    "n, beta, count, caps",
+    [(5, 2.0, 300, (1, 5, 20, 60, 120)), (8, 1.0, 1, (600, 5000))],
+    ids=["5-300-caps0", "8-1-caps1"],
 )
-def test_budget_error_reports_the_spectrum_over_budget(n, count, caps):
+def test_budget_error_reports_the_spectrum_over_budget(n, beta, count, caps):
     # the budgeted run reads the stream of the unbounded one until it
     # raises: at the first spectrum over the cap, or earlier at the end of
     # a block whose trailing gap is already over it
-    ref_values, ref_attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(18))
+    ref_values, ref_attempts = joint.sample_joint_many(n, count, beta, RandomStream(18))
     for cap in caps:
         with pytest.raises(BudgetError) as info:
-            joint.sample_joint_many(n, count, 2.0, RandomStream(18), max_attempts=cap)
+            joint.sample_joint_many(n, count, beta, RandomStream(18), max_attempts=cap)
         first_over = ref_attempts[np.argmax(ref_attempts > cap)]
         assert cap < first_over
         assert cap < info.value.attempts <= first_over
     cap = int(ref_attempts.max())  # a spectrum may use the whole budget
-    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(18), max_attempts=cap)
+    values, attempts = joint.sample_joint_many(n, count, beta, RandomStream(18), max_attempts=cap)
     assert np.array_equal(values, ref_values) and np.array_equal(attempts, ref_attempts)
 
 
@@ -150,7 +151,7 @@ def test_progress_callback_fires(monkeypatch):
     # silently), and not after the last block, which holds the last accept
     monkeypatch.setattr(joint, "PROGRESS_EVERY", 20_000)
     seen = []
-    _, attempts = joint.sample_joint_many(7, 30, 2.0, RandomStream(14), progress=seen.append)
+    _, attempts = joint.sample_joint_many(7, 10, 3.0, RandomStream(14), progress=seen.append)
     assert len(seen) >= 2
     assert np.all(np.diff(seen, prepend=0) >= 20_000)
     assert seen[-1] < attempts.sum()
@@ -168,9 +169,79 @@ def test_parameter_validation():
 
 
 def test_beta_two_paths_identical():
-    a, _ = joint.sample_joint_many(3, 200, 2.0, RandomStream(15))
-    b, _ = joint.sample_joint_many(3, 200, 2, RandomStream(15))
-    assert np.array_equal(a, b)
+    # n = 3 runs the pair bound, n = 6 the chain
+    for n in (3, 6):
+        a, _ = joint.sample_joint_many(n, 200, 2.0, RandomStream(15))
+        b, _ = joint.sample_joint_many(n, 200, 2, RandomStream(15))
+        assert np.array_equal(a, b)
+
+
+def test_pair_bound_below_chain_min_n():
+    # n = 5 at beta = 2 stays on the pair bound: these are its draws as
+    # pinned before the chain was added
+    assert joint.CHAIN_MIN_N == 6
+    values, attempts = joint.sample_joint_many(5, 8, 2.0, RandomStream(19))
+    assert attempts.tolist() == [63, 11, 79, 9, 43, 64, 4, 5]
+    ref = [-3.664337294831192, -1.7903092333910722, 0.2706139810448416,
+           1.3011034113402193, 3.592105022373506]
+    assert values[0].tolist() == pytest.approx(ref, rel=1e-12)
+    assert values.sum() == pytest.approx(-0.5435876330040378, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_chain_attempts_and_trace_moment(n):
+    count = 3000
+    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(20 + n))
+    assert np.all(np.diff(values, axis=1) > 0.0)
+    assert attempts.min() >= n
+    # step i accepts a proposal with probability (n - i) / n, so a spectrum
+    # reads n H_n proposals on average
+    mean = n * sum(1.0 / k for k in range(1, n + 1))
+    assert abs(attempts.mean() - mean) < 4.0 * attempts.std() / math.sqrt(count)
+    sq = (values**2).sum(axis=1)  # E[sum x^2] = n^2 in the unscaled convention
+    assert abs(sq.mean() - n * n) < 4.0 * sq.std() / math.sqrt(count)
+
+
+def test_chain_budget_contract():
+    n, count = 6, 400
+    ref_values, ref_attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(21))
+    top = int(ref_attempts.max())
+    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(21), max_attempts=top)
+    assert np.array_equal(values, ref_values) and np.array_equal(attempts, ref_attempts)
+    for cap in (n, 2 * n, top - 1):
+        with pytest.raises(BudgetError) as info:
+            joint.sample_joint_many(n, count, 2.0, RandomStream(21), max_attempts=cap)
+        # spent plus one per missing point: over the cap, and at most what
+        # that spectrum spends unbounded
+        assert cap < info.value.attempts <= top
+    for cap in range(1, n):  # every spectrum reads at least n proposals
+        with pytest.raises(BudgetError) as info:
+            joint.sample_joint_many(n, 1, 2.0, RandomStream(21), max_attempts=cap)
+        assert info.value.attempts == n
+
+
+def test_chain_progress_between_rounds(monkeypatch):
+    monkeypatch.setattr(joint, "PROGRESS_EVERY", 1000)
+    seen = []
+    _, attempts = joint.sample_joint_many(6, 500, 2.0, RandomStream(14), progress=seen.append)
+    assert len(seen) >= 2
+    assert np.all(np.diff(seen, prepend=0) >= 1000)
+    assert seen[-1] < attempts.sum()
+
+
+def test_psi_rows_keep_their_direction_past_overflow():
+    # raw squared norms sum_k psi_k(x)^2 pass the double range near |x| = 38,
+    # inside the n = 600 spectrum (edge 2 sqrt(n) = 49); the scaled rows
+    # keep the direction of (psi_0, ..., psi_{n-1})
+    n = 600
+    x = np.array([0.3, -5.0, 20.0, 45.0, -48.9])
+    rows = joint._psi_rows(n, x)
+    assert np.all(np.isfinite(rows))
+    for xi, row in zip(x, rows):
+        log_sq = hermite.phi_squared_degrees(np.arange(n), np.full(n, xi), return_log=True)
+        ref = np.exp(0.5 * (log_sq - log_sq.max()))  # |psi_k| up to one factor
+        got = np.abs(row) / np.linalg.norm(row)
+        assert np.allclose(got, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
 
 
 def test_beta_one_gap_moment():
