@@ -50,17 +50,19 @@ Determinantal point process models and statistical inference, JRSS-B
 77, 2015, Algorithm 1): accept x when u ||v(x)||^2 < ||r_i(x)||^2.  The
 test and the unit residuals do not change when v(x) is scaled, so the
 Gaussian weight w cancels.  Step i needs n / (n - i) proposals on
-average, a spectrum n H_n: 14.7 at n = 6 and 21.7 at n = 8.
+average, a spectrum n H_n: 14.7 at n = 6 and 21.7 at n = 8.  All
+spectra of a call read their proposals from one shared pool of mixture
+draws, and the proposals a spectrum did not read go back to it.
 
 :func:`sample_joint_many` runs the chain at beta = 2 and
 n >= ``CHAIN_MIN_N``, and the pair bound otherwise.  Microseconds per
 spectrum, medians of 15 interleaved calls of 500 spectra each on a
 2-core x86-64 box (Python 3.11, numpy 2.4; the pair bound at n = 8 is
-one call of 5 spectra):
+three calls of 5 spectra):
 
-    n            2      3      4      5      6      8
-    pair bound   1.4    1.8    4.2    19.9   189    1.3e5
-    chain        15.2   34.3   48.9   58.1   81.0   154
+    n            2      3      4      5      6      7      8
+    pair bound   1.7    1.7    4.4    18.0   199    4.8e3  1.7e5
+    chain        12.2   20.2   29.9   39.4   38.1   47.2   58.2
 
 Use ``max_attempts`` plus the progress callback to keep long runs
 observable.
@@ -247,19 +249,48 @@ def _sample_chain(n, count, stream, max_attempts, progress):
 
     Up to ``_CHAIN_ENTRIES / n^2`` spectra run in lockstep, and a finished
     one makes room for the next.  In each round, every running spectrum
-    at step i (i points drawn) gets ceil(1.5 n / (n - i)) proposals, all
-    drawn by one mixture call and one uniforms call, and takes its first
-    accept.  ``basis[a, :i]`` holds the unit residuals of spectrum a's
-    points; its rows from i on are zero.  A spectrum whose spent
-    proposals plus one per missing point exceed ``max_attempts`` raises
-    BudgetError with that sum, which is at most what it would spend (so
-    every cap below n raises after the first round, reporting n); the
-    stream is read the same way under any cap the run stays within.
+    at step i (i points drawn) gets ceil(1.5 n / (n - i)) proposal slots
+    and takes its first accept; its uniforms come from one fresh
+    uniforms call per round.  ``basis[a, :i]`` holds the unit residuals
+    of spectrum a's points; its rows from i on are zero.  A spectrum
+    whose spent proposals plus one per missing point exceed
+    ``max_attempts`` raises BudgetError with that sum, which is at most
+    what it would spend (so every cap below n raises after the first
+    round, reporting n); the stream is read the same way under any cap
+    the run stays within.
+
+    Proposals come from one pool of mixture draws shared by every
+    spectrum of the call.  A round fills its slots, in row-major order,
+    with the first values of the pool.  When the pool holds fewer values
+    than the round's slots, one :func:`samplers.sample_gue_eigenvalues`
+    call appends max(shortfall, ceil(1.1 E) + 64) draws, E being the
+    proposals the call still expects to read: sum_{j >= i} n / (n - j)
+    for each running spectrum at step i, plus n H_n for each waiting
+    spectrum, counting at most as many waiting spectra as run at once
+    (so the pool stays O(``_CHAIN_ENTRIES`` H_n / n) values, like the
+    basis).  After the accept test, the slots after a spectrum's first
+    accept were not read; their values go back to the front of the pool
+    in row-major order, and their uniforms are dropped.  Read and
+    rejected proposals are consumed.
+
+    The pool keeps the chain exact.  Pool values are i.i.d. mixture
+    draws, independent of the uniforms.  Where a spectrum stops reading
+    within a round depends only on the slots it read (their values and
+    uniforms) and on its past, so the values of its unread slots are
+    independent of every decision taken so far and, given which slots
+    were unread, still i.i.d. mixture draws.  Putting them back ahead of
+    fresh draws keeps the pool a sequence of i.i.d. mixture draws
+    independent of the chain's state, which is all each step's rejection
+    needs.  Returning read and rejected values would not: a rejected
+    value is biased towards where the residual is small.
     """
     values = np.empty((count, n))
     attempts = np.zeros(count, dtype=np.int64)
     per_step = -(-3 * n // (2 * (n - np.arange(n))))  # ceil(1.5 n / (n - i))
+    # expected proposals a spectrum at step i still reads; left[0] = n H_n
+    left = np.cumsum(n / (n - np.arange(n))[::-1])[::-1]
     capacity = max(1, _CHAIN_ENTRIES // (n * n))
+    pool = np.empty(0)  # i.i.d. mixture draws not yet read
     ids = np.empty(0, dtype=np.int64)  # the running spectra
     steps = np.empty(0, dtype=np.int64)
     points = np.empty((0, n))
@@ -281,8 +312,12 @@ def _sample_chain(n, count, stream, max_attempts, progress):
         block = per_step[steps]
         slots = np.arange(block.max()) < block[:, None]
         size = int(block.sum())
+        if pool.size < size:
+            expect = left[steps].sum() + min(count - admitted, capacity) * left[0]
+            more = max(size - pool.size, math.ceil(1.1 * expect) + 64)
+            pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
         x = np.zeros(slots.shape)
-        x[slots] = samplers.sample_gue_eigenvalues(n, size, stream)
+        x[slots] = pool[:size]
         u = np.ones(slots.shape)
         u[slots] = stream.uniforms(size)
         v = _psi_rows(n, x.ravel()).reshape(x.shape + (n,))
@@ -295,6 +330,8 @@ def _sample_chain(n, count, stream, max_attempts, progress):
         rows = np.arange(ids.size)
         hit = accept[rows, first]
         used = np.where(hit, first + 1, block)
+        unread = slots & (np.arange(slots.shape[1]) >= used[:, None])
+        pool = np.concatenate([x[unread], pool[size:]])
         attempts[ids] += used
         spent += int(used.sum())
         a, b = rows[hit], first[hit]

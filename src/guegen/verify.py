@@ -547,6 +547,18 @@ def check_joint_n2(quick=False):
 
 
 def check_joint_triangle(quick=False):
+    """Criterion 9: joint spectra against mixture draws and the eigensolver.
+
+    Each case gives one KS row of a uniformly chosen coordinate against
+    mixture draws and one per order statistic against the Jacobi oracle.
+    Every row is gated at 0.01 divided by the number of KS rows, so a
+    correct sampler fails the criterion with probability at most 0.01.
+    At full sizes the criterion fails a chain that accepts when
+    u ||v||^2 < 2 ||r||^2 (three rows, the worst at 3.06 against 2.09),
+    but passes one with the factor 1.1 or 1.5 in place of 2, and with
+    ``quick`` it passes all three; the attempts-law test in
+    ``tests/test_joint.py`` is the chain's sharper check.
+    """
     # the pair bound serves n = 2, 3, 4 and the chain n = 6, 8, both through
     # sample_joint_many at beta = 2; the chain is also called directly at
     # n = 3; the n = 6, 8 rows take fewer draws because the eigensolver
@@ -554,7 +566,10 @@ def check_joint_triangle(quick=False):
     draws, chain_draws = (2_000, 1_000) if quick else (10_000, 2_000)
     cases = [(2, draws, "joint"), (3, draws, "joint"), (4, draws, "joint")]
     cases += [(6, chain_draws, "joint"), (8, chain_draws, "joint"), (3, draws, "chain")]
-    crit = stats.ks_critical(0.01)
+    rows = sum(n + 1 for n, _, _ in cases)
+    alpha = 0.01 / rows
+    crit = stats.ks_critical(alpha)
+    family = f"alpha {alpha:.3g} per row, 0.01 over the {rows} KS rows"
     out = []
     t0 = time.perf_counter()
     for i, (n, count, name) in enumerate(cases):
@@ -569,10 +584,10 @@ def check_joint_triangle(quick=False):
         res = stats.ks_two_sample(coords, mix)
         out.append(
             _less(
-                f"triangle: {name} coordinate vs mixture draw, n={n}, alpha=0.01",
+                f"triangle: {name} coordinate vs mixture draw, n={n}",
                 res.scaled,
                 crit,
-                detail=f"attempts mean {attempts.mean():.1f}, max {int(attempts.max())}",
+                detail=f"attempts mean {attempts.mean():.1f}, max {int(attempts.max())}; {family}",
             )
         )
         mats = oracle.sample_gue_matrices(n, count, "unscaled", _stream(90 + i))
@@ -584,6 +599,7 @@ def check_joint_triangle(quick=False):
                     f"triangle: order statistic {pos + 1} {name} vs eigensolver, n={n}",
                     res.scaled,
                     crit,
+                    detail=family,
                 )
             )
     out.append(

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from guegen import hermite, joint
+from guegen import hermite, joint, samplers
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
-from guegen.stats import ks_two_sample
+from guegen.stats import ks_critical, ks_two_sample
 
 
 def test_pair_exponents():
@@ -227,6 +227,75 @@ def test_chain_progress_between_rounds(monkeypatch):
     assert len(seen) >= 2
     assert np.all(np.diff(seen, prepend=0) >= 1000)
     assert seen[-1] < attempts.sum()
+
+
+def _harmonic_attempts(n):
+    return n * sum(1.0 / k for k in range(1, n + 1))
+
+
+def _max_round_slots(n, spectra):
+    # every running spectrum gets at most ceil(1.5 n / (n - i)) slots a round
+    return spectra * max(-(-3 * n // (2 * (n - i))) for i in range(n))
+
+
+def _spy_mixture_calls(monkeypatch):
+    sizes = []
+    real = samplers.sample_gue_eigenvalues
+
+    def spy(n, count, stream, *args, **kwargs):
+        sizes.append(count)
+        return real(n, count, stream, *args, **kwargs)
+
+    monkeypatch.setattr(samplers, "sample_gue_eigenvalues", spy)
+    return sizes
+
+
+def test_chain_draws_one_pooled_mixture_call(monkeypatch):
+    sizes = _spy_mixture_calls(monkeypatch)
+    n, count = 6, 500
+    _, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(22))
+    assert len(sizes) == 1
+    bound = 1.1 * count * _harmonic_attempts(n) + 64 + _max_round_slots(n, count)
+    assert attempts.sum() <= sum(sizes) <= bound
+
+
+def test_chain_pool_refills_stay_bounded(monkeypatch):
+    # with room for 4 running spectra, a refill covers at most the running
+    # ones and as many waiting ones, not all 200 spectra of the call
+    n, count = 6, 200
+    monkeypatch.setattr(joint, "_CHAIN_ENTRIES", 4 * n * n)
+    cap = 4
+    sizes = _spy_mixture_calls(monkeypatch)
+    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(23))
+    assert np.all(np.diff(values, axis=1) > 0.0) and attempts.min() >= n
+    bound = 2 * cap * _harmonic_attempts(n) * 1.1 + 64 + _max_round_slots(n, cap)
+    assert len(sizes) > 1 and max(sizes) <= bound
+    assert attempts.sum() <= sum(sizes)
+
+
+def _attempts_pmf(n, support):
+    # step i reads Geometric((n - i) / n) proposals, independently of the others
+    k = np.arange(support)
+    pmf = np.zeros(support)
+    pmf[0] = 1.0
+    for i in range(n):
+        p = (n - i) / n
+        geom = np.where(k >= 1, p * (1.0 - p) ** np.maximum(k - 1, 0), 0.0)
+        pmf = np.convolve(pmf, geom)[:support]
+    return pmf
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_chain_attempts_follow_the_exact_law(n):
+    # the attempts of an exact chain are a sum of independent geometric
+    # variables; the continuous KS critical value is conservative here
+    count = 20_000
+    _, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(3))
+    support = 60 * n * n
+    cdf = np.cumsum(_attempts_pmf(n, support))
+    assert attempts.max() < support and cdf[-1] > 1.0 - 1e-12
+    ecdf = np.cumsum(np.bincount(attempts, minlength=support)) / count
+    assert math.sqrt(count) * np.abs(ecdf - cdf).max() < ks_critical(0.01)
 
 
 def test_psi_rows_keep_their_direction_past_overflow():
