@@ -15,7 +15,7 @@ the squeeze window.  The hat has four pieces in |x|:
   (Sonine-Polya; Szego, Orthogonal Polynomials, section 7.31), so
   f^2 <= S(x1) on [0, x1].
 * plateau, x1 < |x| <= x_t + s:  f(x1)^2, since f^2 is certified strictly
-  decreasing beyond x1 (:func:`hermite.decreasing_beyond`).
+  decreasing beyond x1 (:func:`hermite.certify_decreasing`).
 * tail, |x| > x_t + s:  f(x1)^2 exp(-c sqrt(s) (|x| - x_t)), with
   c = (4/3) sqrt(x_t / 2) and s = c^(-2/3).  Beyond x_t, E = f'^2 - Q f^2
   with Q = x^2/4 - n - 1/2 has E' = -(x/2) f^2 <= 0 and tends to 0, so
@@ -23,16 +23,16 @@ the squeeze window.  The hat has four pieces in |x|:
   f^2 <= f(x1)^2 exp(-c t^(3/2)) <= f(x1)^2 exp(-c sqrt(s) t) for
   t = |x| - x_t >= s.
 
-f(x1) and f'(x1) come from the one O(n) scalar pass that certifies the
-decrease.  Each level carries a relative slack of 1e-8, because the hat
-touches phi_n^2 at x1 and the sampler compares against the float kernel.
+f(x1) and f'(x1) come from the kernel pass that certifies the decrease,
+one for all the degrees a call builds.  Each level carries a relative
+slack of 1e-8, as the hat touches phi_n^2 at x1 and the sampler compares
+against the float kernel.
 x_c minimizes the closed-form mass over [0, x1] (golden-section search
 with a fixed step count).  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
-and one inversion variate per draw.  Specs are cached.
+and one inversion variate per draw.  The newest specs are cached.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +49,7 @@ _GOLDEN_STEPS = 64  # shrinks the search interval by 0.618^64, about 4e-14
 # specs kept; one takes about 0.6 KB with its cache entry (tracemalloc), so
 # the cache stays below 0.6 MB
 _SPEC_CACHE = 1024
+_specs = {}  # degree -> DominatorSpec, oldest first
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,20 +104,35 @@ def _golden_min(f, lo, hi):
     return c if fc <= fd else d
 
 
-@functools.lru_cache(maxsize=_SPEC_CACHE)
 def make_spec(n):
-    """Build the hat of degree ``n``: one O(n) scalar pass at x1, then
-    closed forms.  Raises CertificateError if phi_n^2 is not certified
-    decreasing beyond x1."""
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"envelope degree must be >= 1, got {n}")
+    """The hat of degree ``n``: the one-degree case of :func:`make_specs`."""
+    return make_specs([n])[0]
+
+
+def make_specs(ns):
+    """The hats of degrees ``ns``, in order.  Degrees not in the cache are
+    certified in one kernel pass, each at its own x1, then built from closed
+    forms; CertificateError names a degree that fails, and none is cached."""
+    ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise ParameterError(f"envelope degree must be >= 1, got {min(ns)}")
+    fresh = sorted(set(ns).difference(_specs))
+    if fresh:
+        x1 = [math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0)) for n in fresh]
+        f, df, ok = hermite.certify_decreasing(fresh, x1)
+        for n, x, certified in zip(fresh, x1, ok.tolist()):
+            if not certified:
+                raise CertificateError(f"phi_{n}^2 is not certified decreasing beyond x1 = {x}")
+        _specs.update(zip(fresh, map(_build, fresh, x1, f.tolist(), df.tolist())))
+    specs = [_specs[n] for n in ns]
+    for n in list(_specs)[: max(len(_specs) - _SPEC_CACHE, 0)]:
+        del _specs[n]  # the oldest first
+    return specs
+
+
+def _build(n, x1, f, df):
+    """The hat of degree n from f = phi_n(x1) and f' = phi_n'(x1)."""
     edge = math.sqrt(4.0 * n + 2.0)
-    x1 = math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0))
-    cert = hermite.decreasing_beyond(n, x1)
-    if cert is None:
-        raise CertificateError(f"phi_{n}^2 is not certified decreasing beyond x1 = {x1}")
-    f, df = cert
     shoulder = (f * f + df * df / (n + 0.5 - 0.25 * x1 * x1)) * (1.0 + SLACK)
     plateau = f * f * (1.0 + SLACK)
     c = 4.0 / 3.0 * math.sqrt(edge / 2.0)

@@ -45,9 +45,9 @@ and averaging over k < n gives the mixture CDF with weights (n-j)/n.
 The kernel accumulates the weighted sum along its pass, so a CDF costs
 one O(k) recurrence per point and no quadrature.
 
-:func:`decreasing_beyond` certifies, in one scalar pass, that phi_k^2 is
-strictly decreasing beyond a point and returns phi_k and phi_k' there;
-the dominating hat of :mod:`guegen.dominator` rests on it.
+:func:`certify_decreasing` certifies, in a pass of the same kernel, that
+phi_k^2 is strictly decreasing beyond a point, and returns phi_k and
+phi_k' there; the dominating hat of :mod:`guegen.dominator` rests on it.
 """
 
 import functools
@@ -90,9 +90,10 @@ def phi_squared(k, x):
     return float(phi_squared_many(k, np.array([x]))[0])
 
 
-def decreasing_beyond(k, x):
-    """``(phi_k(x), phi_k'(x))`` when phi_k^2 is certified strictly decreasing
-    on [x, infinity), else None.
+def certify_decreasing(ks, x):
+    """``(phi_k(x), phi_k'(x), certified)`` with one degree per point:
+    ``certified`` is True where phi_k^2 is certified strictly decreasing
+    on [x, infinity).
 
     Two conditions at one point ``x > 0`` suffice:
 
@@ -106,35 +107,23 @@ def decreasing_beyond(k, x):
     section 6.3).  So, with phi_k > 0 on [x, infinity), phi_k' cannot rise
     back to zero there: below the turning point sqrt(4k+2), f'' < 0 makes
     f' strictly decreasing wherever it vanishes, and beyond it f is convex
-    and tends to zero.  The check costs one O(k) scalar pass of the
-    normalized recurrence, which also yields the returned values, with
+    and tends to zero.  One kernel pass, up to the largest degree, checks
+    every lane and yields the returned values, with
     phi_k = psi_k e^(-x^2/4) / (2 pi)^(1/4).
     """
-    k = int(k)
-    x = float(x)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k}")
-    if not x > 0.0:
-        return None
-    stride = _stride(x)
-    sq = np.sqrt(np.arange(k + 1, dtype=float)).tolist()
-    # psi_{-1}, psi_0 for k = 0, else psi_0, psi_1; rescaling by powers of
-    # two keeps signs, and the pair's shared exponent is expo
-    prev, cur, expo = (0.0, 1.0, 0) if k == 0 else (1.0, x, 0)
-    for start in range(1, k, stride):
-        end = min(start + stride, k)
-        for s, t in zip(sq[start:end], sq[start + 1 : end + 1]):
-            prev, cur = cur, (x * cur - s * prev) / t
-            if not cur > 0.0:
-                return None
-        sh = math.frexp(cur)[1]
-        prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
-    slope = sq[k] * prev - 0.5 * x * cur
-    if not slope < 0.0:
-        return None
-    sh = math.frexp(cur)[1]  # scale so that psi_k is in [0.5, 1)
-    scale = math.exp((expo + sh) * LN2 - 0.25 * x * x - 0.5 * LN_SQRT_2PI)
-    return math.ldexp(cur, -sh) * scale, math.ldexp(slope, -sh) * scale
+    x = np.asarray(x, dtype=float)
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.shape != x.shape or x.ndim != 1:
+        raise ParameterError(f"degrees {ks.shape} and points {x.shape} must be one flat shape")
+    if ks.size and (int(ks.min()) < 0 or not np.all(np.abs(x) < _HUGE_X)):
+        raise ParameterError("degrees must be >= 0, and points finite and below 1e76")
+    order = np.argsort(-ks, kind="stable")
+    k, xs = ks[order], x[order]
+    prev, cur, expo, positive = _psi_scaled_sorted(k, xs, certify=True)
+    slope = np.sqrt(k) * prev - 0.5 * xs * cur
+    scale = np.exp(expo * LN2 - 0.25 * xs * xs - 0.5 * LN_SQRT_2PI)
+    back = np.argsort(order)
+    return (cur * scale)[back], (slope * scale)[back], (positive & (slope < 0.0))[back]
 
 
 def _stride(absx, ladder=False):
@@ -155,26 +144,33 @@ def _stride(absx, ladder=False):
 def _pair_rescale(prev, cur, expo, acc=None):
     """Scale each lane's pair in place by the power of two that puts its
     largest magnitude in [0.5, 1), and the ladder sum ``acc`` by its
-    square, adding the shift to ``expo``; returns the four arrays."""
+    square, adding the shift to ``expo``; returns the four arrays.
+    Certificate flags (a boolean ``acc``) do not scale."""
     big = np.maximum(np.abs(prev), np.abs(cur))
     sh = np.frexp(big)[1]  # 0 where big == 0
     np.ldexp(prev, -sh, out=prev)
     np.ldexp(cur, -sh, out=cur)
-    if acc is not None:  # a sum of pair products scales by the square
+    if acc is not None and acc.dtype != bool:  # a sum of products scales by the square
         np.ldexp(acc, -2 * sh, out=acc)
     expo += sh
     return prev, cur, expo, acc
 
 
-def _psi_lane(k, x, stride, sq, inv_sq, weights):
+def _psi_lane(k, x, stride, sq, inv_sq, weights, certify):
     """One lane of degree k >= 1 as a float loop: (psi_{k-1}, psi_k, exponent,
-    ladder sum or None), rescaled after every ``stride`` steps and after the
-    last one, bit for bit that lane of the numpy loop."""
+    ladder sum, certificate flag or None), rescaled after every ``stride``
+    steps and after the last one, bit for bit that lane of the numpy loop."""
     prev, cur, expo = 1.0, x, 0  # psi_0, psi_1
     acc = None if weights is None else weights[1] * x
+    positive = x > 0.0
     for start in range(1, k, stride):
         end = min(start + stride, k)
-        if acc is None:
+        if certify:
+            for s, r in zip(sq[start:end], inv_sq[start:end]):
+                prev, cur = cur, (x * cur - s * prev) * r
+                if not cur > 0.0:
+                    positive = False
+        elif acc is None:
             for s, r in zip(sq[start:end], inv_sq[start:end]):
                 prev, cur = cur, (x * cur - s * prev) * r
         else:
@@ -185,10 +181,10 @@ def _psi_lane(k, x, stride, sq, inv_sq, weights):
         prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
         if acc is not None:
             acc = math.ldexp(acc, -2 * sh)
-    return prev, cur, expo, acc
+    return prev, cur, expo, positive if certify else acc
 
 
-def _psi_scaled_sorted(ks, x, weights=None):
+def _psi_scaled_sorted(ks, x, weights=None, certify=False):
     """(psi_{k-1}(x), psi_k(x)) per lane, one degree per lane, as two mantissa
     arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
     Every returned pair is normalized to a largest magnitude in [0.5, 1).
@@ -209,17 +205,21 @@ def _psi_scaled_sorted(ks, x, weights=None):
     indexed by j = 1 ... max degree) the ladder sum
     sum_{j=1..k} weights[j] psi_j psi_{j-1} per lane, whose value is that
     mantissa times 2^(2 exponent); a rescale of the pair by 2^(-sh)
-    rescales it by 2^(-2 sh).
+    rescales it by 2^(-2 sh).  With ``certify`` (and no ``weights``) it is
+    instead a boolean per lane: whether x and every psi_j(x), j <= k, were
+    positive, at one comparison per step on either path in this mode only.
     """
     x = np.ascontiguousarray(x, dtype=float)
     last = np.zeros_like(x)
     mant = np.ones_like(x)  # psi_0 = 1
     expo = np.zeros(x.shape, dtype=np.int64)
     total = None if weights is None else np.zeros_like(x)
+    if certify:  # degree-0 lanes need only x > 0
+        total = x > 0.0
     degrees, counts = np.unique(ks, return_counts=True)
     ends = np.cumsum(counts[::-1])[::-1].tolist()  # lanes of degree >= degrees[i]
     degrees = degrees.tolist()
-    if degrees[0] == 0:
+    if degrees and degrees[0] == 0:
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
         return _pair_rescale(last, mant, expo, total)
@@ -229,7 +229,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
     m = ends[0]
     if m <= _FEW_LANES:
         for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):
-            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights)
+            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights, certify)
             if acc is not None:
                 total[i] = acc
         return _pair_rescale(last, mant, expo, total)
@@ -237,6 +237,8 @@ def _psi_scaled_sorted(ks, x, weights=None):
     prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
     t1, t2 = np.empty(m), np.empty(m)
     acc = None if weights is None else weights[1] * xv  # psi_1 psi_0 = x
+    if certify:  # whether x, psi_2, ..., psi_j were all positive
+        acc = xv > 0.0
     start = 1
     for i, d in enumerate(degrees):
         m = ends[i]
@@ -250,9 +252,12 @@ def _psi_scaled_sorted(ks, x, weights=None):
             np.multiply(t1, inv_sq[j], out=t1)
             prev, cur, t1 = cur, t1, prev
             if acc is not None:
-                np.multiply(prev, cur, out=t2)
-                np.multiply(t2, weights[j + 1], out=t2)
-                np.add(acc, t2, out=acc)
+                if certify:  # one comparison per step, only in this mode
+                    np.logical_and(acc, cur > 0.0, out=acc)
+                else:
+                    np.multiply(prev, cur, out=t2)
+                    np.multiply(t2, weights[j + 1], out=t2)
+                    np.add(acc, t2, out=acc)
             if j % stride == 0:
                 _pair_rescale(prev, cur, ev, acc)
         start = d

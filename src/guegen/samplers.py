@@ -173,8 +173,9 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     """The rejection engine: ``counts[i]`` exact draws from the density of
     degree ``degrees[i]``, returned concatenated in group order.
 
-    Degree-0 groups are standard normal draws. Every other group draws
-    proposal blocks sized from its envelope mass until it has its count,
+    Degree-0 groups are standard normal draws. The others get their hats
+    from one :func:`dominator.make_specs` call and draw proposal blocks,
+    sized from the hat's mass, until they have their count, each group
     spending at most ``max_proposals * count`` proposals. In each round
     every unfinished group, in order, draws its block and applies the
     squeeze; the proposals the squeeze leaves undecided in all groups are
@@ -190,6 +191,8 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     t0 = time.perf_counter()
     use_squeeze = mode == "squeeze"
     out = np.empty(sum(counts))
+    drawn = [k for k, count in zip(degrees, counts) if k and count]
+    specs = dict(zip(drawn, dominator.make_specs(drawn)))
     groups = []
     offset = 0
     for k, count in zip(degrees, counts):
@@ -198,8 +201,7 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
             stats.proposals += count
             stats.accepted += count
         elif count:
-            spec = dominator.make_spec(k)
-            groups.append(_Group(k, count, offset, spec, max_proposals * count))
+            groups.append(_Group(k, count, offset, specs[k], max_proposals * count))
         offset += count
     pooled = len(groups) > 1
     while groups:

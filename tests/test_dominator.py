@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guegen import dominator, hermite, vanveen, verify
+from guegen import dominator, hermite, samplers, vanveen, verify
 from guegen.errors import CertificateError, ConvergenceError, ParameterError
 from guegen.rng import RandomStream
 
@@ -38,7 +38,7 @@ def _levels(spec):
         r = 1.0 / (3.0 * (n + 1.0) * sin_a * sin_a)
         return (1.0 + 4.2 * r / a) ** 2
 
-    f, df = hermite.decreasing_beyond(n, spec.x1)
+    f, df, _ = (float(v[0]) for v in hermite.certify_decreasing([n], [spec.x1]))
     s_x1 = f * f + df * df / (n + 0.5 - spec.x1**2 / 4.0)
     x_t = math.sqrt(4.0 * n + 2.0)
     c = 4.0 / 3.0 * math.sqrt(x_t / 2.0)
@@ -84,14 +84,40 @@ def test_spec_rejects_bad_degree():
 
 
 def test_failed_certificate_raises(monkeypatch):
-    dominator.make_spec.cache_clear()
-    monkeypatch.setattr(hermite, "decreasing_beyond", lambda k, x: None)
-    with pytest.raises(CertificateError):
-        dominator.make_spec(100)
+    # one failing lane among many, in a fresh cache
+    monkeypatch.setattr(dominator, "_specs", {})
+    certify = hermite.certify_decreasing
+
+    def fail_100(ks, x):
+        f, df, ok = certify(ks, x)
+        return f, df, ok & (np.asarray(ks) != 100)
+
+    monkeypatch.setattr(hermite, "certify_decreasing", fail_100)
+    with pytest.raises(CertificateError, match=r"phi_100\^2 "):
+        dominator.make_specs(range(90, 121))
+    assert 100 not in dominator._specs
     assert issubclass(CertificateError, ConvergenceError)  # exit code 2
-    monkeypatch.undo()
-    dominator.make_spec.cache_clear()
+    monkeypatch.setattr(hermite, "certify_decreasing", certify)
     assert dominator.make_spec(100).x1 > 0.0
+
+
+def test_sampler_certifies_fresh_degrees_in_one_pass(monkeypatch):
+    # a fresh cache with room for every degree of the call
+    monkeypatch.setattr(dominator, "_specs", {})
+    monkeypatch.setattr(dominator, "_SPEC_CACHE", 4096)
+    certify = hermite.certify_decreasing
+    lanes = []
+
+    def counting(ks, x):
+        lanes.append(len(ks))
+        return certify(ks, x)
+
+    monkeypatch.setattr(hermite, "certify_decreasing", counting)
+    cold = samplers.sample_gue_eigenvalues(10**4, 2000, RandomStream(8))
+    assert len(lanes) == 1 and lanes[0] == len(dominator._specs) > 1000
+    warm = samplers.sample_gue_eigenvalues(10**4, 2000, RandomStream(8))
+    assert len(lanes) == 1
+    assert np.array_equal(cold, warm)
 
 
 def test_envelope_value_at_origin():
@@ -219,7 +245,8 @@ def test_branch_inverses_stay_in_their_pieces(n, v):
 
 
 def test_certificate_holds_over_degree_range():
-    # make_spec raises CertificateError wherever the certificate fails
-    for n in list(range(1, 3001)) + [10**4, 3 * 10**4, 10**5]:
-        spec = dominator.make_spec(n)
+    # every degree a mixture call at n <= 1e4 can draw, and two beyond, in one
+    # certificate pass: make_specs raises CertificateError wherever it fails
+    degrees = list(range(1, 10**4 + 1)) + [3 * 10**4, 10**5]
+    for n, spec in zip(degrees, dominator.make_specs(degrees)):
         assert 0.0 < spec.plateau < spec.shoulder, n

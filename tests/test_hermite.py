@@ -320,10 +320,17 @@ def test_phi_squared_matches_decimal_reference():
         assert np.all(np.abs(got - ref) <= slack / 100.0 * ref), (k, got / ref - 1.0)
 
 
-def test_decreasing_beyond_certificate():
+def _certified(k, x):
+    """(f, f', flag) of one lane of hermite.certify_decreasing."""
+    f, df, ok = hermite.certify_decreasing([k], [x])
+    return float(f[0]), float(df[0]), bool(ok[0])
+
+
+def test_certify_decreasing():
     for k in (0, 1, 2, 7, 100, 5000):
         x = dominator.make_spec(max(k, 1)).x1
-        f, df = hermite.decreasing_beyond(k, x)
+        f, df, ok = _certified(k, x)
+        assert ok
         # phi_k and phi_k' = -(x/2) phi_k + sqrt(k) phi_{k-1}, with both
         # phi values positive beyond the last zero
         assert math.isclose(f * f, hermite.phi_squared(k, x), rel_tol=1e-12)
@@ -331,14 +338,35 @@ def test_decreasing_beyond_certificate():
         assert math.isclose(df, -0.5 * x * f + math.sqrt(k) * prev, rel_tol=1e-10)
         assert df < 0.0
     # inside the bulk phi_k has zeros and maxima further out
-    assert not hermite.decreasing_beyond(10, 1.0)
-    assert not hermite.decreasing_beyond(100, 19.5)
+    assert not _certified(10, 1.0)[2]
+    assert not _certified(100, 19.5)[2]
     # beyond the last zero but before the last maximum: only the slope fails
     k = 100
     zero = np.max(np.polynomial.hermite_e.hermegauss(k)[0])
-    assert not hermite.decreasing_beyond(k, zero + 0.01)
-    assert not hermite.decreasing_beyond(k, zero - 0.01)  # psi_k < 0 there
-    assert not hermite.decreasing_beyond(3, 0.0)
+    assert not _certified(k, zero + 0.01)[2]
+    assert not _certified(k, zero - 0.01)[2]  # psi_k < 0 there
+    assert not _certified(3, 0.0)[2]
+    assert all(v.size == 0 for v in hermite.certify_decreasing([], []))
+    for ks, xs in (([-1], [1.0]), ([5], [math.inf]), ([5], [math.nan]), ([1, 2], [1.0])):
+        with pytest.raises(ParameterError):
+            hermite.certify_decreasing(ks, xs)
+
+
+def test_certificate_paths_agree_bitwise():
+    # each lane alone runs the float loop, the batch the numpy loop
+    zero = float(np.max(np.polynomial.hermite_e.hermegauss(100)[0]))
+    lanes = [(k, dominator.make_spec(max(k, 1)).x1) for k in (0, 1, 2, 7, 50, 100, 999, 5000)]
+    lanes += [(10, 1.0), (100, 19.5), (100, zero + 0.01), (100, zero - 0.01), (3, 0.0)]
+    lanes += [(k, 0.9 * dominator.make_spec(k).x1) for k in (3, 30, 300, 3000)]
+    lanes += [(5000, 1e3), (1, -2.0)]
+    assert len(lanes) > hermite._FEW_LANES
+    ks, xs = zip(*lanes)
+    batch = hermite.certify_decreasing(ks, xs)
+    assert 0 < batch[2].sum() < len(lanes)
+    for i, (k, x) in enumerate(lanes):
+        alone = hermite.certify_decreasing([k], [x])
+        for a, b in zip(alone, batch):
+            assert a.tobytes() == b[i : i + 1].tobytes(), (k, x)
 
 
 # ----------------------------------------------------------------------
