@@ -24,8 +24,9 @@ its one-degree case :func:`phi_squared_many` read psi_k, and
 confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
 
 The kernel rescales the pair after every ``stride`` steps, one closed
-form per slice from its largest |x|, and once more at the end, so every
-pair it returns has its largest magnitude in [0.5, 1).  Rescaling by a
+form per slice from its largest |x| and one threshold for every pass,
+and once more at the end, so every pair it returns has its largest
+magnitude in [0.5, 1).  Rescaling by a
 power of two is exact, so each value here is a function of its own
 (k, x) alone: the same bits in a batch or alone, wherever ``_CHUNK``
 cuts, on either path.  The two paths are a numpy loop over all points
@@ -61,15 +62,12 @@ LN2 = math.log(2.0)
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
-# rescale the working pair before it can pass 2^512; the limit shrinks when
-# |x| is so large that one more multiply could overflow
-_RESCALE_LOG2 = 512.0
-_OVERFLOW_LOG2 = 1000.0
-# with a ladder sum the pair is rescaled sooner, so that its products,
-# weighted and summed, stay far from overflow: counting that the pair
-# starts from psi_1 = x at exponent 0, its mantissas stay below 2^449 (and
-# below 2^505 on the first step when |x| > 2^224)
-_LADDER_RESCALE_LOG2 = 448.0
+# rescale the working pair before it can pass 2^(448 - 2 log2|x|), so that
+# a multiply by x cannot overflow and a ladder sum's products, weighted and
+# summed, stay far from overflow: counting that the pair starts from
+# psi_1 = x at exponent 0, its mantissas stay below 2^449 (and below 2^505
+# on the first step when |x| > 2^224)
+_RESCALE_LOG2 = 448.0
 # densities are 0 at and beyond this |x| at any degree (by Mehler's formula
 # phi_k(x)^2 <= 2^k exp(-x^2/6)); the recurrence is not run there, because its
 # pair starts from psi_1 = x at exponent 0, so from about 1e77 on a product
@@ -126,18 +124,15 @@ def certify_decreasing(ks, x):
     return (cur * scale)[back], (slope * scale)[back], (positive & (slope < 0.0))[back]
 
 
-def _stride(absx, ladder=False):
+def _stride(absx):
     """Steps between rescales of a pair started from (psi_0, psi_1) at
-    points of magnitude at most ``absx``, with or without a ladder sum.
+    points of magnitude at most ``absx``.
 
     Step j grows the pair by at most (|x| + sqrt(j)) / sqrt(j+1) < |x| + 1,
     so (threshold - 1) / log2(|x| + 2) steps keep it below 2^threshold,
-    the least of the module's rescale limits that apply.
+    with the threshold 448 - 2 log2|x| (448 at |x| <= 1).
     """
-    log2x = math.log2(absx) if absx > 1.0 else 0.0
-    threshold = min(_RESCALE_LOG2, _OVERFLOW_LOG2 - log2x)
-    if ladder:
-        threshold = min(threshold, _LADDER_RESCALE_LOG2 - 2.0 * log2x)
+    threshold = _RESCALE_LOG2 - 2.0 * (math.log2(absx) if absx > 1.0 else 0.0)
     return max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
 
 
@@ -225,7 +220,7 @@ def _psi_scaled_sorted(ks, x, weights=None, certify=False):
         return _pair_rescale(last, mant, expo, total)
     sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
     sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
-    stride = _stride(float(np.max(np.abs(x))), weights is not None)
+    stride = _stride(float(np.max(np.abs(x))))
     m = ends[0]
     if m <= _FEW_LANES:
         for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):

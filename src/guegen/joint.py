@@ -180,6 +180,8 @@ def sample_joint_many(
         raise ParameterError(f"count must be >= 0, got {count}")
     if max_attempts < 1:
         raise ParameterError("max_attempts must be >= 1")
+    if stream is None:
+        raise ParameterError("sample_joint_many needs a RandomStream")
     if count == 0:
         return np.empty((0, n)), np.empty(0, dtype=np.int64)
     if beta == 2.0 and n >= CHAIN_MIN_N:

@@ -1,13 +1,13 @@
-"""Independent ground truth: entrywise GUE matrices and a small-n
-Hermitian eigensolver.
+"""Independent ground truth: entrywise GUE matrices and a Hermitian
+eigensolver.
 
 Used only by tests and verification suites to cross-validate the
 samplers.  The eigensolver deliberately avoids the package's sampling
-machinery and external eigensolvers alike: a Hermitian matrix H = A + iB
-embeds into the real symmetric 2n x 2n block matrix [[A, -B], [B, A]],
-whose spectrum is that of H with every eigenvalue doubled, and a cyclic
-Jacobi sweep diagonalizes it.  Taking every second value of the sorted
-doubled spectrum recovers the n eigenvalues.
+machinery and external eigensolvers alike.  Householder reflections
+reduce each Hermitian matrix to a similar real symmetric tridiagonal
+one, and bisection on Sturm counts finds all of its eigenvalues at
+once, vectorized over spectra and eigenvalue indices, with a fixed
+number of halvings: there is no tolerance and no convergence failure.
 
 Conventions: ``unscaled`` draws diagonal entries N(0,1) and off-diagonal
 real/imaginary parts N(0, 1/2), giving the spectrum supported on roughly
@@ -19,11 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-
-_MAX_JACOBI_SWEEPS = 60
-_JACOBI_TOL = 1e-14
-_MAX_EIG_N = 64
+from .errors import ParameterError
 
 _CONVENTIONS = ("unscaled", "intro")
 
@@ -43,9 +39,11 @@ def sample_gue_matrices(n, count, convention="unscaled", stream=None):
     """
     n = int(n)
     count = int(count)
-    if n < 1:
-        raise ParameterError(f"matrix size must be >= 1, got {n}")
+    if n < 1 or count < 0:
+        raise ParameterError(f"need matrix size >= 1 and count >= 0, got {n} and {count}")
     _check_convention(convention)
+    if stream is None:
+        raise ParameterError("sample_gue_matrices needs a RandomStream")
     m = n * (n - 1) // 2
     diag = stream.standard_normals(count * n).reshape(count, n)
     re = stream.standard_normals(count * m).reshape(count, m) if m else None
@@ -63,65 +61,69 @@ def sample_gue_matrices(n, count, convention="unscaled", stream=None):
     return h
 
 
-def _real_embedding(h):
-    """[[A, -B], [B, A]] for H = A + iB; doubles every eigenvalue."""
-    a = h.real
-    b = h.imag
-    top = np.concatenate([a, -b], axis=-1)
-    bottom = np.concatenate([b, a], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+def _tridiagonal(mats):
+    """Diagonal and off-diagonal magnitudes of a real symmetric tridiagonal
+    matrix similar to each Hermitian matrix of a (count, n, n) batch.
+
+    Householder step k maps column k below the diagonal onto a multiple of
+    its first unit vector, whose magnitude, the column's norm, is the
+    off-diagonal entry once a diagonal unitary absorbs its phase.  The
+    reflector is chosen against the leading entry's phase, so nothing
+    cancels, and tau = 2 / |v|^2 is 0 on a zero column.
+    """
+    a = np.array(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ParameterError(f"need a (count, n, n) batch with n >= 1, got shape {a.shape}")
+    count, n, _ = a.shape
+    off = np.empty((count, n - 1))
+    for k in range(n - 1):
+        v = a[:, k + 1 :, k].copy()
+        norm = np.linalg.norm(v, axis=1)
+        off[:, k] = norm
+        lead = np.abs(v[:, 0])
+        v[:, 0] += np.exp(1j * np.angle(v[:, 0])) * norm
+        tau = np.divide(1.0, norm * (norm + lead), out=np.zeros(count), where=norm > 0.0)
+        # B <- (I - tau v v*) B (I - tau v v*) = B - v w* - w v*
+        b = a[:, k + 1 :, k + 1 :]
+        p = tau[:, None] * np.einsum("bij,bj->bi", b, v)
+        w = p - (0.5 * tau * np.einsum("bi,bi->b", v.conj(), p))[:, None] * v
+        b -= v[:, :, None] * w[:, None, :].conj() + w[:, :, None] * v[:, None, :].conj()
+    return np.diagonal(a, axis1=1, axis2=2).real, off
 
 
-def _jacobi_spectra(mats):
-    """Eigenvalues of a batch of real symmetric matrices (B, m, m) by
-    cyclic Jacobi rotations applied in lockstep across the batch."""
-    a = np.array(mats, dtype=float)
-    _, m, _ = a.shape
-    if m == 1:
-        return a[:, :, 0].copy()
-    scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
-    idx = np.arange(m)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        sq = a * a
-        sq[:, idx, idx] = 0.0  # avoids the cancellation of a trace subtraction
-        offsq = np.sum(sq, axis=(1, 2))
-        if np.all(np.sqrt(offsq) <= _JACOBI_TOL * scale):
-            diag = np.diagonal(a, axis1=1, axis2=2).copy()
-            diag.sort(axis=1)
-            return diag
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[:, p, q]
-                app = a[:, p, p]
-                aqq = a[:, q, q]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    tau = (aqq - app) / (2.0 * apq)
-                    # t = sign(tau)/(|tau| + sqrt(1+tau^2)); the copysign
-                    # form gives the correct 45-degree rotation at tau = 0
-                    t = 1.0 / (tau + np.copysign(np.sqrt(1.0 + tau * tau), tau))
-                t = np.where(apq == 0.0, 0.0, t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :]
-                a[:, p, :] = c[:, None] * rowp - s[:, None] * rowq
-                a[:, q, :] = s[:, None] * rowp + c[:, None] * rowq
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q]
-                a[:, :, p] = c[:, None] * colp - s[:, None] * colq
-                a[:, :, q] = s[:, None] * colp + c[:, None] * colq
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-    raise ConvergenceError(
-        f"Jacobi sweep did not converge within {_MAX_JACOBI_SWEEPS} sweeps"
-    )
+# halvings of a Gershgorin bracket, at most six times the largest entry
+# wide, down to about the rounding of that entry
+_HALVINGS = 54
+
+
+def _bisect(diag, off):
+    """Sorted eigenvalues of real symmetric tridiagonal matrices, one per
+    row of ``diag`` (count, n) and ``off`` (count, n - 1), by bisection on
+    all n eigenvalue indices at once inside the Gershgorin bracket.  The
+    Sturm count, the negative pivots of an LDL^T factorization of T - x I,
+    is the number of eigenvalues below x (Golub and Van Loan, Matrix
+    Computations, section 8.4); a pivot below ``pivmin`` in magnitude is
+    replaced by -pivmin, so no division is by zero.
+    """
+    e = np.pad(off, ((0, 0), (1, 1)))  # no coupling beyond either end
+    radius = e[:, :-1] + e[:, 1:]
+    lo = np.min(diag - radius, axis=1, keepdims=True)
+    hi = np.max(diag + radius, axis=1, keepdims=True)
+    sq = e[:, :-1] ** 2  # sq[:, i] couples rows i - 1 and i
+    pivmin = np.finfo(float).tiny * max(1.0, float(sq.max(initial=0.0)))
+    index = np.arange(diag.shape[1])
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below, q = 0, 1.0
+        for i in index:
+            q = (diag[:, i : i + 1] - mid) - sq[:, i : i + 1] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            below = below + (q < 0.0)
+        left = below > index  # eigenvalue `index` lies below mid
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def spectra_many(mats):
     """Sorted spectra for a (count, n, n) batch of Hermitian matrices."""
-    mats = np.asarray(mats, dtype=complex)
-    n = mats.shape[-1]
-    if n > _MAX_EIG_N:
-        raise ParameterError(f"eigensolver is guarded to n <= {_MAX_EIG_N}, got {n}")
-    doubled = _jacobi_spectra(_real_embedding(mats))
-    return doubled[:, ::2].copy()
+    return _bisect(*_tridiagonal(mats))

@@ -552,22 +552,22 @@ def check_joint_triangle(quick=False):
     """Criterion 9: joint spectra against mixture draws and the eigensolver.
 
     Each case gives one KS row of a uniformly chosen coordinate against
-    mixture draws and one per order statistic against the Jacobi oracle.
+    mixture draws and one per order statistic against the bisection oracle.
     Every row is gated at 0.01 divided by the number of KS rows, so a
     correct sampler fails the criterion with probability at most 0.01.
     At full sizes the criterion fails a chain that accepts when
-    u ||v||^2 < 2 ||r||^2 (three rows, the worst at 3.06 against 2.09),
+    u ||v||^2 < 2 ||r||^2 (three rows, the worst at 3.06 against 2.14),
     but passes one with the factor 1.1 or 1.5 in place of 2, and with
     ``quick`` it passes all three; the attempts-law test in
     ``tests/test_joint.py`` is the chain's sharper check.
     """
-    # the pair bound serves n = 2, 3, 4 and the chain n = 6, 8, both through
-    # sample_joint_many at beta = 2; the chain is also called directly at
-    # n = 3; the n = 6, 8 rows take fewer draws because the eigensolver
-    # costs about 1 ms per spectrum at n = 6 and 2.5 ms at n = 8
+    # the pair bound serves n = 2, 3, 4 and the chain n = 6, 8, 16, all
+    # through sample_joint_many at beta = 2; the chain is also called
+    # directly at n = 3
     draws, chain_draws = (2_000, 1_000) if quick else (10_000, 2_000)
     cases = [(2, draws, "joint"), (3, draws, "joint"), (4, draws, "joint")]
     cases += [(6, chain_draws, "joint"), (8, chain_draws, "joint"), (3, draws, "chain")]
+    cases += [(16, chain_draws, "joint")]
     rows = sum(n + 1 for n, _, _ in cases)
     alpha = 0.01 / rows
     crit = stats.ks_critical(alpha)

@@ -19,7 +19,7 @@ CRITERIA = [
     ("6", "gap-scaling", "sandwich gap integral falls like n^(-1/3)"),
     ("7", "second-moment", "mixture second moment equals the matrix size"),
     ("8", "joint-n2", "full-spectrum sampler at n=2 accepts every proposal"),
-    ("9", "joint-triangle", "joint, mixture, and entrywise spectra agree"),
+    ("9", "joint-triangle", "joint, mixture, and entrywise spectra agree, n <= 16"),
     ("10", "beta", "beta generalization collapses to the base case at beta=2"),
     ("11", "vandermonde-max", "pinned Vandermonde maximum closed form"),
 ]

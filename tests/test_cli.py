@@ -132,6 +132,15 @@ def test_oracle_csv_sorted(capsys):
         assert row[1] <= row[2] <= row[3]
 
 
+def test_oracle_large_n_and_bad_n(capsys):
+    code, out, _ = run(capsys, "oracle", "--n", "80", "--count", "2")
+    assert code == 0
+    rows = np.array([list(map(float, l.split(","))) for l in out.strip().splitlines()[1:]])
+    assert rows.shape == (2, 81)
+    assert np.all(np.diff(rows[:, 1:], axis=1) >= 0.0)
+    assert run(capsys, "oracle", "--n", "0", "--count", "2")[0] == 1
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "vandermonde-max")
     assert code == 0

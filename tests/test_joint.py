@@ -166,6 +166,8 @@ def test_parameter_validation():
         joint.sample_joint_many(3, 1, 2.0, RandomStream(1), max_attempts=0)
     with pytest.raises(ParameterError):
         joint.sample_joint_many(3, -1, 2.0, RandomStream(1))
+    with pytest.raises(ParameterError):
+        joint.sample_joint_many(4, 3)
 
 
 def test_beta_two_paths_identical():

@@ -12,6 +12,11 @@ from guegen.stats import ks_two_sample
 def test_diagonal_matrix():
     eig = oracle.spectra_many(np.diag([3.0, 1.0, 2.0]).astype(complex)[None])[0]
     assert np.allclose(eig, [1.0, 2.0, 3.0], atol=1e-12)
+    eig = _matches_reference(np.diag([3.0, 1.0, 2.0, -7.0, 0.0]))
+    assert np.allclose(eig, [-7.0, 0.0, 1.0, 2.0, 3.0], rtol=0.0, atol=1e-15)
+    # the first midpoint is the eigenvalue 0: a zero pivot over a zero coupling
+    eig = _matches_reference(np.diag([1.0, 0.0, -1.0]))
+    assert np.allclose(eig, [-1.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def test_two_by_two_closed_form():
@@ -33,10 +38,34 @@ def test_eigen_sum_matches_trace():
 
 def test_matches_reference_eigensolver():
     st = RandomStream(3)
-    mats = oracle.sample_gue_matrices(6, 50, "unscaled", st)
-    spectra = oracle.spectra_many(mats)
-    ref = np.linalg.eigvalsh(mats)
-    assert np.max(np.abs(spectra - ref)) < 1e-9
+    for n, count in ((1, 20), (2, 50), (6, 50), (16, 50), (64, 4), (65, 4)):
+        mats = oracle.sample_gue_matrices(n, count, "unscaled", st)
+        spectra = oracle.spectra_many(mats)
+        assert spectra.shape == (count, n)
+        assert np.all(np.diff(spectra, axis=1) >= 0.0)
+        assert np.max(np.abs(spectra - np.linalg.eigvalsh(mats))) < 1e-11
+
+
+def _matches_reference(h):
+    h = np.asarray(h, dtype=complex)
+    eig = oracle.spectra_many(h[None])[0]
+    assert np.max(np.abs(eig - np.linalg.eigvalsh(h))) < 1e-11
+    return eig
+
+
+def test_zero_and_identity_matrices_are_exact():
+    assert np.array_equal(_matches_reference(np.zeros((5, 5))), np.zeros(5))
+    assert np.array_equal(_matches_reference(np.eye(65)), np.ones(65))
+
+
+def test_zero_householder_columns():
+    # columns 0 and 3 below the diagonal are zero, column 3 still so after
+    # the reflections that reduce the block in rows 1-3
+    h = np.zeros((7, 7), dtype=complex)
+    h[0, 0] = 2.0
+    h[1:4, 1:4] = [[1.0, 2j, 0.5], [-2j, 3.0, 1.0], [0.5, 1.0, -1.0]]
+    h[4:, 4:] = [[0.0, 1 + 1j, 2.0], [1 - 1j, 4.0, 0.0], [2.0, 0.0, 1.0]]
+    _matches_reference(h)
 
 
 def test_hermiticity_exact():
@@ -77,17 +106,27 @@ def test_intro_convention_spectra_distribution():
 
 
 def test_guards():
+    for shape in ((1, 0, 0), (2, 3), (2, 3, 4)):
+        with pytest.raises(ParameterError):
+            oracle.spectra_many(np.zeros(shape))
     with pytest.raises(ParameterError):
-        oracle.spectra_many(np.eye(65, dtype=complex)[None])
+        oracle.sample_gue_matrices(3, 2)
     with pytest.raises(ParameterError):
         oracle.sample_gue_matrices(3, 5, "other", RandomStream(1))
     with pytest.raises(ParameterError):
         oracle.sample_gue_matrices(0, 5, "unscaled", RandomStream(1))
+    with pytest.raises(ParameterError):
+        oracle.sample_gue_matrices(3, -1, "unscaled", RandomStream(1))
 
 
 def test_degenerate_spectra_converge():
-    # repeated eigenvalues exercise the 45-degree rotation branch
+    # a repeated eigenvalue next to two split from it by 1e-3
     h = np.diag([2.0, 2.0, 2.0, 5.0]).astype(complex)
     h[0, 1] = h[1, 0] = 1e-3
     eig = oracle.spectra_many(h[None])[0]
     assert np.allclose(eig, np.linalg.eigvalsh(h), atol=1e-12)
+    # triple and double eigenvalues in a full complex matrix
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    eig = _matches_reference(q @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ q.conj().T)
+    assert np.allclose(eig, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0], rtol=0.0, atol=1e-13)
