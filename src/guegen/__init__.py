@@ -15,7 +15,6 @@ from .errors import (
     OracleError,
     ParameterError,
 )
-from .hermite import mixture_density, phi_sq_cdf, phi_squared
 from .joint import sample_joint_many, vandermonde_max
 from .rng import RandomStream
 from .samplers import (
@@ -38,9 +37,6 @@ __all__ = [
     "SamplerStats",
     "benchmark",
     "make_spec",
-    "mixture_density",
-    "phi_sq_cdf",
-    "phi_squared",
     "sample_gue_eigenvalues",
     "sample_joint_many",
     "sample_phi_sq_many",

@@ -265,8 +265,9 @@ def _cmd_oracle(args):
     if args.count < 1:
         raise ParameterError("--count must be >= 1")
     stream = RandomStream(args.seed)
-    mats = oracle.sample_gue_matrices(args.n, args.count, args.convention, stream)
-    spectra = oracle.spectra_many(mats)
+    spectra = oracle.spectra_many(oracle.sample_gue_matrices(args.n, args.count, stream))
+    if args.convention == "intro":
+        spectra = spectra / math.sqrt(args.n)
     header = ["index"] + [f"x{i + 1}" for i in range(args.n)]
     _emit(
         _csv(header, zip(range(args.count), *spectra.T.tolist())),

@@ -19,20 +19,20 @@ so the one kernel takes one degree per point and runs the recurrence
 once, up to the largest degree, for all of them, ending with each
 point's last pair (psi_{k-1}, psi_k).  :func:`phi_squared_degrees` and
 its one-degree case :func:`phi_squared_many` read psi_k, and
-:func:`phi_squared` is the one-point case of that;
 :func:`mixture_density_many` evaluates (1/n) sum_{k<n} phi_k^2 as the
 confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
+A single point is a batch of one: ``phi_squared_many(k, [x])[0]``.
 
 The kernel rescales the pair after every ``stride`` steps, one closed
 form per slice from its largest |x| and one threshold for every pass,
 and once more at the end, so every pair it returns has its largest
-magnitude in [0.5, 1).  Rescaling by a
-power of two is exact, so each value here is a function of its own
-(k, x) alone: the same bits in a batch or alone, wherever ``_CHUNK``
-cuts, on either path.  The two paths are a numpy loop over all points
-per step and, for slices of at most ``_FEW_LANES`` points, a float loop
-per point, since a numpy step costs microseconds however few points it
-updates; both run each step's float operations in one order.
+magnitude in [0.5, 1).  Rescaling by a power of two is exact, so each
+value here is a function of its own (k, x) alone: the same bits in any
+batch, one point included, wherever ``_CHUNK`` cuts, on either path.
+The two paths are a numpy loop over all points per step and, for slices
+of at most ``_FEW_LANES`` points, a float loop per point, since a numpy
+step costs microseconds however few points it updates; both run each
+step's float operations in one order.
 
 The CDFs are closed forms on the same kernel.  The ladder relations
 phi_j' = -(x/2) phi_j + sqrt(j) phi_{j-1} and
@@ -77,15 +77,6 @@ _HUGE_X = 1e76
 # float loop: a numpy step costs 2.5-5 us at any width up to a few hundred
 # lanes, a float step 75-300 ns per lane, and the two meet near 32 lanes
 _FEW_LANES = 16
-
-
-def phi_squared(k, x):
-    """The squared Hermite function density phi_k(x)^2 at one finite point:
-    the one-lane case of :func:`phi_squared_many`, bit for bit."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError(f"evaluation point must be finite, got {x}")
-    return float(phi_squared_many(k, np.array([x]))[0])
 
 
 def certify_decreasing(ks, x):
@@ -286,9 +277,8 @@ def _sliced(slice_fn, ks, x, fill=-np.inf):
     return out.reshape(x.shape)
 
 
-def _exp_unless(log_values, return_log=False):
-    if return_log:
-        return log_values
+def _exp(log_values):
+    """exp without underflow warnings: a density that underflows is 0."""
     with np.errstate(under="ignore"):
         return np.exp(log_values)
 
@@ -316,7 +306,7 @@ def _log_mixture_sorted(ks, x):
     return np.log(total / n) + 2.0 * expo * LN2 - (0.5 * x * x + LN_SQRT_2PI)
 
 
-def phi_squared_degrees(ks, x, return_log=False):
+def phi_squared_degrees(ks, x):
     """phi_k(x)^2 with one degree per point: ``ks[i]`` is the degree at ``x[i]``.
 
     Points are sorted by degree, largest first, and processed in
@@ -334,17 +324,17 @@ def phi_squared_degrees(ks, x, return_log=False):
     order = np.argsort(-ks, kind="stable")
     out = np.empty(x.size)
     out[order] = _sliced(_log_phi_sq_sorted, ks[order], np.ravel(x)[order])
-    return _exp_unless(out.reshape(x.shape), return_log)
+    return _exp(out.reshape(x.shape))
 
 
-def phi_squared_many(k, x, return_log=False):
+def phi_squared_many(k, x):
     """Vectorized phi_k^2 over an array of points: the one-degree case of
     :func:`phi_squared_degrees`."""
     k = int(k)
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
     ks = np.broadcast_to(np.int64(k), np.size(x))
-    return _exp_unless(_sliced(_log_phi_sq_sorted, ks, x), return_log)
+    return _exp(_sliced(_log_phi_sq_sorted, ks, x))
 
 
 def mixture_density_many(n, x):
@@ -354,12 +344,7 @@ def mixture_density_many(n, x):
     if n < 1:
         raise ParameterError(f"ensemble size must be >= 1, got {n}")
     ks = np.broadcast_to(np.int64(n - 1), np.size(x))
-    return _exp_unless(_sliced(_log_mixture_sorted, ks, x))
-
-
-def mixture_density(n, x):
-    """Scalar convenience wrapper for :func:`mixture_density_many`."""
-    return float(mixture_density_many(n, np.array([float(x)]))[0])
+    return _exp(_sliced(_log_mixture_sorted, ks, x))
 
 
 # ----------------------------------------------------------------------
@@ -395,11 +380,6 @@ def phi_sq_cdf_many(k, x):
         raise ParameterError(f"degree must be >= 0, got {k}")
     j = np.arange(1, k + 1, dtype=float)
     return _ladder_cdf(k, [0.0] + (1.0 / np.sqrt(j)).tolist(), x)
-
-
-def phi_sq_cdf(k, x):
-    """Scalar convenience wrapper for :func:`phi_sq_cdf_many`."""
-    return float(phi_sq_cdf_many(k, np.array([float(x)]))[0])
 
 
 def mixture_cdf_many(n, x):

@@ -96,8 +96,8 @@ def _validated(n, beta):
     if n < 2:
         raise ParameterError(f"joint sampling needs n >= 2, got {n}")
     beta = float(beta)
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ParameterError(f"beta must be finite and > 0, got {beta}")
     return n, beta
 
 

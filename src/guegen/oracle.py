@@ -9,10 +9,10 @@ one, and bisection on Sturm counts finds all of its eigenvalues at
 once, vectorized over spectra and eigenvalue indices, with a fixed
 number of halvings: there is no tolerance and no convergence failure.
 
-Conventions: ``unscaled`` draws diagonal entries N(0,1) and off-diagonal
-real/imaginary parts N(0, 1/2), giving the spectrum supported on roughly
-[-2 sqrt(n), 2 sqrt(n)] that all samplers in this package target;
-``intro`` divides every entry by sqrt(n) (spectrum ~ [-2, 2]).
+The matrices are in the unscaled convention that all samplers here
+target: diagonal entries N(0,1) and off-diagonal real and imaginary parts
+N(0, 1/2), spectrum on roughly [-2 sqrt(n), 2 sqrt(n)].  Only the CLI
+rescales spectra, by 1/sqrt(n), to the intro convention (~ [-2, 2]).
 """
 
 import math
@@ -21,17 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-_CONVENTIONS = ("unscaled", "intro")
-
-
-def _check_convention(convention):
-    if convention not in _CONVENTIONS:
-        raise ParameterError(
-            f"convention must be one of {_CONVENTIONS}, got {convention!r}"
-        )
-
-
-def sample_gue_matrices(n, count, convention="unscaled", stream=None):
+def sample_gue_matrices(n, count, stream=None):
     """``count`` GUE(n) matrices as a (count, n, n) complex array.
 
     Draw order: all diagonals, then real parts, then imaginary parts of
@@ -41,7 +31,6 @@ def sample_gue_matrices(n, count, convention="unscaled", stream=None):
     count = int(count)
     if n < 1 or count < 0:
         raise ParameterError(f"need matrix size >= 1 and count >= 0, got {n} and {count}")
-    _check_convention(convention)
     if stream is None:
         raise ParameterError("sample_gue_matrices needs a RandomStream")
     m = n * (n - 1) // 2
@@ -56,8 +45,6 @@ def sample_gue_matrices(n, count, convention="unscaled", stream=None):
         off = (re + 1j * im) / math.sqrt(2.0)
         h[:, rows, cols] = off
         h[:, cols, rows] = np.conj(off)
-    if convention == "intro":
-        h /= math.sqrt(n)
     return h
 
 

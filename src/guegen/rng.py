@@ -126,14 +126,14 @@ class RandomStream:
     # ------------------------------------------------------------------
 
     def gammas(self, shape, size):
-        """Array of ``size`` Gamma(shape, 1) variates; shape must be > 0.
+        """Array of ``size`` Gamma(shape, 1) variates; shape finite and > 0.
 
         Shapes below 1 use the boost identity
         Gamma(a) = Gamma(a+1) * U^(1/a).
         """
         shape = float(shape)
-        if not shape > 0.0:
-            raise ParameterError(f"gamma shape must be > 0, got {shape}")
+        if not 0.0 < shape < math.inf:
+            raise ParameterError(f"gamma shape must be finite and > 0, got {shape}")
         size = int(size)
         if shape < 1.0:
             g = self._gammas_mt(shape + 1.0, size)

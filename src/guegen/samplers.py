@@ -181,10 +181,9 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     squeeze; the proposals the squeeze leaves undecided in all groups are
     then evaluated together, so one pass of the exact recurrence serves
     every degree of the round. A round's blocks are evaluated in batches
-    of about one kernel slice (``hermite._CHUNK``) of undecided proposals,
-    and at most about ``_BLOCK_CAP`` proposals. That bounds memory without
-    adding recurrence steps per lane, and the stream is consumed the same
-    way wherever the batches split.
+    of at most about ``_BLOCK_CAP`` proposals. That bounds memory; the
+    exact recurrence slices its own input, and the stream is consumed the
+    same way wherever the batches split.
     """
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
@@ -205,15 +204,14 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
         offset += count
     pooled = len(groups) > 1
     while groups:
-        batch, size, undecided = [], 0, 0
+        batch, size = [], 0
         for g in groups:
             block = _propose(g, stream, use_squeeze)
             batch.append((g, block))
             size += block.x.size
-            undecided += block.lanes.size
-            if size >= _BLOCK_CAP or undecided >= hermite._CHUNK:
+            if size >= _BLOCK_CAP:
                 _decide(batch, pooled, out, stats)
-                batch, size, undecided = [], 0, 0
+                batch, size = [], 0
         if batch:
             _decide(batch, pooled, out, stats)
         groups = [g for g in groups if g.filled < g.count]

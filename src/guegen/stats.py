@@ -29,32 +29,34 @@ class KSResult:
     n_effective: float
     scaled: float
 
-    def passes(self, alpha):
-        return self.scaled < ks_critical(alpha)
-
 
 def _result(statistic, n_effective):
     scaled = statistic * math.sqrt(n_effective)
     return KSResult(float(statistic), float(n_effective), float(scaled))
 
 
+def _finite_sorted(samples):
+    """The samples sorted; a NaN or inf would pass for an ordinary point."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    if not np.isfinite(xs).all():
+        raise ParameterError("samples must be finite, got NaN or infinite values")
+    return xs
+
+
 def ks_one_sample(samples, cdf_oracle):
     """Sup-distance between the empirical CDF and a reference CDF.
 
-    ``cdf_oracle`` may be vectorized (preferred) or scalar.  It must be
-    nondecreasing with values in [0, 1]; violations raise OracleError
-    since they mean the oracle itself is broken.
+    ``cdf_oracle`` maps the sorted samples to an array of their shape,
+    nondecreasing with values in [0, 1]; any other result raises
+    OracleError, since it means the oracle itself is broken.
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = _finite_sorted(samples)
     n = xs.size
     if n < _MIN_SAMPLES:
         raise ParameterError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-    try:
-        f = np.asarray(cdf_oracle(xs), dtype=float)
-        if f.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([float(cdf_oracle(x)) for x in xs])
+    f = np.asarray(cdf_oracle(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise OracleError(f"reference CDF returned shape {f.shape} for {xs.shape} samples")
     if np.any(np.diff(f) < -1e-12):
         raise OracleError("reference CDF is not monotone on the sample points")
     if f.min() < -1e-9 or f.max() > 1.0 + 1e-9:
@@ -67,8 +69,7 @@ def ks_one_sample(samples, cdf_oracle):
 
 def ks_two_sample(a, b):
     """Two-sample KS with effective size ab / (a + b)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = _finite_sorted(a), _finite_sorted(b)
     if a.size < _MIN_SAMPLES or b.size < _MIN_SAMPLES:
         raise ParameterError(
             f"need at least {_MIN_SAMPLES} samples per side, got {a.size}, {b.size}"

@@ -21,14 +21,14 @@ squeeze-accelerated rejection sampler: most accept/reject decisions
 resolve against the cheap bounds and never touch the O(n) recurrence.
 
 f_n is defined as 0 outside |x| <= 2 sqrt(n+1); no envelopes exist there
-and callers must bypass the squeeze.
+and callers must bypass the squeeze.  The module imports no other: the
+hat and the sandwich-gap integral of :mod:`guegen.verify` build on it.
 """
 
 import math
 
 import numpy as np
 
-from . import dominator
 from .errors import ParameterError
 
 MU_BOUND = 4.2
@@ -88,12 +88,3 @@ def squeeze_bounds_many(n, x):
     """Lower and raw upper squeeze bounds: ((f-eps-)_+, f+eps+)."""
     f, ep, em = terms_many(n, x)
     return np.maximum(f - em, 0.0), f + ep
-
-
-def delta_eps_many(n, x, spec):
-    """Gap between the sandwich bounds, min(f+eps+, h_n) - (f-eps-)_+,
-    at an array of points, for quadrature; ``spec`` is the degree-n hat."""
-    x = np.asarray(x, dtype=float)
-    lower, upper = squeeze_bounds_many(n, x)
-    upper = np.minimum(upper, dominator.envelope_many(spec, x))
-    return upper - lower

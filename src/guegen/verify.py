@@ -260,16 +260,15 @@ def check_rejection_constant(quick=False):
 
 
 def _sandwich_gap(n, tol):
-    """Integral of the sandwich gap over the squeeze window [0, x1]."""
+    """Integral of the sandwich gap min(f + eps+, h_n) - (f - eps-)_+ over
+    the squeeze window [0, x1], with h_n the degree-n hat."""
     spec = dominator.make_spec(n)
-    gap, _ = integrate_adaptive(
-        lambda xs: vanveen.delta_eps_many(n, xs, spec),
-        0.0,
-        spec.x1,
-        tol,
-        initial_width=_oscillation_width(n),
-    )
-    return gap
+
+    def gap(xs):
+        lower, upper = vanveen.squeeze_bounds_many(n, xs)
+        return np.minimum(upper, dominator.envelope_many(spec, xs)) - lower
+
+    return integrate_adaptive(gap, 0.0, spec.x1, tol, initial_width=_oscillation_width(n))[0]
 
 
 def check_sublinearity(quick=False):
@@ -592,7 +591,7 @@ def check_joint_triangle(quick=False):
                 detail=f"attempts mean {attempts.mean():.1f}, max {int(attempts.max())}; {family}",
             )
         )
-        mats = oracle.sample_gue_matrices(n, count, "unscaled", _stream(90 + i))
+        mats = oracle.sample_gue_matrices(n, count, _stream(90 + i))
         spectra = oracle.spectra_many(mats)
         for pos in range(n):
             res = stats.ks_two_sample(values[:, pos], spectra[:, pos])

@@ -1,4 +1,5 @@
-"""Acceptance gate: runs every verification suite at full sample sizes.
+"""Acceptance gate: runs every verification suite at full sample sizes,
+and most of them also with the reduced counts of ``guegen verify --quick``.
 
 Each test prints one PASS/FAIL line for its criterion (plus per-check
 detail lines) and asserts that every check inside the suite passed.
@@ -25,10 +26,16 @@ CRITERIA = [
 ]
 
 
-def _run(number, suite, summary):
-    checks = verify.SUITES[suite](quick=False)
+# exactness and squeeze-validity take seconds even with --quick; they run
+# at full size only
+QUICK = [c for c in CRITERIA if c[1] not in ("exactness", "squeeze-validity")]
+
+
+def _run(number, suite, summary, quick=False):
+    checks = verify.SUITES[suite](quick=quick)
     ok = all(c.passed for c in checks)
-    print(f"\ncriterion {number} ({summary}): {'PASS' if ok else 'FAIL'}")
+    label = " --quick" if quick else ""
+    print(f"\ncriterion {number}{label} ({summary}): {'PASS' if ok else 'FAIL'}")
     for c in checks:
         print(
             f"    [{'pass' if c.passed else 'FAIL'}] {c.test}: "
@@ -41,3 +48,8 @@ def _run(number, suite, summary):
 @pytest.mark.parametrize("number,suite,summary", CRITERIA, ids=[c[1] for c in CRITERIA])
 def test_acceptance_criterion(number, suite, summary):
     _run(number, suite, summary)
+
+
+@pytest.mark.parametrize("number,suite,summary", QUICK, ids=[c[1] for c in QUICK])
+def test_acceptance_criterion_quick(number, suite, summary):
+    _run(number, suite, summary, quick=True)

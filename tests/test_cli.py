@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 
@@ -58,6 +59,9 @@ def test_sample_parameter_errors(capsys):
     assert run(capsys, "sample", "--k", "5", "--count", "3", "--max-proposals", "-4")[0] == 1
     assert run(capsys, "sample", "--n", "5", "--count", "3", "--max-proposals", "0")[0] == 1
     assert run(capsys, "sample-joint", "--n", "3", "--count", "1", "--max-attempts", "0")[0] == 1
+    # a non-finite beta is a parameter error, not an exhausted budget
+    for beta in ("inf", "nan"):
+        assert run(capsys, "sample-joint", "--n", "3", "--beta", beta, "--count", "1")[0] == 1
     assert run(capsys, "bogus-command")[0] == 1
 
 
@@ -132,10 +136,31 @@ def test_oracle_csv_sorted(capsys):
         assert row[1] <= row[2] <= row[3]
 
 
+def _rows(out):
+    return np.array([list(map(float, l.split(","))) for l in out.strip().splitlines()[1:]])
+
+
+def test_oracle_intro_convention_scales(capsys):
+    # the intro convention divides the unscaled spectra by sqrt(n); at
+    # n = 4 that is a power of two, so the rows agree exactly
+    for n in (4, 3):
+        args = ("oracle", "--n", str(n), "--count", "6", "--seed", "11")
+        code, raw, _ = run(capsys, *args)
+        code2, intro, _ = run(capsys, *args, "--convention", "intro")
+        assert code == code2 == 0
+        raw, intro = _rows(raw), _rows(intro)
+        assert np.array_equal(raw[:, 0], intro[:, 0])
+        expected = raw[:, 1:] / math.sqrt(n)
+        if n == 4:
+            assert np.array_equal(intro[:, 1:], expected)
+        else:
+            assert np.allclose(intro[:, 1:], expected, rtol=1e-14, atol=1e-14)
+
+
 def test_oracle_large_n_and_bad_n(capsys):
     code, out, _ = run(capsys, "oracle", "--n", "80", "--count", "2")
     assert code == 0
-    rows = np.array([list(map(float, l.split(","))) for l in out.strip().splitlines()[1:]])
+    rows = _rows(out)
     assert rows.shape == (2, 81)
     assert np.all(np.diff(rows[:, 1:], axis=1) >= 0.0)
     assert run(capsys, "oracle", "--n", "0", "--count", "2")[0] == 1

@@ -13,7 +13,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ----------------------------------------------------------------------
-# the polynomial recurrence, through the scalar reference
+# the polynomial recurrence, one point at a time
 # ----------------------------------------------------------------------
 
 
@@ -25,12 +25,11 @@ def _density_from_poly(h, k, x):
 def test_polynomial_hand_values():
     # H_0 = 1, H_1(x) = x, H_2(0) = -1; H_2(1)=0, H_3(1)=-2, H_4(1)=1*(-2)-3*0=-2
     for h, k, x in ((1.0, 0, 12.3), (3.5, 1, 3.5), (-1.0, 2, 0.0), (-2.0, 4, 1.0)):
-        assert math.isclose(hermite.phi_squared(k, x), _density_from_poly(h, k, x), rel_tol=1e-13)
+        got = hermite.phi_squared_many(k, [x])[0]
+        assert math.isclose(got, _density_from_poly(h, k, x), rel_tol=1e-13)
 
 
 def test_polynomial_rejects_negative_degree():
-    with pytest.raises(ParameterError):
-        hermite.phi_squared(-1, 0.0)
     with pytest.raises(ParameterError):
         hermite.phi_squared_many(-1, np.zeros(2))
 
@@ -40,9 +39,8 @@ def test_polynomial_survives_huge_magnitudes():
     # carry it to a finite, positive density
     k = 5000
     x = 2.0 * math.sqrt(k)
-    scal = hermite.phi_squared(k, x)
-    assert 0.0 < scal < 8.0 * (math.pi + 1.0) / 3.0 * k ** (-1.0 / 6.0)
-    assert scal == hermite.phi_squared_many(k, np.array([x]))[0]
+    value = hermite.phi_squared_many(k, [x])[0]
+    assert 0.0 < value < 8.0 * (math.pi + 1.0) / 3.0 * k ** (-1.0 / 6.0)
 
 
 # ----------------------------------------------------------------------
@@ -87,31 +85,30 @@ def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
 def test_phi_squared_degree_zero_is_normal_density():
     for x in (-2.0, 0.0, 0.3, 5.0):
         assert math.isclose(
-            hermite.phi_squared(0, x), math.exp(-x * x / 2.0) / SQRT_2PI, rel_tol=1e-14
+            hermite.phi_squared_many(0, [x])[0], math.exp(-x * x / 2.0) / SQRT_2PI, rel_tol=1e-14
         )
 
 
 def test_phi_squared_degree_two_at_zero():
-    assert math.isclose(hermite.phi_squared(2, 0.0), 1.0 / (2.0 * SQRT_2PI), rel_tol=1e-13)
+    value = hermite.phi_squared_many(2, [0.0])[0]
+    assert math.isclose(value, 1.0 / (2.0 * SQRT_2PI), rel_tol=1e-13)
 
 
 def test_phi_squared_tail_is_tiny():
-    assert hermite.phi_squared(1000, 2.0 * math.sqrt(1001.0) + 5.0) < 1e-10
+    assert hermite.phi_squared_many(1000, [2.0 * math.sqrt(1001.0) + 5.0])[0] < 1e-10
 
 
 def test_phi_squared_even_bitwise():
     for k in (1, 2, 9, 400):
-        for x in (0.5, 1.7, 11.0, 2 * math.sqrt(k + 1.0) - 0.1):
-            assert hermite.phi_squared(k, x) == hermite.phi_squared(k, -x)
+        xs = np.array([0.5, 1.7, 11.0, 2 * math.sqrt(k + 1.0) - 0.1])
+        assert np.array_equal(hermite.phi_squared_many(k, xs), hermite.phi_squared_many(k, -xs))
 
 
 def test_phi_squared_batch_matches_scalar():
     for k in (0, 1, 7, 1000):
         xs = np.linspace(-2.0 * math.sqrt(k + 1.0) - 3.0, 2.0 * math.sqrt(k + 1.0) + 3.0, 41)
-        scal = np.array([hermite.phi_squared(k, t) for t in xs])
         one_point = np.concatenate([hermite.phi_squared_many(k, [t]) for t in xs])
-        assert np.array_equal(scal, one_point)
-        assert np.array_equal(hermite.phi_squared_many(k, xs), scal)
+        assert np.array_equal(hermite.phi_squared_many(k, xs), one_point)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 1000, 20_000])
@@ -123,7 +120,7 @@ def test_batch_values_equal_one_point_values(k):
     xs = np.array([0.0, 1e-300, -1e-300, 1e20, -1e20, 9e75, -9e75])
     xs = np.concatenate([xs, rng.uniform(-edge, edge, 14)])
     for f in (
-        lambda x: hermite.phi_squared_many(k, x, return_log=True),
+        lambda x: hermite.phi_squared_many(k, x),
         lambda x: hermite.phi_sq_cdf_many(k, x),
         lambda x: hermite.mixture_cdf_many(k + 1, x),
         lambda x: hermite.mixture_density_many(k + 1, x),
@@ -149,19 +146,14 @@ def test_phi_squared_degrees_matches_single_degree(monkeypatch):
             assert np.array_equal(got[sel], hermite.phi_squared_many(k, x[sel]))
         sliced.append(got)
     assert np.array_equal(sliced[0], sliced[1])
-    scal = np.array([hermite.phi_squared(k, t) for k, t in zip(ks, x)])
-    assert np.array_equal(got, scal)
+    one_point = np.concatenate([hermite.phi_squared_many(k, [t]) for k, t in zip(ks, x)])
+    assert np.array_equal(got, one_point)
     huge = np.abs(x) >= 1e154
     assert np.all(got[huge] == 0.0)
-    assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[huge] == -math.inf)
     # at a single degree the kernel is bit-for-bit the one-degree path
     for k in (0, 1, 2, 37, 1000):
         same = np.full(x.shape, k)
         assert np.array_equal(hermite.phi_squared_degrees(same, x), hermite.phi_squared_many(k, x))
-        assert np.array_equal(
-            hermite.phi_squared_degrees(same, x, return_log=True),
-            hermite.phi_squared_many(k, x, return_log=True),
-        )
 
 
 def test_phi_squared_degrees_edge_inputs():
@@ -178,10 +170,8 @@ def test_phi_squared_degrees_edge_inputs():
 
 def test_phi_squared_extreme_points():
     # tail-piece proposals can be enormous; evaluation must not overflow
-    assert hermite.phi_squared(50, 1e6) == 0.0
-    assert hermite.phi_squared(50, 1e200) == 0.0
-    assert hermite.phi_squared(3, 1e160) == 0.0
-    assert hermite.phi_squared_many(3, np.array([1e160]), return_log=True)[0] == -math.inf
+    assert np.all(hermite.phi_squared_many(50, [1e6, 1e200]) == 0.0)
+    assert hermite.phi_squared_many(3, [1e160])[0] == 0.0
 
 
 @pytest.mark.parametrize("k", [3, 300])
@@ -190,8 +180,8 @@ def test_huge_points_underflow_to_zero(k):
     huge = np.array([1e76, 1e100, 1e140, 1e150, 1e153])
     huge = np.concatenate([huge, -huge])
     for x in huge:
-        assert hermite.phi_squared(k, x) == 0.0, x
-        assert hermite.mixture_density(k, x) == 0.0, x
+        assert hermite.phi_squared_many(k, [x])[0] == 0.0, x
+        assert hermite.mixture_density_many(k, [x])[0] == 0.0, x
     # next to an ordinary point, whose value they must not change
     x = np.append(huge, 0.5)
     ks = np.full(x.shape, k)
@@ -201,10 +191,8 @@ def test_huge_points_underflow_to_zero(k):
         hermite.mixture_density_many(k, x),
     ):
         assert np.all(phi[:-1] == 0.0)
-    assert np.all(hermite.phi_squared_many(k, x, return_log=True)[:-1] == -math.inf)
-    assert np.all(hermite.phi_squared_degrees(ks, x, return_log=True)[:-1] == -math.inf)
     assert hermite.phi_squared_many(k, x)[-1] == hermite.phi_squared_many(k, [0.5])[0]
-    assert hermite.mixture_density_many(k, x)[-1] == hermite.mixture_density(k, 0.5)
+    assert hermite.mixture_density_many(k, x)[-1] == hermite.mixture_density_many(k, [0.5])[0]
 
 
 def test_nan_points_get_nan():
@@ -213,22 +201,18 @@ def test_nan_points_get_nan():
     x = np.array([np.nan, 0.5, np.inf, -np.inf, 1e80, -np.nan])
     k = 40
     ks = np.full(x.shape, k)
-    for values, logs in (
-        (hermite.phi_squared_many(k, x), hermite.phi_squared_many(k, x, return_log=True)),
-        (hermite.phi_squared_degrees(ks, x), hermite.phi_squared_degrees(ks, x, return_log=True)),
-        (hermite.mixture_density_many(k, x), None),
+    for values in (
+        hermite.phi_squared_many(k, x),
+        hermite.phi_squared_degrees(ks, x),
+        hermite.mixture_density_many(k, x),
     ):
-        for got in (values, logs):
-            if got is not None:
-                assert np.isnan(got[[0, 5]]).all()
-                assert not np.isnan(got[1:5]).any()
+        assert np.isnan(values[[0, 5]]).all()
+        assert not np.isnan(values[1:5]).any()
         assert values[1] > 0.0 and np.all(values[2:5] == 0.0)
-    assert hermite.phi_squared_many(k, x)[1] == hermite.phi_squared(k, 0.5)
-    assert hermite.mixture_density_many(k, x)[1] == hermite.mixture_density(k, 0.5)
+    assert hermite.phi_squared_many(k, x)[1] == hermite.phi_squared_many(k, [0.5])[0]
+    assert hermite.mixture_density_many(k, x)[1] == hermite.mixture_density_many(k, [0.5])[0]
     assert np.isnan(hermite.phi_sq_cdf_many(k, x)[[0, 5]]).all()
     assert np.isnan(hermite.mixture_cdf_many(k, x)[[0, 5]]).all()
-    with pytest.raises(ParameterError):
-        hermite.phi_squared(k, math.nan)
 
 
 def test_phi_squared_bounded_by_sup():
@@ -256,9 +240,9 @@ def test_phi_squared_dominated_by_envelope():
     x=st.floats(min_value=-25.0, max_value=25.0, allow_nan=False),
 )
 def test_phi_squared_nonnegative_even_property(k, x):
-    v = hermite.phi_squared(k, x)
+    v, mirror = hermite.phi_squared_many(k, [x, -x])
     assert v >= 0.0 and math.isfinite(v)
-    assert v == hermite.phi_squared(k, -x)
+    assert v == mirror
 
 
 _PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
@@ -333,8 +317,8 @@ def test_certify_decreasing():
         assert ok
         # phi_k and phi_k' = -(x/2) phi_k + sqrt(k) phi_{k-1}, with both
         # phi values positive beyond the last zero
-        assert math.isclose(f * f, hermite.phi_squared(k, x), rel_tol=1e-12)
-        prev = math.sqrt(hermite.phi_squared(k - 1, x)) if k else 0.0
+        assert math.isclose(f * f, hermite.phi_squared_many(k, [x])[0], rel_tol=1e-12)
+        prev = math.sqrt(hermite.phi_squared_many(k - 1, [x])[0]) if k else 0.0
         assert math.isclose(df, -0.5 * x * f + math.sqrt(k) * prev, rel_tol=1e-10)
         assert df < 0.0
     # inside the bulk phi_k has zeros and maxima further out
@@ -413,21 +397,19 @@ def test_cdf_matches_decimal_reference(k):
 
 
 def test_cdf_degree_zero_matches_normal():
-    assert abs(hermite.phi_sq_cdf(0, 1.0) - 0.8413447460685429) < 1e-15
+    assert abs(hermite.phi_sq_cdf_many(0, [1.0])[0] - 0.8413447460685429) < 1e-15
 
 
 def test_cdf_at_zero_is_half():
     for k in (0, 3, 50):
-        assert hermite.phi_sq_cdf(k, 0.0) == 0.5
-        assert hermite.phi_sq_cdf(k, -0.0) == 0.5
+        assert np.all(hermite.phi_sq_cdf_many(k, [0.0, -0.0]) == 0.5)
     for n in (1, 4, 51):
         assert np.all(hermite.mixture_cdf_many(n, [0.0, -0.0]) == 0.5)
 
 
 def test_cdf_total_mass_is_one():
     for k in (0, 1, 5, 50, 500):
-        assert hermite.phi_sq_cdf(k, 1e9) == 1.0
-        assert hermite.phi_sq_cdf(k, -1e9) == 0.0
+        assert np.array_equal(hermite.phi_sq_cdf_many(k, [1e9, -1e9]), [1.0, 0.0])
     # far out every term underflows; the ladder sum must not overflow on
     # the way there (the rescale schedule depends on the largest |x|)
     for k in (3, 60):
@@ -455,7 +437,7 @@ def test_cdf_at_huge_points_is_the_normal_cdf():
     for k in (0, 3, 300):
         got = hermite.phi_sq_cdf_many(k, x)
         assert np.all(got[:4] == 1.0) and np.all(got[4:8] == 0.0)
-        assert got[-1] == hermite.phi_sq_cdf(k, 0.5)
+        assert got[-1] == hermite.phi_sq_cdf_many(k, [0.5])[0]
     got = hermite.mixture_cdf_many(40, x)
     assert np.all(got[:4] == 1.0) and np.all(got[4:8] == 0.0)
 
@@ -467,7 +449,7 @@ def test_cdf_many_matches_scalar_and_monotone():
     assert np.all(np.diff(many) >= -1e-15)
     assert hermite.phi_sq_cdf_many(k, xs.reshape(7, 43)).shape == (7, 43)
     for i in (0, 73, 150, 300):
-        assert abs(many[i] - hermite.phi_sq_cdf(k, xs[i])) < 1e-15
+        assert abs(many[i] - hermite.phi_sq_cdf_many(k, [xs[i]])[0]) < 1e-15
 
 
 def test_cdf_rejects_bad_parameters():
@@ -485,13 +467,14 @@ def test_cdf_rejects_bad_parameters():
 def test_mixture_single_term_is_normal():
     for x in (-1.0, 0.0, 2.2):
         assert math.isclose(
-            hermite.mixture_density(1, x), math.exp(-x * x / 2) / SQRT_2PI, rel_tol=1e-13
+            hermite.mixture_density_many(1, [x])[0], math.exp(-x * x / 2) / SQRT_2PI, rel_tol=1e-13
         )
 
 
 def test_mixture_two_terms_at_zero():
     # second term vanishes at 0, leaving half the normal density
-    assert math.isclose(hermite.mixture_density(2, 0.0), 0.5 / SQRT_2PI, rel_tol=1e-13)
+    value = hermite.mixture_density_many(2, [0.0])[0]
+    assert math.isclose(value, 0.5 / SQRT_2PI, rel_tol=1e-13)
 
 
 def test_mixture_matches_explicit_sum():

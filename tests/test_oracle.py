@@ -6,7 +6,6 @@ import pytest
 from guegen import oracle
 from guegen.errors import ParameterError
 from guegen.rng import RandomStream
-from guegen.stats import ks_two_sample
 
 
 def test_diagonal_matrix():
@@ -31,7 +30,7 @@ def test_two_by_two_closed_form():
 
 def test_eigen_sum_matches_trace():
     st = RandomStream(2)
-    h = oracle.sample_gue_matrices(8, 1, "unscaled", st)[0]
+    h = oracle.sample_gue_matrices(8, 1, st)[0]
     eig = oracle.spectra_many(h[None])[0]
     assert abs(eig.sum() - np.trace(h).real) < 1e-10 * np.abs(eig).max() * 8
 
@@ -39,7 +38,7 @@ def test_eigen_sum_matches_trace():
 def test_matches_reference_eigensolver():
     st = RandomStream(3)
     for n, count in ((1, 20), (2, 50), (6, 50), (16, 50), (64, 4), (65, 4)):
-        mats = oracle.sample_gue_matrices(n, count, "unscaled", st)
+        mats = oracle.sample_gue_matrices(n, count, st)
         spectra = oracle.spectra_many(mats)
         assert spectra.shape == (count, n)
         assert np.all(np.diff(spectra, axis=1) >= 0.0)
@@ -70,39 +69,26 @@ def test_zero_householder_columns():
 
 def test_hermiticity_exact():
     st = RandomStream(4)
-    mats = oracle.sample_gue_matrices(5, 200, "unscaled", st)
+    mats = oracle.sample_gue_matrices(5, 200, st)
     assert np.array_equal(mats, np.conj(np.transpose(mats, (0, 2, 1))))
-    h = oracle.sample_gue_matrices(3, 1, "unscaled", RandomStream(5))[0]
+    h = oracle.sample_gue_matrices(3, 1, RandomStream(5))[0]
     assert np.array_equal(h, h.conj().T)
     assert np.all(h.diagonal().imag == 0.0)
 
 
 def test_size_one_is_standard_normal_draw():
     st = RandomStream(6)
-    h = oracle.sample_gue_matrices(1, 1, "unscaled", st)
+    h = oracle.sample_gue_matrices(1, 1, st)
     assert h.shape == (1, 1, 1)
     assert h[0, 0, 0] == RandomStream(6).standard_normals(1)[0]
 
 
 def test_trace_variance():
     st = RandomStream(7)
-    mats = oracle.sample_gue_matrices(4, 100_000, "unscaled", st)
+    mats = oracle.sample_gue_matrices(4, 100_000, st)
     tr = np.einsum("bii->b", mats).real
     var = tr.var()
     assert abs(var - 4.0) < 3.0 * 4.0 * math.sqrt(2.0 / (tr.size - 1))
-
-
-def test_intro_convention_is_exact_rescaling():
-    a = oracle.sample_gue_matrices(4, 50, "unscaled", RandomStream(8))
-    b = oracle.sample_gue_matrices(4, 50, "intro", RandomStream(8))
-    assert np.allclose(b, a / 2.0, rtol=0.0, atol=0.0)
-
-
-def test_intro_convention_spectra_distribution():
-    a = oracle.spectra_many(oracle.sample_gue_matrices(3, 10_000, "unscaled", RandomStream(9)))
-    b = oracle.spectra_many(oracle.sample_gue_matrices(3, 10_000, "intro", RandomStream(10)))
-    for pos in range(3):
-        assert ks_two_sample(a[:, pos] / math.sqrt(3.0), b[:, pos]).passes(0.01)
 
 
 def test_guards():
@@ -112,11 +98,9 @@ def test_guards():
     with pytest.raises(ParameterError):
         oracle.sample_gue_matrices(3, 2)
     with pytest.raises(ParameterError):
-        oracle.sample_gue_matrices(3, 5, "other", RandomStream(1))
+        oracle.sample_gue_matrices(0, 5, RandomStream(1))
     with pytest.raises(ParameterError):
-        oracle.sample_gue_matrices(0, 5, "unscaled", RandomStream(1))
-    with pytest.raises(ParameterError):
-        oracle.sample_gue_matrices(3, -1, "unscaled", RandomStream(1))
+        oracle.sample_gue_matrices(3, -1, RandomStream(1))
 
 
 def test_degenerate_spectra_converge():

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import guegen
 
 # the whole public surface; a name added to or removed from __all__ must be
@@ -13,9 +16,6 @@ PUBLIC = {
     "SamplerStats",
     "benchmark",
     "make_spec",
-    "mixture_density",
-    "phi_sq_cdf",
-    "phi_squared",
     "sample_gue_eigenvalues",
     "sample_joint_many",
     "sample_phi_sq_many",
@@ -36,3 +36,40 @@ def test_exports_are_exactly_the_public_surface():
     namespace = {}
     exec("from guegen import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def _package_imports():
+    """Module name -> the package modules it imports relatively, anywhere in
+    its source (``from . import x`` and ``from .x import y``)."""
+    graph = {}
+    for path in pathlib.Path(guegen.__file__).parent.glob("*.py"):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        graph[path.stem] = targets
+    return graph
+
+
+def test_package_imports_are_acyclic():
+    graph = _package_imports()
+    assert {"vanveen", "dominator", "hermite", "verify"} <= set(graph)
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            cycle = path[path.index(module) :] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

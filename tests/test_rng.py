@@ -74,6 +74,9 @@ def test_gamma_shape_zero_rejected():
         s.gammas(0.0, 1)
     with pytest.raises(ParameterError):
         s.gammas(-1.0, 10)
+    for shape in (math.inf, math.nan):  # inf would return inf variates
+        with pytest.raises(ParameterError):
+            s.gammas(shape, 1)
 
 
 def test_stream_independence_two_seeds():

@@ -203,8 +203,8 @@ def test_engine_mixed_degrees_follow_each_law():
 
 
 def test_mixture_batch_splits_keep_draws(monkeypatch):
-    # pooled exact tests are flushed every kernel slice of undecided lanes;
-    # where the flushes fall must not change the draws or the counters
+    # the pooled exact test slices its lanes every kernel slice; where the
+    # slices fall must not change the draws or the counters
     runs = []
     for chunk in (hermite._CHUNK, 64):
         monkeypatch.setattr(hermite, "_CHUNK", chunk)
@@ -247,7 +247,7 @@ def test_mixture_mass_concentrates_in_bulk():
 def test_plain_and_squeeze_share_acceptance_law():
     a = samplers.sample_phi_sq_many(3, 20_000, RandomStream(47), "plain")
     b = samplers.sample_phi_sq_many(3, 20_000, RandomStream(48), "squeeze")
-    assert ks_two_sample(a, b).passes(0.01)
+    assert ks_two_sample(a, b).scaled < ks_critical(0.01)
 
 
 def test_benchmark_rows():

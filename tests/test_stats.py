@@ -21,12 +21,6 @@ def test_one_sample_null_passes():
     assert res.scaled < ks_critical(0.001)
 
 
-def test_one_sample_scalar_oracle_accepted():
-    u = RandomStream(2).uniforms(200)
-    res = ks_one_sample(u, lambda x: min(max(float(x), 0.0), 1.0))
-    assert res.statistic < 0.2
-
-
 def test_one_sample_constant_samples_fail_hard():
     xs = np.full(500, 0.999)
     res = ks_one_sample(xs, lambda x: np.clip(x, 0.0, 1.0))
@@ -49,6 +43,11 @@ def test_one_sample_rejects_bad_oracles():
         ks_one_sample(u, lambda x: np.asarray(x) * 3.0)
     with pytest.raises(ParameterError):
         ks_one_sample(u[:10], lambda x: x)
+    # a scalar or wrongly shaped result is a broken oracle
+    with pytest.raises(OracleError):
+        ks_one_sample(u, lambda x: 0.5)
+    with pytest.raises(OracleError):
+        ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0)[:-1])
 
 
 def test_two_sample_identical_arrays():
@@ -59,15 +58,31 @@ def test_two_sample_identical_arrays():
 def test_two_sample_same_distribution_passes():
     a = RandomStream(6).standard_normals(10**5)
     b = RandomStream(7).standard_normals(10**5)
-    assert ks_two_sample(a, b).passes(0.01)
+    assert ks_two_sample(a, b).scaled < ks_critical(0.01)
 
 
 def test_two_sample_mean_shift_fails():
     a = RandomStream(8).standard_normals(10**4)
     b = RandomStream(9).standard_normals(10**4) + 1.0
     res = ks_two_sample(a, b)
-    assert not res.passes(0.01)
+    assert not res.scaled < ks_critical(0.01)
     assert res.n_effective == pytest.approx(5000.0)
+
+
+def test_non_finite_samples_rejected():
+    # a NaN sorts last and an inf beyond every point, so each would read
+    # as an ordinary sample in the empirical CDF
+    a = RandomStream(10).standard_normals(5000)
+    b = RandomStream(11).standard_normals(5000)
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = b.copy()
+        spoiled[:20] = bad
+        with pytest.raises(ParameterError):
+            ks_two_sample(a, spoiled)
+        with pytest.raises(ParameterError):
+            ks_two_sample(spoiled, a)
+        with pytest.raises(ParameterError):
+            ks_one_sample(spoiled, lambda x: 0.5 * (1.0 + np.tanh(x)))
 
 
 def test_two_sample_minimum_size():
