@@ -14,8 +14,8 @@ the squeeze window.  The hat has four pieces in |x|:
   q = n + 1/2 - x^2/4.  S' = x f'^2 / (2 q^2) >= 0 on [0, x_t)
   (Sonine-Polya; Szego, Orthogonal Polynomials, section 7.31), so
   f^2 <= S(x1) on [0, x1].
-* plateau, x1 < |x| <= x_t + s:  f(x1)^2, since f^2 is certified strictly
-  decreasing beyond x1 (:func:`hermite.certify_decreasing`).
+* plateau, x1 < |x| <= x_t + s:  f(x1)^2, since f^2 is strictly decreasing
+  beyond x1 by Sturm comparison (:func:`hermite.certify_decreasing`).
 * tail, |x| > x_t + s:  f(x1)^2 exp(-c sqrt(s) (|x| - x_t)), with
   c = (4/3) sqrt(x_t / 2) and s = c^(-2/3).  Beyond x_t, E = f'^2 - Q f^2
   with Q = x^2/4 - n - 1/2 has E' = -(x/2) f^2 <= 0 and tends to 0, so
@@ -23,10 +23,10 @@ the squeeze window.  The hat has four pieces in |x|:
   f^2 <= f(x1)^2 exp(-c t^(3/2)) <= f(x1)^2 exp(-c sqrt(s) t) for
   t = |x| - x_t >= s.
 
-f(x1) and f'(x1) come from the kernel pass that certifies the decrease,
-one for all the degrees a call builds.  Each level carries a relative
-slack of 1e-8, as the hat touches phi_n^2 at x1 and the sampler compares
-against the float kernel.
+f(x1) and f'(x1) come from one plain kernel pass for all the degrees a
+call builds, and certify the decrease by themselves.  Each level carries
+a relative slack of 1e-8, as the hat touches phi_n^2 at x1 and the
+sampler compares against the float kernel.
 x_c minimizes the closed-form mass over [0, x1] (golden-section search
 with a fixed step count).  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
@@ -118,7 +118,7 @@ def make_specs(ns):
         raise ParameterError(f"envelope degree must be >= 1, got {min(ns)}")
     fresh = sorted(set(ns).difference(_specs))
     if fresh:
-        x1 = [math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0)) for n in fresh]
+        x1 = [_window_edge(n) for n in fresh]
         f, df, ok = hermite.certify_decreasing(fresh, x1)
         for n, x, certified in zip(fresh, x1, ok.tolist()):
             if not certified:
@@ -128,6 +128,10 @@ def make_specs(ns):
     for n in list(_specs)[: max(len(_specs) - _SPEC_CACHE, 0)]:
         del _specs[n]  # the oldest first
     return specs
+
+
+def _window_edge(n):  # x1 of degree n, at x_t^2 - x1^2 = (pi / (pi + 1))^2 n^(1/3)
+    return math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0))
 
 
 def _build(n, x1, f, df):

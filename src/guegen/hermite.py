@@ -46,9 +46,9 @@ and averaging over k < n gives the mixture CDF with weights (n-j)/n.
 The kernel accumulates the weighted sum along its pass, so a CDF costs
 one O(k) recurrence per point and no quadrature.
 
-:func:`certify_decreasing` certifies, in a pass of the same kernel, that
-phi_k^2 is strictly decreasing beyond a point, and returns phi_k and
-phi_k' there; the dominating hat of :mod:`guegen.dominator` rests on it.
+:func:`certify_decreasing` certifies from phi_k and phi_k' at a point,
+read off a plain kernel pass, that phi_k^2 is strictly decreasing beyond
+it; the dominating hat of :mod:`guegen.dominator` rests on it.
 """
 
 import functools
@@ -77,6 +77,8 @@ _HUGE_X = 1e76
 # float loop: a numpy step costs 2.5-5 us at any width up to a few hundred
 # lanes, a float step 75-300 ns per lane, and the two meet near 32 lanes
 _FEW_LANES = 16
+_COEFF_CAP = 1 << 17  # step coefficients kept up to this degree: 2 x 32 B x 2^17 = 8 MB
+_coeffs = ([0.0], [])  # sqrt(j) and 1 / sqrt(j + 1), replaced whole, never mutated
 
 
 def certify_decreasing(ks, x):
@@ -84,21 +86,24 @@ def certify_decreasing(ks, x):
     ``certified`` is True where phi_k^2 is certified strictly decreasing
     on [x, infinity).
 
-    Two conditions at one point ``x > 0`` suffice:
+    f = phi_k solves f'' + q f = 0, q = k + 1/2 - x^2/4 (Szego, Orthogonal
+    Polynomials, section 6.3), with turning point x_t = sqrt(4k+2).  A
+    lane is certified when x > 0, f(x) > 0, f'(x) < 0 and either
+    q(x) <= 0 or atan(w f(x) / -f'(x)) > w (x_t - x), w = sqrt(q(x)).
 
-    * psi_0(x), ..., psi_k(x) are all positive.  By the Sturm property of
-      orthogonal polynomials, the sign changes of that sequence count the
-      zeros of H_k above x, so H_k, and with it phi_k, has none there.
-    * phi_k'(x) < 0.  With phi_k' = -(x/2) phi_k + sqrt(k) phi_{k-1} (from
-      H_k' = k H_{k-1}) this reads sqrt(k) psi_{k-1}(x) < (x/2) psi_k(x).
+    Proof by Sturm comparison: the Prufer angle of f = r sin(theta),
+    f' = r cos(theta) obeys theta' = cos^2 theta + q sin^2 theta and starts
+    in (pi/2, pi).  q decreases on x > 0, so on [x, x_t] theta >= theta(x)
+    stays below the angle of g'' + q(x) g = 0 from f's data at x, which
+    reaches pi, g's first zero, at x + atan(w f / -f') / w > x_t.  So f > 0
+    and f' < 0 up to x_t.  Where q <= 0, f'' = -q f makes f convex while
+    positive, and f decays, so f' cannot rise to zero nor f fall to it.
+    At the hat's window edge the atan side is about ten times the other.
 
-    phi_k solves f'' = (x^2/4 - k - 1/2) f (Szego, Orthogonal Polynomials,
-    section 6.3).  So, with phi_k > 0 on [x, infinity), phi_k' cannot rise
-    back to zero there: below the turning point sqrt(4k+2), f'' < 0 makes
-    f' strictly decreasing wherever it vanishes, and beyond it f is convex
-    and tends to zero.  One kernel pass, up to the largest degree, checks
-    every lane and yields the returned values, with
-    phi_k = psi_k e^(-x^2/4) / (2 pi)^(1/4).
+    One plain kernel pass, up to the largest degree, gives
+    phi_k = psi_k e^(-x^2/4) / (2 pi)^(1/4) and phi_k' = sqrt(k) phi_{k-1}
+    - (x/2) phi_k; the test runs on the pair's mantissas, which do not
+    underflow where the scaled values do.
     """
     x = np.asarray(x, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
@@ -108,11 +113,15 @@ def certify_decreasing(ks, x):
         raise ParameterError("degrees must be >= 0, and points finite and below 1e76")
     order = np.argsort(-ks, kind="stable")
     k, xs = ks[order], x[order]
-    prev, cur, expo, positive = _psi_scaled_sorted(k, xs, certify=True)
+    prev, cur, expo, _ = _psi_scaled_sorted(k, xs)
     slope = np.sqrt(k) * prev - 0.5 * xs * cur
+    q = k + 0.5 - 0.25 * xs * xs
+    w = np.sqrt(np.maximum(q, 0.0))
+    before_turn = np.arctan2(w * cur, -slope) > w * (np.sqrt(4.0 * k + 2.0) - xs)
+    certified = (xs > 0.0) & (cur > 0.0) & (slope < 0.0) & ((q <= 0.0) | before_turn)
     scale = np.exp(expo * LN2 - 0.25 * xs * xs - 0.5 * LN_SQRT_2PI)
     back = np.argsort(order)
-    return (cur * scale)[back], (slope * scale)[back], (positive & (slope < 0.0))[back]
+    return (cur * scale)[back], (slope * scale)[back], certified[back]
 
 
 def _stride(absx):
@@ -127,36 +136,29 @@ def _stride(absx):
     return max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
 
 
-def _pair_rescale(prev, cur, expo, acc=None):
+def _pair_rescale(prev, cur, expo, acc):
     """Scale each lane's pair in place by the power of two that puts its
     largest magnitude in [0.5, 1), and the ladder sum ``acc`` by its
-    square, adding the shift to ``expo``; returns the four arrays.
-    Certificate flags (a boolean ``acc``) do not scale."""
+    square, adding the shift to ``expo``; returns the four arrays."""
     big = np.maximum(np.abs(prev), np.abs(cur))
     sh = np.frexp(big)[1]  # 0 where big == 0
     np.ldexp(prev, -sh, out=prev)
     np.ldexp(cur, -sh, out=cur)
-    if acc is not None and acc.dtype != bool:  # a sum of products scales by the square
+    if acc is not None:  # a sum of products scales by the square
         np.ldexp(acc, -2 * sh, out=acc)
     expo += sh
     return prev, cur, expo, acc
 
 
-def _psi_lane(k, x, stride, sq, inv_sq, weights, certify):
+def _psi_lane(k, x, stride, sq, inv_sq, weights):
     """One lane of degree k >= 1 as a float loop: (psi_{k-1}, psi_k, exponent,
-    ladder sum, certificate flag or None), rescaled after every ``stride``
-    steps and after the last one, bit for bit that lane of the numpy loop."""
+    ladder sum or None), rescaled after every ``stride`` steps and after the
+    last one, bit for bit that lane of the numpy loop."""
     prev, cur, expo = 1.0, x, 0  # psi_0, psi_1
     acc = None if weights is None else weights[1] * x
-    positive = x > 0.0
     for start in range(1, k, stride):
         end = min(start + stride, k)
-        if certify:
-            for s, r in zip(sq[start:end], inv_sq[start:end]):
-                prev, cur = cur, (x * cur - s * prev) * r
-                if not cur > 0.0:
-                    positive = False
-        elif acc is None:
+        if acc is None:
             for s, r in zip(sq[start:end], inv_sq[start:end]):
                 prev, cur = cur, (x * cur - s * prev) * r
         else:
@@ -167,10 +169,10 @@ def _psi_lane(k, x, stride, sq, inv_sq, weights, certify):
         prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
         if acc is not None:
             acc = math.ldexp(acc, -2 * sh)
-    return prev, cur, expo, positive if certify else acc
+    return prev, cur, expo, acc
 
 
-def _psi_scaled_sorted(ks, x, weights=None, certify=False):
+def _psi_scaled_sorted(ks, x, weights=None):
     """(psi_{k-1}(x), psi_k(x)) per lane, one degree per lane, as two mantissa
     arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
     Every returned pair is normalized to a largest magnitude in [0.5, 1).
@@ -191,17 +193,17 @@ def _psi_scaled_sorted(ks, x, weights=None, certify=False):
     indexed by j = 1 ... max degree) the ladder sum
     sum_{j=1..k} weights[j] psi_j psi_{j-1} per lane, whose value is that
     mantissa times 2^(2 exponent); a rescale of the pair by 2^(-sh)
-    rescales it by 2^(-2 sh).  With ``certify`` (and no ``weights``) it is
-    instead a boolean per lane: whether x and every psi_j(x), j <= k, were
-    positive, at one comparison per step on either path in this mode only.
+    rescales it by 2^(-2 sh).
+
+    Up to ``_COEFF_CAP`` degrees the step coefficients are kept between
+    calls and regrown at least twofold; longer lists change no entry's bits.
     """
+    global _coeffs
     x = np.ascontiguousarray(x, dtype=float)
     last = np.zeros_like(x)
     mant = np.ones_like(x)  # psi_0 = 1
     expo = np.zeros(x.shape, dtype=np.int64)
     total = None if weights is None else np.zeros_like(x)
-    if certify:  # degree-0 lanes need only x > 0
-        total = x > 0.0
     degrees, counts = np.unique(ks, return_counts=True)
     ends = np.cumsum(counts[::-1])[::-1].tolist()  # lanes of degree >= degrees[i]
     degrees = degrees.tolist()
@@ -209,13 +211,17 @@ def _psi_scaled_sorted(ks, x, weights=None, certify=False):
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
         return _pair_rescale(last, mant, expo, total)
-    sq = np.sqrt(np.arange(degrees[-1] + 1, dtype=float))
-    sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
+    sq, inv_sq = _coeffs
+    if len(inv_sq) < degrees[-1]:
+        sq = np.sqrt(np.arange(max(degrees[-1], min(2 * len(inv_sq), _COEFF_CAP)) + 1.0))
+        sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
+        if degrees[-1] <= _COEFF_CAP:
+            _coeffs = sq, inv_sq
     stride = _stride(float(np.max(np.abs(x))))
     m = ends[0]
     if m <= _FEW_LANES:
         for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):
-            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights, certify)
+            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights)
             if acc is not None:
                 total[i] = acc
         return _pair_rescale(last, mant, expo, total)
@@ -223,8 +229,6 @@ def _psi_scaled_sorted(ks, x, weights=None, certify=False):
     prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
     t1, t2 = np.empty(m), np.empty(m)
     acc = None if weights is None else weights[1] * xv  # psi_1 psi_0 = x
-    if certify:  # whether x, psi_2, ..., psi_j were all positive
-        acc = xv > 0.0
     start = 1
     for i, d in enumerate(degrees):
         m = ends[i]
@@ -238,12 +242,9 @@ def _psi_scaled_sorted(ks, x, weights=None, certify=False):
             np.multiply(t1, inv_sq[j], out=t1)
             prev, cur, t1 = cur, t1, prev
             if acc is not None:
-                if certify:  # one comparison per step, only in this mode
-                    np.logical_and(acc, cur > 0.0, out=acc)
-                else:
-                    np.multiply(prev, cur, out=t2)
-                    np.multiply(t2, weights[j + 1], out=t2)
-                    np.add(acc, t2, out=acc)
+                np.multiply(prev, cur, out=t2)
+                np.multiply(t2, weights[j + 1], out=t2)
+                np.add(acc, t2, out=acc)
             if j % stride == 0:
                 _pair_rescale(prev, cur, ev, acc)
         start = d

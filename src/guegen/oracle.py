@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-def sample_gue_matrices(n, count, stream=None):
+def sample_gue_matrices(n, count, stream):
     """``count`` GUE(n) matrices as a (count, n, n) complex array.
 
     Draw order: all diagonals, then real parts, then imaginary parts of
@@ -31,8 +31,6 @@ def sample_gue_matrices(n, count, stream=None):
     count = int(count)
     if n < 1 or count < 0:
         raise ParameterError(f"need matrix size >= 1 and count >= 0, got {n} and {count}")
-    if stream is None:
-        raise ParameterError("sample_gue_matrices needs a RandomStream")
     m = n * (n - 1) // 2
     diag = stream.standard_normals(count * n).reshape(count, n)
     re = stream.standard_normals(count * m).reshape(count, m) if m else None

@@ -385,9 +385,7 @@ def check_squeeze_validity(quick=False):
     points = 2_001 if quick else 10_001
     out = []
     ns = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
-    specs = dominator.make_specs(ns)
-    certified = hermite.certify_decreasing(ns, [s.x1 for s in specs])[2].tolist()
-    for n, spec, cert in zip(ns, specs, certified):
+    for n, spec in zip(ns, dominator.make_specs(ns)):
         grid = np.linspace(-spec.x1, spec.x1, points)
         f, ep, em = vanveen.terms_many(n, grid)
         lower = np.maximum(f - em, 0.0)
@@ -428,16 +426,14 @@ def check_squeeze_validity(quick=False):
                 f" largest phi^2 where the hat underflows to 0: {underflow:.1e}",
             )
         )
-        out.append(
-            CheckResult(
-                f"squeeze validity: phi^2 certified decreasing beyond x1, degree {n}",
-                float(cert),
-                1.0,
-                cert,
-                "==",
-                f"one certificate pass over degrees {', '.join(map(str, ns))}",
-            )
-        )
+    # the hat's certificate apart from make_specs, which raises where it fails
+    cert_ns = ns if quick else list(range(1, 10**4 + 1)) + [3 * 10**4, 10**5]
+    ok = hermite.certify_decreasing(cert_ns, [dominator._window_edge(n) for n in cert_ns])[2]
+    failed = np.asarray(cert_ns)[~ok].tolist()
+    covered = ", ".join(map(str, ns)) if quick else "1 to 10000, 30000 and 100000"
+    detail = f"one certificate pass over degrees {covered}; first failures {failed[:10]}"
+    name = "squeeze validity: degrees not certified decreasing beyond x1"
+    out.append(_less(name, len(failed), 1, detail))
     return out
 
 

@@ -77,6 +77,21 @@ def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
                     assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w is None)
 
 
+def test_coefficient_cache_keeps_bits(monkeypatch):
+    ks, x = np.array([2000, 300, 300, 5, 0]), np.array([80.0, -30.0, 1.5, 2.0, 0.5])
+    monkeypatch.setattr(hermite, "_coeffs", ([0.0], []))
+    fresh = hermite.phi_squared_degrees(ks, x).tobytes()
+    assert len(hermite._coeffs[1]) == 2000
+    hermite.phi_squared_many(2500, [1.0])  # at least doubles the cached lists
+    assert len(hermite._coeffs[1]) == 4000
+    assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
+    # past the cap each call builds its own lists and the cache stays as it was
+    monkeypatch.setattr(hermite, "_COEFF_CAP", 100)
+    monkeypatch.setattr(hermite, "_coeffs", ([0.0], []))
+    assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
+    assert hermite._coeffs == ([0.0], [])
+
+
 # ----------------------------------------------------------------------
 # squared Hermite function density
 # ----------------------------------------------------------------------
@@ -351,6 +366,49 @@ def test_certificate_paths_agree_bitwise():
         alone = hermite.certify_decreasing([k], [x])
         for a, b in zip(alone, batch):
             assert a.tobytes() == b[i : i + 1].tobytes(), (k, x)
+
+
+def _sturm_decreasing(k, x):
+    """The full Sturm criterion in 60-digit arithmetic: x > 0, every
+    H_j(x) > 0 for j <= k (so H_k has no zero above x), and phi_k'(x) < 0,
+    which with sqrt(k) psi_{k-1} = k H_{k-1} / sqrt(k!) reads
+    k H_{k-1}(x) < (x/2) H_k(x)."""
+    with localcontext(_DEC_60):
+        _, pairs = _hermite_decimal(k + 1, x)
+        h = [p[0] for p in pairs]
+        below = k * h[k - 1] if k else Decimal(0)
+        return x > 0.0 and all(v > 0 for v in h) and below < Decimal(x) / 2 * h[k]
+
+
+def _assert_certificate_sound(lanes):
+    ks, xs = zip(*lanes)
+    certified = hermite.certify_decreasing(ks, xs)[2].tolist()
+    for (k, x), ok in zip(lanes, certified):
+        assert not ok or _sturm_decreasing(k, x), (k, x)
+    return certified
+
+
+def test_certificate_sound_on_adversarial_lanes():
+    zeros = np.sort(np.polynomial.hermite_e.hermegauss(100)[0])
+    lanes = [(k, dominator.make_spec(max(k, 1)).x1) for k in (0, 1, 2, 7, 100, 5000)]
+    # on both sides of the largest zero, and just inside the second largest,
+    # where phi_k > 0 and phi_k' < 0 but zeros lie further out
+    lanes += [(100, zeros[-1] + 0.01), (100, zeros[-1] - 0.01), (100, zeros[-2] - 0.01)]
+    lanes += [(10, 1.0), (100, 19.5)] + [(k, 0.9 * dominator.make_spec(k).x1) for k in (3, 300)]
+    lanes += [(3, 0.0), (1, -2.0), (0, -1.0), (0, 0.0), (0, 0.5), (0, 3.0), (5000, 1e3)]
+    certified = _assert_certificate_sound(lanes)
+    assert 0 < sum(certified) < len(lanes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=3000),
+    u=st.floats(min_value=-6.0, max_value=2.0),
+)
+def test_certificate_sound_near_edge(k, u):
+    # u in units of k^(-1/6) from the turning point covers the last zeros
+    # and maxima of phi_k, where the certificate's decision turns
+    _assert_certificate_sound([(k, math.sqrt(4.0 * k + 2.0) + u * max(k, 1) ** (-1.0 / 6.0))])
 
 
 # ----------------------------------------------------------------------

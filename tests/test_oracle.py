@@ -95,7 +95,7 @@ def test_guards():
     for shape in ((1, 0, 0), (2, 3), (2, 3, 4)):
         with pytest.raises(ParameterError):
             oracle.spectra_many(np.zeros(shape))
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError):  # the stream is required
         oracle.sample_gue_matrices(3, 2)
     with pytest.raises(ParameterError):
         oracle.sample_gue_matrices(0, 5, RandomStream(1))
