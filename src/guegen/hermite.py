@@ -4,35 +4,47 @@ the dominating hat rests on.
 The probabilists' Hermite polynomials follow the three-term recurrence
 ``H_{k+1}(x) = x H_k(x) - k H_{k-1}(x)`` with ``H_0 = 1``, ``H_1 = x``.
 Raw values near the spectral edge reach magnitudes around e^k, far past
-double range, so everything here runs the normalized recurrence over
+double range, so everything here works with the normalized
 ``psi_k = H_k / sqrt(k!)``,
 
     psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1}) / sqrt(k+1),
 
-with periodic power-of-two rescaling of the running pair, and assembles
+and assembles
 
     phi_k(x)^2 = w(x) psi_k(x)^2,    w(x) = e^{-x^2/2} / sqrt(2 pi),
 
 in log space, so tails underflow cleanly to zero instead of corrupting
-the mantissa path.  The step coefficients do not depend on the degree,
-so the one kernel takes one degree per point and runs the recurrence
-once, up to the largest degree, for all of them, ending with each
-point's last pair (psi_{k-1}, psi_k).  :func:`phi_squared_degrees` and
-its one-degree case :func:`phi_squared_many` read psi_k, and
-:func:`mixture_density_many` evaluates (1/n) sum_{k<n} phi_k^2 as the
-confluent Christoffel-Darboux closed form on the degree-(n-1) pair.
-A single point is a batch of one: ``phi_squared_many(k, [x])[0]``.
+the mantissa path.  The kernel runs that recurrence symmetrically
+scaled: with y_j = D_j psi_j, D_0 = D_1 = 1 and
+D_{j+1} = D_{j-1} sqrt((j+1)/j), it becomes
 
-The kernel rescales the pair after every ``stride`` steps, one closed
+    y_{j+1} = c_j x y_j - y_{j-1},    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1,
+
+one coefficient and three float operations per step, with periodic
+power-of-two rescaling of the running pair; each point's last pair is
+divided by (D_{k-1}, D_k) at the end.  D_j stays small,
+D_j ~ (pi j / 2)^(1/4), and has the closed forms
+D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2).
+The step coefficients do not depend on the degree, so the one kernel
+takes one degree per point and runs the recurrence once, up to the
+largest degree, for all of them, ending with each point's last pair
+(psi_{k-1}, psi_k).  :func:`phi_squared_degrees` and its one-degree case
+:func:`phi_squared_many` read psi_k, and :func:`mixture_density_many`
+evaluates (1/n) sum_{k<n} phi_k^2 as the confluent Christoffel-Darboux
+closed form on the degree-(n-1) pair.  A single point is a batch of
+one: ``phi_squared_many(k, [x])[0]``.
+
+The kernel rescales the pair after every ``stride``-th step, one closed
 form per slice from its largest |x| and one threshold for every pass,
 and once more at the end, so every pair it returns has its largest
 magnitude in [0.5, 1).  Rescaling by a power of two is exact, so each
 value here is a function of its own (k, x) alone: the same bits in any
 batch, one point included, wherever ``_CHUNK`` cuts, on either path.
-The two paths are a numpy loop over all points per step and, for slices
-of at most ``_FEW_LANES`` points, a float loop per point, since a numpy
-step costs microseconds however few points it updates; both run each
-step's float operations in one order.
+The two paths are a numpy loop over all running points per step and a
+float loop per point, which takes over once at most ``_FEW_LANES``
+points are still running, since a numpy step costs microseconds however
+few points it updates; both run each step's float operations in one
+order.
 
 The CDFs are closed forms on the same kernel.  The ladder relations
 phi_j' = -(x/2) phi_j + sqrt(j) phi_{j-1} and
@@ -64,21 +76,21 @@ _SQRT2 = math.sqrt(2.0)
 
 # rescale the working pair before it can pass 2^(448 - 2 log2|x|), so that
 # a multiply by x cannot overflow and a ladder sum's products, weighted and
-# summed, stay far from overflow: counting that the pair starts from
-# psi_1 = x at exponent 0, its mantissas stay below 2^449 (and below 2^505
+# summed, stay far from overflow: counting that the scaled pair starts from
+# y_1 = x at exponent 0, its mantissas stay below 2^449 (and below 2^505
 # on the first step when |x| > 2^224)
 _RESCALE_LOG2 = 448.0
 # densities are 0 at and beyond this |x| at any degree (by Mehler's formula
 # phi_k(x)^2 <= 2^k exp(-x^2/6)); the recurrence is not run there, because its
-# pair starts from psi_1 = x at exponent 0, so from about 1e77 on a product
-# x * psi_j can overflow before the first rescale
+# pair starts from y_1 = x at exponent 0, so from about 1e77 on a product
+# c_j x y_j can overflow before the first rescale
 _HUGE_X = 1e76
-# a kernel slice with at most this many running lanes runs each lane as a
-# float loop: a numpy step costs 2.5-5 us at any width up to a few hundred
-# lanes, a float step 75-300 ns per lane, and the two meet near 32 lanes
-_FEW_LANES = 16
+# a pass whose running lanes are at most this many finishes each lane as a
+# float loop: at k = 1e4 a numpy step costs 2.4-3.2 us for 16 to 36 lanes
+# (5 us for one), a float step 80-115 ns per lane, and the two meet near 28
+_FEW_LANES = 24
 _COEFF_CAP = 1 << 17  # step coefficients kept up to this degree: 2 x 32 B x 2^17 = 8 MB
-_coeffs = ([0.0], [])  # sqrt(j) and 1 / sqrt(j + 1), replaced whole, never mutated
+_coeffs = ([], [1.0])  # c_j and 1 / D_j, replaced whole, never mutated
 
 
 def certify_decreasing(ks, x):
@@ -125,15 +137,33 @@ def certify_decreasing(ks, x):
 
 
 def _stride(absx):
-    """Steps between rescales of a pair started from (psi_0, psi_1) at
+    """Steps between rescales of a scaled pair started from (y_0, y_1) at
     points of magnitude at most ``absx``.
 
-    Step j grows the pair by at most (|x| + sqrt(j)) / sqrt(j+1) < |x| + 1,
-    so (threshold - 1) / log2(|x| + 2) steps keep it below 2^threshold,
-    with the threshold 448 - 2 log2|x| (448 at |x| <= 1).
+    Step j gives |y_{j+1}| <= (c_j |x| + 1) max(|y_j|, |y_{j-1}|), and every
+    c_j <= 1, so a step grows the pair by at most |x| + 1, and
+    (threshold - 1) / log2(|x| + 2) steps keep it below 2^threshold, with
+    the threshold 448 - 2 log2|x| (448 at |x| <= 1).
     """
     threshold = _RESCALE_LOG2 - 2.0 * (math.log2(absx) if absx > 1.0 else 0.0)
     return max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
+
+
+def _coefficients(size):
+    """(c_j for j < size, 1 / D_j for j <= size) as float lists, D_j from
+    D_j^2 = D_{j-2}^2 j / (j-1) by a cumulative product along each parity."""
+    ratio = np.arange(2.0, size + 1.0)
+    ratio /= ratio - 1.0  # j / (j - 1) for j = 2 ... size
+    d = np.ones(size + 1)
+    np.cumprod(ratio[::2], out=d[2::2])
+    np.cumprod(ratio[1::2], out=d[3::2])
+    del ratio
+    np.sqrt(d, out=d)
+    c = np.sqrt(np.arange(1.0, size + 1.0))
+    c *= d[:-1]
+    np.divide(d[1:], c, out=c)
+    np.divide(1.0, d, out=d)
+    return c.tolist(), d.tolist()
 
 
 def _pair_rescale(prev, cur, expo, acc):
@@ -150,26 +180,35 @@ def _pair_rescale(prev, cur, expo, acc):
     return prev, cur, expo, acc
 
 
-def _psi_lane(k, x, stride, sq, inv_sq, weights):
-    """One lane of degree k >= 1 as a float loop: (psi_{k-1}, psi_k, exponent,
-    ladder sum or None), rescaled after every ``stride`` steps and after the
-    last one, bit for bit that lane of the numpy loop."""
-    prev, cur, expo = 1.0, x, 0  # psi_0, psi_1
-    acc = None if weights is None else weights[1] * x
-    for start in range(1, k, stride):
-        end = min(start + stride, k)
+def _slice_end(j, stride, k):
+    """End of the step slice that starts at step j: just past the next step
+    that is a multiple of ``stride``, or at k."""
+    return min(j + stride - (j - 1) % stride, k)
+
+
+def _psi_lane(k, x, j, prev, cur, expo, acc, stride, c, inv_d, wy):
+    """Finish one lane of degree k >= j as a float loop from its state before
+    step j: the scaled pair (y_{j-1}, y_j), its exponent and its ladder sum
+    or None.  Returns (psi_{k-1}, psi_k, exponent, ladder sum), bit for bit
+    that lane of the numpy loop: the same float operations per step, a
+    rescale after every step that is a multiple of ``stride``, and the
+    division by (D_{k-1}, D_k) at the end."""
+    while j < k:
+        end = _slice_end(j, stride, k)
         if acc is None:
-            for s, r in zip(sq[start:end], inv_sq[start:end]):
-                prev, cur = cur, (x * cur - s * prev) * r
+            for cj in c[j:end]:
+                prev, cur = cur, cj * (x * cur) - prev
         else:
-            for s, r, w in zip(sq[start:end], inv_sq[start:end], weights[start + 1 : end + 1]):
-                prev, cur = cur, (x * cur - s * prev) * r
-                acc += prev * cur * w
-        sh = math.frexp(max(abs(prev), abs(cur)))[1]
-        prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
-        if acc is not None:
-            acc = math.ldexp(acc, -2 * sh)
-    return prev, cur, expo, acc
+            for cj, wj in zip(c[j:end], wy[j + 1 : end + 1]):
+                prev, cur = cur, cj * (x * cur) - prev
+                acc += prev * cur * wj
+        if (end - 1) % stride == 0:
+            sh = math.frexp(max(abs(prev), abs(cur)))[1]
+            prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
+            if acc is not None:
+                acc = math.ldexp(acc, -2 * sh)
+        j = end
+    return prev * inv_d[k - 1], cur * inv_d[k], expo, acc
 
 
 def _psi_scaled_sorted(ks, x, weights=None):
@@ -177,26 +216,32 @@ def _psi_scaled_sorted(ks, x, weights=None):
     arrays and the pair's shared base-2 exponents; degree 0 gives (0, 1).
     Every returned pair is normalized to a largest magnitude in [0.5, 1).
 
-    ``ks`` must be sorted in descending order. The step-j coefficients of
-    the normalized recurrence do not depend on the degree, so one pass up
-    to the largest degree serves every lane. A pair is rescaled as one,
-    after every :func:`_stride` steps at the slice's largest |x| and at
-    the end. Rescaling by a power of two is exact, so the stride does not
-    change the normalized pair: it is a function of the lane's own (k, x)
-    alone. At most ``_FEW_LANES`` running lanes run one by one as float
-    loops (:func:`_psi_lane`); more run in a numpy loop, where a lane of
+    ``ks`` must be sorted in descending order. The kernel runs the scaled
+    recurrence y_{j+1} = c_j x y_j - y_{j-1} from (y_0, y_1) = (1, x), where
+    y_j = D_j psi_j, D_0 = D_1 = 1, D_{j+1} = D_{j-1} sqrt((j+1)/j) and
+    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1, and divides each lane's last pair
+    by (D_{k-1}, D_k). D_j grows like (pi j / 2)^(1/4), 19.9 at j = 1e5.
+    The coefficients do not depend on the degree, so one pass up to the
+    largest degree serves every lane. A pair is rescaled as one after
+    every step that is a multiple of the :func:`_stride` of the slice's
+    largest |x|, and at the end. Rescaling by a power of two is exact, so
+    the stride does not change the normalized pair: it is a function of
+    the lane's own (k, x) alone. Lanes run in a numpy loop, where a lane of
     degree k stops after step k-1 and the lanes still running form a
-    prefix that shrinks at each degree boundary. Both paths give the same
+    prefix that shrinks at each degree boundary; once at most
+    ``_FEW_LANES`` are left, each finishes alone as a float loop
+    (:func:`_psi_lane`) from its current state. Both paths give the same
     bits.
 
     The fourth value is None, or with ``weights`` (one scalar per step,
     indexed by j = 1 ... max degree) the ladder sum
-    sum_{j=1..k} weights[j] psi_j psi_{j-1} per lane, whose value is that
-    mantissa times 2^(2 exponent); a rescale of the pair by 2^(-sh)
-    rescales it by 2^(-2 sh).
+    sum_{j=1..k} weights[j] psi_j psi_{j-1} per lane, accumulated as
+    weights[j] / (D_j D_{j-1}) y_j y_{j-1}; its value is that mantissa
+    times 2^(2 exponent), and a rescale of the pair by 2^(-sh) rescales it
+    by 2^(-2 sh).
 
-    Up to ``_COEFF_CAP`` degrees the step coefficients are kept between
-    calls and regrown at least twofold; longer lists change no entry's bits.
+    Up to ``_COEFF_CAP`` degrees the coefficients are kept between calls
+    and regrown at least twofold; longer lists change no entry's bits.
     """
     global _coeffs
     x = np.ascontiguousarray(x, dtype=float)
@@ -211,46 +256,61 @@ def _psi_scaled_sorted(ks, x, weights=None):
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
         return _pair_rescale(last, mant, expo, total)
-    sq, inv_sq = _coeffs
-    if len(inv_sq) < degrees[-1]:
-        sq = np.sqrt(np.arange(max(degrees[-1], min(2 * len(inv_sq), _COEFF_CAP)) + 1.0))
-        sq, inv_sq = sq.tolist(), (1.0 / sq[1:]).tolist()
-        if degrees[-1] <= _COEFF_CAP:
-            _coeffs = sq, inv_sq
+    top = degrees[-1]
+    c, inv_d = _coeffs
+    if len(c) < top:
+        c, inv_d = _coefficients(max(top, min(2 * len(c), _COEFF_CAP)))
+        if top <= _COEFF_CAP:
+            _coeffs = c, inv_d
+    wy = None  # weights[j] / (D_j D_{j-1})
+    if weights is not None:
+        scale = np.asarray(inv_d[: top + 1])
+        wy = np.array(weights[: top + 1], dtype=float)
+        wy[1:] *= scale[1:] * scale[:-1]
+        wy = wy.tolist()
     stride = _stride(float(np.max(np.abs(x))))
+    mul, sub, add = np.multiply, np.subtract, np.add
     m = ends[0]
-    if m <= _FEW_LANES:
-        for i, (k, xi) in enumerate(zip(np.asarray(ks)[:m].tolist(), x[:m].tolist())):
-            last[i], mant[i], expo[i], acc = _psi_lane(k, xi, stride, sq, inv_sq, weights)
-            if acc is not None:
-                total[i] = acc
-        return _pair_rescale(last, mant, expo, total)
     xv, ev = x[:m], expo[:m]
-    prev, cur = np.ones(m), x[:m].copy()  # psi_0, psi_1
-    t1, t2 = np.empty(m), np.empty(m)
-    acc = None if weights is None else weights[1] * xv  # psi_1 psi_0 = x
-    start = 1
+    prev, cur, t = np.ones(m), x[:m].copy(), np.empty(m)  # y_0, y_1
+    acc = None if wy is None else wy[1] * xv  # y_1 y_0 = x
+    j = 1
     for i, d in enumerate(degrees):
         m = ends[i]
+        if m <= _FEW_LANES:  # finish the running lanes one by one
+            state = [a[:m].tolist() for a in (np.asarray(ks), xv, prev, cur, ev)]
+            state.append([None] * m if acc is None else acc[:m].tolist())
+            for n, (k, xn, p, q, e, a) in enumerate(zip(*state)):
+                last[n], mant[n], expo[n], a = _psi_lane(k, xn, j, p, q, e, a, stride, c, inv_d, wy)
+                if a is not None:
+                    total[n] = a
+            break
         if m < cur.size:
-            xv, ev, prev, cur, t1, t2 = (a[:m] for a in (xv, ev, prev, cur, t1, t2))
+            xv, ev, prev, cur, t = (a[:m] for a in (xv, ev, prev, cur, t))
             acc = None if acc is None else acc[:m]
-        for j in range(start, d):
-            np.multiply(xv, cur, out=t1)
-            np.multiply(sq[j], prev, out=t2)
-            np.subtract(t1, t2, out=t1)
-            np.multiply(t1, inv_sq[j], out=t1)
-            prev, cur, t1 = cur, t1, prev
-            if acc is not None:
-                np.multiply(prev, cur, out=t2)
-                np.multiply(t2, weights[j + 1], out=t2)
-                np.add(acc, t2, out=acc)
-            if j % stride == 0:
+        while j < d:
+            end = _slice_end(j, stride, d)
+            if acc is None:
+                for cj in c[j:end]:
+                    mul(xv, cur, t)
+                    mul(t, cj, t)
+                    sub(t, prev, prev)
+                    prev, cur = cur, prev
+            else:
+                for cj, wj in zip(c[j:end], wy[j + 1 : end + 1]):
+                    mul(xv, cur, t)
+                    mul(t, cj, t)
+                    sub(t, prev, prev)
+                    prev, cur = cur, prev
+                    mul(prev, cur, t)
+                    mul(t, wj, t)
+                    add(acc, t, acc)
+            if (end - 1) % stride == 0:
                 _pair_rescale(prev, cur, ev, acc)
-        start = d
+            j = end
         done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
-        last[done:m] = prev[done:]
-        mant[done:m] = cur[done:]
+        mul(prev[done:], inv_d[d - 1], last[done:m])
+        mul(cur[done:], inv_d[d], mant[done:m])
         if acc is not None:
             total[done:m] = acc[done:]
     return _pair_rescale(last, mant, expo, total)
@@ -380,7 +440,7 @@ def phi_sq_cdf_many(k, x):
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
     j = np.arange(1, k + 1, dtype=float)
-    return _ladder_cdf(k, [0.0] + (1.0 / np.sqrt(j)).tolist(), x)
+    return _ladder_cdf(k, np.concatenate(([0.0], 1.0 / np.sqrt(j))), x)
 
 
 def mixture_cdf_many(n, x):
@@ -391,4 +451,4 @@ def mixture_cdf_many(n, x):
     if n < 1:
         raise ParameterError(f"ensemble size must be >= 1, got {n}")
     j = np.arange(1, n, dtype=float)
-    return _ladder_cdf(n - 1, [0.0] + ((n - j) / (n * np.sqrt(j))).tolist(), x)
+    return _ladder_cdf(n - 1, np.concatenate(([0.0], (n - j) / (n * np.sqrt(j)))), x)

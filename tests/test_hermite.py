@@ -48,9 +48,11 @@ def test_polynomial_survives_huge_magnitudes():
 # ----------------------------------------------------------------------
 
 
-def _kernel_both_paths(monkeypatch, ks, x, weights=None):
+def _kernel_paths(monkeypatch, ks, x, weights=None):
     out = []
-    for few in (0, 10**9):  # numpy loop only, float lane loop only
+    # numpy loop only, numpy loop handing its last half of lanes to the float
+    # lane loop, float lane loop only
+    for few in (0, len(x) // 2, 10**9):
         monkeypatch.setattr(hermite, "_FEW_LANES", few)
         out.append(hermite._psi_scaled_sorted(ks, x, weights))
     return out
@@ -72,24 +74,45 @@ def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
             x *= 2.0 * math.sqrt(top + 1.0) + 3.0 if scale == 1.0 else scale
             x[::3] = -x[::3]
             for w in (None, weights):
-                numpy_path, lane_path = _kernel_both_paths(monkeypatch, ks, x, w)
-                for a, b in zip(numpy_path, lane_path):
-                    assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w is None)
+                numpy_path, *others = _kernel_paths(monkeypatch, ks, x, w)
+                for other in others:
+                    for a, b in zip(numpy_path, other):
+                        assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w)
 
 
 def test_coefficient_cache_keeps_bits(monkeypatch):
     ks, x = np.array([2000, 300, 300, 5, 0]), np.array([80.0, -30.0, 1.5, 2.0, 0.5])
-    monkeypatch.setattr(hermite, "_coeffs", ([0.0], []))
+    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
     fresh = hermite.phi_squared_degrees(ks, x).tobytes()
-    assert len(hermite._coeffs[1]) == 2000
+    assert [len(v) for v in hermite._coeffs] == [2000, 2001]
     hermite.phi_squared_many(2500, [1.0])  # at least doubles the cached lists
-    assert len(hermite._coeffs[1]) == 4000
+    assert [len(v) for v in hermite._coeffs] == [4000, 4001]
     assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
     # past the cap each call builds its own lists and the cache stays as it was
     monkeypatch.setattr(hermite, "_COEFF_CAP", 100)
-    monkeypatch.setattr(hermite, "_coeffs", ([0.0], []))
+    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
     assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
-    assert hermite._coeffs == ([0.0], [])
+    assert hermite._coeffs == ([], [1.0])
+
+
+def test_scaled_recurrence_coefficients(monkeypatch):
+    # y_j = D_j psi_j turns the step into y_{j+1} = c_j x y_j - y_{j-1};
+    # c_j <= 1 is what bounds a step's growth by |x| + 1 (hermite._stride)
+    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
+    hermite.phi_squared_many(100_000, [0.5])
+    c, inv_d = hermite._coeffs
+    assert len(c) == 100_000 and len(inv_d) == 100_001
+    assert max(c) <= 1.0
+    # D_{j+1} = D_{j-1} sqrt((j+1)/j) gives c_j c_{j-1} = 1/j
+    j = np.arange(1.0, len(c))
+    assert np.max(np.abs(np.array(c[1:]) * np.array(c[:-1]) * j - 1.0)) <= 1e-14
+    # D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2), as
+    # the correctly rounded quotient of exact integers
+    for j in list(range(300)) + np.geomspace(300, 100_000, 25).astype(int).tolist():
+        i, odd = divmod(j, 2)
+        central = math.comb(2 * i, i)
+        square = (2 * i + 1) * central / 4**i if odd else 4**i / central
+        assert abs(math.sqrt(square) * inv_d[j] - 1.0) <= 1e-13, j
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +381,7 @@ def test_certificate_paths_agree_bitwise():
     lanes += [(10, 1.0), (100, 19.5), (100, zero + 0.01), (100, zero - 0.01), (3, 0.0)]
     lanes += [(k, 0.9 * dominator.make_spec(k).x1) for k in (3, 30, 300, 3000)]
     lanes += [(5000, 1e3), (1, -2.0)]
+    lanes += [(k, dominator.make_spec(k).x1) for k in (4, 10, 20, 40, 200, 500, 2000)]
     assert len(lanes) > hermite._FEW_LANES
     ks, xs = zip(*lanes)
     batch = hermite.certify_decreasing(ks, xs)
