@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import dominator, hermite, joint, oracle, samplers, vanveen, verify
-from .errors import BudgetError, ConvergenceError, GuegenError, ParameterError
+from .errors import BudgetError, ConvergenceError, GuegenError, ParameterError, whole
 from .rng import RandomStream
 
 
@@ -128,8 +128,7 @@ def build_parser():
 def _cmd_sample(args):
     if args.k is None and args.n is None:
         raise ParameterError("sample needs --n (mixture) or --k (fixed degree)")
-    if args.count < 1:
-        raise ParameterError("--count must be >= 1")
+    whole("--count", args.count, 1)
     if args.k is not None and args.convention == "intro":
         raise ParameterError("--convention intro applies to eigenvalue sampling, not --k")
     if args.k is not None and args.n is not None and args.k >= args.n:
@@ -175,8 +174,7 @@ def _cmd_sample(args):
 
 
 def _cmd_sample_joint(args):
-    if args.count < 1:
-        raise ParameterError("--count must be >= 1")
+    whole("--count", args.count, 1)
     stream = RandomStream(args.seed)
     progress = lambda a: print(f"attempts so far: {a}", file=sys.stderr)
     values, attempts = joint.sample_joint_many(
@@ -217,15 +215,13 @@ def _cmd_bench(args):
 
 
 def _cmd_verify(args):
-    names = [s for s in args.suite.split(",") if s]
-    report = verify.run_suites(names if names != ["all"] else None, quick=args.quick)
+    report = verify.run_suites([s for s in args.suite.split(",") if s], quick=args.quick)
     _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return 0 if report["pass"] else 1
 
 
 def _cmd_tabulate_envelope(args):
-    if args.points < 2:
-        raise ParameterError("--points must be >= 2")
+    whole("--points", args.points, 2)
     spec = dominator.make_spec(args.n)
     span = spec.edge + 4.0 / spec.rate  # the turning point plus four tail lengths
     grid = np.linspace(-span, span, args.points)
@@ -242,14 +238,13 @@ def _cmd_tabulate_envelope(args):
 
 
 def _cmd_tabulate_squeeze(args):
-    if args.points < 2:
-        raise ParameterError("--points must be >= 2")
+    whole("--points", args.points, 2)
     spec = dominator.make_spec(args.n)
     grid = np.linspace(-spec.x1, spec.x1, args.points)
-    f, ep, em = vanveen.terms_many(args.n, grid)
+    f = vanveen.terms_many(args.n, grid)[0]
     h = dominator.envelope_many(spec, grid)
-    lower = np.maximum(f - em, 0.0)
-    upper = np.minimum(f + ep, h)
+    lower, upper = vanveen.squeeze_bounds_many(args.n, grid)
+    upper = np.minimum(upper, h)
     phi = hermite.phi_squared_many(args.n, grid)
     _emit(
         _csv(
@@ -262,8 +257,7 @@ def _cmd_tabulate_squeeze(args):
 
 
 def _cmd_oracle(args):
-    if args.count < 1:
-        raise ParameterError("--count must be >= 1")
+    whole("--count", args.count, 1)
     stream = RandomStream(args.seed)
     spectra = oracle.spectra_many(oracle.sample_gue_matrices(args.n, args.count, stream))
     if args.convention == "intro":

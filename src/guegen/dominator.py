@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermite, vanveen
-from .errors import CertificateError, ParameterError
+from .errors import CertificateError, whole
 
 PI = math.pi
 # relative slack on each level: 100x the float kernel's relative error
@@ -113,9 +113,7 @@ def make_specs(ns):
     """The hats of degrees ``ns``, in order.  Degrees not in the cache are
     certified in one kernel pass, each at its own x1, then built from closed
     forms; CertificateError names a degree that fails, and none is cached."""
-    ns = [int(n) for n in ns]
-    if min(ns, default=1) < 1:
-        raise ParameterError(f"envelope degree must be >= 1, got {min(ns)}")
+    ns = whole("envelope degrees", ns, 1).tolist()
     fresh = sorted(set(ns).difference(_specs))
     if fresh:
         x1 = [_window_edge(n) for n in fresh]

@@ -6,6 +6,11 @@ its subclass CertificateError, are runtime resource or numerical
 failures (exit 2).
 """
 
+import numbers
+import reprlib
+
+import numpy as np
+
 
 class GuegenError(Exception):
     """Base class for all package errors."""
@@ -35,3 +40,22 @@ class CertificateError(ConvergenceError):
 class OracleError(GuegenError, ValueError):
     """A test oracle violated one of its own contracts (e.g. a
     non-monotone CDF handed to a goodness-of-fit test)."""
+
+
+def whole(name, value, least):
+    """The one check of degrees, sizes, counts, budgets and seeds: ``value``
+    as an int, or ParameterError unless it is a whole number >= ``least``.
+    Integral floats such as 1e4 and numpy integers pass; 2.5, NaN, +-inf,
+    strings and None do not.  An array or list gives an int64 array."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        if int(value) >= least:
+            return int(value)
+    elif np.ndim(value):
+        a = np.asarray(value)
+        if a.dtype.kind in "fu" and np.all((np.abs(a) < 2.0**63) & (a == np.floor(a))):
+            a = a.astype(np.int64)
+        if a.dtype.kind == "i" and not (a.size and a.min() < least):
+            return a.astype(np.int64, copy=False)
+    raise ParameterError(f"{name} must be whole and >= {least}, got {reprlib.repr(value)}")

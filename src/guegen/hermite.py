@@ -25,6 +25,8 @@ power-of-two rescaling of the running pair; each point's last pair is
 divided by (D_{k-1}, D_k) at the end.  D_j stays small,
 D_j ~ (pi j / 2)^(1/4), and has the closed forms
 D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2).
+:func:`psi_rows` runs the same step and keeps every value, for the
+spectrum chain of :mod:`guegen.joint`.
 The step coefficients do not depend on the degree, so the one kernel
 takes one degree per point and runs the recurrence once, up to the
 largest degree, for all of them, ending with each point's last pair
@@ -32,7 +34,8 @@ largest degree, for all of them, ending with each point's last pair
 :func:`phi_squared_many` read psi_k, and :func:`mixture_density_many`
 evaluates (1/n) sum_{k<n} phi_k^2 as the confluent Christoffel-Darboux
 closed form on the degree-(n-1) pair.  A single point is a batch of
-one: ``phi_squared_many(k, [x])[0]``.
+one: ``phi_squared_many(k, [x])[0]``.  Points in the far tail
+(:func:`_far`) skip the kernel: there a density is 0 and a CDF Phi(x).
 
 The kernel rescales the pair after every ``stride``-th step, one closed
 form per slice from its largest |x| and one threshold for every pass,
@@ -68,7 +71,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 
 LN2 = math.log(2.0)
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -77,20 +80,26 @@ _SQRT2 = math.sqrt(2.0)
 # rescale the working pair before it can pass 2^(448 - 2 log2|x|), so that
 # a multiply by x cannot overflow and a ladder sum's products, weighted and
 # summed, stay far from overflow: counting that the scaled pair starts from
-# y_1 = x at exponent 0, its mantissas stay below 2^449 (and below 2^505
-# on the first step when |x| > 2^224)
+# y_1 = x at exponent 0, its mantissas stay below 2^449
 _RESCALE_LOG2 = 448.0
-# densities are 0 at and beyond this |x| at any degree (by Mehler's formula
-# phi_k(x)^2 <= 2^k exp(-x^2/6)); the recurrence is not run there, because its
-# pair starts from y_1 = x at exponent 0, so from about 1e77 on a product
-# c_j x y_j can overflow before the first rescale
-_HUGE_X = 1e76
 # a pass whose running lanes are at most this many finishes each lane as a
 # float loop: at k = 1e4 a numpy step costs 2.4-3.2 us for 16 to 36 lanes
 # (5 us for one), a float step 80-115 ns per lane, and the two meet near 28
 _FEW_LANES = 24
 _COEFF_CAP = 1 << 17  # step coefficients kept up to this degree: 2 x 32 B x 2^17 = 8 MB
 _coeffs = ([], [1.0])  # c_j and 1 / D_j, replaced whole, never mutated
+
+
+def _far(ks, x):
+    """True at NaN and in the far tail of degree k, x^2 >= 6 (k ln 2 +
+    ln(k+1) + 750), where every density and ladder sum underflows to 0:
+    Mehler's formula at rho = 1/2 gives phi_j^2 <= 0.47 2^j e^(-x^2/6), and
+    phi_k^2, the mixture density (a mean over j <= k) and a ladder sum (k
+    terms |phi_j phi_{j-1}| <= (phi_j^2 + phi_{j-1}^2) / 2, weights <= 1)
+    are at most 0.47 (k+1) 2^k e^(-x^2/6) <= 0.47 e^(-750) there, below
+    half the least subnormal, e^(-745.1).  The cutoff lies past the turning
+    point sqrt(4k+2), since 6 ln 2 > 4, and below 2^33 at any int64 k."""
+    return ~(np.abs(x) < np.sqrt(6.0 * (ks * LN2 + np.log1p(ks) + 750.0)))
 
 
 def certify_decreasing(ks, x):
@@ -118,11 +127,11 @@ def certify_decreasing(ks, x):
     underflow where the scaled values do.
     """
     x = np.asarray(x, dtype=float)
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.shape != x.shape or x.ndim != 1:
-        raise ParameterError(f"degrees {ks.shape} and points {x.shape} must be one flat shape")
-    if ks.size and (int(ks.min()) < 0 or not np.all(np.abs(x) < _HUGE_X)):
-        raise ParameterError("degrees must be >= 0, and points finite and below 1e76")
+    if np.shape(ks) != x.shape or x.ndim != 1:
+        raise ParameterError(f"degrees {np.shape(ks)} and points {x.shape} must be one flat shape")
+    ks = whole("degrees", ks, 0)
+    if not np.all(np.abs(x) <= math.sqrt(np.finfo(float).max)):
+        raise ParameterError("points must be finite, with finite squares")
     order = np.argsort(-ks, kind="stable")
     k, xs = ks[order], x[order]
     prev, cur, expo, _ = _psi_scaled_sorted(k, xs)
@@ -164,6 +173,17 @@ def _coefficients(size):
     np.divide(d[1:], c, out=c)
     np.divide(1.0, d, out=d)
     return c.tolist(), d.tolist()
+
+
+def _coefficients_to(top):
+    """(c_j, 1 / D_j) lists reaching degree ``top``, kept up to ``_COEFF_CAP``."""
+    global _coeffs
+    c, inv_d = _coeffs
+    if len(c) < top:
+        c, inv_d = _coefficients(max(top, min(2 * len(c), _COEFF_CAP)))
+        if top <= _COEFF_CAP:
+            _coeffs = c, inv_d
+    return c, inv_d
 
 
 def _pair_rescale(prev, cur, expo, acc):
@@ -240,10 +260,9 @@ def _psi_scaled_sorted(ks, x, weights=None):
     times 2^(2 exponent), and a rescale of the pair by 2^(-sh) rescales it
     by 2^(-2 sh).
 
-    Up to ``_COEFF_CAP`` degrees the coefficients are kept between calls
-    and regrown at least twofold; longer lists change no entry's bits.
+    Points must be finite; the densities and CDFs pass only points inside
+    the far-tail cutoff of :func:`_far`.
     """
-    global _coeffs
     x = np.ascontiguousarray(x, dtype=float)
     last = np.zeros_like(x)
     mant = np.ones_like(x)  # psi_0 = 1
@@ -257,11 +276,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
     if not degrees:
         return _pair_rescale(last, mant, expo, total)
     top = degrees[-1]
-    c, inv_d = _coeffs
-    if len(c) < top:
-        c, inv_d = _coefficients(max(top, min(2 * len(c), _COEFF_CAP)))
-        if top <= _COEFF_CAP:
-            _coeffs = c, inv_d
+    c, inv_d = _coefficients_to(top)
     wy = None  # weights[j] / (D_j D_{j-1})
     if weights is not None:
         scale = np.asarray(inv_d[: top + 1])
@@ -316,6 +331,27 @@ def _psi_scaled_sorted(ks, x, weights=None):
     return _pair_rescale(last, mant, expo, total)
 
 
+def psi_rows(n, x):
+    """Rows (psi_0(x), ..., psi_{n-1}(x)) of the points ``x``, each up to its
+    own power-of-two factor: the kernel's step y_{j+1} = c_j x y_j - y_{j-1},
+    keeping every y_j, with the prefix scaled to put the last pair's largest
+    magnitude in [0.5, 1) after each multiple of the :func:`_stride` of the
+    largest |x|, so rows stay finite at any n; entry j is times 1 / D_j."""
+    x = np.asarray(x, dtype=float)
+    c, inv_d = _coefficients_to(n - 1)
+    y = np.empty((x.size, n))
+    y[:, 0] = 1.0
+    if n > 1:
+        y[:, 1] = x
+    stride = _stride(float(np.max(np.abs(x), initial=0.0)))
+    for j in range(1, n - 1):
+        y[:, j + 1] = c[j] * (x * y[:, j]) - y[:, j - 1]
+        if j % stride == 0:
+            sh = np.frexp(np.maximum(np.abs(y[:, j]), np.abs(y[:, j + 1])))[1]
+            np.ldexp(y[:, : j + 2], -sh[:, None], out=y[:, : j + 2])
+    return y * inv_d[:n]
+
+
 _CHUNK = 32768
 
 
@@ -323,18 +359,16 @@ def _sliced(slice_fn, ks, x, fill=-np.inf):
     """``slice_fn(ks, x)`` over ``_CHUNK``-sized slices of the flat points
     (degrees ``ks`` descending), in the shape of ``x``. Each value depends
     on its own (degree, point) alone, so the slicing does not change it.
-    Points at or beyond _HUGE_X get ``fill`` and NaN points NaN; both are
-    passed in as 0, so that the stride comes from the in-range points."""
+    Lanes in the far tail (:func:`_far`) do not reach ``slice_fn``: they get
+    ``fill``, the value their underflow gives, and NaN points NaN."""
     x = np.asarray(x, dtype=float)
     flat = np.ravel(x)
-    out = np.empty(x.size)
+    out = np.full(x.size, fill)
     for lo in range(0, x.size, _CHUNK):
-        xs = flat[lo : lo + _CHUNK]
-        safe = np.abs(xs) < _HUGE_X
-        values = slice_fn(ks[lo : lo + _CHUNK], np.where(safe, xs, 0.0))
-        values[~safe] = fill
-        values[np.isnan(xs)] = np.nan
-        out[lo : lo + _CHUNK] = values
+        xs, kc = flat[lo : lo + _CHUNK], ks[lo : lo + _CHUNK]
+        near = ~_far(kc, xs)
+        out[lo : lo + _CHUNK][near] = slice_fn(kc[near], xs[near])
+    out[np.isnan(flat)] = np.nan
     return out.reshape(x.shape)
 
 
@@ -376,12 +410,9 @@ def phi_squared_degrees(ks, x):
     bit-for-bit :func:`phi_squared_many`.
     """
     x = np.asarray(x, dtype=float)
-    ks = np.asarray(ks)
-    if ks.shape != x.shape:
-        raise ParameterError(f"degrees {ks.shape} and points {x.shape} differ in shape")
-    ks = np.ravel(ks).astype(np.int64)
-    if ks.size and int(ks.min()) < 0:
-        raise ParameterError(f"degrees must be >= 0, got {int(ks.min())}")
+    if np.shape(ks) != x.shape:
+        raise ParameterError(f"degrees {np.shape(ks)} and points {x.shape} differ in shape")
+    ks = whole("degrees", np.ravel(ks), 0)
     order = np.argsort(-ks, kind="stable")
     out = np.empty(x.size)
     out[order] = _sliced(_log_phi_sq_sorted, ks[order], np.ravel(x)[order])
@@ -391,20 +422,14 @@ def phi_squared_degrees(ks, x):
 def phi_squared_many(k, x):
     """Vectorized phi_k^2 over an array of points: the one-degree case of
     :func:`phi_squared_degrees`."""
-    k = int(k)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k}")
-    ks = np.broadcast_to(np.int64(k), np.size(x))
+    ks = np.broadcast_to(np.int64(whole("degree", k, 0)), np.size(x))
     return _exp(_sliced(_log_phi_sq_sorted, ks, x))
 
 
 def mixture_density_many(n, x):
     """Density of one uniformly chosen eigenvalue: (1/n) sum_{k<n} phi_k^2,
     in closed form on the kernel's degree-(n-1) pair."""
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {n}")
-    ks = np.broadcast_to(np.int64(n - 1), np.size(x))
+    ks = np.broadcast_to(np.int64(whole("ensemble size", n, 1) - 1), np.size(x))
     return _exp(_sliced(_log_mixture_sorted, ks, x))
 
 
@@ -424,8 +449,8 @@ def _ladder_sorted(weights, ks, x):
 
 
 def _ladder_cdf(k, weights, x):
-    """Phi(x) - w(x) sum_{j=1..k} weights[j] psi_j(x) psi_{j-1}(x); at
-    |x| >= _HUGE_X, where every term underflows, exactly Phi(x)."""
+    """Phi(x) - w(x) sum_{j=1..k} weights[j] psi_j(x) psi_{j-1}(x); in the
+    far tail, where the sum underflows, exactly Phi(x)."""
     x = np.asarray(x, dtype=float)
     ks = np.broadcast_to(np.int64(k), x.size)
     ladder = _sliced(functools.partial(_ladder_sorted, weights), ks, x, 0.0)
@@ -436,9 +461,7 @@ def _ladder_cdf(k, weights, x):
 def phi_sq_cdf_many(k, x):
     """CDF of the phi_k^2 density at an array of points:
     F_k = Phi - w sum_{j=1..k} psi_j psi_{j-1} / sqrt(j)."""
-    k = int(k)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k}")
+    k = whole("degree", k, 0)
     j = np.arange(1, k + 1, dtype=float)
     return _ladder_cdf(k, np.concatenate(([0.0], 1.0 / np.sqrt(j))), x)
 
@@ -447,8 +470,6 @@ def mixture_cdf_many(n, x):
     """CDF of the GUE(n) one-eigenvalue density (see
     :func:`mixture_density_many`), the mean of F_0 ... F_{n-1}:
     Phi - (w/n) sum_{j=1..n-1} (n-j) psi_j psi_{j-1} / sqrt(j)."""
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {n}")
+    n = whole("ensemble size", n, 1)
     j = np.arange(1, n, dtype=float)
     return _ladder_cdf(n - 1, np.concatenate(([0.0], (n - j) / (n * np.sqrt(j)))), x)

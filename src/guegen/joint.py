@@ -72,16 +72,14 @@ import math
 
 import numpy as np
 
-from . import samplers
-from .errors import BudgetError, ParameterError
+from . import hermite, samplers
+from .errors import BudgetError, ParameterError, whole
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 PROGRESS_EVERY = 10**5
 DEFAULT_MAX_ATTEMPTS = 10**7
 CHAIN_MIN_N = 6  # the chain is faster from here on at beta = 2 (table above)
-# the chain's rows of psi values are scaled down past this magnitude
-_ROW_LIMIT = 2.0**256
 # basis entries (n^2 per spectrum) of the spectra the chain runs at once
 _CHAIN_ENTRIES = 2**19
 
@@ -92,9 +90,7 @@ def pair_exponents(n):
 
 
 def _validated(n, beta):
-    n = int(n)
-    if n < 2:
-        raise ParameterError(f"joint sampling needs n >= 2, got {n}")
+    n = whole("n", n, 2)
     beta = float(beta)
     if not 0.0 < beta < math.inf:
         raise ParameterError(f"beta must be finite and > 0, got {beta}")
@@ -175,11 +171,8 @@ def sample_joint_many(
     ``PROGRESS_EVERY`` attempts have passed since its last call.
     """
     n, beta = _validated(n, beta)
-    count = int(count)
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    if max_attempts < 1:
-        raise ParameterError("max_attempts must be >= 1")
+    count = whole("count", count, 0)
+    max_attempts = whole("max_attempts", max_attempts, 1)
     if stream is None:
         raise ParameterError("sample_joint_many needs a RandomStream")
     if count == 0:
@@ -223,26 +216,6 @@ def _sample_pair_bound(n, count, beta, stream, max_attempts, progress):
             last_report = drawn
         rate = max(filled / drawn, 1e-7)
     return values, attempts
-
-
-def _psi_rows(n, x):
-    """Rows v(x) = (psi_0(x), ..., psi_{n-1}(x)) of the normalized
-    recurrence, without the Gaussian weight, one row per point of ``x``.
-
-    A row whose newest entry passes 2^256 in magnitude is scaled by
-    2^-256 as a whole, so rows stay finite at any n; the chain's tests
-    and unit residuals do not change when a row is scaled.
-    """
-    v = np.empty((x.size, n))
-    v[:, 0] = 1.0
-    if n > 1:
-        v[:, 1] = x
-    for j in range(1, n - 1):
-        v[:, j + 1] = (x * v[:, j] - math.sqrt(j) * v[:, j - 1]) / math.sqrt(j + 1)
-        big = np.abs(v[:, j + 1]) > _ROW_LIMIT
-        if big.any():
-            v[big, : j + 2] *= 1.0 / _ROW_LIMIT
-    return v
 
 
 def _sample_chain(n, count, stream, max_attempts, progress):
@@ -322,7 +295,7 @@ def _sample_chain(n, count, stream, max_attempts, progress):
         x[slots] = pool[:size]
         u = np.ones(slots.shape)
         u[slots] = stream.uniforms(size)
-        v = _psi_rows(n, x.ravel()).reshape(x.shape + (n,))
+        v = hermite.psi_rows(n, x.ravel()).reshape(x.shape + (n,))
         r = v
         for _ in range(2):  # project out the basis, then once more ("twice is enough")
             r = r - (r @ basis.transpose(0, 2, 1)) @ basis
@@ -359,9 +332,7 @@ def _sample_chain(n, count, stream, max_attempts, progress):
 def vandermonde_max_log(n):
     """Log of the maximum of prod_{i<j}(x_j - x_i) over ordered points
     pinned to x_1 = 0 and x_n = 1 (interior points free)."""
-    n = int(n)
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    n = whole("n", n, 2)
     total = 0.0
     for j in range(n):
         if j > 0:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 
 def sample_gue_matrices(n, count, stream):
     """``count`` GUE(n) matrices as a (count, n, n) complex array.
@@ -27,10 +27,8 @@ def sample_gue_matrices(n, count, stream):
     Draw order: all diagonals, then real parts, then imaginary parts of
     the upper triangle.
     """
-    n = int(n)
-    count = int(count)
-    if n < 1 or count < 0:
-        raise ParameterError(f"need matrix size >= 1 and count >= 0, got {n} and {count}")
+    n = whole("matrix size", n, 1)
+    count = whole("count", count, 0)
     m = n * (n - 1) // 2
     diag = stream.standard_normals(count * n).reshape(count, n)
     re = stream.standard_normals(count * m).reshape(count, m) if m else None

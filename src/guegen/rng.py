@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 
 
 class RandomStream:
@@ -38,11 +38,11 @@ class RandomStream:
     """
 
     def __init__(self, seed, spawn_key=()):
-        seed = int(seed)
-        if seed < 0 or seed >= 2**64:
+        seed = whole("seed", seed, 0)
+        if seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
         self.seed = seed
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        self.spawn_key = tuple(whole("spawn key entry", k, 0) for k in spawn_key)
         ss = np.random.SeedSequence(seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self.draw_count = 0
@@ -82,8 +82,8 @@ class RandomStream:
         again, which happens with probability below n 2^-64 per index, so
         ``draw_count`` grows by ``size`` plus the rare redrawn words.
         """
-        n, size = int(n), int(size)
-        if not 1 <= n <= 2**63:
+        n, size = whole("index range", n, 1), int(size)
+        if n > 2**63:
             raise ParameterError(f"index range must be in [1, 2^63], got {n}")
         limit = 2**64 - 2**64 % n  # a multiple of n; words below it are kept
         out = np.empty(size, dtype=np.uint64)

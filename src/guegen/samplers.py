@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dominator, hermite, vanveen
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, whole
 
 DEFAULT_MAX_PROPOSALS = 10**6
 _BLOCK_CAP = 1_500_000
@@ -96,9 +96,11 @@ class _Block(NamedTuple):
     lanes: np.ndarray  # ascending positions of the proposals left to the exact test
 
 
-def _check_mode(mode):
+def _checked(count, mode, max_proposals):
+    """Check ``mode``; return ``count`` and ``max_proposals`` as ints."""
     if mode not in ("plain", "squeeze"):
         raise ParameterError(f"mode must be 'plain' or 'squeeze', got {mode!r}")
+    return whole("count", count, 0), whole("max_proposals", max_proposals, 1)
 
 
 def _propose(g, stream, use_squeeze):
@@ -185,8 +187,6 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     exact recurrence slices its own input, and the stream is consumed the
     same way wherever the batches split.
     """
-    if max_proposals < 1:
-        raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     t0 = time.perf_counter()
     use_squeeze = mode == "squeeze"
     out = np.empty(sum(counts))
@@ -236,13 +236,8 @@ def sample_phi_sq_many(
     and everything after it is discarded as if never drawn. The call may
     spend ``max_proposals * count`` proposals, then raises BudgetError.
     """
-    k = int(k)
-    count = int(count)
-    if k < 0:
-        raise ParameterError(f"degree must be >= 0, got {k}")
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    _check_mode(mode)
+    k = whole("degree", k, 0)
+    count, max_proposals = _checked(count, mode, max_proposals)
     if stats is None:
         stats = SamplerStats()
     return _sample_degrees([k], [count], stream, mode, stats, max_proposals)
@@ -265,13 +260,8 @@ def sample_gue_eigenvalues(
     ``max_proposals`` times its number of draws in proposals, then raises
     BudgetError.
     """
-    n = int(n)
-    count = int(count)
-    if n < 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {n}")
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    _check_mode(mode)
+    n = whole("ensemble size", n, 1)
+    count, max_proposals = _checked(count, mode, max_proposals)
     if stats is None:
         stats = SamplerStats()
     ks = stream.indices(n, count)
@@ -321,8 +311,7 @@ def benchmark(mode, n_list, samples_per_n, seed=0):
     """
     if not n_list:
         raise ParameterError("n_list must be nonempty")
-    if samples_per_n < 1:
-        raise ParameterError(f"samples_per_n must be >= 1, got {samples_per_n}")
+    samples_per_n = whole("samples_per_n", samples_per_n, 1)
     from .rng import RandomStream
 
     master = RandomStream(seed)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 
 MU_BOUND = 4.2
 _LN_PI = math.log(math.pi)
@@ -69,7 +69,7 @@ def terms_many(n, x):
     (sin(alpha) is singular at its edge); the squeeze window used by the
     samplers (|x| <= x1 < 2 sqrt(n+1)) guarantees this.
     """
-    n = int(n)
+    n = whole("degree", n, 0)
     ax = np.abs(np.asarray(x, dtype=float))
     edge = domain_edge(n)
     if ax.size and float(ax.max()) > edge * (1.0 - _EDGE_GUARD):

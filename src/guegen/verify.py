@@ -387,10 +387,9 @@ def check_squeeze_validity(quick=False):
     ns = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
     for n, spec in zip(ns, dominator.make_specs(ns)):
         grid = np.linspace(-spec.x1, spec.x1, points)
-        f, ep, em = vanveen.terms_many(n, grid)
-        lower = np.maximum(f - em, 0.0)
+        lower, upper = vanveen.squeeze_bounds_many(n, grid)
         h = dominator.envelope_many(spec, grid)
-        upper = np.minimum(f + ep, h)
+        upper = np.minimum(upper, h)
         phi = hermite.phi_squared_many(n, grid)
         slack = 1e-10 * h
         worst = max(float(np.max(lower - phi - slack)), float(np.max(phi - upper - slack)))
@@ -751,6 +750,8 @@ def run_suites(names=None, quick=False):
     """Run the requested suites (all by default); returns a JSON-ready dict."""
     if names is None or names == ["all"]:
         names = list(SUITES)
+    if not names:
+        raise ParameterError("name at least one suite, or 'all'")  # none checked is no pass
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ParameterError(f"unknown suite(s): {', '.join(unknown)}")

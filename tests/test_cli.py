@@ -175,6 +175,13 @@ def test_verify_single_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 1
 
 
+def test_verify_with_no_suite_fails(capsys):
+    # a report that checked nothing must not pass
+    for suite in ("", ","):
+        code, out, err = run(capsys, "verify", "--suite", suite)
+        assert code == 1 and out == "" and "suite" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "vals.csv"
     code, out, _ = run(

@@ -115,6 +115,50 @@ def test_scaled_recurrence_coefficients(monkeypatch):
         assert abs(math.sqrt(square) * inv_d[j] - 1.0) <= 1e-13, j
 
 
+def test_psi_rows_keep_their_direction_past_overflow():
+    # raw squared norms sum_k psi_k(x)^2 pass the double range near |x| = 38,
+    # inside the n = 600 spectrum (edge 2 sqrt(n) = 49); the scaled rows
+    # keep the direction of (psi_0, ..., psi_{n-1})
+    n = 600
+    x = np.array([0.3, -5.0, 20.0, 45.0, -48.9])
+    rows = hermite.psi_rows(n, x)
+    assert np.all(np.isfinite(rows))
+    for xi, row in zip(x, rows):
+        # log phi_k(xi)^2, k = n-1 ... 0: the densities themselves underflow
+        log_sq = hermite._log_phi_sq_sorted(np.arange(n)[::-1], np.full(n, xi))[::-1]
+        ref = np.exp(0.5 * (log_sq - log_sq.max()))  # |psi_k| up to one factor
+        got = np.abs(row) / np.linalg.norm(row)
+        assert np.allclose(got, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
+
+
+def test_far_tail_lanes_skip_the_kernel(monkeypatch):
+    # lanes at x^2 >= 6 (k ln 2 + ln(k+1) + 750) never reach the kernel, and
+    # get what their underflow gives: density 0, CDF Phi(x)
+    seen = []
+    kernel = hermite._psi_scaled_sorted
+
+    def spy(ks, x, weights=None):
+        seen.append((np.array(ks), np.array(x)))
+        return kernel(ks, x, weights)
+
+    monkeypatch.setattr(hermite, "_psi_scaled_sorted", spy)
+    for k in (0, 3, 300, 20_000):
+        cut = math.sqrt(6.0 * (k * math.log(2.0) + math.log(k + 1.0) + 750.0))
+        x = np.array([0.5, -cut, cut * (1 + 1e-12), 1e40, -9e75, 1e300, np.inf, 0.9 * cut])
+        ks = np.full(x.size, k)
+        for values in (
+            hermite.phi_squared_many(k, x),
+            hermite.phi_squared_degrees(ks, x),
+            hermite.mixture_density_many(k + 1, x),
+        ):
+            assert np.all(values[1:7] == 0.0) and values[0] > 0.0
+        for cdf in (hermite.phi_sq_cdf_many(k, x), hermite.mixture_cdf_many(k + 1, x)):
+            assert np.all(cdf[[2, 3, 5, 6]] == 1.0) and np.all(cdf[[1, 4]] == 0.0)
+    assert seen
+    for ks, x in seen:
+        assert np.all(x * x < 6.0 * (ks * math.log(2.0) + np.log1p(ks) + 750.0)), (ks, x)
+
+
 # ----------------------------------------------------------------------
 # squared Hermite function density
 # ----------------------------------------------------------------------
@@ -369,7 +413,9 @@ def test_certify_decreasing():
     assert not _certified(k, zero - 0.01)[2]  # psi_k < 0 there
     assert not _certified(3, 0.0)[2]
     assert all(v.size == 0 for v in hermite.certify_decreasing([], []))
-    for ks, xs in (([-1], [1.0]), ([5], [math.inf]), ([5], [math.nan]), ([1, 2], [1.0])):
+    # points must be finite with finite squares: beyond 1.3e154 the kernel overflows
+    cases = (([-1], [1.0]), ([5], [math.inf]), ([5], [math.nan]), ([1, 2], [1.0]), ([5], [1e200]))
+    for ks, xs in cases:
         with pytest.raises(ParameterError):
             hermite.certify_decreasing(ks, xs)
 

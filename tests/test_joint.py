@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import hermite, joint, samplers
+from guegen import joint, samplers
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
 from guegen.stats import ks_critical, ks_two_sample
@@ -301,22 +301,6 @@ def test_chain_attempts_follow_the_exact_law(n):
     assert attempts.max() < support and cdf[-1] > 1.0 - 1e-12
     ecdf = np.cumsum(np.bincount(attempts, minlength=support)) / count
     assert math.sqrt(count) * np.abs(ecdf - cdf).max() < ks_critical(0.01)
-
-
-def test_psi_rows_keep_their_direction_past_overflow():
-    # raw squared norms sum_k psi_k(x)^2 pass the double range near |x| = 38,
-    # inside the n = 600 spectrum (edge 2 sqrt(n) = 49); the scaled rows
-    # keep the direction of (psi_0, ..., psi_{n-1})
-    n = 600
-    x = np.array([0.3, -5.0, 20.0, 45.0, -48.9])
-    rows = joint._psi_rows(n, x)
-    assert np.all(np.isfinite(rows))
-    for xi, row in zip(x, rows):
-        # log phi_k(xi)^2, k = n-1 ... 0: the densities themselves underflow
-        log_sq = hermite._log_phi_sq_sorted(np.arange(n)[::-1], np.full(n, xi))[::-1]
-        ref = np.exp(0.5 * (log_sq - log_sq.max()))  # |psi_k| up to one factor
-        got = np.abs(row) / np.linalg.norm(row)
-        assert np.allclose(got, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
 
 
 def test_beta_one_gap_moment():

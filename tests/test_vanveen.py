@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import dominator, hermite, vanveen, verify
+from guegen import cli, dominator, hermite, vanveen, verify
 from guegen.errors import ParameterError
 
 
@@ -87,3 +87,18 @@ def test_gap_integral_finite_and_scaling():
         vals[n] = val
     # decreasing roughly like n^{-1/3}
     assert vals[1000] < vals[100]
+
+
+def test_squeeze_gate_and_table_use_the_sampler_bounds(monkeypatch):
+    # criterion 5 and tabulate-squeeze check the sandwich the samplers run
+    class Called(Exception):
+        pass
+
+    def spy(n, x):
+        raise Called
+
+    monkeypatch.setattr(vanveen, "squeeze_bounds_many", spy)
+    with pytest.raises(Called):
+        verify.check_squeeze_validity(quick=True)
+    with pytest.raises(Called):
+        cli.main(["tabulate-squeeze", "--n", "5", "--points", "11"])
