@@ -1,4 +1,6 @@
-"""Certified dominating hat for the squared Hermite function density.
+"""Certified dominating hats: one per degree for the squared Hermite
+function density, and a grid hat for the one-eigenvalue density of a
+small GUE(n).
 
 For degree n >= 1 write f = phi_n, e = 2 sqrt(n+1) (the edge of the van
 Veen representation, :mod:`guegen.vanveen`), x_t = sqrt(4n + 2) (the
@@ -31,10 +33,43 @@ x_c minimizes the closed-form mass over [0, x1] (golden-section search
 with a fixed step count).  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
 and one inversion variate per draw.  The newest specs are cached.
+
+The grid hat (:func:`grid_hat`) covers g_n = (1/n) sum_{k<n} phi_k^2,
+the density of one uniformly chosen GUE(n) eigenvalue, directly:
+
+* derivative: averaging the two ladder relations quoted in
+  :mod:`guegen.hermite` gives (phi_k^2)' = sqrt(k) phi_k phi_{k-1}
+  - sqrt(k+1) phi_{k+1} phi_k, which telescopes to
+  (sum_{k<n} phi_k^2)' = -sqrt(n) phi_n phi_{n-1}.  Cramer's inequality
+  (Abramowitz and Stegun 22.14.17) bounds every phi_k^2 by
+  1.086435^2 / sqrt(2 pi) < 0.4709, so |g_n'| <= L = 0.4709 / sqrt(n).
+* cells: [-X, X] is cut into cells of width about ``GRID_STEP`` at
+  points placed symmetrically about 0.  On a cell [a, b] of width w,
+  g(x) <= min(g(a) + L (x - a), g(b) + L (b - x))
+  <= (g(a) + g(b)) / 2 + L w / 2, and likewise
+  g(x) >= (g(a) + g(b)) / 2 - L w / 2.  On the kernel's values m at a
+  and b, the cell's hat level is (m(a) + m(b)) / 2 (1 + SLACK)
+  + L w / 2 (1 + SLACK) and its squeeze level
+  (m(a) + m(b)) / 2 (1 - SLACK) - L w / 2 (1 + SLACK), floored at 0, so
+  that they also bound the kernel's value at any x of the cell, which
+  the exact test reads; a draw in a cell is clamped into it, where the
+  bounds hold.
+* tails: Mehler's formula gives phi_k^2 <= 0.47 2^k e^(-x^2/6)
+  (:func:`hermite._far`), so g_n <= A e^(-x^2/6) with
+  A = 0.47 (2^n - 1) / n, and x^2 >= X^2 + 2 X (|x| - X) for |x| >= X
+  gives g_n <= A e^(-X^2/6) e^(-(X/3)(|x| - X)).  X^2 = 6 (ln A + 14)
+  puts the tail piece at e^(-14) at X; its squeeze level is 0.
+
+The levels come from one kernel pass over the points, so a grid costs
+O(n X / GRID_STEP) = O(n^(3/2)) recurrence steps to build; the most
+recently used grids are cached.  A draw costs one piece selector, read
+through a Walker alias table, and one position variate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,7 +240,7 @@ def sample_envelope_many(spec, stream, size):
     Consumes three uniform arrays of ``size``: signs, piece selectors, and
     the piece-level inversion variates.
     """
-    size = int(size)
+    size = whole("size", size, 0)
     s = stream.rademachers(size)
     u = stream.uniforms(size)
     v = stream.uniforms(size)
@@ -215,3 +250,117 @@ def sample_envelope_many(spec, stream, size):
         mask = piece == i
         x[mask] = piece_inverse(spec, i, v[mask])
     return s * x
+
+
+# ----------------------------------------------------------------------
+# the grid hat of the one-eigenvalue density
+# ----------------------------------------------------------------------
+
+# sup phi_k^2 <= 1.086435^2 / sqrt(2 pi) = 0.470888 (Cramer), rounded up
+_CRAMER = 0.4709
+GRID_STEP = 0.02  # cell width; the samplers module docstring has the mass table
+_TAIL_LOG = 14.0  # the tail piece starts at e^(-14) at |x| = X
+# grids kept, the most recently used; one takes 40 B a cell, at most 135 KB
+# at n <= 256, so the cache stays below 2.2 MB
+_GRID_CACHE = 16
+
+
+class GridHat(NamedTuple):
+    """The grid hat of the GUE(n) one-eigenvalue density (see the module
+    docstring): levels on the cells between consecutive ``points``, which
+    cover [-x1, x1], and an exponential tail beyond.  Its pieces are the
+    cells from the left, then the left and the right tail, and ``keep``
+    and ``alias`` are their Walker alias table (:func:`_alias_table`)."""
+
+    n: int
+    x1: float  # X: the cells cover [-X, X]
+    points: np.ndarray  # cell edges, -X ... X, symmetric about 0
+    upper: np.ndarray  # hat level of each cell
+    lower: np.ndarray  # squeeze level of each cell
+    tail: float  # the tail piece at |x| = X
+    rate: float  # the tail piece is tail exp(-rate (|x| - X))
+    mass: float  # the hat's integral, the mean number of proposals per accept
+    keep: np.ndarray
+    alias: np.ndarray
+
+
+def grid_hat(n):
+    """The grid hat of the GUE(n) one-eigenvalue density, n >= 1, cached."""
+    return _grid_hat(whole("ensemble size", n, 1))
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE)
+def _grid_hat(n):
+    # ln A, A = 0.47 (2^n - 1) / n, in logs: 2^n overflows from n = 1024
+    log_a = math.log(0.47) + n * math.log(2.0) + math.log1p(-(2.0**-n)) - math.log(n)
+    x1 = math.sqrt(6.0 * (log_a + _TAIL_LOG))
+    half = np.linspace(0.0, x1, math.ceil(x1 / GRID_STEP) + 1)
+    g = hermite.mixture_density_many(n, half)
+    points = np.concatenate((-half[:0:-1], half))
+    g = np.concatenate((g[:0:-1], g))
+    mid = 0.5 * (g[:-1] + g[1:])
+    width = np.diff(points)
+    reach = (1.0 + SLACK) * 0.5 * _CRAMER / math.sqrt(n) * width  # L w / 2, with slack
+    upper = mid * (1.0 + SLACK) + reach
+    lower = np.maximum(mid * (1.0 - SLACK) - reach, 0.0)
+    tail = math.exp(log_a - x1 * x1 / 6.0)
+    rate = x1 / 3.0
+    masses = np.concatenate((upper * width, [tail / rate] * 2))
+    keep, alias = _alias_table(masses)
+    for a in (points, upper, lower, keep, alias):
+        a.flags.writeable = False  # shared by every caller of the cache
+    return GridHat(n, x1, points, upper, lower, tail, rate, float(masses.sum()), keep, alias)
+
+
+def _alias_table(masses):
+    """Walker's alias table of the distribution proportional to ``masses``:
+    index j, drawn uniformly, is kept with probability ``keep[j]`` and
+    otherwise replaced by ``alias[j]``.  Vose's pairing, run on every pair
+    at once: each round pairs as many indices of scaled mass below 1 with
+    indices at or above 1 as there are of the fewer kind; each of the
+    first is finished, and each of the second gives up what its partner
+    lacks and joins the first kind if it falls below 1.  Indices left over
+    keep their own share (about 1, up to rounding)."""
+    p = masses * (masses.size / masses.sum())
+    keep = np.ones(masses.size)
+    alias = np.arange(masses.size)
+    small, large = np.flatnonzero(p < 1.0), np.flatnonzero(p >= 1.0)
+    while small.size and large.size:
+        k = min(small.size, large.size)
+        s, big = small[:k], large[:k]
+        keep[s], alias[s] = p[s], big
+        p[big] -= 1.0 - p[s]
+        fell = p[big] < 1.0
+        small = np.concatenate((small[k:], big[fell]))
+        large = np.concatenate((large[k:], big[~fell]))
+    return keep, alias
+
+
+def sample_grid_many(hat, stream, size):
+    """``size`` draws from the normalized grid hat, as ``(x, h, lower)``:
+    the draws, and the hat and squeeze levels at each (0 in the tails).
+
+    Consumes two uniform arrays of ``size``: the piece selectors u, where
+    the integer part of u (m + 2), m the number of cells, picks an
+    alias-table entry and its fraction is that entry's coin, then the
+    position variates.  A cell's draw is clamped into the cell, where its
+    bounds hold.
+    """
+    cells = hat.upper.size
+    u = stream.uniforms(size) * (cells + 2)
+    # u < 1 keeps the product below m + 2 after rounding, and m + 2 < 2^12
+    # at n <= 256 leaves the coin at least 41 bits
+    j = u.astype(np.intp)
+    piece = np.where(u - j < hat.keep[j], j, hat.alias[j])
+    v = stream.uniforms(size)
+    cell = np.minimum(piece, cells - 1)
+    a, b = hat.points[cell], hat.points[cell + 1]
+    x = np.minimum(a + (b - a) * v, b)
+    h, lower = hat.upper[cell], hat.lower[cell]
+    tails = np.flatnonzero(piece >= cells)
+    if tails.size:
+        t = -np.log1p(-v[tails]) / hat.rate
+        x[tails] = np.where(piece[tails] == cells, -1.0, 1.0) * (hat.x1 + t)
+        h[tails] = hat.tail * np.exp(-hat.rate * t)
+        lower[tails] = 0.0
+    return x, h, lower

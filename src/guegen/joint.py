@@ -61,8 +61,13 @@ spectrum, medians of 15 interleaved calls of 500 spectra each on a
 three calls of 5 spectra):
 
     n            2      3      4      5      6      7      8
-    pair bound   1.7    1.7    4.4    18.0   199    4.8e3  1.7e5
-    chain        12.2   20.2   29.9   39.4   38.1   47.2   58.2
+    pair bound   1.3    1.6    3.1    14.9   165    4.1e3  1.8e5
+    chain        6.4    8.6    8.0    11.4   11.5   22.2   24.9
+
+At these n the chain's mixture draws come from the grid hat
+(``samplers.N_GRID``).  At n = 5, over 40 alternating pairs
+of calls, the chain was faster in 39, at medians of 9.4 against
+15.8 us.
 
 Use ``max_attempts`` plus the progress callback to keep long runs
 observable.
@@ -79,7 +84,7 @@ _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 PROGRESS_EVERY = 10**5
 DEFAULT_MAX_ATTEMPTS = 10**7
-CHAIN_MIN_N = 6  # the chain is faster from here on at beta = 2 (table above)
+CHAIN_MIN_N = 5  # the chain is faster from here on at beta = 2 (table above)
 # basis entries (n^2 per spectrum) of the spectra the chain runs at once
 _CHAIN_ENTRIES = 2**19
 

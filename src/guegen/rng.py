@@ -62,7 +62,7 @@ class RandomStream:
 
     def uniforms(self, size):
         """Array of ``size`` uniforms in [0, 1)."""
-        size = int(size)
+        size = whole("size", size, 0)
         self.draw_count += size
         return self._gen.random(size)
 
@@ -82,7 +82,7 @@ class RandomStream:
         again, which happens with probability below n 2^-64 per index, so
         ``draw_count`` grows by ``size`` plus the rare redrawn words.
         """
-        n, size = whole("index range", n, 1), int(size)
+        n, size = whole("index range", n, 1), whole("size", size, 0)
         if n > 2**63:
             raise ParameterError(f"index range must be in [1, 2^63], got {n}")
         limit = 2**64 - 2**64 % n  # a multiple of n; words below it are kept
@@ -103,7 +103,7 @@ class RandomStream:
 
     def standard_normals(self, size):
         """Array of ``size`` N(0,1) variates."""
-        size = int(size)
+        size = whole("size", size, 0)
         out = np.empty(size)
         have = 0
         while have < size:
@@ -134,7 +134,7 @@ class RandomStream:
         shape = float(shape)
         if not 0.0 < shape < math.inf:
             raise ParameterError(f"gamma shape must be finite and > 0, got {shape}")
-        size = int(size)
+        size = whole("size", size, 0)
         if shape < 1.0:
             g = self._gammas_mt(shape + 1.0, size)
             u = self.uniforms(size)

@@ -1,6 +1,6 @@
 """Exact single-eigenvalue samplers.
 
-Three layers, all targeting the same densities exactly:
+Four layers, all targeting the same densities exactly:
 
 * plain rejection from the certified hat of :mod:`guegen.dominator`,
   paying one O(k) recurrence evaluation per proposal;
@@ -11,20 +11,28 @@ Three layers, all targeting the same densities exactly:
 * the uniform-index mixture: pick K uniform on {0, ..., n-1}, draw from
   the squared Hermite function density of degree K.  The result is one
   uniformly chosen eigenvalue of an n x n GUE matrix in the unscaled
-  convention (spectrum ~ [-2 sqrt(n), 2 sqrt(n)]).
+  convention (spectrum ~ [-2 sqrt(n), 2 sqrt(n)]);
+* for 2 <= n <= ``N_GRID``, rejection from the certified grid hat of the
+  mixture density itself (:func:`dominator.grid_hat`), with no index
+  draws: 1.02-1.06 proposals per draw (n = 256 down to 2) against about
+  3.1 for the per-degree hats, and a squeeze level per cell that leaves
+  4-9% of the draws to one exact mixture-density evaluation each.
 
 Degree 0 short-circuits to a standard normal draw, since the degree-0
-density is exactly the standard normal density.
+density is exactly the standard normal density, and so does n = 1.
 
-Both entry points share one rejection engine over (degree, count)
-groups.  ``sample_phi_sq_many`` is its one-group case;
-``sample_gue_eigenvalues`` draws all mixture indices and hands every
-represented degree to the engine as one group.  In each round every
-unfinished group draws a proposal block and applies the squeeze, and the
-proposals left undecided in all groups share one pass of the exact
-recurrence (:func:`hermite.phi_squared_degrees`), which costs the largest
-degree of the round in Python-level steps rather than the sum of the
-degrees.
+Both entry points share one rejection engine over groups of draws from
+one hat.  ``sample_phi_sq_many`` is its one-group case;
+``sample_gue_eigenvalues`` above ``N_GRID`` draws all mixture indices
+and hands every represented degree to the engine as one group, and up
+to ``N_GRID`` runs the engine on the grid hat alone.
+
+In each round every unfinished group draws a proposal block and
+applies the squeeze, and the proposals left undecided in all groups
+share one pass of the exact recurrence
+(:func:`hermite.phi_squared_degrees`, or for the grid hat
+:func:`hermite.mixture_density_many`), which costs the largest degree
+of the round in Python-level steps rather than the sum of the degrees.
 
 Undecided proposals that lie after a block's ``need``-th lower-squeeze
 accept are never evaluated: the group's last needed accept comes at or
@@ -33,7 +41,38 @@ before that point, so they lie past the cut and would be discarded.
 There is one budget: each group may spend ``max_proposals * count``
 proposals, where ``count`` is its number of draws, and raises BudgetError
 when it needs more.  Every output is a deterministic function of (seed,
-parameters).
+parameters), and in both modes the same: squeeze mode only skips exact
+tests whose outcome the squeeze already decided.
+
+The grid costs O(n^(3/2)) recurrence steps to build, which a cold call
+pays once; it is then cached.  Milliseconds per call of 1 and of 100
+draws on a 2-core x86-64 box (Python 3.11, numpy 2.4), per-degree
+engine / grid hat, medians of 15 interleaved calls; "cold" clears both
+hat caches before each call, "warm" runs the same call first:
+
+    n       cold 1        warm 1        cold 100       warm 100
+    2       0.56 / 1.06   0.23 / 0.17    1.15 / 1.09    0.75 / 0.39
+    6       1.03 / 0.83   0.72 / 0.16    2.59 / 1.08    1.95 / 0.43
+    16      1.07 / 0.98   0.72 / 0.17    5.79 / 1.29    4.31 / 0.44
+    64      1.05 / 1.36   0.68 / 0.17   16.76 / 1.50   13.00 / 0.50
+    128     1.08 / 1.85   0.73 / 0.19   22.98 / 1.97   17.41 / 0.56
+    256     1.04 / 2.80   0.78 / 0.19   27.23 / 2.97   19.74 / 0.58
+    1024    1.17 / 9.75   0.84 / 0.19   34.20 / 11.18  24.03 / 0.92
+
+The grid wins every warm call and every call of 100 draws.  A cold
+call pays the grid's build, which grows like n^(3/2): at n = 256 it
+costs about 2.6 ms, which the grid's saving of about 0.19 ms a draw
+recovers within 14 draws, and at n = 1024 about 9.6 ms, recovered
+within 42.  ``N_GRID`` = 256 keeps that one-off cost under 3 ms.
+
+The grid hat's cell width ``dominator.GRID_STEP`` = 0.02 comes from
+the same box: 8200 draws at n = 6 (the size the chain of
+:mod:`guegen.joint` asks for at n = 6) cost, in ms, with the hat's mass
+and cell count:
+
+    width    0.1                  0.05                 0.02                 0.01
+    n = 6    0.85 (1.186, 194)    0.71 (1.093, 388)    0.65 (1.037, 968)    0.65 (1.019, 1936)
+    n = 256  1.44 (1.098, 668)    1.16 (1.049, 1334)   1.03 (1.020, 3334)   1.06 (1.010, 6666)
 """
 
 import time
@@ -47,6 +86,7 @@ from .errors import BudgetError, ParameterError, whole
 
 DEFAULT_MAX_PROPOSALS = 10**6
 _BLOCK_CAP = 1_500_000
+N_GRID = 256  # mixtures of 2 ... N_GRID degrees draw from the grid hat (table above)
 
 
 @dataclass
@@ -55,9 +95,10 @@ class SamplerStats:
 
     ``exact_in_window`` and ``exact_out_of_window`` count proposals whose
     decision needed the O(k) recurrence, inside the squeeze window
-    |x| <= x1 and outside it: in squeeze mode the in-window inconclusive
-    proposals and every out-of-window proposal, in plain mode every
-    proposal.  ``exact_evals`` is their sum.
+    |x| <= x1 and outside it (for the grid hat: on its cells and in its
+    tails): in squeeze mode the in-window inconclusive proposals and
+    every out-of-window proposal, in plain mode every proposal.
+    ``exact_evals`` is their sum.
     """
 
     proposals: int = 0
@@ -75,12 +116,12 @@ class SamplerStats:
 
 @dataclass
 class _Group:
-    """Rejection state of the draws of one degree inside an engine call."""
+    """Rejection state of the draws of one hat inside an engine call: a
+    degree's hat, or the grid hat of a mixture."""
 
-    k: int
     count: int
     offset: int  # where the group's draws start in the engine output
-    spec: dominator.DominatorSpec
+    spec: dominator.DominatorSpec | dominator.GridHat
     budget: int
     filled: int = 0
     spent: int = 0
@@ -108,22 +149,29 @@ def _propose(g, stream, use_squeeze):
     need = g.count - g.filled
     block = int(need * g.spec.mass * 1.2) + 32  # mass = mean proposals per accept
     block = min(block, _BLOCK_CAP, g.budget - g.spent)
+    grid = isinstance(g.spec, dominator.GridHat)
     if block <= 0:
+        target = f"the n = {g.spec.n} mixture" if grid else f"degree {g.spec.n}"
         raise BudgetError(
-            f"no acceptance within {g.budget} proposals at degree {g.k}",
-            attempts=g.budget,
+            f"no acceptance within {g.budget} proposals at {target}", attempts=g.budget
         )
-    x = dominator.sample_envelope_many(g.spec, stream, block)
-    u = stream.uniforms(block)
-    uh = u * dominator.envelope_many(g.spec, x)
     lower_acc = np.zeros(block, dtype=bool)
     upper_rej = np.zeros(block, dtype=bool)
-    if use_squeeze:
-        window = np.abs(x) <= g.spec.x1
-        lo, up = vanveen.squeeze_bounds_many(g.k, x[window])
-        uhw = uh[window]
-        lower_acc[window] = uhw <= lo
-        upper_rej[window] = uhw > up
+    if grid:
+        x, h, lower = dominator.sample_grid_many(g.spec, stream, block)
+        uh = stream.uniforms(block) * h
+        if use_squeeze:
+            lower_acc = uh <= lower
+    else:
+        x = dominator.sample_envelope_many(g.spec, stream, block)
+        u = stream.uniforms(block)
+        uh = u * dominator.envelope_many(g.spec, x)
+        if use_squeeze:
+            window = np.abs(x) <= g.spec.x1
+            lo, up = vanveen.squeeze_bounds_many(g.spec.n, x[window])
+            uhw = uh[window]
+            lower_acc[window] = uhw <= lo
+            upper_rej[window] = uhw > up
     undecided = ~(lower_acc | upper_rej)
     # the group's last needed accept comes at or before its need-th lower
     # accept, so the undecided proposals after that lie past the cut
@@ -142,13 +190,16 @@ def _decide(batch, pooled, out, stats):
     after it is discarded as if never drawn.
     """
     xs = np.concatenate([b.x[b.lanes] for _, b in batch])
+    spec = batch[0][0].spec
     if not xs.size:
         phi = xs
+    elif isinstance(spec, dominator.GridHat):
+        phi = hermite.mixture_density_many(spec.n, xs)
     elif pooled:
-        ks = np.repeat([g.k for g, _ in batch], [b.lanes.size for _, b in batch])
+        ks = np.repeat([g.spec.n for g, _ in batch], [b.lanes.size for _, b in batch])
         phi = hermite.phi_squared_degrees(ks, xs)
     else:
-        phi = hermite.phi_squared_many(batch[0][0].k, xs)
+        phi = hermite.phi_squared_many(spec.n, xs)
     start = 0
     for g, b in batch:
         accept = b.lower_acc.copy()
@@ -188,7 +239,6 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
     same way wherever the batches split.
     """
     t0 = time.perf_counter()
-    use_squeeze = mode == "squeeze"
     out = np.empty(sum(counts))
     drawn = [k for k, count in zip(degrees, counts) if k and count]
     specs = dict(zip(drawn, dominator.make_specs(drawn)))
@@ -200,8 +250,28 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
             stats.proposals += count
             stats.accepted += count
         elif count:
-            groups.append(_Group(k, count, offset, specs[k], max_proposals * count))
+            groups.append(_Group(count, offset, specs[k], max_proposals * count))
         offset += count
+    _run(groups, stream, mode == "squeeze", out, stats)
+    stats.elapsed += time.perf_counter() - t0
+    return out
+
+
+def _sample_grid(n, count, stream, mode, stats, max_proposals):
+    """``count`` draws from the GUE(n) one-eigenvalue density by rejection
+    from its grid hat (:func:`dominator.grid_hat`): the engine with one
+    group, whose exact test is :func:`hermite.mixture_density_many`."""
+    t0 = time.perf_counter()
+    out = np.empty(count)
+    if count:
+        group = _Group(count, 0, dominator.grid_hat(n), max_proposals * count)
+        _run([group], stream, mode == "squeeze", out, stats)
+    stats.elapsed += time.perf_counter() - t0
+    return out
+
+
+def _run(groups, stream, use_squeeze, out, stats):
+    """Rounds of proposal blocks until every group has its count."""
     pooled = len(groups) > 1
     while groups:
         batch, size = [], 0
@@ -215,8 +285,6 @@ def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
         if batch:
             _decide(batch, pooled, out, stats)
         groups = [g for g in groups if g.filled < g.count]
-    stats.elapsed += time.perf_counter() - t0
-    return out
 
 
 def sample_phi_sq_many(
@@ -253,17 +321,21 @@ def sample_gue_eigenvalues(
 ):
     """``count`` uniformly chosen GUE(n) eigenvalues, vectorized.
 
-    Draws all mixture indices first, then hands every represented degree
-    to the rejection engine as one group, so the exact recurrence runs
-    once per round for all degrees together. Draw ``i`` comes from the
-    degree of index draw ``i``. Each degree group may spend
-    ``max_proposals`` times its number of draws in proposals, then raises
-    BudgetError.
+    For 2 <= n <= ``N_GRID``, rejection from the grid hat of the mixture
+    density, which may spend ``max_proposals * count`` proposals. Above
+    ``N_GRID`` (and at n = 1), draws all mixture indices first, then
+    hands every represented degree to the rejection engine as one group,
+    so the exact recurrence runs once per round for all degrees together;
+    draw ``i`` comes from the degree of index draw ``i``, and each degree
+    group may spend ``max_proposals`` times its number of draws in
+    proposals. Either raises BudgetError past its budget.
     """
     n = whole("ensemble size", n, 1)
     count, max_proposals = _checked(count, mode, max_proposals)
     if stats is None:
         stats = SamplerStats()
+    if 2 <= n <= N_GRID:
+        return _sample_grid(n, count, stream, mode, stats, max_proposals)
     ks = stream.indices(n, count)
     order = np.argsort(ks, kind="stable")
     degrees, counts = np.unique(ks, return_counts=True)

@@ -250,3 +250,59 @@ def test_certificate_holds_over_degree_range():
     degrees = list(range(1, 10**4 + 1)) + [3 * 10**4, 10**5]
     for n, spec in zip(degrees, dominator.make_specs(degrees)):
         assert 0.0 < spec.plateau < spec.shoulder, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 64])
+def test_mixture_derivative_telescopes(n):
+    # d/dx sum_{k<n} phi_k^2 = -sqrt(n) phi_n phi_{n-1}, the identity the
+    # grid hat's Lipschitz bound rests on; psi_rows needs no rescale here
+    x = np.linspace(-2.5 * math.sqrt(n) - 2.0, 2.5 * math.sqrt(n) + 2.0, 41)
+    step = 1e-5
+    slope = n * (
+        hermite.mixture_density_many(n, x + step) - hermite.mixture_density_many(n, x - step)
+    ) / (2.0 * step)
+    psi = hermite.psi_rows(n + 1, x)
+    w = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+    closed = -math.sqrt(n) * psi[:, n] * psi[:, n - 1] * w
+    assert np.max(np.abs(slope - closed)) < 1e-8
+    assert np.max(np.abs(closed)) <= 0.4709 * math.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [2, 6, 256])
+def test_grid_alias_table_gives_each_piece_its_mass(n):
+    hat = dominator.grid_hat(n)
+    masses = np.concatenate((hat.upper * np.diff(hat.points), [hat.tail / hat.rate] * 2))
+    assert math.isclose(masses.sum(), hat.mass, rel_tol=1e-12)
+    prob = hat.keep.copy()
+    np.add.at(prob, hat.alias, 1.0 - hat.keep)
+    assert np.allclose(prob / masses.size, masses / hat.mass, rtol=1e-12, atol=0.0)
+    assert np.all((hat.keep >= 0.0) & (hat.keep <= 1.0))
+
+
+def test_grid_draws_carry_their_cells_levels():
+    hat = dominator.grid_hat(6)
+    x, h, lower = dominator.sample_grid_many(hat, RandomStream(12), 50_000)
+    cell = np.searchsorted(hat.points, x, side="right") - 1
+    inside = (cell >= 0) & (cell < hat.upper.size)
+    assert inside.all()  # the tails carry e^-14 of the mass
+    lo, hi = hat.points[cell], hat.points[cell + 1]
+    assert np.all((lo <= x) & (x <= hi))
+    # a draw on a shared edge may carry either neighbour's levels
+    interior = x > lo
+    assert np.array_equal(h[interior], hat.upper[cell[interior]])
+    assert np.array_equal(lower[interior], hat.lower[cell[interior]])
+    # the cells are drawn in proportion to their masses
+    counts = np.bincount(cell, minlength=hat.upper.size)
+    expect = x.size * hat.upper * np.diff(hat.points) / hat.mass
+    assert abs(counts - expect).max() < 6.0 * math.sqrt(expect.max())
+
+
+def test_grid_hat_is_symmetric_and_cached():
+    hat = dominator.grid_hat(6.0)
+    assert hat is dominator.grid_hat(6)
+    assert np.array_equal(hat.points, -hat.points[::-1])
+    assert np.array_equal(hat.upper, hat.upper[::-1])
+    with pytest.raises(ValueError):
+        hat.upper[0] = 1.0  # shared by every caller of the cache
+    with pytest.raises(ParameterError):
+        dominator.grid_hat(0)

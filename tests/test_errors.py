@@ -45,6 +45,14 @@ ENTRY_POINTS = {
     "RandomStream seed": RandomStream,
     "RandomStream spawn_key": lambda v: RandomStream(1, (v,)),
     "RandomStream.indices n": lambda v: _stream().indices(v, 3),
+    "RandomStream.indices size": lambda v: _stream().indices(3, v),
+    "RandomStream.uniforms size": lambda v: _stream().uniforms(v),
+    "RandomStream.standard_normals size": lambda v: _stream().standard_normals(v),
+    "RandomStream.gammas size": lambda v: _stream().gammas(2.5, v),
+    "RandomStream.rademachers size": lambda v: _stream().rademachers(v),
+    "sample_envelope_many size": lambda v: dominator.sample_envelope_many(
+        dominator.make_spec(4), _stream(), v
+    ),
 }
 
 
@@ -75,3 +83,12 @@ def test_whole_array_form():
     for bad in ([0], [-np.inf], [2**64], np.array([2**63], dtype=np.uint64), [True]):
         with pytest.raises(ParameterError):
             whole("d", bad, 1)
+
+
+def test_sizes_below_zero_are_parameter_errors_and_zero_draws_nothing():
+    sized = [k for k in ENTRY_POINTS if k.endswith(" size")]
+    assert len(sized) == 6
+    for name in sized:
+        with pytest.raises(ParameterError):
+            ENTRY_POINTS[name](-1)
+        assert ENTRY_POINTS[name](0).size == 0

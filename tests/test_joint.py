@@ -114,18 +114,22 @@ def test_batch_matches_attempt_budget_semantics():
     ids=["5-300-caps0", "8-1-caps1"],
 )
 def test_budget_error_reports_the_spectrum_over_budget(n, beta, count, caps):
-    # the budgeted run reads the stream of the unbounded one until it
-    # raises: at the first spectrum over the cap, or earlier at the end of
-    # a block whose trailing gap is already over it
-    ref_values, ref_attempts = joint.sample_joint_many(n, count, beta, RandomStream(18))
+    # the budgeted run of the pair bound (called directly: at n = 5 and
+    # beta = 2 sample_joint_many runs the chain) reads the stream of the
+    # unbounded one until it raises: at the first spectrum over the cap, or
+    # earlier at the end of a block whose trailing gap is already over it
+    def pair_bound(cap):
+        return joint._sample_pair_bound(n, count, beta, RandomStream(18), cap, None)
+
+    ref_values, ref_attempts = pair_bound(joint.DEFAULT_MAX_ATTEMPTS)
     for cap in caps:
         with pytest.raises(BudgetError) as info:
-            joint.sample_joint_many(n, count, beta, RandomStream(18), max_attempts=cap)
+            pair_bound(cap)
         first_over = ref_attempts[np.argmax(ref_attempts > cap)]
         assert cap < first_over
         assert cap < info.value.attempts <= first_over
     cap = int(ref_attempts.max())  # a spectrum may use the whole budget
-    values, attempts = joint.sample_joint_many(n, count, beta, RandomStream(18), max_attempts=cap)
+    values, attempts = pair_bound(cap)
     assert np.array_equal(values, ref_values) and np.array_equal(attempts, ref_attempts)
 
 
@@ -182,10 +186,17 @@ def test_beta_two_paths_identical():
 
 
 def test_pair_bound_below_chain_min_n():
-    # n = 5 at beta = 2 stays on the pair bound: these are its draws as
-    # pinned before the chain was added
-    assert joint.CHAIN_MIN_N == 6
-    values, attempts = joint.sample_joint_many(5, 8, 2.0, RandomStream(19))
+    # n = 4 at beta = 2 runs the pair bound, n = 5 the chain; the pair
+    # bound's draws at n = 5 are pinned from before the chain was added
+    assert joint.CHAIN_MIN_N == 5
+    cap = joint.DEFAULT_MAX_ATTEMPTS
+    for n, direct in (
+        (4, joint._sample_pair_bound(4, 30, 2.0, RandomStream(19), cap, None)),
+        (5, joint._sample_chain(5, 30, RandomStream(19), cap, None)),
+    ):
+        via = joint.sample_joint_many(n, 30, 2.0, RandomStream(19))
+        assert all(np.array_equal(a, b) for a, b in zip(direct, via))
+    values, attempts = joint._sample_pair_bound(5, 8, 2.0, RandomStream(19), cap, None)
     assert attempts.tolist() == [63, 11, 79, 9, 43, 64, 4, 5]
     ref = [-3.664337294831192, -1.7903092333910722, 0.2706139810448416,
            1.3011034113402193, 3.592105022373506]

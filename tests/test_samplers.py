@@ -142,8 +142,10 @@ def test_exact_counter_split():
     assert stats.exact_evals == stats.proposals
 
 
-def test_budget_error_per_degree_group():
-    # a degree group may spend max_proposals * count proposals in all
+def test_budget_error_per_degree_group(monkeypatch):
+    # a degree group may spend max_proposals * count proposals in all; the
+    # mixture at n = 20 runs on the per-degree engine once above N_GRID
+    monkeypatch.setattr(samplers, "N_GRID", 19)
     with pytest.raises(BudgetError):
         samplers.sample_phi_sq_many(5, 4, RandomStream(0), "plain", max_proposals=1)
     with pytest.raises(BudgetError):
@@ -214,8 +216,9 @@ def test_mixture_batch_splits_keep_draws(monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_mixture_places_each_draw_at_its_degree():
+def test_mixture_places_each_draw_at_its_degree(monkeypatch):
     n, count = 3, 6000
+    monkeypatch.setattr(samplers, "N_GRID", n - 1)  # index draws run above N_GRID
     xs = samplers.sample_gue_eigenvalues(n, count, RandomStream(63))
     ks = RandomStream(63).indices(n, count)  # the mixture draws its indices first
     for k in range(n):
@@ -283,3 +286,73 @@ def test_kernel_paths_give_the_same_draws(monkeypatch):
         (a, sa), (b, sb) = outputs
         assert np.array_equal(a, b)
         assert sa == sb
+
+
+def test_grid_budget_error():
+    # the grid hat's mass is about 1.04, so 1000 draws in 1000 proposals
+    # fail, and twice the proposals suffice
+    with pytest.raises(BudgetError, match="n = 6 mixture") as info:
+        samplers.sample_gue_eigenvalues(6, 1000, RandomStream(0), max_proposals=1)
+    assert info.value.attempts == 1000
+    samplers.sample_gue_eigenvalues(6, 1000, RandomStream(0), max_proposals=2)
+
+
+@pytest.mark.parametrize("n", [2, 6, 64, samplers.N_GRID])
+def test_grid_plain_and_squeeze_draw_the_same_bytes(n):
+    # a lower-squeeze accept passes the exact test too, so the modes differ
+    # only in the exact tests they run
+    runs = {}
+    for mode in ("plain", "squeeze"):
+        stats = samplers.SamplerStats()
+        xs = samplers.sample_gue_eigenvalues(n, 3000, RandomStream(70 + n), mode, stats)
+        runs[mode] = xs, stats
+    (a, plain), (b, squeeze) = runs["plain"], runs["squeeze"]
+    assert a.tobytes() == b.tobytes()
+    assert plain.proposals == squeeze.proposals and plain.accepted == squeeze.accepted == 3000
+    assert plain.exact_evals == plain.proposals and plain.squeeze_lower_accepts == 0
+    assert squeeze.squeeze_upper_rejects == plain.squeeze_upper_rejects == 0
+    assert squeeze.exact_evals <= squeeze.proposals - squeeze.squeeze_lower_accepts
+    assert 0 < squeeze.exact_evals < 0.1 * squeeze.proposals
+
+
+def test_grid_tails_are_drawn_and_tested_exactly(monkeypatch):
+    # with the tail piece started at e^0 instead of e^-14, X is about 3.1
+    # at n = 6 and a third of the proposals land in the tails
+    dominator._grid_hat.cache_clear()
+    monkeypatch.setattr(dominator, "_TAIL_LOG", 0.0)
+    try:
+        stats = samplers.SamplerStats()
+        xs = samplers.sample_gue_eigenvalues(6, 20_000, RandomStream(71), stats=stats)
+        x1 = dominator.grid_hat(6).x1
+    finally:
+        dominator._grid_hat.cache_clear()
+    assert np.mean(np.abs(xs) > x1) > 0.05
+    assert stats.exact_out_of_window > 0.2 * stats.proposals
+    res = ks_one_sample(xs, lambda s: hermite.mixture_cdf_many(6, s))
+    assert res.scaled < ks_critical(0.001)
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_grid_path_runs_no_degree_engine(monkeypatch):
+    spies = [
+        _spy(monkeypatch, dominator, "make_specs"),
+        _spy(monkeypatch, hermite, "phi_squared_degrees"),
+        _spy(monkeypatch, hermite, "phi_squared_many"),
+    ]
+    for n in (2, 6, samplers.N_GRID):
+        samplers.sample_gue_eigenvalues(n, 500, RandomStream(72), "plain")
+    assert spies == [[], [], []]
+
+
+def test_engine_path_builds_no_grid(monkeypatch):
+    built = _spy(monkeypatch, dominator, "grid_hat")
+    for n in (1, samplers.N_GRID + 1):
+        samplers.sample_gue_eigenvalues(n, 200, RandomStream(73))
+    samplers.sample_phi_sq_many(5, 200, RandomStream(74))
+    assert built == []
