@@ -337,13 +337,17 @@ def psi_rows(n, x):
     keeping every y_j, with the prefix scaled to put the last pair's largest
     magnitude in [0.5, 1) after each multiple of the :func:`_stride` of the
     largest |x|, so rows stay finite at any n; entry j is times 1 / D_j."""
+    n = whole("n", n, 1)
     x = np.asarray(x, dtype=float)
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not math.isfinite(top):
+        raise ParameterError("points must be finite")
     c, inv_d = _coefficients_to(n - 1)
     y = np.empty((x.size, n))
     y[:, 0] = 1.0
     if n > 1:
         y[:, 1] = x
-    stride = _stride(float(np.max(np.abs(x), initial=0.0)))
+    stride = _stride(top)
     for j in range(1, n - 1):
         y[:, j + 1] = c[j] * (x * y[:, j]) - y[:, j - 1]
         if j % stride == 0:

@@ -57,17 +57,17 @@ draws, and the proposals a spectrum did not read go back to it.
 :func:`sample_joint_many` runs the chain at beta = 2 and
 n >= ``CHAIN_MIN_N``, and the pair bound otherwise.  Microseconds per
 spectrum, medians of 15 interleaved calls of 500 spectra each on a
-2-core x86-64 box (Python 3.11, numpy 2.4; the pair bound at n = 8 is
-three calls of 5 spectra):
+2-core x86-64 box (Python 3.11, numpy 2.4; the pair bound at n = 7 is
+calls of 50 spectra, at n = 8 three calls of 5):
 
     n            2      3      4      5      6      7      8
-    pair bound   1.3    1.6    3.1    14.9   165    4.1e3  1.8e5
-    chain        6.4    8.6    8.0    11.4   11.5   22.2   24.9
+    pair bound   1.0    1.5    3.0    16.2   133    3.6e3  9.2e4
+    chain        3.0    4.7    7.7    9.9    10.6   13.4   21.6
 
 At these n the chain's mixture draws come from the grid hat
-(``samplers.N_GRID``).  At n = 5, over 40 alternating pairs
-of calls, the chain was faster in 39, at medians of 9.4 against
-15.8 us.
+(``samplers.N_GRID``).  Over 40 alternating pairs of calls, the chain
+was faster in 40 at n = 5 (medians 7.8 against 15.1 us) and in 1 at
+n = 4 (5.6 against 2.5 us).
 
 Use ``max_attempts`` plus the progress callback to keep long runs
 observable.
@@ -85,12 +85,13 @@ _LN2 = math.log(2.0)
 PROGRESS_EVERY = 10**5
 DEFAULT_MAX_ATTEMPTS = 10**7
 CHAIN_MIN_N = 5  # the chain is faster from here on at beta = 2 (table above)
-# basis entries (n^2 per spectrum) of the spectra the chain runs at once
+# basis entries (n^2 per spectrum) of one chunk of the chain's spectra
 _CHAIN_ENTRIES = 2**19
 
 
 def pair_exponents(n):
     """Base pair exponents p_j = 4n - 8j + 2 for j = 1 .. floor(n/2)."""
+    n = whole("n", n, 2)
     return tuple(4 * n - 8 * j + 2 for j in range(1, n // 2 + 1))
 
 
@@ -227,31 +228,32 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     """The projection-DPP chain at beta = 2: ``attempts[i]`` counts the
     proposals spectrum i read, at least n.
 
-    Up to ``_CHAIN_ENTRIES / n^2`` spectra run in lockstep, and a finished
-    one makes room for the next.  In each round, every running spectrum
-    at step i (i points drawn) gets ceil(1.5 n / (n - i)) proposal slots
-    and takes its first accept; its uniforms come from one fresh
-    uniforms call per round.  ``basis[a, :i]`` holds the unit residuals
-    of spectrum a's points; its rows from i on are zero.  A spectrum
-    whose spent proposals plus one per missing point exceed
-    ``max_attempts`` raises BudgetError with that sum, which is at most
-    what it would spend (so every cap below n raises after the first
-    round, reporting n); the stream is read the same way under any cap
-    the run stays within.
+    Spectra run in chunks of ``_CHAIN_ENTRIES / n^2``, one chunk after
+    another, and a chunk runs step-major: every spectrum of it draws its
+    point i before any draws point i + 1, so ``basis[:, :i]`` holds the
+    unit residuals of the i points each has.  In round r of step i, each
+    of the t spectra (of the chunk's m) still missing point i gets
+    ceil(n / (n - i)) min(2^r, m // t) proposal slots, so no round of a
+    step has more slots than its first.  Each takes its first accept,
+    and the uniforms come from one uniforms call per round.  A spectrum
+    whose spent proposals plus one per missing point
+    exceed ``max_attempts`` raises BudgetError with that sum, which is at
+    most what it would spend (so every cap below n raises after step 0,
+    reporting n); the stream is read the same way under any cap the run
+    stays within.
 
     Proposals come from one pool of mixture draws shared by every
     spectrum of the call.  A round fills its slots, in row-major order,
     with the first values of the pool.  When the pool holds fewer values
     than the round's slots, one :func:`samplers.sample_gue_eigenvalues`
     call appends max(shortfall, ceil(1.1 E) + 64) draws, E being the
-    proposals the call still expects to read: sum_{j >= i} n / (n - j)
-    for each running spectrum at step i, plus n H_n for each waiting
-    spectrum, counting at most as many waiting spectra as run at once
-    (so the pool stays O(``_CHAIN_ENTRIES`` H_n / n) values, like the
-    basis).  After the accept test, the slots after a spectrum's first
-    accept were not read; their values go back to the front of the pool
-    in row-major order, and their uniforms are dropped.  Read and
-    rejected proposals are consumed.
+    proposals the rest of the chunk expects to read: sum_{j >= i}
+    n / (n - j) for each spectrum missing point i, and that sum from
+    i + 1 for each spectrum past it (so the pool stays O(``_CHAIN_ENTRIES``
+    H_n / n) values, like the basis).  After the accept test, the slots
+    after a spectrum's first accept were not read; their values go back
+    to the front of the pool in row-major order, and their uniforms are
+    dropped.  Read and rejected proposals are consumed.
 
     The pool keeps the chain exact.  Pool values are i.i.d. mixture
     draws, independent of the uniforms.  Where a spectrum stops reading
@@ -266,71 +268,60 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     """
     values = np.empty((count, n))
     attempts = np.zeros(count, dtype=np.int64)
-    per_step = -(-3 * n // (2 * (n - np.arange(n))))  # ceil(1.5 n / (n - i))
-    # expected proposals a spectrum at step i still reads; left[0] = n H_n
-    left = np.cumsum(n / (n - np.arange(n))[::-1])[::-1]
+    first_slots = -(-n // (n - np.arange(n)))  # ceil(n / (n - i))
+    # expected proposals a spectrum missing point i still reads; left[0] = n H_n
+    left = np.append(np.cumsum(n / (n - np.arange(n))[::-1])[::-1], 0.0)
     capacity = max(1, _CHAIN_ENTRIES // (n * n))
     pool = np.empty(0)  # i.i.d. mixture draws not yet read
-    ids = np.empty(0, dtype=np.int64)  # the running spectra
-    steps = np.empty(0, dtype=np.int64)
-    points = np.empty((0, n))
-    basis = np.empty((0, n, n))
-    admitted = 0
     spent = 0  # attempts of all spectra so far
     last_report = 0
-    while admitted < count or ids.size:
-        room = min(capacity - ids.size, count - admitted)
-        if room > 0:
-            ids = np.concatenate([ids, np.arange(admitted, admitted + room)])
-            steps = np.concatenate([steps, np.zeros(room, dtype=np.int64)])
-            points = np.concatenate([points, np.empty((room, n))])
-            basis = np.concatenate([basis, np.zeros((room, n, n))])
-            admitted += room
-        if progress is not None and spent - last_report >= PROGRESS_EVERY:
-            progress(spent)
-            last_report = spent
-        block = per_step[steps]
-        slots = np.arange(block.max()) < block[:, None]
-        size = int(block.sum())
-        if pool.size < size:
-            expect = left[steps].sum() + min(count - admitted, capacity) * left[0]
-            more = max(size - pool.size, math.ceil(1.1 * expect) + 64)
-            pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
-        x = np.zeros(slots.shape)
-        x[slots] = pool[:size]
-        u = np.ones(slots.shape)
-        u[slots] = stream.uniforms(size)
-        v = hermite.psi_rows(n, x.ravel()).reshape(x.shape + (n,))
-        r = v
-        for _ in range(2):  # project out the basis, then once more ("twice is enough")
-            r = r - (r @ basis.transpose(0, 2, 1)) @ basis
-        rr = np.einsum("abj,abj->ab", r, r)
-        accept = slots & (u * np.einsum("abj,abj->ab", v, v) < rr)
-        first = accept.argmax(axis=1)
-        rows = np.arange(ids.size)
-        hit = accept[rows, first]
-        used = np.where(hit, first + 1, block)
-        unread = slots & (np.arange(slots.shape[1]) >= used[:, None])
-        pool = np.concatenate([x[unread], pool[size:]])
-        attempts[ids] += used
-        spent += int(used.sum())
-        a, b = rows[hit], first[hit]
-        s = steps[a]
-        points[a, s] = x[a, b]
-        basis[a, s] = r[a, b] / np.sqrt(rr[a, b])[:, None]
-        steps[a] += 1
-        floor = attempts[ids] + n - steps  # spent plus one per missing point
-        over = np.flatnonzero(floor > max_attempts)
-        if over.size:
-            raise BudgetError(
-                f"sample exceeded {max_attempts} attempts at n={n}",
-                attempts=int(floor[over[0]]),
-            )
-        done = steps == n
-        if done.any():
-            values[ids[done]] = np.sort(points[done], axis=1)
-            keep = ~done
-            ids, steps, points, basis = ids[keep], steps[keep], points[keep], basis[keep]
+    for lo in range(0, count, capacity):
+        m = min(capacity, count - lo)
+        tries = attempts[lo : lo + m]
+        points = np.empty((m, n))
+        basis = np.empty((m, n, n))
+        for i in range(n):
+            todo = np.arange(m)  # the spectra still missing point i
+            r = 0
+            while todo.size:
+                if progress is not None and spent - last_report >= PROGRESS_EVERY:
+                    progress(spent)
+                    last_report = spent
+                t = todo.size
+                width = first_slots[i] * min(2**r, m // t)
+                size = t * width
+                if pool.size < size:
+                    expect = t * left[i] + (m - t) * left[i + 1]
+                    more = max(size - pool.size, math.ceil(1.1 * expect) + 64)
+                    pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
+                x = pool[:size].reshape(t, width)
+                u = stream.uniforms(size).reshape(t, width)
+                v = hermite.psi_rows(n, x.ravel()).reshape(t, width, n)
+                b = basis[todo, :i]
+                res = v
+                for _ in range(2):  # project out the basis, then once more ("twice is enough")
+                    res = res - (res @ b.transpose(0, 2, 1)) @ b
+                rr = np.einsum("abj,abj->ab", res, res)
+                accept = u * np.einsum("abj,abj->ab", v, v) < rr
+                first = accept.argmax(axis=1)
+                hit = accept[np.arange(t), first]
+                used = np.where(hit, first + 1, width)
+                pool = np.concatenate([x[np.arange(width) >= used[:, None]], pool[size:]])
+                tries[todo] += used
+                spent += int(used.sum())
+                a, c = np.flatnonzero(hit), first[hit]
+                points[todo[a], i] = x[a, c]
+                basis[todo[a], i] = res[a, c] / np.sqrt(rr[a, c])[:, None]
+                floor = tries[todo] + n - i - hit  # spent plus one per missing point
+                over = np.flatnonzero(floor > max_attempts)
+                if over.size:
+                    raise BudgetError(
+                        f"sample exceeded {max_attempts} attempts at n={n}",
+                        attempts=int(floor[over[0]]),
+                    )
+                todo = todo[~hit]
+                r += 1
+        values[lo : lo + m] = np.sort(points, axis=1)
     return values, attempts
 
 

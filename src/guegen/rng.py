@@ -52,9 +52,8 @@ class RandomStream:
 
     def spawn(self, count):
         """Derive ``count`` independent child streams from this stream's seed."""
-        return [
-            RandomStream(self.seed, self.spawn_key + (i,)) for i in range(count)
-        ]
+        count = whole("count", count, 0)
+        return [RandomStream(self.seed, self.spawn_key + (i,)) for i in range(count)]
 
     # ------------------------------------------------------------------
     # uniforms

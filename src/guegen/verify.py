@@ -213,8 +213,28 @@ def check_exactness(quick=False):
 # ----------------------------------------------------------------------
 
 
+def _same_stream(label, draw):
+    """Plain and squeeze runs of ``draw(mode, stats)`` on one seed: the
+    squeeze only settles decisions the exact test would take alike, so
+    the draws agree byte for byte and so do the proposal counts."""
+    runs = []
+    for mode in ("plain", "squeeze"):
+        counts = samplers.SamplerStats()
+        runs.append((draw(mode, counts).tobytes(), counts.proposals, counts.accepted))
+    differ = float(sum(a != b for a, b in zip(*runs)))
+    return CheckResult(
+        f"equivalence: plain and squeeze on one stream, {label}: bytes, proposals, accepts differ",
+        differ,
+        0.0,
+        differ == 0,
+        "==",
+        detail=f"{runs[1][2]} draws, {runs[1][1]} proposals",
+    )
+
+
 def check_equivalence(quick=False):
     draws = 20_000 if quick else 100_000
+    same = 2_000 if quick else 10_000
     crit = stats.ks_critical(0.01)
     out = []
     for i, k in enumerate((1, 10, 100)):
@@ -228,6 +248,19 @@ def check_equivalence(quick=False):
                 crit,
             )
         )
+    for i, k in enumerate((1, 10, 100, 10_000)):
+        out.append(
+            _same_stream(
+                f"degree {k}",
+                lambda mode, counts: samplers.sample_phi_sq_many(k, same, _stream(140 + i), mode, counts),
+            )
+        )
+    out.append(
+        _same_stream(
+            "mixture n=300",
+            lambda mode, counts: samplers.sample_gue_eigenvalues(300, same, _stream(144), mode, counts),
+        )
+    )
     return out
 
 

@@ -31,19 +31,23 @@ ENTRY_POINTS = {
     "mixture_cdf_many n": lambda v: hermite.mixture_cdf_many(v, [0.5]),
     "phi_squared_degrees ks": lambda v: hermite.phi_squared_degrees([4, v], [0.5, 0.5]),
     "certify_decreasing ks": lambda v: hermite.certify_decreasing([4, v], [3.0, 3.0]),
+    "psi_rows n": lambda v: hermite.psi_rows(v, [0.5]),
     "terms_many n": lambda v: vanveen.terms_many(v, [0.5]),
     "make_spec n": dominator.make_spec,
     "make_specs ns": lambda v: dominator.make_specs([4, v]),
+    "grid_hat n": dominator.grid_hat,
     "sample_joint_many n": lambda v: joint.sample_joint_many(v, 3, 2.0, _stream()),
     "sample_joint_many count": lambda v: joint.sample_joint_many(3, v, 2.0, _stream()),
     "sample_joint_many max_attempts": lambda v: joint.sample_joint_many(
         3, 3, 2.0, _stream(), max_attempts=v
     ),
+    "pair_exponents n": joint.pair_exponents,
     "vandermonde_max n": joint.vandermonde_max,
     "sample_gue_matrices n": lambda v: oracle.sample_gue_matrices(v, 3, _stream()),
     "sample_gue_matrices count": lambda v: oracle.sample_gue_matrices(3, v, _stream()),
     "RandomStream seed": RandomStream,
     "RandomStream spawn_key": lambda v: RandomStream(1, (v,)),
+    "RandomStream.spawn count": lambda v: _stream().spawn(v),
     "RandomStream.indices n": lambda v: _stream().indices(v, 3),
     "RandomStream.indices size": lambda v: _stream().indices(3, v),
     "RandomStream.uniforms size": lambda v: _stream().uniforms(v),

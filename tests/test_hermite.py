@@ -129,6 +129,9 @@ def test_psi_rows_keep_their_direction_past_overflow():
         ref = np.exp(0.5 * (log_sq - log_sq.max()))  # |psi_k| up to one factor
         got = np.abs(row) / np.linalg.norm(row)
         assert np.allclose(got, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
+    for bad in (math.inf, -math.inf, math.nan):  # no finite stride exists
+        with pytest.raises(ParameterError):
+            hermite.psi_rows(3, [0.5, bad])
 
 
 def test_far_tail_lanes_skip_the_kernel(monkeypatch):

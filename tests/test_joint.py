@@ -218,22 +218,34 @@ def test_chain_attempts_and_trace_moment(n):
     assert abs(sq.mean() - n * n) < 4.0 * sq.std() / math.sqrt(count)
 
 
-def test_chain_budget_contract():
-    n, count = 6, 400
-    ref_values, ref_attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(21))
+def _assert_chain_budget_contract(n, count, seed, caps):
+    ref_values, ref_attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(seed))
     top = int(ref_attempts.max())
-    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(21), max_attempts=top)
+    values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(seed), max_attempts=top)
     assert np.array_equal(values, ref_values) and np.array_equal(attempts, ref_attempts)
-    for cap in (n, 2 * n, top - 1):
+    for cap in caps(top):
         with pytest.raises(BudgetError) as info:
-            joint.sample_joint_many(n, count, 2.0, RandomStream(21), max_attempts=cap)
+            joint.sample_joint_many(n, count, 2.0, RandomStream(seed), max_attempts=cap)
         # spent plus one per missing point: over the cap, and at most what
         # that spectrum spends unbounded
         assert cap < info.value.attempts <= top
+
+
+def test_chain_budget_contract():
+    n = 6
+    _assert_chain_budget_contract(n, 400, 21, lambda top: (n, 2 * n, top - 1))
     for cap in range(1, n):  # every spectrum reads at least n proposals
         with pytest.raises(BudgetError) as info:
             joint.sample_joint_many(n, 1, 2.0, RandomStream(21), max_attempts=cap)
         assert info.value.attempts == n
+
+
+def test_chain_budget_contract_across_chunks(monkeypatch):
+    # chunks of 4 spectra run one after another: every cap below the
+    # largest spectrum's attempts raises, in whichever chunk it is passed
+    n = 6
+    monkeypatch.setattr(joint, "_CHAIN_ENTRIES", 4 * n * n)
+    _assert_chain_budget_contract(n, 30, 24, lambda top: range(1, top))
 
 
 def test_chain_progress_between_rounds(monkeypatch):
@@ -250,8 +262,8 @@ def _harmonic_attempts(n):
 
 
 def _max_round_slots(n, spectra):
-    # every running spectrum gets at most ceil(1.5 n / (n - i)) slots a round
-    return spectra * max(-(-3 * n // (2 * (n - i))) for i in range(n))
+    # a round of step i has at most ceil(n / (n - i)) slots per spectrum of the chunk
+    return spectra * max(-(-n // (n - i)) for i in range(n))
 
 
 def _spy_mixture_calls(monkeypatch):
@@ -276,15 +288,15 @@ def test_chain_draws_one_pooled_mixture_call(monkeypatch):
 
 
 def test_chain_pool_refills_stay_bounded(monkeypatch):
-    # with room for 4 running spectra, a refill covers at most the running
-    # ones and as many waiting ones, not all 200 spectra of the call
+    # with chunks of 4 spectra, a refill covers at most the rest of one
+    # chunk and its shortfall, not all 200 spectra of the call
     n, count = 6, 200
     monkeypatch.setattr(joint, "_CHAIN_ENTRIES", 4 * n * n)
     cap = 4
     sizes = _spy_mixture_calls(monkeypatch)
     values, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(23))
     assert np.all(np.diff(values, axis=1) > 0.0) and attempts.min() >= n
-    bound = 2 * cap * _harmonic_attempts(n) * 1.1 + 64 + _max_round_slots(n, cap)
+    bound = 1.1 * cap * _harmonic_attempts(n) + 64 + _max_round_slots(n, cap)
     assert len(sizes) > 1 and max(sizes) <= bound
     assert attempts.sum() <= sum(sizes)
 
