@@ -64,6 +64,10 @@ The levels come from one kernel pass over the points, so a grid costs
 O(n X / GRID_STEP) = O(n^(3/2)) recurrence steps to build; the most
 recently used grids are cached.  A draw costs one piece selector, read
 through a Walker alias table, and one position variate.
+
+:func:`propose` draws proposals from either kind of hat together with
+their squeeze verdicts, so the rejection engine of :mod:`guegen.samplers`
+never asks which kind of hat it runs.
 """
 
 import functools
@@ -120,6 +124,10 @@ class DominatorSpec:
     @property
     def mass(self):
         return 2.0 * self.half_mass
+
+    @property
+    def label(self):
+        return f"degree {self.n}"
 
 
 def _golden_min(f, lo, hi):
@@ -283,6 +291,10 @@ class GridHat(NamedTuple):
     keep: np.ndarray
     alias: np.ndarray
 
+    @property
+    def label(self):
+        return f"the n = {self.n} mixture"
+
 
 def grid_hat(n):
     """The grid hat of the GUE(n) one-eigenvalue density, n >= 1, cached."""
@@ -364,3 +376,38 @@ def sample_grid_many(hat, stream, size):
         h[tails] = hat.tail * np.exp(-hat.rate * t)
         lower[tails] = 0.0
     return x, h, lower
+
+
+# ----------------------------------------------------------------------
+# proposals and their squeeze verdicts, for either kind of hat
+# ----------------------------------------------------------------------
+
+
+def propose(hat, stream, size, squeeze):
+    """``size`` proposals from ``hat``, as ``(x, uh, lower_acc, upper_rej)``:
+    the draws, u h(x) for one uniform u each, and the masks of the draws
+    the squeeze accepts (uh at or below its lower bound) and rejects (uh
+    above its upper bound).  Without ``squeeze`` both masks are all False.
+
+    Reads the hat's draws, then one uniform array.  A degree's squeeze is
+    the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
+    draws in its window |x| <= x1; the grid hat's is its cell's squeeze
+    level, which only accepts.
+    """
+    lower_acc = np.zeros(size, dtype=bool)
+    upper_rej = np.zeros(size, dtype=bool)
+    if isinstance(hat, GridHat):
+        x, h, lower = sample_grid_many(hat, stream, size)
+        uh = stream.uniforms(size) * h
+        if squeeze:
+            lower_acc = uh <= lower
+        return x, uh, lower_acc, upper_rej
+    x = sample_envelope_many(hat, stream, size)
+    uh = stream.uniforms(size) * envelope_many(hat, x)
+    if squeeze:
+        window = np.abs(x) <= hat.x1
+        lo, up = vanveen.squeeze_bounds_many(hat.n, x[window])
+        uhw = uh[window]
+        lower_acc[window] = uhw <= lo
+        upper_rej[window] = uhw > up
+    return x, uh, lower_acc, upper_rej

@@ -233,8 +233,9 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     point i before any draws point i + 1, so ``basis[:, :i]`` holds the
     unit residuals of the i points each has.  In round r of step i, each
     of the t spectra (of the chunk's m) still missing point i gets
-    ceil(n / (n - i)) min(2^r, m // t) proposal slots, so no round of a
-    step has more slots than its first.  Each takes its first accept,
+    ceil(n / (n - i)) min(2^r, m // t) proposal slots, or fewer where the
+    pool below holds less, so no round of a step has more slots than its
+    first.  Each takes its first accept,
     and the uniforms come from one uniforms call per round.  A spectrum
     whose spent proposals plus one per missing point
     exceed ``max_attempts`` raises BudgetError with that sum, which is at
@@ -244,21 +245,27 @@ def _sample_chain(n, count, stream, max_attempts, progress):
 
     Proposals come from one pool of mixture draws shared by every
     spectrum of the call.  A round fills its slots, in row-major order,
-    with the first values of the pool.  When the pool holds fewer values
-    than the round's slots, one :func:`samplers.sample_gue_eigenvalues`
-    call appends max(shortfall, ceil(1.1 E) + 64) draws, E being the
-    proposals the rest of the chunk expects to read: sum_{j >= i}
-    n / (n - j) for each spectrum missing point i, and that sum from
-    i + 1 for each spectrum past it (so the pool stays O(``_CHAIN_ENTRIES``
-    H_n / n) values, like the basis).  After the accept test, the slots
+    with the first values of the pool.  When the pool holds fewer than
+    t ceil(n / (n - i)) values, too few for ceil(n / (n - i)) slots per
+    spectrum, one :func:`samplers.sample_gue_eigenvalues` call appends
+    ceil(1.1 E) + 64 draws, E being the proposals the rest of the chunk
+    expects to read: sum_{j >= i} n / (n - j) for each spectrum missing
+    point i, and that sum from i + 1 for each spectrum past it (so the
+    pool stays O(``_CHAIN_ENTRIES`` H_n / n) values, like the basis).
+    E is at least t ceil(n / (n - i)), so the pool then holds that many,
+    and a round's width is capped at pool size // t: a round never asks
+    for more than the pool holds, so a chunk's first refill mostly serves
+    the whole chunk (one mixture call per 500-spectrum call at n = 5, 6
+    and 8 for each seed 0-99).  After the accept test, the slots
     after a spectrum's first accept were not read; their values go back
     to the front of the pool in row-major order, and their uniforms are
     dropped.  Read and rejected proposals are consumed.
 
     The pool keeps the chain exact.  Pool values are i.i.d. mixture
-    draws, independent of the uniforms.  Where a spectrum stops reading
-    within a round depends only on the slots it read (their values and
-    uniforms) and on its past, so the values of its unread slots are
+    draws, independent of the uniforms.  A round's width depends only on
+    the past, through the pool's size, and where a spectrum stops reading
+    within it only on the slots it read (their values and uniforms) and
+    on its past, so the values of its unread slots are
     independent of every decision taken so far and, given which slots
     were unread, still i.i.d. mixture draws.  Putting them back ahead of
     fresh draws keeps the pool a sequence of i.i.d. mixture draws
@@ -288,12 +295,12 @@ def _sample_chain(n, count, stream, max_attempts, progress):
                     progress(spent)
                     last_report = spent
                 t = todo.size
-                width = first_slots[i] * min(2**r, m // t)
-                size = t * width
-                if pool.size < size:
+                if pool.size < t * first_slots[i]:
                     expect = t * left[i] + (m - t) * left[i + 1]
-                    more = max(size - pool.size, math.ceil(1.1 * expect) + 64)
+                    more = math.ceil(1.1 * expect) + 64
                     pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
+                width = min(first_slots[i] * min(2**r, m // t), pool.size // t)
+                size = t * width
                 x = pool[:size].reshape(t, width)
                 u = stream.uniforms(size).reshape(t, width)
                 v = hermite.psi_rows(n, x.ravel()).reshape(t, width, n)

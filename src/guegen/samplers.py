@@ -21,18 +21,22 @@ Four layers, all targeting the same densities exactly:
 Degree 0 short-circuits to a standard normal draw, since the degree-0
 density is exactly the standard normal density, and so does n = 1.
 
-Both entry points share one rejection engine over groups of draws from
-one hat.  ``sample_phi_sq_many`` is its one-group case;
-``sample_gue_eigenvalues`` above ``N_GRID`` draws all mixture indices
-and hands every represented degree to the engine as one group, and up
-to ``N_GRID`` runs the engine on the grid hat alone.
+Both entry points run one rejection engine, which never asks what kind
+of hat it runs.  It takes groups of draws, each with its hat, and the
+density the hats bound as an exact test that the caller names:
+``sample_phi_sq_many`` passes one degree's hat and
+:func:`hermite.phi_squared_many`; ``sample_gue_eigenvalues`` above
+``N_GRID`` draws all mixture indices, passes the hat of every
+represented degree, and tests them together with
+:func:`hermite.phi_squared_degrees`; up to ``N_GRID`` it passes the
+grid hat alone and :func:`hermite.mixture_density_many`.
 
-In each round every unfinished group draws a proposal block and
-applies the squeeze, and the proposals left undecided in all groups
-share one pass of the exact recurrence
-(:func:`hermite.phi_squared_degrees`, or for the grid hat
-:func:`hermite.mixture_density_many`), which costs the largest degree
-of the round in Python-level steps rather than the sum of the degrees.
+In each round every unfinished group draws a proposal block and its
+squeeze verdicts from :func:`dominator.propose`, the one place that
+knows how each kind of hat proposes and squeezes, and the proposals
+left undecided in all groups share one exact call.  Over mixed degrees
+that is one pass of the recurrence, which costs the largest degree of
+the round in Python-level steps rather than the sum of the degrees.
 
 Undecided proposals that lie after a block's ``need``-th lower-squeeze
 accept are never evaluated: the group's last needed accept comes at or
@@ -75,13 +79,14 @@ and cell count:
     n = 256  1.44 (1.098, 668)    1.16 (1.049, 1334)   1.03 (1.020, 3334)   1.06 (1.010, 6666)
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dominator, hermite, vanveen
+from . import dominator, hermite
 from .errors import BudgetError, ParameterError, whole
 
 DEFAULT_MAX_PROPOSALS = 10**6
@@ -121,7 +126,7 @@ class _Group:
 
     count: int
     offset: int  # where the group's draws start in the engine output
-    spec: dominator.DominatorSpec | dominator.GridHat
+    hat: dominator.DominatorSpec | dominator.GridHat
     budget: int
     filled: int = 0
     spent: int = 0
@@ -147,31 +152,13 @@ def _checked(count, mode, max_proposals):
 def _propose(g, stream, use_squeeze):
     """Draw the group's next proposal block and apply the squeeze."""
     need = g.count - g.filled
-    block = int(need * g.spec.mass * 1.2) + 32  # mass = mean proposals per accept
+    block = int(need * g.hat.mass * 1.2) + 32  # mass = mean proposals per accept
     block = min(block, _BLOCK_CAP, g.budget - g.spent)
-    grid = isinstance(g.spec, dominator.GridHat)
     if block <= 0:
-        target = f"the n = {g.spec.n} mixture" if grid else f"degree {g.spec.n}"
         raise BudgetError(
-            f"no acceptance within {g.budget} proposals at {target}", attempts=g.budget
+            f"no acceptance within {g.budget} proposals at {g.hat.label}", attempts=g.budget
         )
-    lower_acc = np.zeros(block, dtype=bool)
-    upper_rej = np.zeros(block, dtype=bool)
-    if grid:
-        x, h, lower = dominator.sample_grid_many(g.spec, stream, block)
-        uh = stream.uniforms(block) * h
-        if use_squeeze:
-            lower_acc = uh <= lower
-    else:
-        x = dominator.sample_envelope_many(g.spec, stream, block)
-        u = stream.uniforms(block)
-        uh = u * dominator.envelope_many(g.spec, x)
-        if use_squeeze:
-            window = np.abs(x) <= g.spec.x1
-            lo, up = vanveen.squeeze_bounds_many(g.spec.n, x[window])
-            uhw = uh[window]
-            lower_acc[window] = uhw <= lo
-            upper_rej[window] = uhw > up
+    x, uh, lower_acc, upper_rej = dominator.propose(g.hat, stream, block, use_squeeze)
     undecided = ~(lower_acc | upper_rej)
     # the group's last needed accept comes at or before its need-th lower
     # accept, so the undecided proposals after that lie past the cut
@@ -181,25 +168,17 @@ def _propose(g, stream, use_squeeze):
     return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(undecided))
 
 
-def _decide(batch, pooled, out, stats):
+def _decide(batch, exact, out, stats):
     """Exact-test the undecided proposals of every (group, block) pair in
-    ``batch`` with one kernel call, then take each group's accepts.
+    ``batch`` with one ``exact`` call, then take each group's accepts.
 
     Counters reflect the sequential semantics: a block is truncated at the
     proposal that produced the group's last needed accept, and everything
     after it is discarded as if never drawn.
     """
     xs = np.concatenate([b.x[b.lanes] for _, b in batch])
-    spec = batch[0][0].spec
-    if not xs.size:
-        phi = xs
-    elif isinstance(spec, dominator.GridHat):
-        phi = hermite.mixture_density_many(spec.n, xs)
-    elif pooled:
-        ks = np.repeat([g.spec.n for g, _ in batch], [b.lanes.size for _, b in batch])
-        phi = hermite.phi_squared_degrees(ks, xs)
-    else:
-        phi = hermite.phi_squared_many(spec.n, xs)
+    sizes = [b.lanes.size for _, b in batch]
+    phi = exact(xs, [g.hat for g, _ in batch], sizes) if xs.size else xs
     start = 0
     for g, b in batch:
         accept = b.lower_acc.copy()
@@ -216,75 +195,70 @@ def _decide(batch, pooled, out, stats):
         stats.squeeze_lower_accepts += int(b.lower_acc[:cut].sum())
         stats.squeeze_upper_rejects += int(b.upper_rej[:cut].sum())
         evaluated = b.lanes[: np.searchsorted(b.lanes, cut)]
-        outside = int(np.count_nonzero(np.abs(b.x[evaluated]) > g.spec.x1))
+        outside = int(np.count_nonzero(np.abs(b.x[evaluated]) > g.hat.x1))
         stats.exact_in_window += evaluated.size - outside
         stats.exact_out_of_window += outside
         stats.accepted += take.size
 
 
-def _sample_degrees(degrees, counts, stream, mode, stats, max_proposals):
-    """The rejection engine: ``counts[i]`` exact draws from the density of
-    degree ``degrees[i]``, returned concatenated in group order.
+def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
+    """The rejection engine: ``counts[i]`` exact draws from the density
+    bounded by hat ``i``, returned concatenated in group order.
 
-    Degree-0 groups are standard normal draws. The others get their hats
-    from one :func:`dominator.make_specs` call and draw proposal blocks,
-    sized from the hat's mass, until they have their count, each group
-    spending at most ``max_proposals * count`` proposals. In each round
-    every unfinished group, in order, draws its block and applies the
-    squeeze; the proposals the squeeze leaves undecided in all groups are
-    then evaluated together, so one pass of the exact recurrence serves
-    every degree of the round. A round's blocks are evaluated in batches
-    of at most about ``_BLOCK_CAP`` proposals. That bounds memory; the
-    exact recurrence slices its own input, and the stream is consumed the
-    same way wherever the batches split.
+    ``hats()`` builds the hats, inside the timed span; a group whose hat
+    is None draws plain standard normals, the density of degree 0.
+    ``exact(x, hats, sizes)`` is the density at the points ``x``, which
+    concatenate ``sizes[j]`` proposals from ``hats[j]``.
+
+    Each group draws proposal blocks, sized from its hat's mass, until it
+    has its count, spending at most ``max_proposals * count`` proposals.
+    In each round every unfinished group, in order, draws its block and
+    applies the squeeze; the proposals the squeeze leaves undecided in all
+    groups then share one ``exact`` call.  A round's blocks are evaluated
+    in batches of at most about ``_BLOCK_CAP`` proposals.  That bounds
+    memory; the exact recurrence slices its own input, and the stream is
+    consumed the same way wherever the batches split.
     """
     t0 = time.perf_counter()
+    stats = SamplerStats() if stats is None else stats
     out = np.empty(sum(counts))
-    drawn = [k for k, count in zip(degrees, counts) if k and count]
-    specs = dict(zip(drawn, dominator.make_specs(drawn)))
     groups = []
-    offset = 0
-    for k, count in zip(degrees, counts):
-        if k == 0:
+    for hat, count, offset in zip(hats(), counts, itertools.accumulate(counts, initial=0)):
+        if hat is None:
             out[offset : offset + count] = stream.standard_normals(count)
             stats.proposals += count
             stats.accepted += count
         elif count:
-            groups.append(_Group(count, offset, specs[k], max_proposals * count))
-        offset += count
-    _run(groups, stream, mode == "squeeze", out, stats)
-    stats.elapsed += time.perf_counter() - t0
-    return out
-
-
-def _sample_grid(n, count, stream, mode, stats, max_proposals):
-    """``count`` draws from the GUE(n) one-eigenvalue density by rejection
-    from its grid hat (:func:`dominator.grid_hat`): the engine with one
-    group, whose exact test is :func:`hermite.mixture_density_many`."""
-    t0 = time.perf_counter()
-    out = np.empty(count)
-    if count:
-        group = _Group(count, 0, dominator.grid_hat(n), max_proposals * count)
-        _run([group], stream, mode == "squeeze", out, stats)
-    stats.elapsed += time.perf_counter() - t0
-    return out
-
-
-def _run(groups, stream, use_squeeze, out, stats):
-    """Rounds of proposal blocks until every group has its count."""
-    pooled = len(groups) > 1
+            groups.append(_Group(count, offset, hat, max_proposals * count))
     while groups:
         batch, size = [], 0
         for g in groups:
-            block = _propose(g, stream, use_squeeze)
+            block = _propose(g, stream, mode == "squeeze")
             batch.append((g, block))
             size += block.x.size
             if size >= _BLOCK_CAP:
-                _decide(batch, pooled, out, stats)
+                _decide(batch, exact, out, stats)
                 batch, size = [], 0
         if batch:
-            _decide(batch, pooled, out, stats)
+            _decide(batch, exact, out, stats)
         groups = [g for g in groups if g.filled < g.count]
+    stats.elapsed += time.perf_counter() - t0
+    return out
+
+
+def _degree_hats(degrees, counts):
+    """The hat of each degree with draws, from one :func:`dominator.make_specs`
+    call; None for degree 0, and for degrees without draws, which need no
+    hat and draw nothing."""
+    drawn = [k for k, count in zip(degrees, counts) if k and count]
+    specs = dict(zip(drawn, dominator.make_specs(drawn)))
+    return [specs.get(k) for k in degrees]
+
+
+def _degree_density(x, hats, sizes):
+    """phi_k^2 at the points of a mixture's batch, k the degree of each
+    point's hat: one pass of the recurrence for all the batch's degrees."""
+    return hermite.phi_squared_degrees(np.repeat([h.n for h in hats], sizes), x)
 
 
 def sample_phi_sq_many(
@@ -306,9 +280,12 @@ def sample_phi_sq_many(
     """
     k = whole("degree", k, 0)
     count, max_proposals = _checked(count, mode, max_proposals)
-    if stats is None:
-        stats = SamplerStats()
-    return _sample_degrees([k], [count], stream, mode, stats, max_proposals)
+    return _sample(
+        lambda: _degree_hats([k], [count]),
+        [count],
+        lambda x, *_: hermite.phi_squared_many(k, x),
+        stream, mode, stats, max_proposals,
+    )
 
 
 def sample_gue_eigenvalues(
@@ -332,18 +309,23 @@ def sample_gue_eigenvalues(
     """
     n = whole("ensemble size", n, 1)
     count, max_proposals = _checked(count, mode, max_proposals)
-    if stats is None:
-        stats = SamplerStats()
     if 2 <= n <= N_GRID:
-        return _sample_grid(n, count, stream, mode, stats, max_proposals)
+        return _sample(
+            lambda: [dominator.grid_hat(n)],
+            [count],
+            lambda x, *_: hermite.mixture_density_many(n, x),
+            stream, mode, stats, max_proposals,
+        )
     ks = stream.indices(n, count)
     order = np.argsort(ks, kind="stable")
-    degrees, counts = np.unique(ks, return_counts=True)
-    draws = _sample_degrees(
-        degrees.tolist(), counts.tolist(), stream, mode, stats, max_proposals
-    )
+    degrees, counts = (a.tolist() for a in np.unique(ks, return_counts=True))
     out = np.empty(count)
-    out[order] = draws
+    out[order] = _sample(
+        lambda: _degree_hats(degrees, counts),
+        counts,
+        _degree_density,
+        stream, mode, stats, max_proposals,
+    )
     return out
 
 

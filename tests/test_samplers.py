@@ -89,14 +89,14 @@ def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
     seen = []
     decide = samplers._decide
 
-    def checked(batch, pooled, out, stats):
+    def checked(batch, exact, out, stats):
         for g, b in batch:
             need = g.count - g.filled
             accepts = np.flatnonzero(b.lower_acc)
             if accepts.size >= need and b.lanes.size:
                 assert b.lanes[-1] < accepts[need - 1]
             seen.append(b.lanes.size)
-        return decide(batch, pooled, out, stats)
+        return decide(batch, exact, out, stats)
 
     evaluated = []
 
@@ -177,12 +177,23 @@ def test_mixture_size_one_is_standard_normal():
     assert np.array_equal(xs, ref_stream.standard_normals(count))
 
 
+def _engine_on_degrees(degrees, counts, stream, mode, stats):
+    # the engine as the mixture above N_GRID runs it, on given degree groups
+    return samplers._sample(
+        lambda: samplers._degree_hats(degrees, counts),
+        counts,
+        samplers._degree_density,
+        stream, mode, stats, 1000,
+    )
+
+
 def test_engine_one_group_matches_fixed_degree():
-    # the fixed-degree sampler is the one-group case of the mixed engine
+    # the fixed-degree sampler is the one-group case of the mixture's engine,
+    # whose pooled exact test gives the same bits at a single degree
     for mode in ("squeeze", "plain"):
         for k, count in ((0, 50), (1, 300), (9, 300), (250, 200)):
             st_a, st_b = samplers.SamplerStats(), samplers.SamplerStats()
-            a = samplers._sample_degrees([k], [count], RandomStream(60 + k), mode, st_a, 1000)
+            a = _engine_on_degrees([k], [count], RandomStream(60 + k), mode, st_a)
             b = samplers.sample_phi_sq_many(k, count, RandomStream(60 + k), mode, st_b, 1000)
             assert a.tobytes() == b.tobytes()
             assert replace(st_a, elapsed=0.0) == replace(st_b, elapsed=0.0)
@@ -192,9 +203,7 @@ def test_engine_mixed_degrees_follow_each_law():
     degrees, count = [2, 30, 400], 3000
     for mode, seed in (("squeeze", 61), ("plain", 62)):
         stats = samplers.SamplerStats()
-        draws = samplers._sample_degrees(
-            degrees, [count] * 3, RandomStream(seed), mode, stats, 1000
-        )
+        draws = _engine_on_degrees(degrees, [count] * 3, RandomStream(seed), mode, stats)
         assert stats.accepted == 3 * count
         for i, k in enumerate(degrees):
             res = ks_one_sample(
@@ -356,3 +365,23 @@ def test_engine_path_builds_no_grid(monkeypatch):
         samplers.sample_gue_eigenvalues(n, 200, RandomStream(73))
     samplers.sample_phi_sq_many(5, 200, RandomStream(74))
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "run, density",
+    [
+        (lambda s: samplers.sample_phi_sq_many(100, 500, s), "phi_squared_many"),
+        (lambda s: samplers.sample_gue_eigenvalues(300, 500, s), "phi_squared_degrees"),
+        (lambda s: samplers.sample_gue_eigenvalues(6, 500, s), "mixture_density_many"),
+        (lambda s: samplers.sample_gue_eigenvalues(1, 500, s), None),
+    ],
+    ids=["fixed-k100", "mixture-n300", "grid-n6", "mixture-n1"],
+)
+def test_each_entry_evaluates_only_its_own_density(monkeypatch, run, density):
+    # each entry names the density its hats bound; the engine evaluates
+    # that one and no other (n = 1 draws plain normals and evaluates none)
+    dominator.grid_hat(6)  # built ahead: the spies see only the engine's evaluations
+    names = ("phi_squared_many", "phi_squared_degrees", "mixture_density_many")
+    spies = {name: _spy(monkeypatch, hermite, name) for name in names}
+    run(RandomStream(75))
+    assert [name for name in names if spies[name]] == ([density] if density else [])
