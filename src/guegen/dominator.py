@@ -1,6 +1,6 @@
-"""Certified dominating hats: one per degree for the squared Hermite
-function density, and a grid hat for the one-eigenvalue density of a
-small GUE(n).
+"""Dominating hats: one per degree for the squared Hermite function
+density, certified or level, and a grid hat for the one-eigenvalue
+density of a small GUE(n).
 
 For degree n >= 1 write f = phi_n, e = 2 sqrt(n+1) (the edge of the van
 Veen representation, :mod:`guegen.vanveen`), x_t = sqrt(4n + 2) (the
@@ -33,6 +33,26 @@ x_c minimizes the closed-form mass over [0, x1] (golden-section search
 with a fixed step count).  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
 and one inversion variate per draw.  The newest specs are cached.
+
+The certificate pass costs O(n), which a group of few draws does not
+win back in a smaller hat.  Such groups take the level hat
+(:func:`level_specs`), built from closed forms alone: the same four
+pieces with shoulder = plateau = M = ``_CRAMER``, so
+
+* bulk, |x| <= x_c:  C L(x), as above;
+* level, x_c < |x| <= x_t + s:  M, which bounds every phi_n^2 by
+  Cramer's inequality (Abramowitz and Stegun 22.14.17);
+* tail, |x| > x_t + s:  M exp(-c sqrt(s) (|x| - x_t)).  Every zero of f
+  lies below x_t, and beyond x_t f'' = Q f makes f positive, convex and
+  decaying, so f(x_t)^2 <= M and the E = f'^2 - Q f^2 argument above
+  gives f^2 <= M exp(-c t^(3/2)) from x_t on.
+
+M lies 2.5e-5 above Cramer's constant, relative, so it carries no further
+slack.  The bulk piece and the van Veen squeeze in |x| <= x1 need no
+pass, and x_c comes from the same search, with M as the shoulder level.  The level
+hat's mass is about 4.5 at n = 100 and 3.8 at n = 1e5, against 3.5 and
+2.7 certified.  :func:`certified_pays` picks the hat from (n, count)
+alone, as the table in :mod:`guegen.samplers` sets out.
 
 The grid hat (:func:`grid_hat`) covers g_n = (1/n) sum_{k<n} phi_k^2,
 the density of one uniformly chosen GUE(n) eigenvalue, directly:
@@ -89,14 +109,18 @@ _GOLDEN_STEPS = 64  # shrinks the search interval by 0.618^64, about 4e-14
 # the cache stays below 0.6 MB
 _SPEC_CACHE = 1024
 _specs = {}  # degree -> DominatorSpec, oldest first
+# sup phi_k^2 <= 1.086435^2 / sqrt(2 pi) = 0.470888 (Cramer), rounded up
+_CRAMER = 0.4709
+# groups of fewer than _LEVEL_BELOW n^_LEVEL_POWER draws take the level hat
+_LEVEL_BELOW, _LEVEL_POWER = 0.7, 0.16
 
 
 @dataclass(frozen=True, slots=True)
 class DominatorSpec:
-    """The hat of one degree n: breakpoints, levels and the closed-form
-    masses p1 ... p4 of its four pieces over the positive half-line.  The
-    hat is even, so its total integral, the mean number of proposals per
-    accept, is 2 (p1 + p2 + p3 + p4)."""
+    """The hat of one degree n, certified or level: breakpoints, levels and
+    the closed-form masses p1 ... p4 of its four pieces over the positive
+    half-line.  The hat is even, so its total integral, the mean number of
+    proposals per accept, is 2 (p1 + p2 + p3 + p4)."""
 
     n: int
     x_c: float  # bulk / shoulder breakpoint
@@ -105,8 +129,8 @@ class DominatorSpec:
     x_tail: float  # plateau / tail breakpoint, edge + s
     vv_edge: float  # 2 sqrt(n + 1), where the bulk piece's L is singular
     bulk: float  # the bulk piece is bulk / sqrt(vv_edge^2 - x^2)
-    shoulder: float  # S(x1)
-    plateau: float  # phi_n(x1)^2
+    shoulder: float  # S(x1); M for the level hat
+    plateau: float  # phi_n(x1)^2; M for the level hat
     rate: float  # the tail piece is plateau exp(-rate (|x| - edge))
     p1: float
     p2: float
@@ -164,22 +188,44 @@ def make_specs(ns):
         for n, x, certified in zip(fresh, x1, ok.tolist()):
             if not certified:
                 raise CertificateError(f"phi_{n}^2 is not certified decreasing beyond x1 = {x}")
-        _specs.update(zip(fresh, map(_build, fresh, x1, f.tolist(), df.tolist())))
+        _specs.update(zip(fresh, map(_certified, fresh, x1, f.tolist(), df.tolist())))
     specs = [_specs[n] for n in ns]
     for n in list(_specs)[: max(len(_specs) - _SPEC_CACHE, 0)]:
         del _specs[n]  # the oldest first
     return specs
 
 
+def certified_pays(n, count):
+    """Whether ``count`` draws at degree ``n`` pay for the certified hat's
+    O(n) certificate pass; if not, they take the level hat.  A function of
+    (n, count) alone, so draws never depend on which hats are cached."""
+    return whole("count", count, 0) >= _LEVEL_BELOW * whole("degree", n, 1) ** _LEVEL_POWER
+
+
+def level_specs(ns):
+    """The level hats of degrees ``ns``, in order, from closed forms alone."""
+    return [_level_spec(n) for n in whole("envelope degrees", ns, 1).tolist()]
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE)
+def _level_spec(n):
+    return _build(n, _window_edge(n), _CRAMER, _CRAMER)
+
+
 def _window_edge(n):  # x1 of degree n, at x_t^2 - x1^2 = (pi / (pi + 1))^2 n^(1/3)
     return math.sqrt(4.0 * n + 2.0 - PI**2 / (PI + 1.0) ** 2 * n ** (1.0 / 3.0))
 
 
-def _build(n, x1, f, df):
-    """The hat of degree n from f = phi_n(x1) and f' = phi_n'(x1)."""
-    edge = math.sqrt(4.0 * n + 2.0)
+def _certified(n, x1, f, df):
+    """The certified hat of degree n from f = phi_n(x1) and f' = phi_n'(x1)."""
     shoulder = (f * f + df * df / (n + 0.5 - 0.25 * x1 * x1)) * (1.0 + SLACK)
-    plateau = f * f * (1.0 + SLACK)
+    return _build(n, x1, shoulder, f * f * (1.0 + SLACK))
+
+
+def _build(n, x1, shoulder, plateau):
+    """The hat of degree n with window edge x1 and the given shoulder and
+    plateau levels: the bulk piece and x_c follow from closed forms."""
+    edge = math.sqrt(4.0 * n + 2.0)
     c = 4.0 / 3.0 * math.sqrt(edge / 2.0)
     s = c ** (-2.0 / 3.0)
     rate = c * math.sqrt(s)
@@ -264,8 +310,6 @@ def sample_envelope_many(spec, stream, size):
 # the grid hat of the one-eigenvalue density
 # ----------------------------------------------------------------------
 
-# sup phi_k^2 <= 1.086435^2 / sqrt(2 pi) = 0.470888 (Cramer), rounded up
-_CRAMER = 0.4709
 GRID_STEP = 0.02  # cell width; the samplers module docstring has the mass table
 _TAIL_LOG = 14.0  # the tail piece starts at e^(-14) at |x| = X
 # grids kept, the most recently used; one takes 40 B a cell, at most 135 KB

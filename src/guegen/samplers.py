@@ -2,8 +2,8 @@
 
 Four layers, all targeting the same densities exactly:
 
-* plain rejection from the certified hat of :mod:`guegen.dominator`,
-  paying one O(k) recurrence evaluation per proposal;
+* plain rejection from a hat of :mod:`guegen.dominator`, certified or
+  level, paying one O(k) recurrence evaluation per proposal;
 * squeeze-accelerated rejection, which resolves most proposals inside
   the squeeze window |x| <= x1 against the constant-time sandwich bounds
   and falls back to the exact recurrence on the inconclusive band and
@@ -48,26 +48,68 @@ when it needs more.  Every output is a deterministic function of (seed,
 parameters), and in both modes the same: squeeze mode only skips exact
 tests whose outcome the squeeze already decided.
 
+A degree group takes the certified hat only when its count pays for
+the hat's O(k) certificate pass (:func:`dominator.certified_pays`), and
+the level hat otherwise: count < 0.7 k^0.16, which puts one draw at
+k = 1e2, up to two at 1e3, three at 1e4, four at 1e5 and six at 1e6 on
+the level hat (none below k = 10).  The rule reads (k, count) alone,
+never the spec caches, so a seed's draws do not depend on call history.
+It follows the break-even of the cost proxy in lane-steps, k for the
+pass plus count * mass * (1 + k p) for the draws (p: the chance that a
+proposal needs the exact test, see :mod:`guegen.verify` criterion 4):
+
+    k                          1e2      1e3      1e4      1e5
+    certified: proxy per draw  100      489      2 372    11 353
+    level: proxy per draw      165      973      5 722    33 777
+    break-even count           1.5      2.1      3.0      4.5
+    0.7 k^0.16                 1.46     2.11     3.06     4.42
+
+Wall time agrees where the pass is long and leans further to the level
+hat at small k, where the pass's fixed numpy cost (about 0.1 ms) is most
+of it.  Mean ms of a one-degree ``sample_phi_sq_many(k, count)`` call
+with no hat cached, level / certified, over 121 interleaved pairs on a
+2-core x86-64 box (Python 3.11, numpy 2.4), with the mean paired
+difference and its standard error:
+
+    count   k = 1e2                 k = 1e3                  k = 1e4                  k = 1e5
+    1       0.45/0.55 -0.10+-0.02   0.37/0.49 -0.12+-0.02    0.67/1.08 -0.41+-0.06    1.97/9.56 -7.6+-0.4
+    2       0.39/0.48 -0.09+-0.01   0.42/0.53 -0.11+-0.02    1.09/1.29 -0.19+-0.09    6.62/10.32 -3.7+-0.8
+    3       0.36/0.46 -0.10+-0.01   0.51/0.54 -0.02+-0.02    1.46/1.39 +0.06+-0.10    8.82/12.68 -3.9+-1.0
+    4       0.42/0.50 -0.08+-0.01   0.63/0.68 -0.05+-0.02    1.72/1.64 +0.08+-0.11    9.00/13.16 -4.2+-1.0
+    5       0.44/0.53 -0.09+-0.01   0.64/0.64 -0.00+-0.02    2.05/1.88 +0.17+-0.14    13.73/11.37 +2.4+-1.0
+    6       0.43/0.50 -0.08+-0.01   0.81/0.73 +0.09+-0.02    2.77/2.34 +0.43+-0.17    16.65/13.94 +2.7+-1.1
+
+The rule keeps the certified hat where the table leaves the choice open
+(k = 1e2 and 1e3 from counts 2 and 3), because a caller that repeats a
+small call finds the certified hat cached and pays only its lower mass.
+The price of reading no cache is that repeated calls at large n and
+small counts keep paying the level hat's larger exact share: a warm
+``sample_gue_eigenvalues(1e5, 100)`` takes about 140 ms against 60 ms
+when its degrees' certified hats were cached, while a cold one takes
+about 150 ms against 230 ms, and a cold ``(1e6, 1)`` about 0.8 ms
+against 95 ms (medians of 9 on the same box).
+
 The grid costs O(n^(3/2)) recurrence steps to build, which a cold call
 pays once; it is then cached.  Milliseconds per call of 1 and of 100
-draws on a 2-core x86-64 box (Python 3.11, numpy 2.4), per-degree
-engine / grid hat, medians of 15 interleaved calls; "cold" clears both
-hat caches before each call, "warm" runs the same call first:
+draws on the same box, per-degree engine / grid hat, medians of 15
+interleaved calls; "cold" clears every hat cache before each call,
+"warm" runs the same call first:
 
     n       cold 1        warm 1        cold 100       warm 100
-    2       0.56 / 1.06   0.23 / 0.17    1.15 / 1.09    0.75 / 0.39
-    6       1.03 / 0.83   0.72 / 0.16    2.59 / 1.08    1.95 / 0.43
-    16      1.07 / 0.98   0.72 / 0.17    5.79 / 1.29    4.31 / 0.44
-    64      1.05 / 1.36   0.68 / 0.17   16.76 / 1.50   13.00 / 0.50
-    128     1.08 / 1.85   0.73 / 0.19   22.98 / 1.97   17.41 / 0.56
-    256     1.04 / 2.80   0.78 / 0.19   27.23 / 2.97   19.74 / 0.58
-    1024    1.17 / 9.75   0.84 / 0.19   34.20 / 11.18  24.03 / 0.92
+    2       0.64 / 0.57   0.29 / 0.06    0.71 / 0.54    0.40 / 0.18
+    6       0.55 / 0.49   0.33 / 0.06    1.42 / 0.54    0.98 / 0.23
+    16      0.54 / 0.59   0.32 / 0.06    3.44 / 0.64    2.28 / 0.20
+    64      0.45 / 0.96   0.36 / 0.06    9.93 / 0.83    7.06 / 0.20
+    128     0.51 / 1.11   0.32 / 0.06   12.12 / 1.12    9.22 / 0.25
+    256     0.47 / 1.70   0.31 / 0.06   16.42 / 1.67   11.05 / 0.30
+    1024    0.50 / 6.64   0.33 / 0.06   17.17 / 7.19   13.60 / 0.48
 
 The grid wins every warm call and every call of 100 draws.  A cold
-call pays the grid's build, which grows like n^(3/2): at n = 256 it
-costs about 2.6 ms, which the grid's saving of about 0.19 ms a draw
-recovers within 14 draws, and at n = 1024 about 9.6 ms, recovered
-within 42.  ``N_GRID`` = 256 keeps that one-off cost under 3 ms.
+call of one draw pays the grid's build, which grows like n^(3/2), while
+the per-degree engine's level hat needs no set-up: at n = 256 the build
+costs about 1.6 ms, which the grid's saving of about 0.1 ms a draw
+recovers within about 16 draws, and at n = 1024 about 6.6 ms, recovered
+within about 50.  ``N_GRID`` = 256 keeps that one-off cost under 2 ms.
 
 The grid hat's cell width ``dominator.GRID_STEP`` = 0.02 comes from
 the same box: 8200 draws at n = 6 (the size the chain of
@@ -247,11 +289,16 @@ def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
 
 
 def _degree_hats(degrees, counts):
-    """The hat of each degree with draws, from one :func:`dominator.make_specs`
-    call; None for degree 0, and for degrees without draws, which need no
-    hat and draw nothing."""
-    drawn = [k for k, count in zip(degrees, counts) if k and count]
-    specs = dict(zip(drawn, dominator.make_specs(drawn)))
+    """The hat of each degree with draws: the certified hat where the
+    group's count pays for its certificate pass, all of them from one
+    :func:`dominator.make_specs` call, else the level hat; None for degree
+    0, and for degrees without draws, which need no hat and draw nothing."""
+    pays = {True: [], False: []}
+    for k, count in zip(degrees, counts):
+        if k and count:
+            pays[dominator.certified_pays(k, count)].append(k)
+    specs = dict(zip(pays[True], dominator.make_specs(pays[True])))
+    specs.update(zip(pays[False], dominator.level_specs(pays[False])))
     return [specs.get(k) for k in degrees]
 
 

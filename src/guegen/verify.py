@@ -205,6 +205,24 @@ def check_exactness(quick=False):
                 detail=f"D={res.statistic:.3e}",
             )
         )
+    # small calls at n = 1e4, whose degree groups mostly hold one draw and
+    # so take the level hat
+    n, size = 10_000, 500 if quick else 2_000
+    xs, level = [], 0
+    for i in range(10):
+        xs.append(samplers.sample_gue_eigenvalues(n, size, _stream(170 + i)))
+        degrees, counts = np.unique(_stream(170 + i).indices(n, size), return_counts=True)
+        level += sum(c for k, c in zip(degrees.tolist(), counts.tolist())
+                     if k and not dominator.certified_pays(k, c))
+    res = stats.ks_one_sample(np.concatenate(xs), lambda s: hermite.mixture_cdf_many(n, s))
+    out.append(
+        _less(
+            f"exactness: KS of 10 calls of {size} mixture draws vs ladder-identity CDF, n={n}",
+            res.scaled,
+            1.95,
+            detail=f"D={res.statistic:.3e}; {level / (10 * size):.1%} of the draws from level hats",
+        )
+    )
     return out
 
 
@@ -271,6 +289,7 @@ def check_equivalence(quick=False):
 
 def check_rejection_constant(quick=False):
     accepts = 5_000 if quick else 100_000
+    level_calls = (300, 300, 150) if quick else (2_000, 2_000, 1_000)
     out = []
     for i, n in enumerate((10, 1_000, 100_000)):
         spec = dominator.make_spec(n)
@@ -292,6 +311,32 @@ def check_rejection_constant(quick=False):
         out.append(
             _less(
                 f"rejection constant: closed-form mass vs quadrature, degree {n}",
+                abs(quad / spec.mass - 1.0),
+                1e-8,
+            )
+        )
+    # the level hat, which count-1 groups take: one accept per call
+    for i, (n, calls) in enumerate(zip((10, 1_000, 100_000), level_calls)):
+        (spec,) = dominator.level_specs([n])
+        s = samplers.SamplerStats()
+        st = _stream(160 + i)
+        for _ in range(calls):
+            samplers.sample_phi_sq_many(n, 1, st, "squeeze", s)
+        mean_trials = s.proposals / s.accepted
+        sigma = math.sqrt((spec.mass**2 - spec.mass) / s.accepted)
+        out.append(
+            _less(
+                f"rejection constant: |proposals/accept - level hat mass| at degree {n}",
+                abs(mean_trials - spec.mass),
+                3.0 * sigma,
+                detail=f"measured {mean_trials:.4f} over {calls} count-1 calls,"
+                f" mass {spec.mass:.4f}",
+            )
+        )
+        quad = 2.0 * half_mass_numeric(spec)
+        out.append(
+            _less(
+                f"rejection constant: closed-form level hat mass vs quadrature, degree {n}",
                 abs(quad / spec.mass - 1.0),
                 1e-8,
             )
@@ -318,16 +363,85 @@ def check_rejection_constant(quick=False):
 # ----------------------------------------------------------------------
 
 
-def _sandwich_gap(n, tol):
-    """Integral of the sandwich gap min(f + eps+, h_n) - (f - eps-)_+ over
-    the squeeze window [0, x1], with h_n the degree-n hat."""
-    spec = dominator.make_spec(n)
+def _sandwich_gap(spec, tol):
+    """Integral of the sandwich gap min(f + eps+, h) - (f - eps-)_+ over
+    the squeeze window [0, x1], with h the hat ``spec``."""
 
     def gap(xs):
-        lower, upper = vanveen.squeeze_bounds_many(n, xs)
+        lower, upper = vanveen.squeeze_bounds_many(spec.n, xs)
         return np.minimum(upper, dominator.envelope_many(spec, xs)) - lower
 
-    return integrate_adaptive(gap, 0.0, spec.x1, tol, initial_width=_oscillation_width(n))[0]
+    return integrate_adaptive(gap, 0.0, spec.x1, tol, initial_width=_oscillation_width(spec.n))[0]
+
+
+def _exact_share(spec):
+    """The chance that a squeeze proposal from the hat ``spec`` needs the
+    exact recurrence: the in-window sandwich gap plus the hat's mass
+    outside the window (p3 + p4), over the hat's half mass."""
+    # tol 1e-7 is below 1e-7 of the half mass; 1e-9 does not converge at n = 1e5
+    return (_sandwich_gap(spec, 1e-7) + spec.p3 + spec.p4) / spec.half_mass
+
+
+def _proxy_sigma(mass, n, p, accepted):
+    """Standard error of the measured cost proxy over ``accepted`` draws.
+    Each accept costs a geometric number G of proposals (variance
+    mass^2 - mass), n units more for each binomial exact evaluation among
+    them, so one accept's cost has variance
+    Var(G) (1 + n p)^2 + n^2 mass p (1 - p)."""
+    var = (mass**2 - mass) * (1.0 + n * p) ** 2 + n * n * mass * p * (1.0 - p)
+    return math.sqrt(var / accepted)
+
+
+def _cold_draw_rows(n_list, calls):
+    """The cold-draw claim: one draw at degree n with no hat cached costs
+    the squeeze proxy of the hat the sampler's rule picks for a count-1
+    group plus that hat's set-up, n lane-steps for the certified hat's
+    certificate pass and none for the level hat, which is closed-form.
+    The claim is on the closed forms' log-log slope; the measured rows,
+    ``calls[i]`` count-1 calls each, must match them."""
+    hats = [samplers._degree_hats([n], [1])[0] for n in n_list]
+    setups = [n if dominator.certified_pays(n, 1) else 0 for n in n_list]
+    shares = [_exact_share(hat) for hat in hats]
+    proxies = [
+        hat.mass * (1.0 + n * p) + setup
+        for n, hat, p, setup in zip(n_list, hats, shares, setups)
+    ]
+    slope, _ = stats.loglog_slope(list(zip(n_list, proxies)))
+    out = [
+        CheckResult(
+            "sublinearity: closed-form cold-draw cost proxy, set-up included,"
+            " log-log slope in [0.60, 0.85]",
+            slope,
+            0.85,
+            0.60 <= slope <= 0.85,
+            "in-window",
+            "; ".join(
+                f"n={n}: proxy={v:.1f} (set-up {setup})"
+                for n, v, setup in zip(n_list, proxies, setups)
+            ),
+        )
+    ]
+    for i, (n, c, hat, p, setup) in enumerate(zip(n_list, calls, hats, shares, setups)):
+        counts = samplers.SamplerStats()
+        st = _stream(150 + i)
+        for _ in range(c):
+            samplers.sample_phi_sq_many(n, 1, st, "squeeze", counts)
+        measured = (counts.proposals + n * counts.exact_evals) / counts.accepted + setup
+        expected = hat.mass * (1.0 + n * p) + setup
+        sigma = _proxy_sigma(hat.mass, n, p, counts.accepted)
+        out.append(
+            CheckResult(
+                f"sublinearity: cold-draw cost proxy at n={n} within 5 sigma"
+                " of the closed form",
+                measured - expected,
+                5.0 * sigma,
+                abs(measured - expected) <= 5.0 * sigma,
+                "in-window",
+                f"measured {measured:.1f} over {c} count-1 calls, closed form"
+                f" {expected:.1f}, sigma {sigma:.1f}, hat mass {hat.mass:.4f}",
+            )
+        )
+    return out
 
 
 def check_sublinearity(quick=False):
@@ -335,9 +449,11 @@ def check_sublinearity(quick=False):
     if quick:
         squeeze_counts = (1_000, 700, 400, 200)
         plain_counts = (400, 150, 60, 30)
+        cold_calls = (400, 300, 200, 100)
     else:
         squeeze_counts = (6_000, 4_000, 2_500, 1_500)
         plain_counts = (6_000, 2_000, 1_000, 600)
+        cold_calls = (2_000, 1_500, 1_000, 600)
     out = []
     # A squeeze proposal needs the exact recurrence, independently of the
     # others, with probability p: the in-window sandwich gap plus the hat's
@@ -346,11 +462,7 @@ def check_sublinearity(quick=False):
     # has the closed form mass * (1 + n p).  The sublinearity claim is on
     # those closed forms; each measured row must then match its closed form.
     specs = [dominator.make_spec(n) for n in n_list]
-    # tol 1e-7 is below 1e-7 of the half mass; 1e-9 does not converge at n = 1e5
-    shares = [
-        (_sandwich_gap(n, 1e-7) + spec.p3 + spec.p4) / spec.half_mass
-        for n, spec in zip(n_list, specs)
-    ]
+    shares = [_exact_share(spec) for spec in specs]
     proxies = [spec.mass * (1.0 + n * p) for n, spec, p in zip(n_list, specs, shares)]
     slope, _ = stats.loglog_slope(list(zip(n_list, proxies)))
     out.append(
@@ -379,14 +491,8 @@ def check_sublinearity(quick=False):
                 f" {r.proposals} proposals",
             )
         )
-        # the proxy: each accept costs a geometric number G of proposals
-        # (variance mass^2 - mass), n units more for each binomial exact
-        # evaluation among them, so one accept's cost has variance
-        # Var(G) (1 + n p)^2 + n^2 mass p (1 - p)
         expected = spec.mass * (1.0 + n * p)
-        var = (spec.mass**2 - spec.mass) * (1.0 + n * p) ** 2
-        var += n * n * spec.mass * p * (1.0 - p)
-        sigma = math.sqrt(var / r.accepted)
+        sigma = _proxy_sigma(spec.mass, n, p, r.accepted)
         out.append(
             CheckResult(
                 f"sublinearity: squeeze cost proxy at n={n} within 5 sigma"
@@ -399,6 +505,7 @@ def check_sublinearity(quick=False):
                 f" sigma {sigma:.1f}",
             )
         )
+    out += _cold_draw_rows(n_list, cold_calls)
     rows = []
     for n, c in zip(n_list, plain_counts):
         rows += samplers.benchmark("plain", [n], c, seed=BASE_SEED + 7 * n)
@@ -444,7 +551,7 @@ def check_squeeze_validity(quick=False):
     points = 2_001 if quick else 10_001
     out = []
     ns = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
-    for n, spec in zip(ns, dominator.make_specs(ns)):
+    for n, spec, level in zip(ns, dominator.make_specs(ns), dominator.level_specs(ns)):
         grid = np.linspace(-spec.x1, spec.x1, points)
         lower, upper = vanveen.squeeze_bounds_many(n, grid)
         h = dominator.envelope_many(spec, grid)
@@ -460,30 +567,7 @@ def check_squeeze_validity(quick=False):
                 detail=f"{points} grid points on [-x1, x1]",
             )
         )
-        # the hat over the whole line, with its breakpoints and the points
-        # just past them, where it steps down
-        end = spec.edge + 30.0 * n ** (-1.0 / 6.0) + 5.0
-        breaks = np.array([spec.x_c, spec.x1, spec.x_tail])
-        line = np.concatenate(
-            [np.linspace(0.0, end, 2 * points), breaks, np.nextafter(breaks, np.inf)]
-        )
-        line = np.concatenate([line, -line])
-        h = dominator.envelope_many(spec, line)
-        phi = hermite.phi_squared_many(n, line)
-        positive = h > 0.0
-        worst = float(np.max(phi[positive] / h[positive]))
-        underflow = float(np.max(phi[~positive], initial=0.0))
-        out.append(
-            CheckResult(
-                f"squeeze validity: worst phi^2 / hat over the whole line, degree {n}",
-                worst,
-                1.0,
-                worst < 1.0 and underflow == 0.0,
-                "<",
-                f"{line.size} points on |x| <= edge + 30 n^(-1/6) + 5 with breakpoints;"
-                f" largest phi^2 where the hat underflows to 0: {underflow:.1e}",
-            )
-        )
+        out += _whole_line((spec, level), points)
     # the hat's certificate apart from make_specs, which raises where it fails
     cert_ns = ns if quick else list(range(1, 10**4 + 1)) + [3 * 10**4, 10**5]
     ok = hermite.certify_decreasing(cert_ns, [dominator._window_edge(n) for n in cert_ns])[2]
@@ -494,6 +578,38 @@ def check_squeeze_validity(quick=False):
     out.append(_less(name, len(failed), 1, detail))
     for n in (2, 3, 6, 64, samplers.N_GRID):
         out.append(_grid_domination(n, 32 if quick else 128))
+    return out
+
+
+def _whole_line(specs, points):
+    """Worst phi^2 / hat over the whole line for each degree hat of one
+    degree in ``specs`` (the certified hat, then the level hat), with every
+    hat's breakpoints and the points just past them, where it steps down."""
+    n = specs[0].n
+    end = specs[0].edge + 30.0 * n ** (-1.0 / 6.0) + 5.0
+    breaks = np.array([[s.x_c, s.x1, s.x_tail] for s in specs]).ravel()
+    line = np.concatenate(
+        [np.linspace(0.0, end, 2 * points), breaks, np.nextafter(breaks, np.inf)]
+    )
+    line = np.concatenate([line, -line])
+    phi = hermite.phi_squared_many(n, line)
+    out = []
+    for spec, kind in zip(specs, ("hat", "level hat")):
+        h = dominator.envelope_many(spec, line)
+        positive = h > 0.0
+        worst = float(np.max(phi[positive] / h[positive]))
+        underflow = float(np.max(phi[~positive], initial=0.0))
+        out.append(
+            CheckResult(
+                f"squeeze validity: worst phi^2 / {kind} over the whole line, degree {n}",
+                worst,
+                1.0,
+                worst < 1.0 and underflow == 0.0,
+                "<",
+                f"{line.size} points on |x| <= edge + 30 n^(-1/6) + 5 with both hats'"
+                f" breakpoints; largest phi^2 where the hat underflows to 0: {underflow:.1e}",
+            )
+        )
     return out
 
 
@@ -532,7 +648,7 @@ def _grid_domination(n, per_cell):
 
 def check_gap_scaling(quick=False):
     ns = (100, 1_000, 10_000)
-    integrals = [_sandwich_gap(n, 1e-9) for n in ns]
+    integrals = [_sandwich_gap(dominator.make_spec(n), 1e-9) for n in ns]
     scaled = [v * n ** (1.0 / 3.0) for v, n in zip(integrals, ns)]
     ratio = max(scaled) / min(scaled)
     out = [

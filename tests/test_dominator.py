@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,22 +103,112 @@ def test_failed_certificate_raises(monkeypatch):
 
 
 def test_sampler_certifies_fresh_degrees_in_one_pass(monkeypatch):
-    # a fresh cache with room for every degree of the call
+    # a fresh cache with room for every degree of the call; the one pass
+    # covers exactly the degrees whose groups pay for it
     monkeypatch.setattr(dominator, "_specs", {})
     monkeypatch.setattr(dominator, "_SPEC_CACHE", 4096)
     certify = hermite.certify_decreasing
-    lanes = []
+    passes = []
 
     def counting(ks, x):
-        lanes.append(len(ks))
+        passes.append(sorted(ks))
         return certify(ks, x)
 
     monkeypatch.setattr(hermite, "certify_decreasing", counting)
-    cold = samplers.sample_gue_eigenvalues(10**4, 2000, RandomStream(8))
-    assert len(lanes) == 1 and lanes[0] == len(dominator._specs) > 1000
-    warm = samplers.sample_gue_eigenvalues(10**4, 2000, RandomStream(8))
-    assert len(lanes) == 1
+    n, count = 10**4, 5000
+    degrees, counts = np.unique(RandomStream(8).indices(n, count), return_counts=True)
+    paying = [
+        k for k, c in zip(degrees.tolist(), counts.tolist()) if k and dominator.certified_pays(k, c)
+    ]
+    assert 50 < len(paying) < degrees.size // 10
+    cold = samplers.sample_gue_eigenvalues(n, count, RandomStream(8))
+    assert passes == [paying] and sorted(dominator._specs) == paying
+    warm = samplers.sample_gue_eigenvalues(n, count, RandomStream(8))
+    assert len(passes) == 1
     assert np.array_equal(cold, warm)
+
+
+def test_draws_do_not_depend_on_the_spec_caches(monkeypatch):
+    # the rule reads (degree, count) alone: cold caches, warm caches and a
+    # cache holding certified hats of every degree give the same bytes
+    monkeypatch.setattr(dominator, "_specs", {})
+    monkeypatch.setattr(dominator, "_SPEC_CACHE", 4096)
+    runs = (
+        lambda st: samplers.sample_gue_eigenvalues(10**4, 300, RandomStream(81), stats=st),
+        lambda st: samplers.sample_gue_eigenvalues(1000, 3000, RandomStream(82), stats=st),
+        lambda st: samplers.sample_phi_sq_many(10**4, 2, RandomStream(83), stats=st),
+        lambda st: samplers.sample_phi_sq_many(10**5, 1, RandomStream(84), "plain", st),
+    )
+
+    def draw_all():
+        out = []
+        for run in runs:
+            st = samplers.SamplerStats()
+            out.append((run(st).tobytes(), replace(st, elapsed=0.0)))
+        return out
+
+    dominator._specs.clear()
+    dominator._level_spec.cache_clear()
+    cold = draw_all()
+    assert draw_all() == cold  # warm
+    dominator._level_spec.cache_clear()
+    dominator.make_specs(list(range(1, 10**4)) + [10**5])
+    assert draw_all() == cold
+
+
+def test_rule_follows_the_break_even_table():
+    # the largest count that takes the level hat, at 1e2 ... 1e6 (the
+    # samplers module docstring has the table)
+    for n, largest in ((1, 0), (9, 0), (100, 1), (1000, 2), (10**4, 3), (10**5, 4), (10**6, 6)):
+        assert not dominator.certified_pays(n, largest)
+        assert dominator.certified_pays(n, largest + 1)
+
+
+def test_level_spec_is_the_certified_layout_at_the_cramer_level():
+    for n in (1, 10, 1000, 10**5):
+        (level,) = dominator.level_specs([n])
+        cert = dominator.make_spec(n)
+        assert level.shoulder == level.plateau == dominator._CRAMER
+        assert (level.x1, level.edge, level.x_tail, level.rate) == (
+            cert.x1, cert.edge, cert.x_tail, cert.rate
+        )
+        assert 0.0 <= level.x_c < level.x1
+        assert dominator.level_specs([n])[0] is level  # cached
+        assert dominator._level_spec.__wrapped__(n) == level  # and pure
+
+
+@pytest.mark.parametrize(
+    "factor, degrees",
+    [(0.6, [1]), (0.05, [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000])],
+    ids=["0.6M", "0.05M"],
+)
+def test_squeeze_validity_fails_a_level_hat_below_cramer(monkeypatch, factor, degrees):
+    # planted defect: the level hat at factor * M.  sup phi_k^2 is 0.62 M at
+    # k = 1, 0.56 M at k = 2 and 0.09 M at k = 1e5, so 0.6 M is a defect at
+    # degree 1 alone and 0.05 M at every degree; criterion 5's whole-line
+    # rows must fail exactly there.  Both hats reading the level are built
+    # fresh under the defect and dropped after it.
+    monkeypatch.setattr(dominator, "_CRAMER", factor * dominator._CRAMER)
+    dominator._level_spec.cache_clear()
+    dominator._grid_hat.cache_clear()
+    try:
+        rows = verify.check_squeeze_validity(quick=True)
+    finally:
+        dominator._level_spec.cache_clear()
+        dominator._grid_hat.cache_clear()
+    name = "squeeze validity: worst phi^2 / level hat over the whole line, degree "
+    failed = [int(r.test[len(name):]) for r in rows if not r.passed and r.test.startswith(name)]
+    assert failed == degrees
+    assert not any("phi^2 / hat over" in r.test for r in rows if not r.passed)
+
+
+def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
+    # criterion 4's cold-draw claim fails when count-1 groups take the
+    # certified hat and pay its O(n) pass, as before the level hat
+    monkeypatch.setattr(dominator, "certified_pays", lambda n, count: True)
+    rows = verify._cold_draw_rows((100, 1000, 10_000, 100_000), (40, 30, 20, 10))
+    assert not rows[0].passed and rows[0].statistic > 0.85, rows[0].detail
+    assert all(r.passed for r in rows[1:]), [r.detail for r in rows[1:]]
 
 
 def test_envelope_value_at_origin():

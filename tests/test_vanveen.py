@@ -82,7 +82,7 @@ def test_gap_nonnegative_everywhere():
 def test_gap_integral_finite_and_scaling():
     vals = {}
     for n in (100, 1000):
-        val = verify._sandwich_gap(n, 1e-8)
+        val = verify._sandwich_gap(dominator.make_spec(n), 1e-8)
         assert math.isfinite(val) and val > 0.0
         vals[n] = val
     # decreasing roughly like n^{-1/3}
