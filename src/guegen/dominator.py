@@ -34,9 +34,9 @@ with a fixed step count).  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
 and one inversion variate per draw.  The newest specs are cached.
 
-The certificate pass costs O(n), which a group of few draws does not
+The certificate pass costs O(n), which a group of one draw does not
 win back in a smaller hat.  Such groups take the level hat
-(:func:`level_specs`), built from closed forms alone: the same four
+(:func:`_level_spec`), built from closed forms alone: the same four
 pieces with shoulder = plateau = M = ``_CRAMER``, so
 
 * bulk, |x| <= x_c:  C L(x), as above;
@@ -51,8 +51,8 @@ M lies 2.5e-5 above Cramer's constant, relative, so it carries no further
 slack.  The bulk piece and the van Veen squeeze in |x| <= x1 need no
 pass, and x_c comes from the same search, with M as the shoulder level.  The level
 hat's mass is about 4.5 at n = 100 and 3.8 at n = 1e5, against 3.5 and
-2.7 certified.  :func:`certified_pays` picks the hat from (n, count)
-alone, as the table in :mod:`guegen.samplers` sets out.
+2.7 certified.  :func:`_certified_pays` picks the hat from the group's
+count alone, as the table in :mod:`guegen.samplers` sets out.
 
 The grid hat (:func:`grid_hat`) covers g_n = (1/n) sum_{k<n} phi_k^2,
 the density of one uniformly chosen GUE(n) eigenvalue, directly:
@@ -111,8 +111,6 @@ _SPEC_CACHE = 1024
 _specs = {}  # degree -> DominatorSpec, oldest first
 # sup phi_k^2 <= 1.086435^2 / sqrt(2 pi) = 0.470888 (Cramer), rounded up
 _CRAMER = 0.4709
-# groups of fewer than _LEVEL_BELOW n^_LEVEL_POWER draws take the level hat
-_LEVEL_BELOW, _LEVEL_POWER = 0.7, 0.16
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,20 +193,16 @@ def make_specs(ns):
     return specs
 
 
-def certified_pays(n, count):
-    """Whether ``count`` draws at degree ``n`` pay for the certified hat's
-    O(n) certificate pass; if not, they take the level hat.  A function of
-    (n, count) alone, so draws never depend on which hats are cached."""
-    return whole("count", count, 0) >= _LEVEL_BELOW * whole("degree", n, 1) ** _LEVEL_POWER
-
-
-def level_specs(ns):
-    """The level hats of degrees ``ns``, in order, from closed forms alone."""
-    return [_level_spec(n) for n in whole("envelope degrees", ns, 1).tolist()]
+def _certified_pays(count):
+    """Whether a degree group of ``count`` draws pays for the certified
+    hat's O(n) certificate pass; if not, it takes the level hat.  Reads
+    no cache, so draws never depend on which hats are cached."""
+    return count > 1
 
 
 @functools.lru_cache(maxsize=_SPEC_CACHE)
 def _level_spec(n):
+    """The level hat of degree ``n`` >= 1, from closed forms alone."""
     return _build(n, _window_edge(n), _CRAMER, _CRAMER)
 
 

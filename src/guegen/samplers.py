@@ -49,41 +49,53 @@ parameters), and in both modes the same: squeeze mode only skips exact
 tests whose outcome the squeeze already decided.
 
 A degree group takes the certified hat only when its count pays for
-the hat's O(k) certificate pass (:func:`dominator.certified_pays`), and
-the level hat otherwise: count < 0.7 k^0.16, which puts one draw at
-k = 1e2, up to two at 1e3, three at 1e4, four at 1e5 and six at 1e6 on
-the level hat (none below k = 10).  The rule reads (k, count) alone,
-never the spec caches, so a seed's draws do not depend on call history.
-It follows the break-even of the cost proxy in lane-steps, k for the
-pass plus count * mass * (1 + k p) for the draws (p: the chance that a
-proposal needs the exact test, see :mod:`guegen.verify` criterion 4):
+the hat's O(k) certificate pass (:func:`dominator._certified_pays`):
+a group of one draw takes the level hat, and larger groups the
+certified hat.  The rule reads the count alone, never the spec caches,
+so a seed's draws do not depend on call history; but what each hat
+costs does.  Mean ms of a one-degree ``sample_phi_sq_many(k, count)``
+call, level minus certified, paired, with its standard error, over 201
+interleaved pairs on fresh seeds on a 2-core x86-64 box (Python 3.11,
+numpy 2.4).  "Cold" clears both spec caches before each call, "warm"
+has both hats of degree k cached, as a repeated call finds them:
 
-    k                          1e2      1e3      1e4      1e5
-    certified: proxy per draw  100      489      2 372    11 353
-    level: proxy per draw      165      973      5 722    33 777
-    break-even count           1.5      2.1      3.0      4.5
-    0.7 k^0.16                 1.46     2.11     3.06     4.42
+    count   k = 1e2          k = 1e3          k = 1e4          k = 1e5
+            cold    warm     cold    warm     cold    warm     cold   warm
+    1       -0.09   +0.03    -0.15   +0.06    -0.54   +0.30    -6.1   +1.5
+    2       -0.12   +0.04    -0.09   +0.14    -0.25   +0.53    -3.5   +3.5
+    3       -0.12   +0.06    -0.06   +0.14    -0.19   +0.96    -2.9   +6.2
+    4       -0.11   +0.05    -0.02   +0.19    +0.14   +1.02    -1.0   +6.6
+    5       -0.11   +0.06    +0.04   +0.20    +0.61   +1.24    +1.2   +7.0
+    6       -0.09   +0.06    +0.07   +0.31    +0.70   +1.65    +2.8   +11.0
+    SE      0.01    0.01     0.02    0.02     0.06-0.14        0.4-0.9
 
-Wall time agrees where the pass is long and leans further to the level
-hat at small k, where the pass's fixed numpy cost (about 0.1 ms) is most
-of it.  Mean ms of a one-degree ``sample_phi_sq_many(k, count)`` call
-with no hat cached, level / certified, over 121 interleaved pairs on a
-2-core x86-64 box (Python 3.11, numpy 2.4), with the mean paired
-difference and its standard error:
+The certified call takes 0.6-0.7 ms cold and 0.35-0.5 ms warm at
+k = 1e2, and 8.6-13 ms cold and 1.3-5.2 ms warm at k = 1e5.  Cold, the
+level hat wins through count 3 at every degree from 1 to 1e5 (count 4
+ties at 1e3 to 1e5); its edge at k = 1e2 is the pass's fixed numpy cost of about
+0.1 ms and holds through count 10.  Warm, the certified hat wins every
+cell, as the level hat's larger mass and exact share are then all that
+differs.  The rule takes the level hat where a call made once cold and
+once warm costs less on it in total.  Count 1 passes at every degree;
+count 2 fails at 1e3 (+0.05 +- 0.03 ms) and 1e4 (+0.28 +- 0.12) and
+ties at 1e5 (-0.02 +- 0.8).  Count 1 passes at the degrees around them
+too: at k = 1, 3, 10 and 30 counts 1-3 save 0.11-0.13 ms cold and cost
+0.00-0.03 ms warm, and at k = 1e6 (41 pairs) count 1 saves 133 +- 9 ms
+cold and costs 10 +- 9 ms warm, where the certified call takes 160 ms
+cold.  Counts 2-3 at k <= 1e2 (counts 4-10 at 1e2 as well) and count 2
+at 1e6 would pass too; the rule keeps one threshold at every degree
+instead of fitting those cells, which gives up at most 0.13 ms a
+cold-warm pair of calls at k <= 1e2 and about 0.11 s at k = 1e6.  Cold
+alone would put the threshold at count 3 or more at every degree; at
+k = 1e5 a repeated 3-draw call would then take 9.2 ms instead of 3.0.
+The lane-step proxy of :mod:`guegen.verify` criterion 4 (k for the pass
+plus count * mass * (1 + k p) for the draws, p the exact share) puts
+the cold break-even near count 1.5, 2.1, 3.0 and 4.5 at k = 1e2 ...
+1e5; cold wall time is near it at 1e4 and 1e5 and above it at 1e2 and
+1e3, where the pass's fixed cost dominates.
 
-    count   k = 1e2                 k = 1e3                  k = 1e4                  k = 1e5
-    1       0.45/0.55 -0.10+-0.02   0.37/0.49 -0.12+-0.02    0.67/1.08 -0.41+-0.06    1.97/9.56 -7.6+-0.4
-    2       0.39/0.48 -0.09+-0.01   0.42/0.53 -0.11+-0.02    1.09/1.29 -0.19+-0.09    6.62/10.32 -3.7+-0.8
-    3       0.36/0.46 -0.10+-0.01   0.51/0.54 -0.02+-0.02    1.46/1.39 +0.06+-0.10    8.82/12.68 -3.9+-1.0
-    4       0.42/0.50 -0.08+-0.01   0.63/0.68 -0.05+-0.02    1.72/1.64 +0.08+-0.11    9.00/13.16 -4.2+-1.0
-    5       0.44/0.53 -0.09+-0.01   0.64/0.64 -0.00+-0.02    2.05/1.88 +0.17+-0.14    13.73/11.37 +2.4+-1.0
-    6       0.43/0.50 -0.08+-0.01   0.81/0.73 +0.09+-0.02    2.77/2.34 +0.43+-0.17    16.65/13.94 +2.7+-1.1
-
-The rule keeps the certified hat where the table leaves the choice open
-(k = 1e2 and 1e3 from counts 2 and 3), because a caller that repeats a
-small call finds the certified hat cached and pays only its lower mass.
-The price of reading no cache is that repeated calls at large n and
-small counts keep paying the level hat's larger exact share: a warm
+Repeated calls at large n and small counts therefore keep paying the
+level hat's larger exact share: a warm
 ``sample_gue_eigenvalues(1e5, 100)`` takes about 140 ms against 60 ms
 when its degrees' certified hats were cached, while a cold one takes
 about 150 ms against 230 ms, and a cold ``(1e6, 1)`` about 0.8 ms
@@ -96,20 +108,20 @@ interleaved calls; "cold" clears every hat cache before each call,
 "warm" runs the same call first:
 
     n       cold 1        warm 1        cold 100       warm 100
-    2       0.64 / 0.57   0.29 / 0.06    0.71 / 0.54    0.40 / 0.18
-    6       0.55 / 0.49   0.33 / 0.06    1.42 / 0.54    0.98 / 0.23
-    16      0.54 / 0.59   0.32 / 0.06    3.44 / 0.64    2.28 / 0.20
-    64      0.45 / 0.96   0.36 / 0.06    9.93 / 0.83    7.06 / 0.20
-    128     0.51 / 1.11   0.32 / 0.06   12.12 / 1.12    9.22 / 0.25
-    256     0.47 / 1.70   0.31 / 0.06   16.42 / 1.67   11.05 / 0.30
-    1024    0.50 / 6.64   0.33 / 0.06   17.17 / 7.19   13.60 / 0.48
+    2       0.42 / 0.51   0.10 / 0.09    0.67 / 0.62    0.44 / 0.23
+    6       0.46 / 0.51   0.36 / 0.10    1.50 / 0.64    1.03 / 0.22
+    16      0.53 / 0.55   0.34 / 0.11    3.24 / 0.66    2.20 / 0.24
+    64      0.46 / 0.68   0.37 / 0.10    8.97 / 0.85    6.48 / 0.25
+    128     0.47 / 0.90   0.37 / 0.10   11.82 / 1.08    8.51 / 0.27
+    256     0.41 / 1.42   0.39 / 0.10   14.41 / 1.57   11.24 / 0.32
+    1024    0.55 / 5.58   0.40 / 0.13   16.79 / 5.93   13.62 / 0.57
 
 The grid wins every warm call and every call of 100 draws.  A cold
 call of one draw pays the grid's build, which grows like n^(3/2), while
 the per-degree engine's level hat needs no set-up: at n = 256 the build
-costs about 1.6 ms, which the grid's saving of about 0.1 ms a draw
-recovers within about 16 draws, and at n = 1024 about 6.6 ms, recovered
-within about 50.  ``N_GRID`` = 256 keeps that one-off cost under 2 ms.
+costs about 1.3 ms, which the grid's saving of about 0.11 ms a draw
+recovers within about 12 draws, and at n = 1024 about 5.5 ms, recovered
+within about 42.  ``N_GRID`` = 256 keeps that one-off cost under 1.5 ms.
 
 The grid hat's cell width ``dominator.GRID_STEP`` = 0.02 comes from
 the same box: 8200 draws at n = 6 (the size the chain of
@@ -296,9 +308,9 @@ def _degree_hats(degrees, counts):
     pays = {True: [], False: []}
     for k, count in zip(degrees, counts):
         if k and count:
-            pays[dominator.certified_pays(k, count)].append(k)
+            pays[dominator._certified_pays(count)].append(k)
     specs = dict(zip(pays[True], dominator.make_specs(pays[True])))
-    specs.update(zip(pays[False], dominator.level_specs(pays[False])))
+    specs.update((k, dominator._level_spec(k)) for k in pays[False])
     return [specs.get(k) for k in degrees]
 
 

@@ -213,7 +213,7 @@ def check_exactness(quick=False):
         xs.append(samplers.sample_gue_eigenvalues(n, size, _stream(170 + i)))
         degrees, counts = np.unique(_stream(170 + i).indices(n, size), return_counts=True)
         level += sum(c for k, c in zip(degrees.tolist(), counts.tolist())
-                     if k and not dominator.certified_pays(k, c))
+                     if k and not dominator._certified_pays(c))
     res = stats.ks_one_sample(np.concatenate(xs), lambda s: hermite.mixture_cdf_many(n, s))
     out.append(
         _less(
@@ -291,56 +291,39 @@ def check_rejection_constant(quick=False):
     accepts = 5_000 if quick else 100_000
     level_calls = (300, 300, 150) if quick else (2_000, 2_000, 1_000)
     out = []
-    for i, n in enumerate((10, 1_000, 100_000)):
-        spec = dominator.make_spec(n)
-        st = _stream(40 + i)
-        s = samplers.SamplerStats()
-        samplers.sample_phi_sq_many(n, accepts, st, "squeeze", s)
-        mean_trials = s.proposals / s.accepted
-        # trials per accept are geometric with mean = hat mass
-        sigma = math.sqrt((spec.mass**2 - spec.mass) / s.accepted)
-        out.append(
-            _less(
-                f"rejection constant: |proposals/accept - hat mass| at degree {n}",
-                abs(mean_trials - spec.mass),
-                3.0 * sigma,
-                detail=f"measured {mean_trials:.4f}, mass {spec.mass:.4f}",
+    # the certified hat, drawn in one call, and the level hat, which
+    # count-1 groups take, drawn one accept per call
+    kinds = (
+        ("", dominator.make_spec, 40, lambda calls: [accepts]),
+        ("level ", dominator._level_spec, 160, lambda calls: [1] * calls),
+    )
+    for kind, hat, base, sizes in kinds:
+        for i, (n, calls) in enumerate(zip((10, 1_000, 100_000), level_calls)):
+            spec = hat(n)
+            st = _stream(base + i)
+            s = samplers.SamplerStats()
+            for size in sizes(calls):
+                samplers.sample_phi_sq_many(n, size, st, "squeeze", s)
+            mean_trials = s.proposals / s.accepted
+            # trials per accept are geometric with mean = hat mass
+            sigma = math.sqrt((spec.mass**2 - spec.mass) / s.accepted)
+            over = f" over {calls} count-1 calls," if kind else ","
+            out.append(
+                _less(
+                    f"rejection constant: |proposals/accept - {kind}hat mass| at degree {n}",
+                    abs(mean_trials - spec.mass),
+                    3.0 * sigma,
+                    detail=f"measured {mean_trials:.4f}{over} mass {spec.mass:.4f}",
+                )
             )
-        )
-        quad = 2.0 * half_mass_numeric(spec)
-        out.append(
-            _less(
-                f"rejection constant: closed-form mass vs quadrature, degree {n}",
-                abs(quad / spec.mass - 1.0),
-                1e-8,
+            quad = 2.0 * half_mass_numeric(spec)
+            out.append(
+                _less(
+                    f"rejection constant: closed-form {kind}hat mass vs quadrature, degree {n}",
+                    abs(quad / spec.mass - 1.0),
+                    1e-8,
+                )
             )
-        )
-    # the level hat, which count-1 groups take: one accept per call
-    for i, (n, calls) in enumerate(zip((10, 1_000, 100_000), level_calls)):
-        (spec,) = dominator.level_specs([n])
-        s = samplers.SamplerStats()
-        st = _stream(160 + i)
-        for _ in range(calls):
-            samplers.sample_phi_sq_many(n, 1, st, "squeeze", s)
-        mean_trials = s.proposals / s.accepted
-        sigma = math.sqrt((spec.mass**2 - spec.mass) / s.accepted)
-        out.append(
-            _less(
-                f"rejection constant: |proposals/accept - level hat mass| at degree {n}",
-                abs(mean_trials - spec.mass),
-                3.0 * sigma,
-                detail=f"measured {mean_trials:.4f} over {calls} count-1 calls,"
-                f" mass {spec.mass:.4f}",
-            )
-        )
-        quad = 2.0 * half_mass_numeric(spec)
-        out.append(
-            _less(
-                f"rejection constant: closed-form level hat mass vs quadrature, degree {n}",
-                abs(quad / spec.mass - 1.0),
-                1e-8,
-            )
-        )
     for i, n in enumerate((2, 6, samplers.N_GRID)):
         mass = dominator.grid_hat(n).mass
         s = samplers.SamplerStats()
@@ -400,7 +383,7 @@ def _cold_draw_rows(n_list, calls):
     The claim is on the closed forms' log-log slope; the measured rows,
     ``calls[i]`` count-1 calls each, must match them."""
     hats = [samplers._degree_hats([n], [1])[0] for n in n_list]
-    setups = [n if dominator.certified_pays(n, 1) else 0 for n in n_list]
+    setups = [n if dominator._certified_pays(1) else 0 for n in n_list]
     shares = [_exact_share(hat) for hat in hats]
     proxies = [
         hat.mass * (1.0 + n * p) + setup
@@ -551,7 +534,8 @@ def check_squeeze_validity(quick=False):
     points = 2_001 if quick else 10_001
     out = []
     ns = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
-    for n, spec, level in zip(ns, dominator.make_specs(ns), dominator.level_specs(ns)):
+    for n, spec in zip(ns, dominator.make_specs(ns)):
+        level = dominator._level_spec(n)
         grid = np.linspace(-spec.x1, spec.x1, points)
         lower, upper = vanveen.squeeze_bounds_many(n, grid)
         h = dominator.envelope_many(spec, grid)

@@ -118,9 +118,9 @@ def test_sampler_certifies_fresh_degrees_in_one_pass(monkeypatch):
     n, count = 10**4, 5000
     degrees, counts = np.unique(RandomStream(8).indices(n, count), return_counts=True)
     paying = [
-        k for k, c in zip(degrees.tolist(), counts.tolist()) if k and dominator.certified_pays(k, c)
+        k for k, c in zip(degrees.tolist(), counts.tolist()) if k and dominator._certified_pays(c)
     ]
-    assert 50 < len(paying) < degrees.size // 10
+    assert 50 < len(paying) < degrees.size // 3
     cold = samplers.sample_gue_eigenvalues(n, count, RandomStream(8))
     assert passes == [paying] and sorted(dominator._specs) == paying
     warm = samplers.sample_gue_eigenvalues(n, count, RandomStream(8))
@@ -156,24 +156,24 @@ def test_draws_do_not_depend_on_the_spec_caches(monkeypatch):
     assert draw_all() == cold
 
 
-def test_rule_follows_the_break_even_table():
-    # the largest count that takes the level hat, at 1e2 ... 1e6 (the
-    # samplers module docstring has the table)
-    for n, largest in ((1, 0), (9, 0), (100, 1), (1000, 2), (10**4, 3), (10**5, 4), (10**6, 6)):
-        assert not dominator.certified_pays(n, largest)
-        assert dominator.certified_pays(n, largest + 1)
+def test_single_draws_take_the_level_hat():
+    # the rule (the samplers module docstring has its table): a group of
+    # one draw takes the level hat, a larger group the certified hat
+    for n in (1, 10, 100, 10**4, 10**5):
+        assert samplers._degree_hats([n], [1]) == [dominator._level_spec(n)]
+        assert samplers._degree_hats([n], [2]) == [dominator.make_spec(n)]
 
 
 def test_level_spec_is_the_certified_layout_at_the_cramer_level():
     for n in (1, 10, 1000, 10**5):
-        (level,) = dominator.level_specs([n])
+        level = dominator._level_spec(n)
         cert = dominator.make_spec(n)
         assert level.shoulder == level.plateau == dominator._CRAMER
         assert (level.x1, level.edge, level.x_tail, level.rate) == (
             cert.x1, cert.edge, cert.x_tail, cert.rate
         )
         assert 0.0 <= level.x_c < level.x1
-        assert dominator.level_specs([n])[0] is level  # cached
+        assert dominator._level_spec(n) is level  # cached
         assert dominator._level_spec.__wrapped__(n) == level  # and pure
 
 
@@ -205,7 +205,7 @@ def test_squeeze_validity_fails_a_level_hat_below_cramer(monkeypatch, factor, de
 def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
     # criterion 4's cold-draw claim fails when count-1 groups take the
     # certified hat and pay its O(n) pass, as before the level hat
-    monkeypatch.setattr(dominator, "certified_pays", lambda n, count: True)
+    monkeypatch.setattr(dominator, "_certified_pays", lambda count: True)
     rows = verify._cold_draw_rows((100, 1000, 10_000, 100_000), (40, 30, 20, 10))
     assert not rows[0].passed and rows[0].statistic > 0.85, rows[0].detail
     assert all(r.passed for r in rows[1:]), [r.detail for r in rows[1:]]

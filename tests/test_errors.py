@@ -35,9 +35,6 @@ ENTRY_POINTS = {
     "terms_many n": lambda v: vanveen.terms_many(v, [0.5]),
     "make_spec n": dominator.make_spec,
     "make_specs ns": lambda v: dominator.make_specs([4, v]),
-    "level_specs ns": lambda v: dominator.level_specs([4, v]),
-    "certified_pays n": lambda v: dominator.certified_pays(v, 3),
-    "certified_pays count": lambda v: dominator.certified_pays(10, v),
     "grid_hat n": dominator.grid_hat,
     "sample_joint_many n": lambda v: joint.sample_joint_many(v, 3, 2.0, _stream()),
     "sample_joint_many count": lambda v: joint.sample_joint_many(3, v, 2.0, _stream()),
