@@ -2,10 +2,14 @@
 and most of them also with the reduced counts of ``guegen verify --quick``.
 
 Each test prints one PASS/FAIL line for its criterion (plus per-check
-detail lines) and asserts that every check inside the suite passed.
+detail lines) and asserts that every check inside the suite passed, and
+that every row's pass flag is the one its own statistic, comparison,
+threshold and, for "in-window" rows, lower bound imply.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report;
 the same suites back ``guegen verify --suite all``.
 """
+
+import math
 
 import pytest
 
@@ -31,16 +35,29 @@ CRITERIA = [
 QUICK = [c for c in CRITERIA if c[1] not in ("exactness", "squeeze-validity")]
 
 
+def _implied_pass(row):
+    """The pass flag a report row's own fields imply."""
+    s, t = row["statistic"], row["threshold"]
+    if row["comparison"] == "in-window":
+        return row["lower"] <= s <= t
+    return {"<": s < t, "<=": s <= t, "==": s == t}[row["comparison"]]
+
+
 def _run(number, suite, summary, quick=False):
     checks = verify.SUITES[suite](quick=quick)
     ok = all(c.passed for c in checks)
     label = " --quick" if quick else ""
     print(f"\ncriterion {number}{label} ({summary}): {'PASS' if ok else 'FAIL'}")
     for c in checks:
+        lower = f"lower={c.lower:.6g} " if c.comparison == "in-window" else ""
         print(
-            f"    [{'pass' if c.passed else 'FAIL'}] {c.test}: "
+            f"    [{'pass' if c.passed else 'FAIL'}] {c.test}: {lower}"
             f"statistic={c.statistic:.6g} threshold={c.threshold:.6g} {c.detail}"
         )
+    # every row of the report can be re-checked from its own fields
+    for row in (c.as_dict() for c in checks):
+        assert ("lower" in row) == (row["comparison"] == "in-window"), row
+        assert row["pass"] is _implied_pass(row), row
     failed = [c.test for c in checks if not c.passed]
     assert not failed, f"criterion {number} failed checks: {failed}"
 
@@ -53,3 +70,17 @@ def test_acceptance_criterion(number, suite, summary):
 @pytest.mark.parametrize("number,suite,summary", QUICK, ids=[c[1] for c in QUICK])
 def test_acceptance_criterion_quick(number, suite, summary):
     _run(number, suite, summary, quick=True)
+
+
+@pytest.mark.parametrize("comparison", ["<", "<=", "==", "in-window"])
+def test_nan_statistic_fails_every_comparison(comparison):
+    lower = -1.0 if comparison == "in-window" else None
+    row = verify.CheckResult("nan", math.nan, 1.0, comparison, lower=lower)
+    assert row.passed is False and row.as_dict()["pass"] is False
+
+
+def test_only_in_window_rows_take_a_lower_bound():
+    with pytest.raises(ValueError):
+        verify.CheckResult("window without a lower bound", 0.0, 1.0, "in-window")
+    with pytest.raises(ValueError):
+        verify.CheckResult("lower bound without a window", 0.0, 1.0, "<", lower=-1.0)

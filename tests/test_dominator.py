@@ -202,6 +202,30 @@ def test_squeeze_validity_fails_a_level_hat_below_cramer(monkeypatch, factor, de
     assert not any("phi^2 / hat over" in r.test for r in rows if not r.passed)
 
 
+@pytest.mark.parametrize(
+    "factor, failing",
+    [(0.0, [2, 3, 6, 64, 256]), (0.25, [2, 3, 6, 64]), (0.24, [2, 3, 6, 64, 256])],
+    ids=["no-slope", "quarter-slope", "0.24-slope"],
+)
+def test_grid_domination_fails_a_grid_hat_below_the_slope_bound(monkeypatch, factor, failing):
+    # planted defect: the grid hat's slope term L w / 2 at factor * L, with
+    # L = M / sqrt(n).  Each cell's level is the mean of g_n at its two ends
+    # plus that term, so the worst violation sits at a cell end, and every
+    # points-per-cell count from 2 up sees the same worst value.  Without the
+    # term the worst (g - hat) / hat reads 8.5e-2 to 9.9e-2.  A quarter of
+    # L is no defect at n = 256: max |g_256'| is 0.241 L (on 400 001 points
+    # of the line), so the hat still dominates and criterion 5 passes it at
+    # any count of points per cell (worst -3.8e-4, the same at 32 and at
+    # 4096); 0.24 L is caught there by the 33 points of the quick size.
+    monkeypatch.setattr(dominator, "_CRAMER", factor * dominator._CRAMER)
+    dominator._grid_hat.cache_clear()
+    try:
+        rows = {n: verify._grid_domination(n, 32) for n in (2, 3, 6, 64, samplers.N_GRID)}
+    finally:
+        dominator._grid_hat.cache_clear()
+    assert [n for n, r in rows.items() if not r.passed] == failing, [r.detail for r in rows.values()]
+
+
 def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
     # criterion 4's cold-draw claim fails when count-1 groups take the
     # certified hat and pay its O(n) pass, as before the level hat
