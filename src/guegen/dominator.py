@@ -87,18 +87,23 @@ through a Walker alias table, and one position variate.
 
 :func:`propose` draws proposals from either kind of hat together with
 their squeeze verdicts, so the rejection engine of :mod:`guegen.samplers`
-never asks which kind of hat it runs.
+never asks which kind of hat it runs.  It draws a run of blocks from
+several degree hats (:class:`HatRun`) with array calls over a table of
+the hats (:class:`HatTable`), each proposal reading its own hat's fields
+(:class:`PointHats`), and gives every block the words and values it gets
+drawn alone.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hermite, vanveen
-from .errors import CertificateError, whole
+from .errors import CertificateError, ParameterError, whole
 
 PI = math.pi
 # relative slack on each level: 100x the float kernel's relative error
@@ -148,8 +153,16 @@ class DominatorSpec:
         return 2.0 * self.half_mass
 
     @property
+    def vv_edge_sq(self):
+        return self.vv_edge**2
+
+    @property
     def label(self):
         return f"degree {self.n}"
+
+    def at(self, where):
+        """The hat of the points ``where`` picks: this one (see :class:`PointHats`)."""
+        return self
 
 
 def _golden_min(f, lo, hi):
@@ -255,14 +268,77 @@ def _build(n, x1, shoulder, plateau):
 
 
 def envelope_many(spec, x):
-    """Hat values at an array of points (even in x)."""
+    """Hat values at an array of points (even in x): of one hat, or with
+    :class:`PointHats` of each point's own hat."""
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
     bulk = ax <= spec.x_c
-    out[bulk] = spec.bulk / np.sqrt(spec.vv_edge**2 - ax[bulk] ** 2)
+    b = spec.at(bulk)
+    out[bulk] = b.bulk / np.sqrt(b.vv_edge_sq - ax[bulk] ** 2)
     tail = ax > spec.x_tail
-    out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
+    t = spec.at(tail)
+    out[tail] = t.plateau * np.exp(-t.rate * (ax[tail] - t.edge))
     return out
+
+
+# ----------------------------------------------------------------------
+# several degree hats at once
+# ----------------------------------------------------------------------
+
+_COLUMNS = ("n", "x_c", "x1", "edge", "x_tail", "vv_edge", "vv_edge_sq", "bulk",
+            "shoulder", "plateau", "rate", "p1", "p2", "p3", "p4", "half_mass")
+
+
+class HatTable:
+    """The hats of an engine call, one row each: degree hats, or one grid
+    hat.  ``mass`` holds each row's mass; for degree hats, ``columns``
+    holds each field of :class:`DominatorSpec` (and ``vv_edge_sq`` and
+    ``half_mass``, as each spec computes them) as an array over the rows,
+    and ``cuts`` the piece selector's thresholds, the cumulative masses of
+    the first three pieces over the half mass."""
+
+    def __init__(self, hats):
+        self.hats = list(hats)
+        self.mass = np.array([h.mass for h in self.hats])
+        self.columns = None
+        if len(self.hats) > 1:  # a single hat runs on its own scalars
+            values = np.array(list(map(operator.attrgetter(*_COLUMNS), self.hats)))
+            self.columns = dict(zip(_COLUMNS, map(np.ascontiguousarray, values.T)))
+            self.columns["n"] = values[:, 0].astype(np.int64)
+            masses = values[:, _COLUMNS.index("p1") :][:, :3]
+            self.cuts = np.cumsum(masses, axis=1) / self.columns["half_mass"][:, None]
+
+
+class PointHats:
+    """The hat of each point, as rows of a :class:`HatTable`: attribute
+    ``f`` is the array of field f of each point's hat, and ``at(where)``
+    the hats of the points ``where`` picks.  A :class:`DominatorSpec`
+    answers the same questions for points that share one hat."""
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table, rows):
+        self.table, self.rows = table, rows
+
+    def __getattr__(self, name):
+        return self.table.columns[name][self.rows]
+
+    def at(self, where):
+        return PointHats(self.table, self.rows[where])
+
+
+class HatRun:
+    """Proposal blocks drawn as one, block after block: ``sizes[i]``
+    proposals from row ``rows[i]`` of ``table``.  ``hats`` is the hat of
+    each proposal: the hat itself when the run has one block."""
+
+    def __init__(self, table, rows, sizes):
+        self.table, self.rows, self.sizes = table, rows, sizes
+        self.size = int(sizes.sum())
+        if rows.size == 1:
+            self.hats = table.hats[rows[0]]
+        else:
+            self.hats = PointHats(table, np.repeat(rows, sizes))
 
 
 # ----------------------------------------------------------------------
@@ -283,21 +359,33 @@ def piece_inverse(spec, piece, v):
 
 
 def sample_envelope_many(spec, stream, size):
-    """``size`` draws from the normalized hat density.
+    """``size`` proposals from a hat, or from the blocks of a
+    :class:`HatRun`, as ``(x, u)``: draws x from the normalized hat and one
+    uniform u each, so that (x, u h(x)) is uniform under the hat's graph.
 
-    Consumes three uniform arrays of ``size``: signs, piece selectors, and
-    the piece-level inversion variates.
+    A block of b proposals reads four uniform arrays of b: signs, piece
+    selectors, the piece-level inversion variates, then the u.  A run of
+    several blocks reads one array of ``4 size`` and gives each block, in
+    order, the words it reads drawn alone.
     """
     size = whole("size", size, 0)
-    s = stream.rademachers(size)
-    u = stream.uniforms(size)
-    v = stream.uniforms(size)
-    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
+    hats, sizes = (spec.hats, spec.sizes) if isinstance(spec, HatRun) else (spec, None)
+    if sizes is not None and sizes.sum() != size:
+        raise ParameterError(f"size {size} is not the run's {sizes.sum()} proposals")
+    if isinstance(hats, DominatorSpec):
+        sign, select, v, height = (stream.uniforms(size) for _ in range(4))
+        piece = np.searchsorted(np.cumsum(hats.masses[:3]) / hats.half_mass, select, side="right")
+    else:  # the block at proposal a of size b reads words 4a ... 4a + 4b
+        words = stream.uniforms(4 * size)
+        block = np.repeat(sizes, sizes)
+        first = np.arange(size) + 3 * np.repeat(np.cumsum(sizes) - sizes, sizes)
+        sign, select, v, height = (words[first + i * block] for i in range(4))
+        piece = np.count_nonzero(hats.table.cuts[hats.rows] <= select[:, None], axis=1)
     x = np.empty(size)
     for i in range(4):
         mask = piece == i
-        x[mask] = piece_inverse(spec, i, v[mask])
-    return s * x
+        x[mask] = piece_inverse(hats.at(mask), i, v[mask])
+    return np.where(sign < 0.5, 1.0, -1.0) * x, height
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +420,9 @@ class GridHat(NamedTuple):
     @property
     def label(self):
         return f"the n = {self.n} mixture"
+
+    def at(self, where):
+        return self
 
 
 def grid_hat(n):
@@ -421,30 +512,33 @@ def sample_grid_many(hat, stream, size):
 # ----------------------------------------------------------------------
 
 
-def propose(hat, stream, size, squeeze):
-    """``size`` proposals from ``hat``, as ``(x, uh, lower_acc, upper_rej)``:
-    the draws, u h(x) for one uniform u each, and the masks of the draws
-    the squeeze accepts (uh at or below its lower bound) and rejects (uh
-    above its upper bound).  Without ``squeeze`` both masks are all False.
+def propose(run, stream, squeeze):
+    """The proposals of a :class:`HatRun`, as ``(x, uh, lower_acc,
+    upper_rej)``: the draws, u h(x) for one uniform u each, and the masks
+    of the draws the squeeze accepts (uh at or below its lower bound) and
+    rejects (uh above its upper bound).  Without ``squeeze`` both masks
+    are all False.
 
-    Reads the hat's draws, then one uniform array.  A degree's squeeze is
-    the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
-    draws in its window |x| <= x1; the grid hat's is its cell's squeeze
-    level, which only accepts.
+    Degree hats draw through :func:`sample_envelope_many`; their squeeze
+    is the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
+    draws in each one's window |x| <= x1.  A grid hat runs alone: it reads
+    its draws, then one uniform array, and its squeeze is its cell's
+    squeeze level, which only accepts.
     """
+    size, hats = run.size, run.hats
     lower_acc = np.zeros(size, dtype=bool)
     upper_rej = np.zeros(size, dtype=bool)
-    if isinstance(hat, GridHat):
-        x, h, lower = sample_grid_many(hat, stream, size)
+    if isinstance(hats, GridHat):
+        x, h, lower = sample_grid_many(hats, stream, size)
         uh = stream.uniforms(size) * h
         if squeeze:
             lower_acc = uh <= lower
         return x, uh, lower_acc, upper_rej
-    x = sample_envelope_many(hat, stream, size)
-    uh = stream.uniforms(size) * envelope_many(hat, x)
+    x, u = sample_envelope_many(run, stream, size)
+    uh = u * envelope_many(hats, x)
     if squeeze:
-        window = np.abs(x) <= hat.x1
-        lo, up = vanveen.squeeze_bounds_many(hat.n, x[window])
+        window = np.abs(x) <= hats.x1
+        lo, up = vanveen.squeeze_bounds_many(hats.at(window).n, x[window])
         uhw = uh[window]
         lower_acc[window] = uhw <= lo
         upper_rej[window] = uhw > up

@@ -320,7 +320,7 @@ def test_forced_branch_endpoints():
 def test_sampler_matches_analytic_cdf():
     spec = dominator.make_spec(25)
     stream = RandomStream(321)
-    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream, 10**5)))
+    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream, 10**5)[0]))
     f = _envelope_cdf_abs(spec, xs)
     n = xs.size
     i = np.arange(n)
@@ -331,8 +331,31 @@ def test_sampler_matches_analytic_cdf():
 def test_sampler_sign_symmetric():
     spec = dominator.make_spec(3)
     stream = RandomStream(11)
-    xs = dominator.sample_envelope_many(spec, stream, 10**5)
+    xs, _ = dominator.sample_envelope_many(spec, stream, 10**5)
     assert abs((xs > 0).mean() - 0.5) < 3.0 * 0.5 / math.sqrt(xs.size)
+
+
+def test_run_reads_each_block_as_drawn_alone():
+    # a run of blocks from several hats gives each block the draws, the u
+    # and the hat values it gets drawn alone, and leaves the stream where
+    # the blocks drawn one after another leave it
+    specs = [dominator.make_spec(3), dominator._level_spec(300), dominator.make_spec(40)]
+    sizes = np.array([7, 1, 300])
+    table = dominator.HatTable(specs)
+    run = dominator.HatRun(table, np.arange(3), sizes)
+    together = RandomStream(5)
+    x, u = dominator.sample_envelope_many(run, together, int(sizes.sum()))
+    h = dominator.envelope_many(run.hats, x)
+    alone = RandomStream(5)
+    parts = [dominator.sample_envelope_many(spec, alone, b) for spec, b in zip(specs, sizes)]
+    assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert u.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+    hs = [dominator.envelope_many(spec, p[0]) for spec, p in zip(specs, parts)]
+    assert h.tobytes() == np.concatenate(hs).tobytes()
+    assert together.draw_count == alone.draw_count == 4 * sizes.sum()
+    assert together.uniforms(3).tobytes() == alone.uniforms(3).tobytes()
+    with pytest.raises(ParameterError):
+        dominator.sample_envelope_many(run, together, 10)
 
 
 def test_cdf_abs_hits_piece_masses():
