@@ -18,11 +18,11 @@ the mantissa path.  The kernel runs that recurrence symmetrically
 scaled: with y_j = D_j psi_j, D_0 = D_1 = 1 and
 D_{j+1} = D_{j-1} sqrt((j+1)/j), it becomes
 
-    y_{j+1} = c_j x y_j - y_{j-1},    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1,
+    y_{j+1} = (c_j x) y_j - y_{j-1},    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1,
 
-one coefficient and three float operations per step, with periodic
-power-of-two rescaling of the running pair; each point's last pair is
-divided by (D_{k-1}, D_k) at the end.  D_j stays small,
+one coefficient and three float operations per step, the product c_j x
+always first, with periodic power-of-two rescaling of the running pair;
+each point's last pair is divided by (D_{k-1}, D_k) at the end.  D_j stays small,
 D_j ~ (pi j / 2)^(1/4), and has the closed forms
 D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2).
 :func:`psi_rows` runs the same step and keeps every value, for the
@@ -47,7 +47,16 @@ The two paths are a numpy loop over all running points per step and a
 float loop per point, which takes over once at most ``_FEW_LANES``
 points are still running, since a numpy step costs microseconds however
 few points it updates; both run each step's float operations in one
-order.
+order.  A numpy step is dispatch-bound below a few hundred points: with
+at most ``_BLOCK_LANES`` running points it reads its products c_j x
+from a block formed for many steps by one broadcast multiply, and makes
+two ufunc calls instead of three.  Per step against forming c_j x in
+the step, at k = 1e4 on a 2-core x86-64 box:
+
+    running points    233         600     900     2000
+    block products    0.80-0.86x  ~1.0x   1.3x    1.4-1.5x
+
+so larger passes form c_j x step by step.
 
 The CDFs are closed forms on the same kernel.  The ladder relations
 phi_j' = -(x/2) phi_j + sqrt(j) phi_{j-1} and
@@ -83,11 +92,18 @@ _SQRT2 = math.sqrt(2.0)
 # y_1 = x at exponent 0, its mantissas stay below 2^449
 _RESCALE_LOG2 = 448.0
 # a pass whose running lanes are at most this many finishes each lane as a
-# float loop: at k = 1e4 a numpy step costs 2.4-3.2 us for 16 to 36 lanes
-# (5 us for one), a float step 80-115 ns per lane, and the two meet near 28
-_FEW_LANES = 24
-_COEFF_CAP = 1 << 17  # step coefficients kept up to this degree: 2 x 32 B x 2^17 = 8 MB
-_coeffs = ([], [1.0])  # c_j and 1 / D_j, replaced whole, never mutated
+# float loop: at k = 1e4 a numpy step with block products costs about
+# 1.6 us for 4 to 32 lanes, a float step about 90 ns per lane, and the two
+# meet near 18
+_FEW_LANES = 18
+# a pass whose running lanes are at most this many forms c_j x for a block of
+# steps in one broadcast multiply, into a buffer of at most _BLOCK_ENTRIES
+# (module docstring)
+_BLOCK_LANES = 500
+_BLOCK_ENTRIES = 1 << 15
+# step coefficients kept up to this degree: (2 x 32 B + 8 B) x 2^17 = 9 MB
+_COEFF_CAP = 1 << 17
+_coeffs = ([], [1.0], np.empty(0))  # c_j, 1 / D_j and c_j as an array, replaced whole
 
 
 def _far(ks, x):
@@ -159,8 +175,9 @@ def _stride(absx):
 
 
 def _coefficients(size):
-    """(c_j for j < size, 1 / D_j for j <= size) as float lists, D_j from
-    D_j^2 = D_{j-2}^2 j / (j-1) by a cumulative product along each parity."""
+    """(c_j for j < size, 1 / D_j for j <= size) as float lists, and c_j as
+    an array, D_j from D_j^2 = D_{j-2}^2 j / (j-1) by a cumulative product
+    along each parity."""
     ratio = np.arange(2.0, size + 1.0)
     ratio /= ratio - 1.0  # j / (j - 1) for j = 2 ... size
     d = np.ones(size + 1)
@@ -172,18 +189,18 @@ def _coefficients(size):
     c *= d[:-1]
     np.divide(d[1:], c, out=c)
     np.divide(1.0, d, out=d)
-    return c.tolist(), d.tolist()
+    return c.tolist(), d.tolist(), c
 
 
 def _coefficients_to(top):
-    """(c_j, 1 / D_j) lists reaching degree ``top``, kept up to ``_COEFF_CAP``."""
+    """(c_j, 1 / D_j, c_j array) reaching degree ``top``, kept up to ``_COEFF_CAP``."""
     global _coeffs
-    c, inv_d = _coeffs
-    if len(c) < top:
-        c, inv_d = _coefficients(max(top, min(2 * len(c), _COEFF_CAP)))
-        if top <= _COEFF_CAP:
-            _coeffs = c, inv_d
-    return c, inv_d
+    if len(_coeffs[0]) >= top:
+        return _coeffs
+    fresh = _coefficients(max(top, min(2 * len(_coeffs[0]), _COEFF_CAP)))
+    if top <= _COEFF_CAP:
+        _coeffs = fresh
+    return fresh
 
 
 def _pair_rescale(prev, cur, expo, acc):
@@ -217,10 +234,10 @@ def _psi_lane(k, x, j, prev, cur, expo, acc, stride, c, inv_d, wy):
         end = _slice_end(j, stride, k)
         if acc is None:
             for cj in c[j:end]:
-                prev, cur = cur, cj * (x * cur) - prev
+                prev, cur = cur, (cj * x) * cur - prev
         else:
             for cj, wj in zip(c[j:end], wy[j + 1 : end + 1]):
-                prev, cur = cur, cj * (x * cur) - prev
+                prev, cur = cur, (cj * x) * cur - prev
                 acc += prev * cur * wj
         if (end - 1) % stride == 0:
             sh = math.frexp(max(abs(prev), abs(cur)))[1]
@@ -237,7 +254,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
     Every returned pair is normalized to a largest magnitude in [0.5, 1).
 
     ``ks`` must be sorted in descending order. The kernel runs the scaled
-    recurrence y_{j+1} = c_j x y_j - y_{j-1} from (y_0, y_1) = (1, x), where
+    recurrence y_{j+1} = (c_j x) y_j - y_{j-1} from (y_0, y_1) = (1, x), where
     y_j = D_j psi_j, D_0 = D_1 = 1, D_{j+1} = D_{j-1} sqrt((j+1)/j) and
     c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1, and divides each lane's last pair
     by (D_{k-1}, D_k). D_j grows like (pi j / 2)^(1/4), 19.9 at j = 1e5.
@@ -250,8 +267,10 @@ def _psi_scaled_sorted(ks, x, weights=None):
     degree k stops after step k-1 and the lanes still running form a
     prefix that shrinks at each degree boundary; once at most
     ``_FEW_LANES`` are left, each finishes alone as a float loop
-    (:func:`_psi_lane`) from its current state. Both paths give the same
-    bits.
+    (:func:`_psi_lane`) from its current state. While at most
+    ``_BLOCK_LANES`` run, the numpy loop forms c_j x for a block of steps,
+    up to the next degree boundary, in one broadcast multiply. Every path
+    forms c_j x first and gives the same bits.
 
     The fourth value is None, or with ``weights`` (one scalar per step,
     indexed by j = 1 ... max degree) the ladder sum
@@ -276,7 +295,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
     if not degrees:
         return _pair_rescale(last, mant, expo, total)
     top = degrees[-1]
-    c, inv_d = _coefficients_to(top)
+    c, inv_d, cv = _coefficients_to(top)
     wy = None  # weights[j] / (D_j D_{j-1})
     if weights is not None:
         scale = np.asarray(inv_d[: top + 1])
@@ -289,6 +308,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
     xv, ev = x[:m], expo[:m]
     prev, cur, t = np.ones(m), x[:m].copy(), np.empty(m)  # y_0, y_1
     acc = None if wy is None else wy[1] * xv  # y_1 y_0 = x
+    buf = None  # the block of products c_j x, made once few enough lanes run
     j = 1
     for i, d in enumerate(degrees):
         m = ends[i]
@@ -303,19 +323,29 @@ def _psi_scaled_sorted(ks, x, weights=None):
         if m < cur.size:
             xv, ev, prev, cur, t = (a[:m] for a in (xv, ev, prev, cur, t))
             acc = None if acc is None else acc[:m]
+        if m <= _BLOCK_LANES and buf is None:
+            buf = np.empty(min(_BLOCK_ENTRIES, m * (top - j)))
+        blocked, block_end = buf is not None, j
         while j < d:
             end = _slice_end(j, stride, d)
+            if blocked:  # c_j x for the steps j ... from the block, one row a step
+                if j == block_end:
+                    block_start, block_end = j, min(j + buf.size // m, d)
+                    rows = buf[: (block_end - j) * m].reshape(-1, m)
+                    mul(cv[j:block_end, None], xv, rows)
+                end = min(end, block_end)
+                products = rows[j - block_start : end - block_start]
+            else:
+                products = (mul(xv, cj, t) for cj in c[j:end])
             if acc is None:
-                for cj in c[j:end]:
-                    mul(xv, cur, t)
-                    mul(t, cj, t)
-                    sub(t, prev, prev)
+                for r in products:
+                    mul(r, cur, r)
+                    sub(r, prev, prev)
                     prev, cur = cur, prev
             else:
-                for cj, wj in zip(c[j:end], wy[j + 1 : end + 1]):
-                    mul(xv, cur, t)
-                    mul(t, cj, t)
-                    sub(t, prev, prev)
+                for r, wj in zip(products, wy[j + 1 : end + 1]):
+                    mul(r, cur, r)
+                    sub(r, prev, prev)
                     prev, cur = cur, prev
                     mul(prev, cur, t)
                     mul(t, wj, t)
@@ -342,14 +372,14 @@ def psi_rows(n, x):
     top = float(np.max(np.abs(x), initial=0.0))
     if not math.isfinite(top):
         raise ParameterError("points must be finite")
-    c, inv_d = _coefficients_to(n - 1)
+    c, inv_d, _ = _coefficients_to(n - 1)
     y = np.empty((x.size, n))
     y[:, 0] = 1.0
     if n > 1:
         y[:, 1] = x
     stride = _stride(top)
     for j in range(1, n - 1):
-        y[:, j + 1] = c[j] * (x * y[:, j]) - y[:, j - 1]
+        y[:, j + 1] = (c[j] * x) * y[:, j] - y[:, j - 1]
         if j % stride == 0:
             sh = np.frexp(np.maximum(np.abs(y[:, j]), np.abs(y[:, j + 1])))[1]
             np.ldexp(y[:, : j + 2], -sh[:, None], out=y[:, : j + 2])

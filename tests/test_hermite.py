@@ -80,27 +80,49 @@ def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
                         assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w)
 
 
+@pytest.mark.parametrize("k", [1, 100, 10**4])
+def test_block_products_keep_the_bits(monkeypatch, k):
+    # a pass that forms c_j x for a block of steps in one multiply gives
+    # the bits of one that forms it step by step: never block, always block
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-1.0, 1.0, 600) * (2.0 * math.sqrt(k + 1.0) + 3.0)
+    ks = rng.integers(0, k + 1, x.size)
+    outs = []
+    for lanes in (0, 10**9):
+        monkeypatch.setattr(hermite, "_BLOCK_LANES", lanes)
+        outs.append(
+            [
+                hermite.phi_squared_many(k, x).tobytes(),
+                hermite.phi_squared_degrees(ks, x).tobytes(),
+                hermite.phi_sq_cdf_many(k, x[:200]).tobytes(),
+            ]
+        )
+    assert outs[0] == outs[1]
+
+
 def test_coefficient_cache_keeps_bits(monkeypatch):
     ks, x = np.array([2000, 300, 300, 5, 0]), np.array([80.0, -30.0, 1.5, 2.0, 0.5])
-    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
+    empty = ([], [1.0], np.empty(0))
+    monkeypatch.setattr(hermite, "_coeffs", empty)
     fresh = hermite.phi_squared_degrees(ks, x).tobytes()
-    assert [len(v) for v in hermite._coeffs] == [2000, 2001]
+    assert [len(v) for v in hermite._coeffs] == [2000, 2001, 2000]
     hermite.phi_squared_many(2500, [1.0])  # at least doubles the cached lists
-    assert [len(v) for v in hermite._coeffs] == [4000, 4001]
+    assert [len(v) for v in hermite._coeffs] == [4000, 4001, 4000]
+    assert hermite._coeffs[2].tolist() == hermite._coeffs[0]
     assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
     # past the cap each call builds its own lists and the cache stays as it was
     monkeypatch.setattr(hermite, "_COEFF_CAP", 100)
-    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
+    monkeypatch.setattr(hermite, "_coeffs", empty)
     assert hermite.phi_squared_degrees(ks, x).tobytes() == fresh
-    assert hermite._coeffs == ([], [1.0])
+    assert hermite._coeffs is empty
 
 
 def test_scaled_recurrence_coefficients(monkeypatch):
     # y_j = D_j psi_j turns the step into y_{j+1} = c_j x y_j - y_{j-1};
     # c_j <= 1 is what bounds a step's growth by |x| + 1 (hermite._stride)
-    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0]))
+    monkeypatch.setattr(hermite, "_coeffs", ([], [1.0], np.empty(0)))
     hermite.phi_squared_many(100_000, [0.5])
-    c, inv_d = hermite._coeffs
+    c, inv_d, _ = hermite._coeffs
     assert len(c) == 100_000 and len(inv_d) == 100_001
     assert max(c) <= 1.0
     # D_{j+1} = D_{j-1} sqrt((j+1)/j) gives c_j c_{j-1} = 1/j
