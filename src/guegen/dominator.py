@@ -29,8 +29,9 @@ f(x1) and f'(x1) come from one plain kernel pass for all the degrees a
 call builds, and certify the decrease by themselves.  Each level carries
 a relative slack of 1e-8, as the hat touches phi_n^2 at x1 and the
 sampler compares against the float kernel.
-x_c minimizes the closed-form mass over [0, x1] (golden-section search
-with a fixed step count).  Every piece integrates and inverts in closed
+x_c minimizes the closed-form mass over [0, x1]: that mass is convex in
+x_c, so x_c is the root of its derivative, found by bracketed secant
+steps (Illinois) with a bisection fallback and a fixed step cap.  Every piece integrates and inverts in closed
 form, so sampling the normalized hat costs one sign, one piece selector
 and one inversion variate per draw.  The newest specs are cached.
 
@@ -109,7 +110,7 @@ PI = math.pi
 # relative slack on each level: 100x the float kernel's relative error
 # against a 60-digit reference (tests/test_hermite.py)
 SLACK = 1e-8
-_GOLDEN_STEPS = 64  # shrinks the search interval by 0.618^64, about 4e-14
+_ROOT_STEPS = 100  # cap on the secant steps that find x_c; about 10 suffice
 # specs kept; one takes about 0.6 KB with its cache entry (tracemalloc), so
 # the cache stays below 0.6 MB
 _SPEC_CACHE = 1024
@@ -165,21 +166,37 @@ class DominatorSpec:
         return self
 
 
-def _golden_min(f, lo, hi):
-    """Approximate minimizer of a unimodal ``f`` on [lo, hi]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = f(c)
+def _root(f, lo, hi):
+    """The root of an increasing ``f`` in [lo, hi]: lo where f(lo) >= 0, hi
+    where f(hi) <= 0, else by bracketed secant steps with Illinois
+    halving, and bisection where a step leaves the bracket, until the
+    bracket is a few ulps wide or after ``_ROOT_STEPS`` steps."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo >= 0.0:
+        return lo
+    if f_hi <= 0.0:
+        return hi
+    kept = 0  # which end the last two steps kept: -1 lo, +1 hi
+    for _ in range(_ROOT_STEPS):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = f(d)
-    return c if fc <= fd else d
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        if hi - lo <= 4.0 * math.ulp(hi):
+            break
+    return lo if -f_lo < f_hi else hi
 
 
 def make_spec(n):
@@ -237,17 +254,17 @@ def _build(n, x1, shoulder, plateau):
     s = c ** (-2.0 / 3.0)
     rate = c * math.sqrt(s)
     e = vanveen.domain_edge(n)
-    level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
     r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
 
-    def bulk(x_c):
-        sin_a = math.sqrt(1.0 - (x_c / e) ** 2)
-        return level * (1.0 + vanveen.MU_BOUND * r_over_a * sin_a**-1.5) ** 2 * (1.0 + SLACK)
+    bulk = _bulk_level(n)
 
-    def inner_mass(x_c):
-        return bulk(x_c) * math.asin(x_c / e) + shoulder * (x1 - x_c)
+    def slope(x_c):  # d/dx_c of the inner mass bulk(x_c) asin(x_c / e) + shoulder (x1 - x_c)
+        root = math.sqrt(e * e - x_c * x_c)
+        g = vanveen.MU_BOUND * r_over_a * (root / e) ** -1.5  # C = (1 + g)^2
+        grow = 3.0 * g * x_c * math.asin(x_c / e) / ((1.0 + g) * root * root)
+        return bulk(x_c) * (grow + 1.0 / root) - shoulder
 
-    x_c = _golden_min(inner_mass, 0.0, x1)
+    x_c = _root(slope, 0.0, x1)  # the inner mass is convex: its slope increases
     b = bulk(x_c)
     return DominatorSpec(
         n=n,
@@ -265,6 +282,20 @@ def _build(n, x1, shoulder, plateau):
         p3=plateau * (edge + s - x1),
         p4=plateau * math.exp(-rate * s) / rate,
     )
+
+
+def _bulk_level(n):
+    """The bulk piece's constant C pref pi e / (n+1) of degree n, with C
+    taken at the window split x_c, as a function of x_c."""
+    e = vanveen.domain_edge(n)
+    level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
+    r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
+
+    def bulk(x_c):
+        sin_a = math.sqrt(1.0 - (x_c / e) ** 2)
+        return level * (1.0 + vanveen.MU_BOUND * r_over_a * sin_a**-1.5) ** 2 * (1.0 + SLACK)
+
+    return bulk
 
 
 def envelope_many(spec, x):

@@ -822,6 +822,27 @@ def check_beta(quick=False):
 # ----------------------------------------------------------------------
 
 
+_GOLDEN_STEPS = 64  # shrinks the search interval by 0.618^64, about 4e-14
+
+
+def _golden_min(f, lo, hi):
+    """Approximate minimizer of a unimodal ``f`` on [lo, hi]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return c if fc <= fd else d
+
+
+
 def _pinned_vandermonde_peak(n):
     """Numerically maximize prod_{i<j}(x_j - x_i) with x_1 = 0, x_n = 1.
 
@@ -845,7 +866,7 @@ def _pinned_vandermonde_peak(n):
                 x[i] = t
                 return -log_obj(x)
 
-            best = dominator._golden_min(neg_log_obj, x[i - 1] + 1e-14, x[i + 1] - 1e-14)
+            best = _golden_min(neg_log_obj, x[i - 1] + 1e-14, x[i + 1] - 1e-14)
             moved = max(moved, abs(start - best))
             x[i] = best
         if moved < 1e-13:

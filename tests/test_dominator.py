@@ -235,6 +235,33 @@ def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
     assert all(r.passed for r in rows[1:]), [r.detail for r in rows[1:]]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 10**2, 10**3, 10**4, 10**5, 10**6])
+def test_window_split_minimizes_the_inner_mass(k):
+    # x_c, the root of the inner mass's slope, gives the mass a golden-section
+    # search over [0, x1] finds, for the certified and the level hat
+    for spec in (dominator.make_spec(k), dominator._level_spec(k)):
+        bulk = dominator._bulk_level(k)
+
+        def inner(x_c):
+            return bulk(x_c) * math.asin(x_c / spec.vv_edge) + spec.shoulder * (spec.x1 - x_c)
+
+        golden = inner(verify._golden_min(inner, 0.0, spec.x1))
+        assert 0.0 <= spec.x_c <= spec.x1
+        assert math.isclose(spec.p1 + spec.p2, golden, rel_tol=1e-12), (k, spec.x_c)
+        assert math.isclose(spec.p1 + spec.p2, inner(spec.x_c), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 3, 100, 10**4, 10**6])
+def test_window_split_is_well_conditioned(k):
+    # a last-bit change of the shoulder level barely moves x_c, so the
+    # kernel's last bits, through the certified levels, do not move draws
+    for spec in (dominator.make_spec(k), dominator._level_spec(k)):
+        assert dominator._build(k, spec.x1, spec.shoulder, spec.plateau) == spec
+        for shoulder in (math.nextafter(spec.shoulder, 0.0), math.nextafter(spec.shoulder, 1.0)):
+            moved = dominator._build(k, spec.x1, shoulder, spec.plateau)
+            assert abs(moved.x_c - spec.x_c) <= 1e-12 * spec.x_c, (k, moved.x_c, spec.x_c)
+
+
 def test_envelope_value_at_origin():
     spec = dominator.make_spec(1)
     bulk = _levels(spec)[0]
