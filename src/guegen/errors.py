@@ -46,8 +46,11 @@ def whole(name, value, least):
     """The one check of degrees, sizes, counts, budgets and seeds: ``value``
     as an int, or ParameterError unless it is a whole number >= ``least``.
     Integral floats such as 1e4 and numpy integers pass; 2.5, NaN, +-inf,
-    strings and None do not.  An array or list gives an int64 array."""
-    if isinstance(value, numbers.Integral) or (
+    strings, None and booleans do not.  An array or list gives an int64
+    array."""
+    if isinstance(value, (bool, np.bool_)):
+        pass  # a flag, not a count: True would pass as 1
+    elif isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         if int(value) >= least:

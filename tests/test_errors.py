@@ -68,6 +68,15 @@ def test_non_whole_numbers_are_parameter_errors(entry, value):
         ENTRY_POINTS[entry](value)
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("entry", sorted(k for k in ENTRY_POINTS if not k.endswith(("ks", "ns"))))
+def test_flags_are_parameter_errors(entry, value):
+    # a flag is not a count: True is not n = 1 (the list entries convert
+    # their elements as numpy does, and only an all-flag list is refused)
+    with pytest.raises(ParameterError):
+        ENTRY_POINTS[entry](value)
+
+
 @pytest.mark.parametrize("value", [1e2, np.float64(100.0), np.int64(100)])
 def test_whole_values_of_any_type_draw_the_same(value):
     same = [
@@ -87,6 +96,10 @@ def test_whole_array_form():
     for bad in ([0], [-np.inf], [2**64], np.array([2**63], dtype=np.uint64), [True]):
         with pytest.raises(ParameterError):
             whole("d", bad, 1)
+    # scalar flags are no counts either: True is not n = 1
+    for bad in (True, False, np.True_, np.bool_(False)):
+        with pytest.raises(ParameterError):
+            whole("d", bad, 0)
 
 
 def test_sizes_below_zero_are_parameter_errors_and_zero_draws_nothing():
