@@ -31,9 +31,10 @@ a relative slack of 1e-8, as the hat touches phi_n^2 at x1 and the
 sampler compares against the float kernel.
 x_c minimizes the closed-form mass over [0, x1]: that mass is convex in
 x_c, so x_c is the root of its derivative, found by bracketed secant
-steps (Illinois) with a bisection fallback and a fixed step cap.  Every piece integrates and inverts in closed
-form, so sampling the normalized hat costs one sign, one piece selector
-and one inversion variate per draw.  The newest specs are cached.
+steps (Illinois) with a bisection fallback and a fixed step cap.  Every
+piece integrates and inverts in closed form, so sampling the normalized
+hat costs one sign, one piece selector and one inversion variate per
+draw.  The newest specs are cached.
 
 The certificate pass costs O(n), which a group of one draw does not
 win back in a smaller hat.  Such groups take the level hat
@@ -254,17 +255,8 @@ def _build(n, x1, shoulder, plateau):
     s = c ** (-2.0 / 3.0)
     rate = c * math.sqrt(s)
     e = vanveen.domain_edge(n)
-    r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
-
-    bulk = _bulk_level(n)
-
-    def slope(x_c):  # d/dx_c of the inner mass bulk(x_c) asin(x_c / e) + shoulder (x1 - x_c)
-        root = math.sqrt(e * e - x_c * x_c)
-        g = vanveen.MU_BOUND * r_over_a * (root / e) ** -1.5  # C = (1 + g)^2
-        grow = 3.0 * g * x_c * math.asin(x_c / e) / ((1.0 + g) * root * root)
-        return bulk(x_c) * (grow + 1.0 / root) - shoulder
-
-    x_c = _root(slope, 0.0, x1)  # the inner mass is convex: its slope increases
+    bulk, _, slope = _inner_mass(n, x1, shoulder)
+    x_c = _root(slope, 0.0, x1)
     b = bulk(x_c)
     return DominatorSpec(
         n=n,
@@ -284,9 +276,12 @@ def _build(n, x1, shoulder, plateau):
     )
 
 
-def _bulk_level(n):
-    """The bulk piece's constant C pref pi e / (n+1) of degree n, with C
-    taken at the window split x_c, as a function of x_c."""
+def _inner_mass(n, x1, shoulder):
+    """Functions of the window split x_c of degree n: the bulk piece's
+    constant C pref pi e / (n+1), with C taken at x_c; the mass of the hat
+    over [0, x1], the bulk piece up to x_c and the ``shoulder`` level
+    beyond; and that mass's derivative, which increases with x_c, since
+    C, asin(x_c / e) and its derivative all do."""
     e = vanveen.domain_edge(n)
     level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
     r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
@@ -295,7 +290,16 @@ def _bulk_level(n):
         sin_a = math.sqrt(1.0 - (x_c / e) ** 2)
         return level * (1.0 + vanveen.MU_BOUND * r_over_a * sin_a**-1.5) ** 2 * (1.0 + SLACK)
 
-    return bulk
+    def mass(x_c):
+        return bulk(x_c) * math.asin(x_c / e) + shoulder * (x1 - x_c)
+
+    def slope(x_c):
+        root = math.sqrt(e * e - x_c * x_c)
+        g = vanveen.MU_BOUND * r_over_a * (root / e) ** -1.5  # C = (1 + g)^2
+        grow = 3.0 * g * x_c * math.asin(x_c / e) / ((1.0 + g) * root * root)  # C' / C times asin
+        return bulk(x_c) * (grow + 1.0 / root) - shoulder
+
+    return bulk, mass, slope
 
 
 def envelope_many(spec, x):
@@ -331,13 +335,13 @@ class HatTable:
     def __init__(self, hats):
         self.hats = list(hats)
         self.mass = np.array([h.mass for h in self.hats])
-        self.columns = None
+        self.columns = self.cuts = None
         if len(self.hats) > 1:  # a single hat runs on its own scalars
             values = np.array(list(map(operator.attrgetter(*_COLUMNS), self.hats)))
             self.columns = dict(zip(_COLUMNS, map(np.ascontiguousarray, values.T)))
             self.columns["n"] = values[:, 0].astype(np.int64)
-            masses = values[:, _COLUMNS.index("p1") :][:, :3]
-            self.cuts = np.cumsum(masses, axis=1) / self.columns["half_mass"][:, None]
+            p1 = _COLUMNS.index("p1")
+            self.cuts = np.cumsum(values[:, p1 : p1 + 3], axis=1) / self.columns["half_mass"][:, None]
 
 
 class PointHats:

@@ -280,7 +280,10 @@ class _Blocks:
         return values[self.rows]
 
     def at(self, values, pos):
-        return values[self.starts.searchsorted(pos, side="right") - 1]
+        return values[self._of(pos)]
+
+    def _of(self, pos):  # the block of each position
+        return self.starts.searchsorted(pos, side="right") - 1
 
     def _split(self, pos):  # the index in pos of each block's first, and how many it holds
         first = pos.searchsorted(self.starts)
@@ -296,9 +299,10 @@ class _Blocks:
 
     def heads(self, pos, need, dest):
         first, have = self._split(pos)
-        rank = np.arange(pos.size) - self.at(first, pos)  # of each position in its block
-        taken = rank < self.at(need, pos)
-        return self.at(dest, pos)[taken] + rank[taken], pos[taken], np.minimum(have, need)
+        block = self._of(pos)
+        rank = np.arange(pos.size) - first[block]  # of each position in its block
+        taken = rank < need[block]
+        return dest[block[taken]] + rank[taken], pos[taken], np.minimum(have, need)
 
     def count(self, pos, stops):
         return int(pos.searchsorted(stops).sum() - pos.searchsorted(self.starts).sum())

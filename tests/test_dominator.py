@@ -240,11 +240,7 @@ def test_window_split_minimizes_the_inner_mass(k):
     # x_c, the root of the inner mass's slope, gives the mass a golden-section
     # search over [0, x1] finds, for the certified and the level hat
     for spec in (dominator.make_spec(k), dominator._level_spec(k)):
-        bulk = dominator._bulk_level(k)
-
-        def inner(x_c):
-            return bulk(x_c) * math.asin(x_c / spec.vv_edge) + spec.shoulder * (spec.x1 - x_c)
-
+        _, inner, _ = dominator._inner_mass(k, spec.x1, spec.shoulder)
         golden = inner(verify._golden_min(inner, 0.0, spec.x1))
         assert 0.0 <= spec.x_c <= spec.x1
         assert math.isclose(spec.p1 + spec.p2, golden, rel_tol=1e-12), (k, spec.x_c)
