@@ -84,9 +84,9 @@ def terms_many(n, x):
     n = whole("degree", n, 0)
     ax = np.abs(np.asarray(x, dtype=float))
     edge = 2.0 * np.sqrt(n + 1.0)
-    beyond = np.flatnonzero(ax > edge * (1.0 - _EDGE_GUARD))
-    if beyond.size:
-        i = beyond[0]
+    beyond = ax > edge * (1.0 - _EDGE_GUARD)
+    if beyond.any():
+        i = np.argmax(beyond)
         raise ParameterError(
             f"squeeze evaluated at |x|={float(ax.flat[i])} near/beyond domain edge "
             f"{float(np.broadcast_to(edge, ax.shape).flat[i])}"
