@@ -22,8 +22,8 @@ D_{j+1} = D_{j-1} sqrt((j+1)/j), it becomes
 
 one coefficient and three float operations per step, the product c_j x
 always first, with periodic power-of-two rescaling of the running pair;
-each point's last pair is divided by (D_{k-1}, D_k) at the end.  D_j stays small,
-D_j ~ (pi j / 2)^(1/4), and has the closed forms
+each point's last pair is divided by (D_{k-1}, D_k) at the end.  D_j
+stays small, D_j ~ (pi j / 2)^(1/4), and has the closed forms
 D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2).
 :func:`psi_rows` runs the same step and keeps every value, for the
 spectrum chain of :mod:`guegen.joint`.

@@ -257,13 +257,21 @@ class _Block:
         got = min(pos.size, need)
         return slice(dest, dest + got), pos[:got], got
 
-    def count(self, pos, stop):
-        """How many positions lie before ``stop``."""
-        return int(pos.searchsorted(stop))
+    def count(self, mask, stop):
+        """How many proposals before ``stop`` the ``mask`` holds."""
+        return int(np.count_nonzero(mask[:stop]))
 
     def kept(self, cut):
         """The proposals before the cut."""
         return cut
+
+    def add(self, values, change):
+        """Add the block's ``change`` to its group's entry of ``values``."""
+        values[self.row] += change
+
+    def total(self, values):
+        """The sum over the blocks."""
+        return values
 
 
 class _Blocks:
@@ -304,11 +312,18 @@ class _Blocks:
         taken = rank < need[block]
         return dest[block[taken]] + rank[taken], pos[taken], np.minimum(have, need)
 
-    def count(self, pos, stops):
+    def count(self, mask, stops):
+        pos = np.flatnonzero(mask)
         return int(pos.searchsorted(stops).sum() - pos.searchsorted(self.starts).sum())
 
     def kept(self, cut):
         return cut - self.starts
+
+    def add(self, values, change):
+        values[self.rows] += change
+
+    def total(self, values):
+        return int(values.sum())
 
 
 def _lanes(undecided, lower, need, blocks):
@@ -343,17 +358,17 @@ def _decide(run, groups, exact, out, stats, proposals):
     dest, taken, got = blocks.heads(pos, need, blocks.each(groups.next))
     out[dest] = x[taken]
     kept = blocks.kept(cut)
-    groups.need[rows] -= got
-    groups.next[rows] += got
-    groups.left[rows] -= kept
+    blocks.add(groups.need, -got)
+    blocks.add(groups.next, got)
+    blocks.add(groups.left, -kept)
     evaluated = lanes[lanes < blocks.at(cut, lanes)]
     outside = int(np.count_nonzero(np.abs(x[evaluated]) > run.hats.at(evaluated).x1))
-    stats.proposals += int(np.sum(kept))
-    stats.squeeze_lower_accepts += blocks.count(lower, cut)
-    stats.squeeze_upper_rejects += blocks.count(np.flatnonzero(upper_rej), cut)
+    stats.proposals += blocks.total(kept)
+    stats.squeeze_lower_accepts += blocks.count(lower_acc, cut)
+    stats.squeeze_upper_rejects += blocks.count(upper_rej, cut)
     stats.exact_in_window += evaluated.size - outside
     stats.exact_out_of_window += outside
-    stats.accepted += int(np.sum(got))
+    stats.accepted += blocks.total(got)
 
 
 def _sample(hats, counts, exact, stream, mode, stats, max_proposals):

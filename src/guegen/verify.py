@@ -842,7 +842,6 @@ def _golden_min(f, lo, hi):
     return c if fc <= fd else d
 
 
-
 def _pinned_vandermonde_peak(n):
     """Numerically maximize prod_{i<j}(x_j - x_i) with x_1 = 0, x_n = 1.
 
