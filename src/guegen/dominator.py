@@ -155,7 +155,7 @@ class DominatorSpec:
         return 2.0 * self.half_mass
 
     @property
-    def vv_edge_sq(self):
+    def vv_edge_sq(self):  # Python's power, which a HatTable column repeats bit for bit
         return self.vv_edge**2
 
     @property
@@ -392,7 +392,8 @@ class HatRun:
 def piece_inverse(spec, piece, v):
     """Inverse CDF of piece ``piece`` (0 bulk, 1 shoulder, 2 plateau,
     3 tail) restricted to the positive half-line: v in [0, 1) maps onto
-    the piece, v = 0 onto its inner end."""
+    the piece, v = 0 onto its inner end.  ``spec`` is one hat, or the
+    :class:`PointHats` of each v."""
     if piece == 0:
         return spec.vv_edge * np.sin(v * np.arcsin(spec.x_c / spec.vv_edge))
     if piece == 3:
