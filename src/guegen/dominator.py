@@ -31,10 +31,9 @@ a relative slack of 1e-8, as the hat touches phi_n^2 at x1 and the
 sampler compares against the float kernel.
 x_c minimizes the closed-form mass over [0, x1]: that mass is convex in
 x_c, so x_c is the root of its derivative, found by bracketed secant
-steps (Illinois) with a fixed step cap.  Every
-piece integrates and inverts in closed form, so sampling the normalized
-hat costs one sign, one piece selector and one inversion variate per
-draw.  The newest specs are cached.
+steps (Illinois) with a fixed step cap.  Every piece integrates and
+inverts in closed form, so sampling the normalized hat costs one sign,
+one piece selector and one inversion variate per draw.  The newest specs are cached.
 
 The certificate pass costs O(n), which a group of one draw does not
 win back in a smaller hat.  Such groups take the level hat
@@ -89,29 +88,24 @@ through a Walker alias table, and one position variate.
 
 :func:`propose` draws proposals from either kind of hat together with
 their squeeze verdicts, so the rejection engine of :mod:`guegen.samplers`
-never asks which kind of hat it runs.  It draws a run of blocks from
-several degree hats (:class:`HatRun`) with array calls over a table of
-the hats (:class:`HatTable`), each proposal reading its own hat's fields
-(:class:`PointHats`), and gives every block the words and values it gets
-drawn alone.
+never asks which kind of hat it runs.
 """
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hermite, vanveen
-from .errors import CertificateError, ParameterError, whole
+from .errors import CertificateError, whole
 
 PI = math.pi
 # relative slack on each level: 100x the float kernel's relative error
 # against a 60-digit reference (tests/test_hermite.py)
 SLACK = 1e-8
-_ROOT_STEPS = 100  # cap on the secant steps that find x_c; at most 24 run (k = 1 ... 1e6)
+_ROOT_STEPS = 100  # cap on the secant steps that find x_c; at most 34 run (k = 1 ... 1e6)
 # specs kept; one takes about 0.6 KB with its cache entry (tracemalloc), so
 # the cache stays below 0.6 MB
 _SPEC_CACHE = 1024
@@ -155,25 +149,16 @@ class DominatorSpec:
         return 2.0 * self.half_mass
 
     @property
-    def vv_edge_sq(self):  # Python's power, which a HatTable column repeats bit for bit
-        return self.vv_edge**2
-
-    @property
     def label(self):
         return f"degree {self.n}"
-
-    def at(self, where):
-        """The hat of the points ``where`` picks: this one (see :class:`PointHats`)."""
-        return self
 
 
 def _root(f, lo, hi):
     """The point in [lo, hi] where ``f`` changes sign once, from negative
     to positive: lo where f(lo) >= 0, hi where f(hi) <= 0, else by
     bracketed secant steps with Illinois halving, until the bracket is a
-    few ulps wide or after ``_ROOT_STEPS`` steps.  A secant point that
-    rounds onto an end of the bracket puts the root within rounding of
-    that end; one that is not a number falls back to bisection."""
+    few ulps wide, a secant point rounds onto an end of the bracket, or
+    after ``_ROOT_STEPS`` steps; then the end where |f| is smaller."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo >= 0.0:
         return lo
@@ -182,10 +167,8 @@ def _root(f, lo, hi):
     kept = 0  # the end the last step kept: -1 lo, +1 hi
     for _ in range(_ROOT_STEPS):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if x != x:
-            x = 0.5 * (lo + hi)
-        elif not lo < x < hi:
-            return lo if x <= lo else hi
+        if not lo < x < hi:
+            break
         fx = f(x)
         if fx == 0.0:
             return x
@@ -259,12 +242,8 @@ def _build(n, x1, shoulder, plateau):
     s = c ** (-2.0 / 3.0)
     rate = c * math.sqrt(s)
     e = vanveen.domain_edge(n)
-    bulk, _, slope = _inner_mass(n, x1, shoulder)
-    # the root in the angle asin(x_c / e), where the slope, times dx_c / dt
-    # = e cos t, rises less steeply toward x1: about 18 slope evaluations
-    # against 23 in x_c (k = 1 ... 1e6)
-    t = _root(lambda t: slope(e * math.sin(t)) * math.cos(t), 0.0, math.asin(x1 / e))
-    x_c = min(e * math.sin(t), x1)
+    bulk, slope = _inner_mass(n, x1, shoulder)
+    x_c = _root(slope, 0.0, x1)
     b = bulk(x_c)
     return DominatorSpec(
         n=n,
@@ -285,11 +264,11 @@ def _build(n, x1, shoulder, plateau):
 
 
 def _inner_mass(n, x1, shoulder):
-    """Functions of the window split x_c of degree n: the bulk piece's
-    constant C pref pi e / (n+1), with C taken at x_c; the mass of the hat
-    over [0, x1], the bulk piece up to x_c and the ``shoulder`` level
-    beyond; and that mass's derivative, which increases with x_c, since
-    C, asin(x_c / e) and its derivative all do."""
+    """Two functions of the window split x_c of degree n: the bulk piece's
+    constant C pref pi e / (n+1), with C taken at x_c; and the derivative
+    of the hat's mass over [0, x1], bulk(x_c) asin(x_c / e) + shoulder
+    (x1 - x_c), which increases with x_c, since C, asin(x_c / e) and its
+    derivative all do."""
     e = vanveen.domain_edge(n)
     level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
     r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
@@ -298,90 +277,24 @@ def _inner_mass(n, x1, shoulder):
         sin_a = math.sqrt(1.0 - (x_c / e) ** 2)
         return level * (1.0 + vanveen.MU_BOUND * r_over_a * sin_a**-1.5) ** 2 * (1.0 + SLACK)
 
-    def mass(x_c):
-        return bulk(x_c) * math.asin(x_c / e) + shoulder * (x1 - x_c)
-
     def slope(x_c):
         root = math.sqrt(e * e - x_c * x_c)
         g = vanveen.MU_BOUND * r_over_a * (root / e) ** -1.5  # C = (1 + g)^2
         grow = 3.0 * g * x_c * math.asin(x_c / e) / ((1.0 + g) * root * root)  # C' / C times asin
         return bulk(x_c) * (grow + 1.0 / root) - shoulder
 
-    return bulk, mass, slope
+    return bulk, slope
 
 
 def envelope_many(spec, x):
-    """Hat values at an array of points (even in x): of one hat, or with
-    :class:`PointHats` of each point's own hat."""
+    """Hat values at an array of points (even in x)."""
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
     bulk = ax <= spec.x_c
-    b = spec.at(bulk)
-    out[bulk] = b.bulk / np.sqrt(b.vv_edge_sq - ax[bulk] ** 2)
+    out[bulk] = spec.bulk / np.sqrt(spec.vv_edge**2 - ax[bulk] ** 2)
     tail = ax > spec.x_tail
-    t = spec.at(tail)
-    out[tail] = t.plateau * np.exp(-t.rate * (ax[tail] - t.edge))
+    out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
     return out
-
-
-# ----------------------------------------------------------------------
-# several degree hats at once
-# ----------------------------------------------------------------------
-
-_COLUMNS = ("n", "x_c", "x1", "edge", "x_tail", "vv_edge", "vv_edge_sq", "bulk",
-            "shoulder", "plateau", "rate", "p1", "p2", "p3", "p4", "half_mass")
-
-
-class HatTable:
-    """The hats of an engine call, one row each: degree hats, or one grid
-    hat.  ``mass`` holds each row's mass; for degree hats, ``columns``
-    holds each field of :class:`DominatorSpec` (and ``vv_edge_sq`` and
-    ``half_mass``, as each spec computes them) as an array over the rows,
-    and ``cuts`` the piece selector's thresholds, the cumulative masses of
-    the first three pieces over the half mass."""
-
-    def __init__(self, hats):
-        self.hats = list(hats)
-        self.mass = np.array([h.mass for h in self.hats])
-        self.columns = self.cuts = None
-        if len(self.hats) > 1:  # a single hat runs on its own scalars
-            values = np.array(list(map(operator.attrgetter(*_COLUMNS), self.hats)))
-            self.columns = dict(zip(_COLUMNS, map(np.ascontiguousarray, values.T)))
-            self.columns["n"] = values[:, 0].astype(np.int64)
-            p1 = _COLUMNS.index("p1")
-            self.cuts = np.cumsum(values[:, p1 : p1 + 3], axis=1) / self.columns["half_mass"][:, None]
-
-
-class PointHats:
-    """The hat of each point, as rows of a :class:`HatTable`: attribute
-    ``f`` is the array of field f of each point's hat, and ``at(where)``
-    the hats of the points ``where`` picks.  A :class:`DominatorSpec`
-    answers the same questions for points that share one hat."""
-
-    __slots__ = ("table", "rows")
-
-    def __init__(self, table, rows):
-        self.table, self.rows = table, rows
-
-    def __getattr__(self, name):
-        return self.table.columns[name][self.rows]
-
-    def at(self, where):
-        return PointHats(self.table, self.rows[where])
-
-
-class HatRun:
-    """Proposal blocks drawn as one, block after block: ``sizes[i]``
-    proposals from row ``rows[i]`` of ``table``.  ``hats`` is the hat of
-    each proposal: the hat itself when the run has one block."""
-
-    def __init__(self, table, rows, sizes):
-        self.table, self.rows, self.sizes = table, rows, sizes
-        self.size = int(sizes.sum())
-        if rows.size == 1:
-            self.hats = table.hats[rows[0]]
-        else:
-            self.hats = PointHats(table, np.repeat(rows, sizes))
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +305,7 @@ class HatRun:
 def piece_inverse(spec, piece, v):
     """Inverse CDF of piece ``piece`` (0 bulk, 1 shoulder, 2 plateau,
     3 tail) restricted to the positive half-line: v in [0, 1) maps onto
-    the piece, v = 0 onto its inner end.  ``spec`` is one hat, or the
-    :class:`PointHats` of each v."""
+    the piece, v = 0 onto its inner end."""
     if piece == 0:
         return spec.vv_edge * np.sin(v * np.arcsin(spec.x_c / spec.vv_edge))
     if piece == 3:
@@ -403,33 +315,21 @@ def piece_inverse(spec, piece, v):
 
 
 def sample_envelope_many(spec, stream, size):
-    """``size`` proposals from a hat, or from the blocks of a
-    :class:`HatRun`, as ``(x, u)``: draws x from the normalized hat and one
-    uniform u each, so that (x, u h(x)) is uniform under the hat's graph.
+    """``size`` draws from the normalized hat density.
 
-    A block of b proposals reads four uniform arrays of b: signs, piece
-    selectors, the piece-level inversion variates, then the u.  A run of
-    several blocks reads one array of ``4 size`` and gives each block, in
-    order, the words it reads drawn alone.
+    Consumes three uniform arrays of ``size``: signs, piece selectors, and
+    the piece-level inversion variates.
     """
     size = whole("size", size, 0)
-    hats, sizes = (spec.hats, spec.sizes) if isinstance(spec, HatRun) else (spec, None)
-    if sizes is not None and sizes.sum() != size:
-        raise ParameterError(f"size {size} is not the run's {sizes.sum()} proposals")
-    if isinstance(hats, DominatorSpec):
-        sign, select, v, height = (stream.uniforms(size) for _ in range(4))
-        piece = np.searchsorted(np.cumsum(hats.masses[:3]) / hats.half_mass, select, side="right")
-    else:  # the block at proposal a of size b reads words 4a ... 4a + 4b
-        words = stream.uniforms(4 * size)
-        block = np.repeat(sizes, sizes)
-        first = np.arange(size) + 3 * np.repeat(np.cumsum(sizes) - sizes, sizes)
-        sign, select, v, height = (words[first + i * block] for i in range(4))
-        piece = np.count_nonzero(hats.table.cuts[hats.rows] <= select[:, None], axis=1)
+    s = stream.rademachers(size)
+    u = stream.uniforms(size)
+    v = stream.uniforms(size)
+    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
     x = np.empty(size)
     for i in range(4):
         mask = piece == i
-        x[mask] = piece_inverse(hats.at(mask), i, v[mask])
-    return np.where(sign < 0.5, 1.0, -1.0) * x, height
+        x[mask] = piece_inverse(spec, i, v[mask])
+    return s * x
 
 
 # ----------------------------------------------------------------------
@@ -464,9 +364,6 @@ class GridHat(NamedTuple):
     @property
     def label(self):
         return f"the n = {self.n} mixture"
-
-    def at(self, where):
-        return self
 
 
 def grid_hat(n):
@@ -556,33 +453,30 @@ def sample_grid_many(hat, stream, size):
 # ----------------------------------------------------------------------
 
 
-def propose(run, stream, squeeze):
-    """The proposals of a :class:`HatRun`, as ``(x, uh, lower_acc,
-    upper_rej)``: the draws, u h(x) for one uniform u each, and the masks
-    of the draws the squeeze accepts (uh at or below its lower bound) and
-    rejects (uh above its upper bound).  Without ``squeeze`` both masks
-    are all False.
+def propose(hat, stream, size, squeeze):
+    """``size`` proposals from ``hat``, as ``(x, uh, lower_acc, upper_rej)``:
+    the draws, u h(x) for one uniform u each, and the masks of the draws
+    the squeeze accepts (uh at or below its lower bound) and rejects (uh
+    above its upper bound).  Without ``squeeze`` both masks are all False.
 
-    Degree hats draw through :func:`sample_envelope_many`; their squeeze
-    is the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
-    draws in each one's window |x| <= x1.  A grid hat runs alone: it reads
-    its draws, then one uniform array, and its squeeze is its cell's
-    squeeze level, which only accepts.
+    Reads the hat's draws, then one uniform array.  A degree's squeeze is
+    the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
+    draws in its window |x| <= x1; the grid hat's is its cell's squeeze
+    level, which only accepts.
     """
-    size, hats = run.size, run.hats
     lower_acc = np.zeros(size, dtype=bool)
     upper_rej = np.zeros(size, dtype=bool)
-    if isinstance(hats, GridHat):
-        x, h, lower = sample_grid_many(hats, stream, size)
+    if isinstance(hat, GridHat):
+        x, h, lower = sample_grid_many(hat, stream, size)
         uh = stream.uniforms(size) * h
         if squeeze:
             lower_acc = uh <= lower
         return x, uh, lower_acc, upper_rej
-    x, u = sample_envelope_many(run, stream, size)
-    uh = u * envelope_many(hats, x)
+    x = sample_envelope_many(hat, stream, size)
+    uh = stream.uniforms(size) * envelope_many(hat, x)
     if squeeze:
-        window = np.abs(x) <= hats.x1
-        lo, up = vanveen.squeeze_bounds_many(hats.at(window).n, x[window])
+        window = np.abs(x) <= hat.x1
+        lo, up = vanveen.squeeze_bounds_many(hat.n, x[window])
         uhw = uh[window]
         lower_acc[window] = uhw <= lo
         upper_rej[window] = uhw > up

@@ -31,20 +31,12 @@ represented degree, and tests them together with
 :func:`hermite.phi_squared_degrees`; up to ``N_GRID`` it passes the
 grid hat alone and :func:`hermite.mixture_density_many`.
 
-In each round every unfinished group draws one proposal block.  The
-round's groups are split into consecutive runs of at most about
-``_BLOCK_CAP`` proposals, and each run is one :func:`dominator.propose`
-call, the one place that knows how each kind of hat proposes and
-squeezes: it draws, evaluates and squeezes all the run's blocks with
-array calls over a table of their hats (:class:`dominator.HatTable`),
-and reads each block's words as that block drawn alone would, so where
-a round splits changes no draw and no counter.  The proposals left
-undecided in the run share one exact call, and the run's accepts are
-taken for all its groups at once.  Over mixed degrees that is one pass
-of the recurrence, which costs the largest degree of the round in
-Python-level steps rather than the sum of the degrees; and a round
-costs a fixed number of numpy calls rather than about 25 per group.  A
-run of one block works on its hat's own scalars.
+In each round every unfinished group draws a proposal block and its
+squeeze verdicts from :func:`dominator.propose`, the one place that
+knows how each kind of hat proposes and squeezes, and the proposals
+left undecided in all groups share one exact call.  Over mixed degrees
+that is one pass of the recurrence, which costs the largest degree of
+the round in Python-level steps rather than the sum of the degrees.
 
 Undecided proposals that lie after a block's ``need``-th lower-squeeze
 accept are never evaluated: the group's last needed accept comes at or
@@ -144,6 +136,7 @@ and cell count:
 import itertools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,7 +145,7 @@ from .errors import BudgetError, ParameterError, whole
 
 DEFAULT_MAX_PROPOSALS = 10**6
 _MAX_BLOCK = 1_500_000  # proposals in one group's block
-_BLOCK_CAP = 1_500_000  # proposals in one run of blocks, about
+_BLOCK_CAP = 1_500_000  # proposals in one exact call, about; splits no block
 N_GRID = 256  # mixtures of 2 ... N_GRID degrees draw from the grid hat (table above)
 
 
@@ -181,6 +174,29 @@ class SamplerStats:
         return self.exact_in_window + self.exact_out_of_window
 
 
+@dataclass
+class _Group:
+    """Rejection state of the draws of one hat inside an engine call: a
+    degree's hat, or the grid hat of a mixture."""
+
+    count: int
+    offset: int  # where the group's draws start in the engine output
+    hat: dominator.DominatorSpec | dominator.GridHat
+    budget: int
+    filled: int = 0
+    spent: int = 0
+
+
+class _Block(NamedTuple):
+    """One proposal block of a group and the squeeze's verdicts on it."""
+
+    x: np.ndarray  # proposals
+    uh: np.ndarray  # u * h(x), compared against the density
+    lower_acc: np.ndarray  # accepted by the lower squeeze bound
+    upper_rej: np.ndarray  # rejected by the upper squeeze bound
+    lanes: np.ndarray  # ascending positions of the proposals left to the exact test
+
+
 def _checked(count, mode, max_proposals):
     """Check ``mode``; return ``count`` and ``max_proposals`` as ints."""
     if mode not in ("plain", "squeeze"):
@@ -188,187 +204,56 @@ def _checked(count, mode, max_proposals):
     return whole("count", count, 0), whole("max_proposals", max_proposals, 1)
 
 
-class _Groups:
-    """Rejection state of the groups of an engine call, one entry each:
-    the draws of one hat, a degree's or the grid hat of a mixture.  A
-    group still ``need``s draws, writes the next one at ``next`` in the
-    engine output, and has ``left`` proposals of its budget."""
-
-    def __init__(self, hats, counts, offsets, max_proposals):
-        self.table = dominator.HatTable(hats)
-        self.budget = [min(max_proposals * c, 2**62) for c in counts]
-        self.need = np.array(counts, dtype=np.int64)
-        self.next = np.array(offsets, dtype=np.int64)
-        self.left = np.array(self.budget, dtype=np.int64)
-
-    def block_sizes(self, active):
-        """The next proposal block size of each active group, sized from its
-        hat's mass, the mean number of proposals per accept; BudgetError
-        names the first group whose budget is spent."""
-        size = (self.need[active] * self.table.mass[active] * 1.2).astype(np.int64)
-        size += 32
-        size = np.minimum(np.minimum(size, _MAX_BLOCK), self.left[active])
-        if size.min() <= 0:
-            g = active[np.argmax(size <= 0)]
-            label, budget = self.table.hats[g].label, self.budget[g]
-            raise BudgetError(f"no acceptance within {budget} proposals at {label}", attempts=budget)
-        return size
+def _propose(g, stream, use_squeeze):
+    """Draw the group's next proposal block and apply the squeeze."""
+    need = g.count - g.filled
+    block = int(need * g.hat.mass * 1.2) + 32  # mass = mean proposals per accept
+    block = min(block, _MAX_BLOCK, g.budget - g.spent)
+    if block <= 0:
+        raise BudgetError(
+            f"no acceptance within {g.budget} proposals at {g.hat.label}", attempts=g.budget
+        )
+    x, uh, lower_acc, upper_rej = dominator.propose(g.hat, stream, block, use_squeeze)
+    undecided = ~(lower_acc | upper_rej)
+    # the group's last needed accept comes at or before its need-th lower
+    # accept, so the undecided proposals after that lie past the cut
+    accepts = np.flatnonzero(lower_acc)
+    if accepts.size >= need:
+        undecided[accepts[need - 1] :] = False
+    return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(undecided))
 
 
-def _runs(sizes):
-    """(start, stop) of consecutive runs of groups: each run ends at the
-    first group that brings it to ``_BLOCK_CAP`` proposals."""
-    total = np.cumsum(sizes)
-    if total[-1] - sizes[-1] < _BLOCK_CAP:
-        return [(0, sizes.size)]
-    runs, start = [], 0
-    while start < sizes.size:
-        base = total[start - 1] if start else 0
-        stop = min(int(total.searchsorted(base + _BLOCK_CAP)) + 1, sizes.size)
-        runs.append((start, stop))
-        start = stop
-    return runs
-
-
-class _Block:
-    """The one block of a run, group ``row``'s ``size`` proposals.  Its
-    methods take ascending positions, such as the run's accepts, and give
-    ints; :class:`_Blocks` answers the same for several blocks with
-    arrays, one entry per block."""
-
-    def __init__(self, row, size):
-        self.row, self.size = row, size
-
-    def each(self, values):
-        """The block's entry of a per-group array."""
-        return int(values[self.row])
-
-    def at(self, values, pos):
-        """Per-block ``values`` at each position."""
-        return values
-
-    def stop(self, pos, need):
-        """One past the ``need``-th position, or the block's end."""
-        return int(pos[need - 1]) + 1 if pos.size >= need else self.size
-
-    def heads(self, pos, need, dest):
-        """The first ``need`` positions, where they go from ``dest`` on, and
-        how many there are."""
-        got = min(pos.size, need)
-        return slice(dest, dest + got), pos[:got], got
-
-    def count(self, mask, stop):
-        """How many proposals before ``stop`` the ``mask`` holds."""
-        return int(np.count_nonzero(mask[:stop]))
-
-    def kept(self, cut):
-        """The proposals before the cut."""
-        return cut
-
-    def add(self, values, change):
-        """Add the block's ``change`` to its group's entry of ``values``."""
-        values[self.row] += change
-
-    def total(self, values):
-        """The sum over the blocks."""
-        return values
-
-
-class _Blocks:
-    """Several blocks of a run, one after another: block i holds group
-    ``rows[i]``'s proposals ``starts[i]`` up to ``ends[i]``.  See
-    :class:`_Block`."""
-
-    def __init__(self, rows, sizes):
-        self.rows = rows
-        self.ends = np.cumsum(sizes)
-        self.starts = self.ends - sizes
-
-    def each(self, values):
-        return values[self.rows]
-
-    def at(self, values, pos):
-        return values[self._of(pos)]
-
-    def _of(self, pos):  # the block of each position
-        return self.starts.searchsorted(pos, side="right") - 1
-
-    def _split(self, pos):  # the index in pos of each block's first, and how many it holds
-        first = pos.searchsorted(self.starts)
-        return first, pos.searchsorted(self.ends) - first
-
-    def stop(self, pos, need):
-        first, have = self._split(pos)
-        enough = have >= need
-        if not enough.any():
-            return self.ends
-        nth = pos[np.where(enough, first + need - 1, 0)] + 1
-        return np.where(enough, nth, self.ends)
-
-    def heads(self, pos, need, dest):
-        first, have = self._split(pos)
-        block = self._of(pos)
-        rank = np.arange(pos.size) - first[block]  # of each position in its block
-        taken = rank < need[block]
-        return dest[block[taken]] + rank[taken], pos[taken], np.minimum(have, need)
-
-    def count(self, mask, stops):
-        pos = np.flatnonzero(mask)
-        return int(pos.searchsorted(stops).sum() - pos.searchsorted(self.starts).sum())
-
-    def kept(self, cut):
-        return cut - self.starts
-
-    def add(self, values, change):
-        values[self.rows] += change
-
-    def total(self, values):
-        return int(values.sum())
-
-
-def _lanes(undecided, lower, need, blocks):
-    """Ascending positions of the proposals left to the exact test: those
-    the squeeze leaves ``undecided``, before each block's ``need``-th
-    lower accept (``lower`` holds their positions).  The block's last
-    needed accept comes at or before that accept, so the proposals after
-    it lie past the cut."""
-    lanes = np.flatnonzero(undecided)
-    return lanes[lanes < blocks.at(blocks.stop(lower, need), lanes)]
-
-
-def _decide(run, groups, exact, out, stats, proposals):
-    """Exact-test the undecided ``proposals`` of a run with one ``exact``
-    call, then take each group's accepts.
+def _decide(batch, exact, out, stats):
+    """Exact-test the undecided proposals of every (group, block) pair in
+    ``batch`` with one ``exact`` call, then take each group's accepts.
 
     Counters reflect the sequential semantics: a block is truncated at the
     proposal that produced the group's last needed accept, and everything
     after it is discarded as if never drawn.
     """
-    x, uh, lower_acc, upper_rej = proposals
-    rows = run.rows
-    blocks = _Block(rows[0], run.size) if rows.size == 1 else _Blocks(rows, run.sizes)
-    need = blocks.each(groups.need)
-    lower = np.flatnonzero(lower_acc)
-    lanes = _lanes(~(lower_acc | upper_rej), lower, need, blocks)
-    accept = lower_acc.copy()
-    if lanes.size:
-        accept[lanes] = uh[lanes] <= exact(x[lanes], run.hats.at(lanes).n)
-    pos = np.flatnonzero(accept)
-    cut = blocks.stop(pos, need)  # past each block's last needed accept
-    dest, taken, got = blocks.heads(pos, need, blocks.each(groups.next))
-    out[dest] = x[taken]
-    kept = blocks.kept(cut)
-    blocks.add(groups.need, -got)
-    blocks.add(groups.next, got)
-    blocks.add(groups.left, -kept)
-    evaluated = lanes[lanes < blocks.at(cut, lanes)]
-    outside = int(np.count_nonzero(np.abs(x[evaluated]) > run.hats.at(evaluated).x1))
-    stats.proposals += blocks.total(kept)
-    stats.squeeze_lower_accepts += blocks.count(lower_acc, cut)
-    stats.squeeze_upper_rejects += blocks.count(upper_rej, cut)
-    stats.exact_in_window += evaluated.size - outside
-    stats.exact_out_of_window += outside
-    stats.accepted += blocks.total(got)
+    xs = np.concatenate([b.x[b.lanes] for _, b in batch])
+    sizes = [b.lanes.size for _, b in batch]
+    phi = exact(xs, [g.hat for g, _ in batch], sizes) if xs.size else xs
+    start = 0
+    for g, b in batch:
+        accept = b.lower_acc.copy()
+        accept[b.lanes] = b.uh[b.lanes] <= phi[start : start + b.lanes.size]
+        start += b.lanes.size
+        need = g.count - g.filled
+        pos = np.flatnonzero(accept)
+        cut = pos[need - 1] + 1 if pos.size >= need else b.x.size
+        take = pos[:need]
+        out[g.offset + g.filled : g.offset + g.filled + take.size] = b.x[take]
+        g.filled += take.size
+        g.spent += int(cut)
+        stats.proposals += int(cut)
+        stats.squeeze_lower_accepts += int(b.lower_acc[:cut].sum())
+        stats.squeeze_upper_rejects += int(b.upper_rej[:cut].sum())
+        evaluated = b.lanes[: np.searchsorted(b.lanes, cut)]
+        outside = int(np.count_nonzero(np.abs(b.x[evaluated]) > g.hat.x1))
+        stats.exact_in_window += evaluated.size - outside
+        stats.exact_out_of_window += outside
+        stats.accepted += take.size
 
 
 def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
@@ -377,42 +262,42 @@ def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
 
     ``hats()`` builds the hats, inside the timed span; a group whose hat
     is None draws plain standard normals, the density of degree 0.
-    ``exact(x, ks)`` is the density at the points ``x``, whose hats are of
-    degrees ``ks`` (one degree, or one per point).
+    ``exact(x, hats, sizes)`` is the density at the points ``x``, which
+    concatenate ``sizes[j]`` proposals from ``hats[j]``.
 
     Each group draws proposal blocks, sized from its hat's mass, until it
     has its count, spending at most ``max_proposals * count`` proposals.
-    In each round every unfinished group draws its block; the groups are
-    split into consecutive runs of at most about ``_BLOCK_CAP``
-    proposals, and a run proposes, evaluates its hats, squeezes and
-    decides with array calls over all its groups
-    (:func:`dominator.propose`), its undecided proposals sharing one
-    ``exact`` call.  That bounds memory; the exact recurrence slices its
-    own input.  A run reads each block's words as that block drawn alone
-    would, so the draws and counters do not depend on where a round is
-    split.
+    In each round every unfinished group, in order, draws its block and
+    applies the squeeze; the proposals the squeeze leaves undecided in all
+    groups then share one ``exact`` call.  A round's blocks are evaluated
+    in batches of at most about ``_BLOCK_CAP`` proposals, which bounds
+    memory.  The exact recurrence gives each point the same bits in any
+    batch, and the stream is consumed block by block, so where a round
+    splits changes no draw, counter or stream position.
     """
     t0 = time.perf_counter()
     stats = SamplerStats() if stats is None else stats
     out = np.empty(sum(counts))
-    drawn = []
+    groups = []
     for hat, count, offset in zip(hats(), counts, itertools.accumulate(counts, initial=0)):
         if hat is None:
             out[offset : offset + count] = stream.standard_normals(count)
             stats.proposals += count
             stats.accepted += count
         elif count:
-            drawn.append((hat, count, offset))
-    if drawn:
-        groups = _Groups(*zip(*drawn), max_proposals)
-        active = np.arange(groups.need.size)
-        while active.size:
-            sizes = groups.block_sizes(active)
-            for start, stop in _runs(sizes):
-                run = dominator.HatRun(groups.table, active[start:stop], sizes[start:stop])
-                proposals = dominator.propose(run, stream, mode == "squeeze")
-                _decide(run, groups, exact, out, stats, proposals)
-            active = active[groups.need[active] > 0]
+            groups.append(_Group(count, offset, hat, max_proposals * count))
+    while groups:
+        batch, size = [], 0
+        for g in groups:
+            block = _propose(g, stream, mode == "squeeze")
+            batch.append((g, block))
+            size += block.x.size
+            if size >= _BLOCK_CAP:
+                _decide(batch, exact, out, stats)
+                batch, size = [], 0
+        if batch:
+            _decide(batch, exact, out, stats)
+        groups = [g for g in groups if g.filled < g.count]
     stats.elapsed += time.perf_counter() - t0
     return out
 
@@ -431,10 +316,10 @@ def _degree_hats(degrees, counts):
     return [specs.get(k) for k in degrees]
 
 
-def _degree_density(x, ks):
-    """phi_k^2 at the points of a mixture's run, k the degree of each
-    point's hat: one pass of the recurrence for all the run's degrees."""
-    return hermite.phi_squared_degrees(np.broadcast_to(ks, x.shape), x)
+def _degree_density(x, hats, sizes):
+    """phi_k^2 at the points of a mixture's batch, k the degree of each
+    point's hat: one pass of the recurrence for all the batch's degrees."""
+    return hermite.phi_squared_degrees(np.repeat([h.n for h in hats], sizes), x)
 
 
 def sample_phi_sq_many(

@@ -50,32 +50,20 @@ def log_prefactor(n):
     return 2.0 * log_a - _LN_SQRT_2PI - math.lgamma(n + 1.0)
 
 
-def _per_degree(n, f):
-    """f(d) at each point's degree d: a float for one degree ``n``, else an
-    array over the points, with f evaluated once per run of equal degrees."""
-    if np.ndim(n) == 0:
-        return f(n)
-    starts = np.flatnonzero(np.diff(n, prepend=-1))
-    values = [f(d) for d in n[starts].tolist()]
-    return np.repeat(values, np.diff(starts, append=n.size))
-
-
 def _raw_terms(n, ax):
-    """alpha, B, R at |x| = ax (scalar or ndarray), with one degree ``n``
-    or one per point."""
+    """alpha, log_prefactor, B, R at |x| = ax (scalar or ndarray)."""
     np1 = n + 1.0
-    edge = 2.0 * np.sqrt(np1)
+    edge = 2.0 * math.sqrt(np1)
     alpha = np.arccos(ax / edge)
     sin_a = np.sin(alpha)
     phase = (np1 / 2.0) * (np.sin(2.0 * alpha) - 2.0 * alpha) + alpha / 2.0 + 0.75 * math.pi
     b = math.sqrt(math.pi) / np.sqrt(np1 * sin_a) * np.sin(phase)
     r = 1.0 / (3.0 * np1 * sin_a * sin_a)
-    return alpha, b, r
+    return alpha, log_prefactor(n), b, r
 
 
 def terms_many(n, x):
-    """(f, eps_plus, eps_minus) at an array of points, even in x, with one
-    degree ``n`` or an array of one degree per point.
+    """(f, eps_plus, eps_minus) at an array of points, even in x.
 
     Raises ParameterError unless every |x| is strictly inside the domain
     (sin(alpha) is singular at its edge); the squeeze window used by the
@@ -83,16 +71,13 @@ def terms_many(n, x):
     """
     n = whole("degree", n, 0)
     ax = np.abs(np.asarray(x, dtype=float))
-    edge = 2.0 * np.sqrt(n + 1.0)
-    beyond = ax > edge * (1.0 - _EDGE_GUARD)
-    if beyond.any():
-        i = np.argmax(beyond)
+    edge = domain_edge(n)
+    if ax.size and float(ax.max()) > edge * (1.0 - _EDGE_GUARD):
         raise ParameterError(
-            f"squeeze evaluated at |x|={float(ax.flat[i])} near/beyond domain edge "
-            f"{float(np.broadcast_to(edge, ax.shape).flat[i])}"
+            f"squeeze evaluated at |x|={float(ax.max())} near/beyond domain edge {edge}"
         )
-    _, b, r = _raw_terms(n, ax)
-    pref = _per_degree(n, lambda d: math.exp(log_prefactor(d)))
+    _, log_pref, b, r = _raw_terms(n, ax)
+    pref = math.exp(log_pref)
     f = b * b * pref
     eps_plus = pref * (2.0 * MU_BOUND * np.maximum(b, 0.0) * r + MU_BOUND**2 * r * r)
     eps_minus = pref * 2.0 * MU_BOUND * np.abs(b * r)
@@ -100,7 +85,6 @@ def terms_many(n, x):
 
 
 def squeeze_bounds_many(n, x):
-    """Lower and raw upper squeeze bounds: ((f-eps-)_+, f+eps+), with one
-    degree ``n`` or one per point."""
+    """Lower and raw upper squeeze bounds: ((f-eps-)_+, f+eps+)."""
     f, ep, em = terms_many(n, x)
     return np.maximum(f - em, 0.0), f + ep

@@ -239,8 +239,13 @@ def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
 def test_window_split_minimizes_the_inner_mass(k):
     # x_c, the root of the inner mass's slope, gives the mass a golden-section
     # search over [0, x1] finds, for the certified and the level hat
+    e = vanveen.domain_edge(k)
     for spec in (dominator.make_spec(k), dominator._level_spec(k)):
-        _, inner, _ = dominator._inner_mass(k, spec.x1, spec.shoulder)
+        bulk, _ = dominator._inner_mass(k, spec.x1, spec.shoulder)
+
+        def inner(x_c):  # the hat's mass over [0, x1]
+            return bulk(x_c) * math.asin(x_c / e) + spec.shoulder * (spec.x1 - x_c)
+
         golden = inner(verify._golden_min(inner, 0.0, spec.x1))
         assert 0.0 <= spec.x_c <= spec.x1
         assert math.isclose(spec.p1 + spec.p2, golden, rel_tol=1e-12), (k, spec.x_c)
@@ -343,7 +348,7 @@ def test_forced_branch_endpoints():
 def test_sampler_matches_analytic_cdf():
     spec = dominator.make_spec(25)
     stream = RandomStream(321)
-    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream, 10**5)[0]))
+    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream, 10**5)))
     f = _envelope_cdf_abs(spec, xs)
     n = xs.size
     i = np.arange(n)
@@ -354,31 +359,8 @@ def test_sampler_matches_analytic_cdf():
 def test_sampler_sign_symmetric():
     spec = dominator.make_spec(3)
     stream = RandomStream(11)
-    xs, _ = dominator.sample_envelope_many(spec, stream, 10**5)
+    xs = dominator.sample_envelope_many(spec, stream, 10**5)
     assert abs((xs > 0).mean() - 0.5) < 3.0 * 0.5 / math.sqrt(xs.size)
-
-
-def test_run_reads_each_block_as_drawn_alone():
-    # a run of blocks from several hats gives each block the draws, the u
-    # and the hat values it gets drawn alone, and leaves the stream where
-    # the blocks drawn one after another leave it
-    specs = [dominator.make_spec(3), dominator._level_spec(300), dominator.make_spec(40)]
-    sizes = np.array([7, 1, 300])
-    table = dominator.HatTable(specs)
-    run = dominator.HatRun(table, np.arange(3), sizes)
-    together = RandomStream(5)
-    x, u = dominator.sample_envelope_many(run, together, int(sizes.sum()))
-    h = dominator.envelope_many(run.hats, x)
-    alone = RandomStream(5)
-    parts = [dominator.sample_envelope_many(spec, alone, b) for spec, b in zip(specs, sizes)]
-    assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
-    assert u.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
-    hs = [dominator.envelope_many(spec, p[0]) for spec, p in zip(specs, parts)]
-    assert h.tobytes() == np.concatenate(hs).tobytes()
-    assert together.draw_count == alone.draw_count == 4 * sizes.sum()
-    assert together.uniforms(3).tobytes() == alone.uniforms(3).tobytes()
-    with pytest.raises(ParameterError):
-        dominator.sample_envelope_many(run, together, 10)
 
 
 def test_cdf_abs_hits_piece_masses():

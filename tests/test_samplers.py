@@ -28,7 +28,8 @@ def test_squeeze_decisions_imply_exact_decisions():
     for k in (7, 200):
         spec = dominator.make_spec(k)
         stream = RandomStream(1000 + k)
-        x, u = dominator.sample_envelope_many(spec, stream, 10_000)
+        x = dominator.sample_envelope_many(spec, stream, 10_000)
+        u = stream.uniforms(10_000)
         uh = u * dominator.envelope_many(spec, x)
         window = np.abs(x) <= spec.x1
         lo, up = vanveen.squeeze_bounds_many(k, x[window])
@@ -83,25 +84,19 @@ def test_exact_share_declines_with_degree():
 
 
 def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
-    # undecided proposals after a block's need-th lower-squeeze accept lie
+    # undecided proposals after a group's need-th lower-squeeze accept lie
     # past the cut, so the exact kernel never sees them
-    seen, runs = [], []
-    lanes_of = samplers._lanes
+    seen = []
+    decide = samplers._decide
 
-    def checked(undecided, lower, need, blocks):
-        lanes = lanes_of(undecided, lower, need, blocks)
-        if isinstance(blocks, samplers._Block):
-            spans = [(0, blocks.size, need)]
-        else:
-            spans = list(zip(blocks.starts, blocks.ends, need))
-        for lo, hi, k in spans:
-            mine = lanes[(lanes >= lo) & (lanes < hi)]
-            accepts = lower[(lower >= lo) & (lower < hi)]
-            if accepts.size >= k and mine.size:
-                assert mine[-1] < accepts[k - 1]
-        seen.append(lanes.size)
-        runs.append(len(spans))
-        return lanes
+    def checked(batch, exact, out, stats):
+        for g, b in batch:
+            need = g.count - g.filled
+            accepts = np.flatnonzero(b.lower_acc)
+            if accepts.size >= need and b.lanes.size:
+                assert b.lanes[-1] < accepts[need - 1]
+            seen.append(b.lanes.size)
+        return decide(batch, exact, out, stats)
 
     evaluated = []
 
@@ -110,11 +105,10 @@ def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
 
     for name in ("phi_squared_many", "phi_squared_degrees"):
         monkeypatch.setattr(hermite, name, counted(getattr(hermite, name)))
-    monkeypatch.setattr(samplers, "_lanes", checked)
+    monkeypatch.setattr(samplers, "_decide", checked)
     samplers.sample_phi_sq_many(100, 3000, RandomStream(66), "squeeze")
     samplers.sample_gue_eigenvalues(300, 500, RandomStream(67), "squeeze")
     assert sum(evaluated) == sum(seen) > 0
-    assert min(runs) == 1 and max(runs) > 100  # one-block and many-block runs were checked
 
 
 def test_pruning_keeps_draws_and_counters():
@@ -126,25 +120,28 @@ def test_pruning_keeps_draws_and_counters():
         return xs.tobytes(), replace(stats, elapsed=0.0)
 
     pruned = run()
+    propose = samplers._propose
 
-    def unpruned(undecided, *_):
-        return np.flatnonzero(undecided)
+    def unpruned(g, stream, use_squeeze):
+        b = propose(g, stream, use_squeeze)
+        lanes = np.flatnonzero(~(b.lower_acc | b.upper_rej))
+        return b._replace(lanes=lanes)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samplers, "_lanes", unpruned)
+        mp.setattr(samplers, "_propose", unpruned)
         assert run() == pruned
 
 
 def test_round_split_keeps_draws_and_counters(monkeypatch):
-    # a run reads each block's words as the block drawn alone would, so
-    # where a round splits into runs changes no draw, counter or word read
+    # where a round's blocks split into exact calls changes no draw,
+    # counter or word read
     calls = (
         lambda s, st: samplers.sample_gue_eigenvalues(2000, 400, s, "squeeze", st),
         lambda s, st: samplers.sample_phi_sq_many(100, 3000, s, "squeeze", st),
     )
-    runs = []
-    propose = dominator.propose
-    monkeypatch.setattr(dominator, "propose", lambda *a: runs.append(1) or propose(*a))
+    batches = []
+    decide = samplers._decide
+    monkeypatch.setattr(samplers, "_decide", lambda *a: batches.append(1) or decide(*a))
 
     def outputs():
         out = []
@@ -155,10 +152,10 @@ def test_round_split_keeps_draws_and_counters(monkeypatch):
         return out
 
     whole = outputs()
-    whole_runs = len(runs)
+    whole_batches = len(batches)
     monkeypatch.setattr(samplers, "_BLOCK_CAP", 64)
     assert outputs() == whole
-    assert len(runs) - whole_runs > 2 * whole_runs  # the small cap split the rounds
+    assert len(batches) - whole_batches > 2 * whole_batches  # the small cap split the rounds
 
 
 def test_exact_counter_split():
