@@ -2,9 +2,10 @@
 
 Subcommands: sample, sample-joint, bench, verify, tabulate-envelope,
 tabulate-squeeze, oracle.  CSV goes to stdout (or --out) with a header
-row; verification reports are JSON.  Exit codes: 0 success, 1 parameter
-or usage error (and failed verification), 2 exhausted budget or failed
-numerical convergence.
+row; verification reports are JSON.  Exit codes: 0 success, 1 failed
+verification, and otherwise the ``exit_code`` of the package error raised
+(see ``errors``): 1 parameter or usage error, 2 exhausted budget or
+failed numerical convergence.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dominator, hermite, joint, oracle, samplers, vanveen, verify
-from .errors import BudgetError, ConvergenceError, GuegenError, ParameterError, whole
+from .errors import GuegenError, ParameterError, whole
 from .rng import RandomStream
 
 
@@ -38,8 +39,11 @@ def _seed(text):
 def _emit(lines, out_path):
     """Write ``lines``, each ending in a newline, to ``out_path`` or stdout."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.writelines(lines)
+        try:
+            with open(out_path, "w") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(lines)
 
@@ -285,15 +289,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BudgetError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GuegenError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ParameterError and OracleError are
-usage/input problems (exit 1); BudgetError and ConvergenceError, with
-its subclass CertificateError, are runtime resource or numerical
-failures (exit 2).
+Each error type carries the CLI's exit code for it in ``exit_code``, the
+one table of them: ParameterError and OracleError are usage/input
+problems (exit 1, the base class's code); BudgetError and
+ConvergenceError, with its subclass CertificateError, are runtime
+resource or numerical failures (exit 2).
 """
 
 import numbers
@@ -15,6 +16,8 @@ import numpy as np
 class GuegenError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParameterError(GuegenError, ValueError):
     """An argument is outside its documented domain."""
@@ -23,6 +26,8 @@ class ParameterError(GuegenError, ValueError):
 class BudgetError(GuegenError, RuntimeError):
     """A rejection loop exceeded its proposal/attempt cap."""
 
+    exit_code = 2
+
     def __init__(self, message, attempts=None):
         super().__init__(message)
         self.attempts = attempts
@@ -30,6 +35,8 @@ class BudgetError(GuegenError, RuntimeError):
 
 class ConvergenceError(GuegenError, RuntimeError):
     """An iterative numerical routine failed to reach its tolerance."""
+
+    exit_code = 2
 
 
 class CertificateError(ConvergenceError):
@@ -42,14 +49,23 @@ class OracleError(GuegenError, ValueError):
     non-monotone CDF handed to a goodness-of-fit test)."""
 
 
+def _flag(value):
+    """Whether ``value`` is a boolean or a list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_flag, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def whole(name, value, least):
     """The one check of degrees, sizes, counts, budgets and seeds: ``value``
     as an int, or ParameterError unless it is a whole number >= ``least``.
     Integral floats such as 1e4 and numpy integers pass; 2.5, NaN, +-inf,
-    strings, None and booleans do not.  An array or list gives an int64
-    array."""
-    if isinstance(value, (bool, np.bool_)):
-        pass  # a flag, not a count: True would pass as 1
+    strings, None and booleans do not, nor lists or tuples holding a
+    boolean.  An array or list gives an int64 array, a 0-d array an int."""
+    if isinstance(value, np.ndarray) and not value.ndim:
+        value = value[()]
+    if _flag(value):
+        pass  # a flag, not a count: True would pass as 1, in a list too
     elif isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):

@@ -446,7 +446,7 @@ def phi_squared_degrees(ks, x):
     x = np.asarray(x, dtype=float)
     if np.shape(ks) != x.shape:
         raise ParameterError(f"degrees {np.shape(ks)} and points {x.shape} differ in shape")
-    ks = whole("degrees", np.ravel(ks), 0)
+    ks = np.ravel(whole("degrees", ks, 0))
     order = np.argsort(-ks, kind="stable")
     out = np.empty(x.size)
     out[order] = _sliced(_log_phi_sq_sorted, ks[order], np.ravel(x)[order])

@@ -2,8 +2,17 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from guegen import cli
 from guegen.cli import main
+from guegen.errors import (
+    BudgetError,
+    CertificateError,
+    ConvergenceError,
+    OracleError,
+    ParameterError,
+)
 
 
 def run(capsys, *argv):
@@ -190,3 +199,30 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,value" and len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ParameterError, 1),
+        (OracleError, 1),
+        (BudgetError, 2),
+        (ConvergenceError, 2),
+        (CertificateError, 2),
+    ],
+)
+def test_each_error_type_brings_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setitem(cli._COMMANDS, "oracle", fail)
+    got, out, err = run(capsys, "oracle", "--n", "3", "--count", "2")
+    assert got == code and out == ""
+    assert err == f"error: {error.__name__} raised\n"
+
+
+def test_unwritable_out_is_a_parameter_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, "sample", "--k", "5", "--count", "3", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(path) in err

@@ -69,10 +69,10 @@ def test_non_whole_numbers_are_parameter_errors(entry, value):
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_])
-@pytest.mark.parametrize("entry", sorted(k for k in ENTRY_POINTS if not k.endswith(("ks", "ns"))))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_flags_are_parameter_errors(entry, value):
-    # a flag is not a count: True is not n = 1 (the list entries convert
-    # their elements as numpy does, and only an all-flag list is refused)
+    # a flag is not a count: True is not n = 1, nor degree 1 in a list,
+    # where numpy would turn [4, True] into the int64 degrees [4, 1]
     with pytest.raises(ParameterError):
         ENTRY_POINTS[entry](value)
 
@@ -93,7 +93,9 @@ def test_whole_array_form():
     got = whole("d", np.array([3.0, 1e4]), 1)
     assert got.dtype == np.int64 and got.tolist() == [3, 10_000]
     assert whole("d", np.array([7], dtype=np.uint64), 0).tolist() == [7]
-    for bad in ([0], [-np.inf], [2**64], np.array([2**63], dtype=np.uint64), [True]):
+    assert whole("d", np.array(7.0), 0) == 7
+    for bad in ([0], [-np.inf], [2**64], np.array([2**63], dtype=np.uint64), [True], [4, True],
+                (True, 3), [[4, np.True_]], np.array(True)):
         with pytest.raises(ParameterError):
             whole("d", bad, 1)
     # scalar flags are no counts either: True is not n = 1

@@ -5,7 +5,7 @@ import pytest
 
 from guegen.errors import OracleError, ParameterError
 from guegen.rng import RandomStream
-from guegen.stats import ks_critical, ks_one_sample, ks_two_sample, loglog_slope
+from guegen.stats import ks_critical, ks_one_sample, ks_points, ks_two_sample, loglog_slope
 
 
 def test_critical_values():
@@ -33,6 +33,33 @@ def test_one_sample_counts_mass_below_minimum():
     xs = 0.9 + 0.1 * RandomStream(3).uniforms(1000)
     res = ks_one_sample(xs, lambda x: np.clip(x, 0.0, 1.0))
     assert res.statistic >= 0.89
+
+
+def _exact_d(xs, cdf):
+    # the full statistic: the reference CDF at every sorted sample
+    f = cdf(np.sort(xs))
+    i = np.arange(f.size)
+    return max(np.max((i + 1) / f.size - f), np.max(f - i / f.size), 0.0)
+
+
+def test_one_sample_is_exact_up_to_4096_samples():
+    cdf = lambda x: 0.5 * (1.0 + np.tanh(x))
+    for seed, n in enumerate((100, 1000, 4095, 4096)):
+        xs = RandomStream(20 + seed).standard_normals(n)
+        assert ks_points(n).tolist() == list(range(n))
+        assert ks_one_sample(xs, cdf).statistic == _exact_d(xs, cdf)
+
+
+def test_one_sample_bounds_d_from_above_at_1e5():
+    n = 10**5
+    u = RandomStream(21).uniforms(n)
+    cdf = lambda x: np.clip(x, 0.0, 1.0)
+    seen = []
+    res = ks_one_sample(u, lambda x: seen.append(x.size) or cdf(x))
+    step = math.ceil(n / 4096)
+    assert seen == [ks_points(n).size] and seen[0] <= 4097
+    exact = _exact_d(u, cdf)
+    assert exact <= res.statistic <= exact + 2 * step / n
 
 
 def test_one_sample_rejects_bad_oracles():
