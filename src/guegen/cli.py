@@ -6,6 +6,13 @@ row; verification reports are JSON.  Exit codes: 0 success, 1 failed
 verification, and otherwise the ``exit_code`` of the package error raised
 (see ``errors``): 1 parameter or usage error, 2 exhausted budget or
 failed numerical convergence.
+
+Each flag that two or more subcommands take is declared once, in
+``_FLAGS``, and ``_SUBCOMMANDS`` names the ones each subcommand takes;
+``build_parser`` declares ``--out``, which all take, and the flags of
+one subcommand.  ``sample``, ``sample-joint`` and ``oracle`` write
+their tables through ``_write_table``, the one place that decides their
+CSV and JSON layout.
 """
 
 import argparse
@@ -60,20 +67,47 @@ def _csv(header, rows):
         yield fmt % row
 
 
+# keyword arguments of each flag that two or more subcommands take
+_FLAGS = {
+    "--n": dict(type=int, required=True),
+    "--count": dict(type=int, required=True),
+    "--mode": dict(choices=["plain", "squeeze"], default="squeeze"),
+    "--seed": dict(type=_seed, default=0),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--convention": dict(choices=["unscaled", "intro"], default="unscaled"),
+    "--points": dict(type=int, default=2001),
+}
+
+# each subcommand's help, and the flags of _FLAGS it takes
+_SUBCOMMANDS = {
+    "sample": (
+        "draw single eigenvalues or fixed-degree variates",
+        "--count --mode --seed --format --convention",
+    ),
+    "sample-joint": ("draw full ordered spectra", "--n --count --seed --format"),
+    "bench": ("measure sampler cost scaling", "--mode --seed"),
+    "verify": ("run verification suites, print a JSON report", ""),
+    "tabulate-envelope": ("CSV of envelope vs density on a grid", "--n --points"),
+    "tabulate-squeeze": ("CSV of the squeeze sandwich on a grid", "--n --points"),
+    "oracle": ("CSV spectra from entrywise matrices", "--n --count --seed --convention"),
+}
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once: parsing leaves it unchanged."""
-    p = _Parser(prog="guegen", description=__doc__)
+    # --help leaves out the docstring's last paragraph, which is about the code
+    p = _Parser(prog="guegen", description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (text, flags) in _SUBCOMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            parsers[name].add_argument(flag, **_FLAGS[flag])
 
-    sp = sub.add_parser("sample", help="draw single eigenvalues or fixed-degree variates")
+    sp = parsers["sample"]
     sp.add_argument("--n", type=int, help="ensemble size for mixture sampling")
     sp.add_argument("--k", type=int, help="fixed degree instead of the mixture")
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--mode", choices=["plain", "squeeze"], default="squeeze")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--convention", choices=["unscaled", "intro"], default="unscaled")
     sp.add_argument(
         "--max-proposals",
         type=int,
@@ -81,52 +115,46 @@ def build_parser():
         help="budget: each degree may spend this many proposals per draw of"
         " that degree, pooled over its draws (exit 2 when exhausted)",
     )
-    sp.add_argument("--out")
 
-    jp = sub.add_parser("sample-joint", help="draw full ordered spectra")
-    jp.add_argument("--n", type=int, required=True)
+    jp = parsers["sample-joint"]
     jp.add_argument("--beta", type=float, default=2.0)
-    jp.add_argument("--count", type=int, required=True)
-    jp.add_argument("--seed", type=_seed, default=0)
     jp.add_argument(
         "--max-attempts",
         type=int,
         default=joint.DEFAULT_MAX_ATTEMPTS,
         help="budget: attempts allowed for each spectrum (exit 2 when exhausted)",
     )
-    jp.add_argument("--format", choices=["csv", "json"], default="csv")
-    jp.add_argument("--out")
 
-    bp = sub.add_parser("bench", help="measure sampler cost scaling")
-    bp.add_argument("--mode", choices=["plain", "squeeze"], default="squeeze")
+    bp = parsers["bench"]
     bp.add_argument("--n-list", required=True, help="comma-separated degrees")
     bp.add_argument("--samples-per-n", type=int, default=1000)
-    bp.add_argument("--seed", type=_seed, default=0)
-    bp.add_argument("--out")
 
-    vp = sub.add_parser("verify", help="run verification suites, print a JSON report")
+    vp = parsers["verify"]
     vp.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")
     vp.add_argument("--quick", action="store_true", help="reduced sample counts")
-    vp.add_argument("--out")
 
-    tp = sub.add_parser("tabulate-envelope", help="CSV of envelope vs density on a grid")
-    tp.add_argument("--n", type=int, required=True)
-    tp.add_argument("--points", type=int, default=2001)
-    tp.add_argument("--out")
-
-    qp = sub.add_parser("tabulate-squeeze", help="CSV of the squeeze sandwich on a grid")
-    qp.add_argument("--n", type=int, required=True)
-    qp.add_argument("--points", type=int, default=2001)
-    qp.add_argument("--out")
-
-    op = sub.add_parser("oracle", help="CSV spectra from entrywise matrices")
-    op.add_argument("--n", type=int, required=True)
-    op.add_argument("--count", type=int, required=True)
-    op.add_argument("--seed", type=_seed, default=0)
-    op.add_argument("--convention", choices=["unscaled", "intro"], default="unscaled")
-    op.add_argument("--out")
-
+    for parser in parsers.values():  # every subcommand writes to --out, or else stdout
+        parser.add_argument("--out")
     return p
+
+
+def _write_table(args, header, columns, **meta):
+    """Write the table ``columns`` (JSON key -> array with one entry per
+    row) to ``--out`` or stdout.  Under ``--format json``: one object of
+    ``meta`` and then each column as a list.  Otherwise CSV: an index
+    column, then one column per name of ``header``, a 2-D array giving one
+    CSV column per entry of its rows."""
+    if getattr(args, "format", "csv") == "json":  # oracle takes no --format
+        doc = {**meta, **{key: a.tolist() for key, a in columns.items()}}
+        _emit([json.dumps(doc) + "\n"], args.out)
+    else:
+        cols = [c for a in columns.values() for c in a.reshape(len(a), -1).T.tolist()]
+        _emit(_csv(["index", *header], zip(range(len(cols[0])), *cols)), args.out)
+
+
+def _in_convention(args, values):
+    """``values`` in the ``--convention`` asked for: intro divides by sqrt(n)."""
+    return values / math.sqrt(args.n) if args.convention == "intro" else values
 
 
 def _cmd_sample(args):
@@ -139,41 +167,24 @@ def _cmd_sample(args):
         raise ParameterError(f"--k must be below --n, got k={args.k}, n={args.n}")
     stream = RandomStream(args.seed)
     stats = samplers.SamplerStats()
-    if args.k is not None:
-        values = samplers.sample_phi_sq_many(
-            args.k, args.count, stream, args.mode, stats, args.max_proposals
-        )
+    if args.k is None:
+        draw, degree = samplers.sample_gue_eigenvalues, args.n
     else:
-        values = samplers.sample_gue_eigenvalues(
-            args.n, args.count, stream, args.mode, stats, args.max_proposals
-        )
-    if args.convention == "intro":
-        values = values / math.sqrt(args.n)
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "k": args.k,
-                        "mode": args.mode,
-                        "seed": args.seed,
-                        "convention": args.convention,
-                        "count": len(values),
-                        "proposals": stats.proposals,
-                        "exact_evals": stats.exact_evals,
-                        "values": values.tolist(),
-                    }
-                )
-                + "\n"
-            ],
-            args.out,
-        )
-    else:
-        _emit(
-            _csv(["index", "value"], enumerate(values.tolist())),
-            args.out,
-        )
+        draw, degree = samplers.sample_phi_sq_many, args.k
+    values = draw(degree, args.count, stream, args.mode, stats, args.max_proposals)
+    _write_table(
+        args,
+        ["value"],
+        {"values": _in_convention(args, values)},
+        n=args.n,
+        k=args.k,
+        mode=args.mode,
+        seed=args.seed,
+        convention=args.convention,
+        count=len(values),
+        proposals=stats.proposals,
+        exact_evals=stats.exact_evals,
+    )
     return 0
 
 
@@ -184,26 +195,9 @@ def _cmd_sample_joint(args):
     values, attempts = joint.sample_joint_many(
         args.n, args.count, args.beta, stream, args.max_attempts, progress=progress
     )
-    if args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "beta": args.beta,
-                        "seed": args.seed,
-                        "attempts": attempts.tolist(),
-                        "values": values.tolist(),
-                    }
-                )
-                + "\n"
-            ],
-            args.out,
-        )
-    else:
-        header = ["index", "attempts"] + [f"x{i + 1}" for i in range(args.n)]
-        rows = zip(range(args.count), attempts.tolist(), *values.T.tolist())
-        _emit(_csv(header, rows), args.out)
+    header = ["attempts"] + [f"x{i + 1}" for i in range(args.n)]
+    columns = {"attempts": attempts, "values": values}
+    _write_table(args, header, columns, n=args.n, beta=args.beta, seed=args.seed)
     return 0
 
 
@@ -264,13 +258,8 @@ def _cmd_oracle(args):
     whole("--count", args.count, 1)
     stream = RandomStream(args.seed)
     spectra = oracle.spectra_many(oracle.sample_gue_matrices(args.n, args.count, stream))
-    if args.convention == "intro":
-        spectra = spectra / math.sqrt(args.n)
-    header = ["index"] + [f"x{i + 1}" for i in range(args.n)]
-    _emit(
-        _csv(header, zip(range(args.count), *spectra.T.tolist())),
-        args.out,
-    )
+    header = [f"x{i + 1}" for i in range(args.n)]
+    _write_table(args, header, {"values": _in_convention(args, spectra)})
     return 0
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -226,3 +227,109 @@ def test_unwritable_out_is_a_parameter_error(tmp_path, capsys):
         code, out, err = run(capsys, "sample", "--k", "5", "--count", "3", "--out", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(path) in err
+
+
+_COUNT = (None, None, True, int, None)
+_SEED = (0, None, False, cli._seed, None)
+_OUT = (None, None, False, None, None)
+_MODE = ("squeeze", ["plain", "squeeze"], False, None, None)
+_FORMAT = ("csv", ["csv", "json"], False, None, None)
+_CONVENTION = ("unscaled", ["unscaled", "intro"], False, None, None)
+_N = (None, None, True, int, None)
+_POINTS = (2001, None, False, int, None)
+
+# every option of each subcommand: default, choices, required, type, help
+_SURFACE = {
+    "sample": {
+        "--n": (None, None, False, int, "ensemble size for mixture sampling"),
+        "--k": (None, None, False, int, "fixed degree instead of the mixture"),
+        "--count": _COUNT,
+        "--mode": _MODE,
+        "--seed": _SEED,
+        "--format": _FORMAT,
+        "--convention": _CONVENTION,
+        "--max-proposals": (
+            10**6,
+            None,
+            False,
+            int,
+            "budget: each degree may spend this many proposals per draw of"
+            " that degree, pooled over its draws (exit 2 when exhausted)",
+        ),
+        "--out": _OUT,
+    },
+    "sample-joint": {
+        "--n": _N,
+        "--beta": (2.0, None, False, float, None),
+        "--count": _COUNT,
+        "--seed": _SEED,
+        "--max-attempts": (
+            10**7,
+            None,
+            False,
+            int,
+            "budget: attempts allowed for each spectrum (exit 2 when exhausted)",
+        ),
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "bench": {
+        "--mode": _MODE,
+        "--n-list": (None, None, True, None, "comma-separated degrees"),
+        "--samples-per-n": (1000, None, False, int, None),
+        "--seed": _SEED,
+        "--out": _OUT,
+    },
+    "verify": {
+        "--suite": ("all", None, False, None, "comma-separated suite names or 'all'"),
+        "--quick": (False, None, False, None, "reduced sample counts"),
+        "--out": _OUT,
+    },
+    "tabulate-envelope": {"--n": _N, "--points": _POINTS, "--out": _OUT},
+    "tabulate-squeeze": {"--n": _N, "--points": _POINTS, "--out": _OUT},
+    "oracle": {
+        "--n": _N,
+        "--count": _COUNT,
+        "--seed": _SEED,
+        "--convention": _CONVENTION,
+        "--out": _OUT,
+    },
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    # the option strings, defaults, choices, required flags, types and help
+    # texts of every subcommand; the order of the options is not pinned
+    actions = cli.build_parser()._actions
+    subparsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(_SURFACE) == list(cli._COMMANDS)
+    for name, expected in _SURFACE.items():
+        got = {
+            " ".join(a.option_strings): (a.default, a.choices, a.required, a.type, a.help)
+            for a in subparsers[name]._actions
+            if a.dest != "help"
+        }
+        assert got == expected, name
+
+
+_SAMPLE_KEYS = [
+    "n", "k", "mode", "seed", "convention", "count", "proposals", "exact_evals", "values"
+]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (("sample", "--n", "5", "--count", "3"), _SAMPLE_KEYS),
+        (("sample", "--k", "5", "--count", "3"), _SAMPLE_KEYS),
+        (
+            ("sample-joint", "--n", "3", "--count", "2"),
+            ["n", "beta", "seed", "attempts", "values"],
+        ),
+    ],
+    ids=["sample-n", "sample-k", "sample-joint"],
+)
+def test_json_output_keeps_its_key_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
+    assert list(json.loads(out)) == keys

@@ -226,6 +226,78 @@ def test_grid_domination_fails_a_grid_hat_below_the_slope_bound(monkeypatch, fac
     assert [n for n, r in rows.items() if not r.passed] == failing, [r.detail for r in rows.values()]
 
 
+def _plant_shoulder_at_plateau(monkeypatch):
+    # the shoulder at phi_n(x1)^2, the plateau's level, not S(x1) = f^2 + f'^2 / q
+    build = dominator._build
+
+    def certified(n, x1, f, df):
+        level = f * f * (1.0 + dominator.SLACK)
+        return build(n, x1, level, level)
+
+    monkeypatch.setattr(dominator, "_certified", certified)
+
+
+def _plant_doubled_tail_rate(monkeypatch):
+    build = dominator._build
+
+    def doubled(*args):
+        spec = build(*args)
+        return replace(spec, rate=2.0 * spec.rate)
+
+    monkeypatch.setattr(dominator, "_build", doubled)
+
+
+def _plant_no_slack(monkeypatch):
+    monkeypatch.setattr(dominator, "SLACK", 0.0)
+
+
+_CRITERION_5_DEGREES = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
+_SANDWICH_ROW = "squeeze validity: worst sandwich violation, degree {}"
+_HAT_ROW = "squeeze validity: worst phi^2 / hat over the whole line, degree {}"
+
+
+@pytest.mark.parametrize(
+    "plant, sure, kinds",
+    [
+        (
+            _plant_shoulder_at_plateau,
+            [_SANDWICH_ROW.format(n) for n in _CRITERION_5_DEGREES[:-1]]
+            + [_HAT_ROW.format(n) for n in _CRITERION_5_DEGREES],
+            (_SANDWICH_ROW, _HAT_ROW),
+        ),
+        (
+            _plant_doubled_tail_rate,
+            [_HAT_ROW.format(n) for n in _CRITERION_5_DEGREES],
+            (_HAT_ROW,),
+        ),
+        (_plant_no_slack, [_HAT_ROW.format(n) for n in (10_000, 100_000)], (_HAT_ROW,)),
+    ],
+    ids=["shoulder-at-plateau", "tail-rate-doubled", "slack-0"],
+)
+def test_squeeze_validity_fails_a_planted_certified_hat_defect(monkeypatch, plant, sure, kinds):
+    # Criterion 5 (quick size) must fail each planted defect of the certified
+    # hat, in the rows listed in ``sure`` at least and in no row of another
+    # kind.  The shoulder defect fails 19 of 36 rows, the first being the
+    # degree-1 sandwich; the doubled rate fails the 10 certified-hat
+    # whole-line rows (phi^2 / hat 1.19 to 1.34).  Slack 0 fails 5, by
+    # 2e-16 at degree 3 and by 5.8e-13 and 1.0e-11 at degrees 1e4 and 1e5,
+    # so only those two are sure to fail on every platform.  The hats are
+    # built fresh under the defect and dropped after it.
+    monkeypatch.setattr(dominator, "_specs", {})
+    plant(monkeypatch)
+    dominator._level_spec.cache_clear()
+    dominator._grid_hat.cache_clear()
+    try:
+        rows = verify.check_squeeze_validity(quick=True)
+    finally:
+        dominator._level_spec.cache_clear()
+        dominator._grid_hat.cache_clear()
+    failed = [r.test for r in rows if not r.passed]
+    assert set(sure) <= set(failed), failed
+    prefixes = tuple(kind.format("") for kind in kinds)
+    assert all(test.startswith(prefixes) for test in failed), failed
+
+
 def test_cold_draw_slope_fails_when_every_group_pays_the_pass(monkeypatch):
     # criterion 4's cold-draw claim fails when count-1 groups take the
     # certified hat and pay its O(n) pass, as before the level hat

@@ -257,6 +257,20 @@ def test_chain_progress_between_rounds(monkeypatch):
     assert seen[-1] < attempts.sum()
 
 
+def test_chain_mean_attempts_sees_rejected_slots_put_back():
+    # Each spectrum reads sum_i Geometric(p_i) proposals, p_i = (n - i) / n:
+    # mean n H_n = 14.7 at n = 6, variance sum (1 - p_i) / p_i^2.  Putting
+    # the read and rejected slots back in the pool (values biased towards a
+    # small residual) reads z = +9.4 to +11.4 at this size (seeds 1-3); the
+    # exact chain reads |z| <= 1.64 over seeds 0-24.  3000 spectra, as in
+    # test_chain_attempts_and_trace_moment, would put the defect near z = 1.
+    n, count = 6, 400_000
+    _, attempts = joint._sample_chain(n, count, RandomStream(2), joint.DEFAULT_MAX_ATTEMPTS, None)
+    p = (n - np.arange(n)) / n
+    z = (attempts.mean() - (1.0 / p).sum()) / math.sqrt(((1.0 - p) / p**2).sum() / count)
+    assert abs(z) < 4.5, z
+
+
 def _harmonic_attempts(n):
     return n * sum(1.0 / k for k in range(1, n + 1))
 
