@@ -18,10 +18,10 @@ the mantissa path.  The kernel runs that recurrence symmetrically
 scaled: with y_j = D_j psi_j, D_0 = D_1 = 1 and
 D_{j+1} = D_{j-1} sqrt((j+1)/j), it becomes
 
-    y_{j+1} = (c_j x) y_j - y_{j-1},    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1,
+    y_{j+1} = (c_j x) y_j - y_{j-1},    c_j = D_{j+1} / (sqrt(j+1) D_j),
 
 one coefficient and three float operations per step, the product c_j x
-always first, with periodic power-of-two rescaling of the running pair;
+always first, with power-of-two rescaling of the running pair (below);
 each point's last pair is divided by (D_{k-1}, D_k) at the end.  D_j
 stays small, D_j ~ (pi j / 2)^(1/4), and has the closed forms
 D_{2i}^2 = 4^i (i!)^2 / (2i)! and D_{2i+1}^2 = (2i+1)! / (4^i (i!)^2).
@@ -37,12 +37,15 @@ closed form on the degree-(n-1) pair.  A single point is a batch of
 one: ``phi_squared_many(k, [x])[0]``.  Points in the far tail
 (:func:`_far`) skip the kernel: there a density is 0 and a CDF Phi(x).
 
-The kernel rescales the pair after every ``stride``-th step, one closed
-form per slice from its largest |x| and one threshold for every pass,
-and once more at the end, so every pair it returns has its largest
-magnitude in [0.5, 1).  Rescaling by a power of two is exact, so each
-value here is a function of its own (k, x) alone: the same bits in any
-batch, one point included, wherever ``_CHUNK`` cuts, on either path.
+The kernel rescales the pair only when one rule, :func:`_steps`, says it
+could otherwise pass its limit: the coefficients decay like
+c_j <= sqrt(2 / (j+1)), so after a rescale at step j the pair may take
+about limit / log2(|x| sqrt(2 / (j+1)) + 1) steps, the longer the
+further the pass has run.  It rescales once more at the end, so every
+pair it returns has its largest magnitude in [0.5, 1).  Rescaling by a
+power of two is exact, so the schedule changes no bit, and each value
+here is a function of its own (k, x) alone: the same bits in any batch,
+one point included, wherever ``_CHUNK`` cuts, on either path.
 The two paths are a numpy loop over all running points per step and a
 float loop per point, which takes over once at most ``_FEW_LANES``
 points are still running, since a numpy step costs microseconds however
@@ -86,16 +89,21 @@ LN2 = math.log(2.0)
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
-# rescale the working pair before it can pass 2^(448 - 2 log2|x|), so that
-# a multiply by x cannot overflow and a ladder sum's products, weighted and
-# summed, stay far from overflow: counting that the scaled pair starts from
-# y_1 = x at exponent 0, its mantissas stay below 2^449
-_RESCALE_LOG2 = 448.0
+# the pair is rescaled before it can pass 2^limit (:func:`_steps`): a plain
+# pass has limit 1021 - log2(|x| + 1), so the product c_j x y_j formed first
+# stays below 2^1021; a pass whose pair values are squared and summed (a
+# ladder sum, :func:`psi_rows`) has limit 448 - 2 log2|x| (448 at |x| <= 1),
+# so those products, weighted and summed, stay far from overflow
+_PLAIN_LOG2 = 1021.0
+_SQUARED_LOG2 = 448.0
+# relative slack on the coefficient bound c_j <= sqrt(2 / (j+1)), for the
+# rounding of the computed c_j and of the bound itself
+_SLACK = 1e-6
 # a pass whose running lanes are at most this many finishes each lane as a
-# float loop: at k = 1e4 a numpy step with block products costs about
-# 1.6 us for 4 to 32 lanes, a float step about 90 ns per lane, and the two
-# meet near 18
-_FEW_LANES = 18
+# float loop: at k = 1e4 on a 2-core x86-64 box a numpy step with block
+# products costs 0.85-1.5 us for 16 to 26 lanes, a float step 43-72 ns per
+# lane (both slower together on a busy box), and the two meet near 20-21
+_FEW_LANES = 20
 # a pass whose running lanes are at most this many forms c_j x for a block of
 # steps in one broadcast multiply, into a buffer of at most _BLOCK_ENTRIES
 # (module docstring)
@@ -161,17 +169,31 @@ def certify_decreasing(ks, x):
     return (cur * scale)[back], (slope * scale)[back], certified[back]
 
 
-def _stride(absx):
-    """Steps between rescales of a scaled pair started from (y_0, y_1) at
-    points of magnitude at most ``absx``.
+def _limit(absx, squared):
+    """log2 of the bound a pair may reach between rescales on points of
+    magnitude at most ``absx`` (see ``_PLAIN_LOG2`` and ``_SQUARED_LOG2``)."""
+    if squared:
+        return _SQUARED_LOG2 - 2.0 * math.log2(max(absx, 1.0))
+    return _PLAIN_LOG2 - math.log2(absx + 1.0)
 
-    Step j gives |y_{j+1}| <= (c_j |x| + 1) max(|y_j|, |y_{j-1}|), and every
-    c_j <= 1, so a step grows the pair by at most |x| + 1, and
-    (threshold - 1) / log2(|x| + 2) steps keep it below 2^threshold, with
-    the threshold 448 - 2 log2|x| (448 at |x| <= 1).
+
+def _steps(absx, j, limit):
+    """Steps a pair of magnitude at most 1 may take from step j on, at points
+    of magnitude at most ``absx``, and stay below 2^limit; at least one.
+
+    Step i gives |y_{i+1}| <= (c_i |x| + 1) max(|y_i|, |y_{i-1}|), and
+    c_i <= sqrt(2 / (i+1)), which decreases in i, so s steps from j grow
+    the pair by at most (|x| sqrt(2 / (j+1)) + 1)^s.  The coefficient bound,
+    an equality at i = 1: with the Wallis ratio P_m = C(2m, m) / 4^m, for
+    which P_{m+1} / P_m = (2m+1) / (2m+2), the closed forms of D_j give
+    c_{2m} = P_m and c_{2m+1} = 1 / ((2m+1) P_m).  (2m+1) P_m^2 is
+    non-increasing from 1, its ratio (2m+1)(2m+3) / (2m+2)^2 < 1, so
+    c_{2m}^2 <= 1 / (2m+1); (2m+1)^2 P_m^2 / (m+1) is non-decreasing from
+    1, its ratio (2m+3)^2 / (4 (m+1)(m+2)) > 1, so c_{2m+1}^2 <= 1 / (m+1).
+    Both are at most 2 / (j+1).
     """
-    threshold = _RESCALE_LOG2 - 2.0 * (math.log2(absx) if absx > 1.0 else 0.0)
-    return max(1, int((threshold - 1.0) / math.log2(absx + 2.0)))
+    grow = math.log2(absx * math.sqrt(2.0 / (j + 1.0)) * (1.0 + _SLACK) + 1.0)
+    return max(1, int(limit / max(grow, 2.0**-40)))  # grow is 0 at x = 0
 
 
 def _coefficients(size):
@@ -217,33 +239,28 @@ def _pair_rescale(prev, cur, expo, acc):
     return prev, cur, expo, acc
 
 
-def _slice_end(j, stride, k):
-    """End of the step slice that starts at step j: just past the next step
-    that is a multiple of ``stride``, or at k."""
-    return min(j + stride - (j - 1) % stride, k)
-
-
-def _psi_lane(k, x, j, prev, cur, expo, acc, stride, c, inv_d, wy):
+def _psi_lane(k, x, j, prev, cur, expo, acc, c, inv_d, wy):
     """Finish one lane of degree k >= j as a float loop from its state before
     step j: the scaled pair (y_{j-1}, y_j), its exponent and its ladder sum
     or None.  Returns (psi_{k-1}, psi_k, exponent, ladder sum), bit for bit
-    that lane of the numpy loop: the same float operations per step, a
-    rescale after every step that is a multiple of ``stride``, and the
-    division by (D_{k-1}, D_k) at the end."""
+    that lane of the numpy loop: the same float operations per step, with
+    the pair rescaled to a largest magnitude in [0.5, 1) on entry and then
+    as :func:`_steps` of the lane's own |x| requires, and the division by
+    (D_{k-1}, D_k) at the end."""
+    absx = abs(x)
+    limit = _limit(absx, acc is not None)
     while j < k:
-        end = _slice_end(j, stride, k)
+        sh = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
+        end = min(j + _steps(absx, j, limit), k)
         if acc is None:
             for cj in c[j:end]:
                 prev, cur = cur, (cj * x) * cur - prev
         else:
+            acc = math.ldexp(acc, -2 * sh)
             for cj, wj in zip(c[j:end], wy[j + 1 : end + 1]):
                 prev, cur = cur, (cj * x) * cur - prev
                 acc += prev * cur * wj
-        if (end - 1) % stride == 0:
-            sh = math.frexp(max(abs(prev), abs(cur)))[1]
-            prev, cur, expo = math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh
-            if acc is not None:
-                acc = math.ldexp(acc, -2 * sh)
         j = end
     return prev * inv_d[k - 1], cur * inv_d[k], expo, acc
 
@@ -256,18 +273,19 @@ def _psi_scaled_sorted(ks, x, weights=None):
     ``ks`` must be sorted in descending order. The kernel runs the scaled
     recurrence y_{j+1} = (c_j x) y_j - y_{j-1} from (y_0, y_1) = (1, x), where
     y_j = D_j psi_j, D_0 = D_1 = 1, D_{j+1} = D_{j-1} sqrt((j+1)/j) and
-    c_j = D_{j+1} / (sqrt(j+1) D_j) <= 1, and divides each lane's last pair
-    by (D_{k-1}, D_k). D_j grows like (pi j / 2)^(1/4), 19.9 at j = 1e5.
-    The coefficients do not depend on the degree, so one pass up to the
-    largest degree serves every lane. A pair is rescaled as one after
-    every step that is a multiple of the :func:`_stride` of the slice's
-    largest |x|, and at the end. Rescaling by a power of two is exact, so
-    the stride does not change the normalized pair: it is a function of
-    the lane's own (k, x) alone. Lanes run in a numpy loop, where a lane of
-    degree k stops after step k-1 and the lanes still running form a
-    prefix that shrinks at each degree boundary; once at most
-    ``_FEW_LANES`` are left, each finishes alone as a float loop
-    (:func:`_psi_lane`) from its current state. While at most
+    c_j = D_{j+1} / (sqrt(j+1) D_j) <= sqrt(2 / (j+1)), and divides each
+    lane's last pair by (D_{k-1}, D_k). D_j grows like (pi j / 2)^(1/4),
+    19.9 at j = 1e5. The coefficients do not depend on the degree, so one
+    pass up to the largest degree serves every lane. A pair is rescaled
+    as one when :func:`_steps` of the slice's largest |x| (in the float
+    loop, of the lane's own |x|) requires it, and at the end. Rescaling
+    by a power of two is exact, so the schedule does not change the
+    normalized pair: it is a function of the lane's own (k, x) alone.
+    Lanes run in a numpy loop, where a lane of degree k stops after step
+    k-1 and the lanes still running form a prefix that shrinks at each
+    degree boundary; once at most ``_FEW_LANES`` are left, each finishes
+    alone as a float loop (:func:`_psi_lane`) from its current state,
+    which it first rescales by a power of two. While at most
     ``_BLOCK_LANES`` run, the numpy loop forms c_j x for a block of steps,
     up to the next degree boundary, in one broadcast multiply. Every path
     forms c_j x first and gives the same bits.
@@ -302,7 +320,9 @@ def _psi_scaled_sorted(ks, x, weights=None):
         wy = np.array(weights[: top + 1], dtype=float)
         wy[1:] *= scale[1:] * scale[:-1]
         wy = wy.tolist()
-    stride = _stride(float(np.max(np.abs(x))))
+    absx = float(np.max(np.abs(x)))
+    limit = _limit(absx, weights is not None)
+    due = _steps(absx, 0, limit)  # from (y_{-1}, y_0) = (0, 1) before step 0
     mul, sub, add = np.multiply, np.subtract, np.add
     m = ends[0]
     xv, ev = x[:m], expo[:m]
@@ -316,7 +336,7 @@ def _psi_scaled_sorted(ks, x, weights=None):
             state = [a[:m].tolist() for a in (np.asarray(ks), xv, prev, cur, ev)]
             state.append([None] * m if acc is None else acc[:m].tolist())
             for n, (k, xn, p, q, e, a) in enumerate(zip(*state)):
-                last[n], mant[n], expo[n], a = _psi_lane(k, xn, j, p, q, e, a, stride, c, inv_d, wy)
+                last[n], mant[n], expo[n], a = _psi_lane(k, xn, j, p, q, e, a, c, inv_d, wy)
                 if a is not None:
                     total[n] = a
             break
@@ -327,7 +347,10 @@ def _psi_scaled_sorted(ks, x, weights=None):
             buf = np.empty(min(_BLOCK_ENTRIES, m * (top - j)))
         blocked, block_end = buf is not None, j
         while j < d:
-            end = _slice_end(j, stride, d)
+            if j == due:
+                _pair_rescale(prev, cur, ev, acc)
+                due = j + _steps(absx, j, limit)
+            end = min(due, d)
             if blocked:  # c_j x for the steps j ... from the block, one row a step
                 if j == block_end:
                     block_start, block_end = j, min(j + buf.size // m, d)
@@ -350,8 +373,6 @@ def _psi_scaled_sorted(ks, x, weights=None):
                     mul(prev, cur, t)
                     mul(t, wj, t)
                     add(acc, t, acc)
-            if (end - 1) % stride == 0:
-                _pair_rescale(prev, cur, ev, acc)
             j = end
         done = ends[i + 1] if i + 1 < len(ends) else 0  # lanes of degree > d
         mul(prev[done:], inv_d[d - 1], last[done:m])
@@ -365,8 +386,9 @@ def psi_rows(n, x):
     """Rows (psi_0(x), ..., psi_{n-1}(x)) of the points ``x``, each up to its
     own power-of-two factor: the kernel's step y_{j+1} = c_j x y_j - y_{j-1},
     keeping every y_j, with the prefix scaled to put the last pair's largest
-    magnitude in [0.5, 1) after each multiple of the :func:`_stride` of the
-    largest |x|, so rows stay finite at any n; entry j is times 1 / D_j."""
+    magnitude in [0.5, 1) as :func:`_steps` of the largest |x| requires, at
+    the limit of a pass whose values are squared and summed, so rows stay
+    finite at any n and so do their squared norms; entry j is times 1 / D_j."""
     n = whole("n", n, 1)
     x = np.asarray(x, dtype=float)
     top = float(np.max(np.abs(x), initial=0.0))
@@ -377,12 +399,14 @@ def psi_rows(n, x):
     y[:, 0] = 1.0
     if n > 1:
         y[:, 1] = x
-    stride = _stride(top)
+    limit = _limit(top, True)
+    due = _steps(top, 0, limit)
     for j in range(1, n - 1):
+        if j == due:
+            sh = np.frexp(np.maximum(np.abs(y[:, j - 1]), np.abs(y[:, j])))[1]
+            np.ldexp(y[:, : j + 1], -sh[:, None], out=y[:, : j + 1])
+            due = j + _steps(top, j, limit)
         y[:, j + 1] = (c[j] * x) * y[:, j] - y[:, j - 1]
-        if j % stride == 0:
-            sh = np.frexp(np.maximum(np.abs(y[:, j]), np.abs(y[:, j + 1])))[1]
-            np.ldexp(y[:, : j + 2], -sh[:, None], out=y[:, : j + 2])
     return y * inv_d[:n]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Context, Decimal, localcontext
 
@@ -51,15 +52,20 @@ def test_polynomial_survives_huge_magnitudes():
 def _kernel_paths(monkeypatch, ks, x, weights=None):
     out = []
     # numpy loop only, numpy loop handing its last half of lanes to the float
-    # lane loop, float lane loop only
-    for few in (0, len(x) // 2, 10**9):
-        monkeypatch.setattr(hermite, "_FEW_LANES", few)
-        out.append(hermite._psi_scaled_sorted(ks, x, weights))
+    # lane loop (the first split again at one lane), float lane loop only;
+    # each under the kernel's rescale rule and under a rescale after every step
+    for steps in (hermite._steps, lambda absx, j, limit: 1):
+        monkeypatch.setattr(hermite, "_steps", steps)
+        for few in sorted({0, len(x) // 2, 10**9}):
+            monkeypatch.setattr(hermite, "_FEW_LANES", few)
+            out.append(hermite._psi_scaled_sorted(ks, x, weights))
     return out
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 15, 16, 17, 40])
 def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
+    # every path split and every rescale schedule gives the same bits:
+    # rescaling by a power of two is exact
     rng = np.random.default_rng(lanes)
     # one degree per slice, then mixed descending degrees up to 1e4 (the
     # costly degree, so it gets fewer point scales)
@@ -68,16 +74,47 @@ def test_kernel_paths_agree_bitwise(monkeypatch, lanes):
     mixed[0] = 10**4
     for ks, scales in small + [(mixed, (0.0, 1.0, 9e75))]:
         top = int(ks.max())
-        weights = [0.0] + (1.0 / np.sqrt(np.arange(1.0, top + 1))).tolist()
+        j = np.arange(1.0, top + 1)
+        # no ladder sum, and the ladder weights of phi_sq_cdf_many and
+        # mixture_cdf_many (n = top + 1)
+        ladders = (None, 1.0 / np.sqrt(j), (top + 1.0 - j) / ((top + 1.0) * np.sqrt(j)))
         for scale in scales:
             x = rng.uniform(-1.0, 1.0, lanes)
             x *= 2.0 * math.sqrt(top + 1.0) + 3.0 if scale == 1.0 else scale
             x[::3] = -x[::3]
-            for w in (None, weights):
+            for w in ladders:
+                w = None if w is None else [0.0] + w.tolist()
                 numpy_path, *others = _kernel_paths(monkeypatch, ks, x, w)
                 for other in others:
                     for a, b in zip(numpy_path, other):
                         assert (a is None and b is None) or np.array_equal(a, b), (ks, x, w)
+
+
+def test_kernel_keeps_its_recorded_bits():
+    # SHA-256 of _psi_scaled_sorted's four outputs (little-endian float64
+    # mantissas and ladder sum, int64 exponents) on this seeded batch, plain
+    # and with the phi_sq_cdf_many ladder weights, recorded from the kernel
+    # of commit 16ee11d, which rescaled on a fixed stride; a rescale
+    # schedule cannot move them.  Only IEEE multiply, subtract, add, divide,
+    # sqrt and power-of-two scaling reach these values, so they hold on any
+    # platform.
+    rng = np.random.default_rng(16)
+    ks = np.sort(rng.integers(0, 3001, 600))[::-1]
+    ks[:3] = 10**4
+    x = rng.uniform(-1.0, 1.0, ks.size) * (2.0 * np.sqrt(ks + 1.0) + 3.0)
+    x[::50] *= 1e3
+    x[7] = 0.0
+    ladder = [0.0] + (1.0 / np.sqrt(np.arange(1.0, 10**4 + 1))).tolist()
+    recorded = {
+        None: "3ef504b8886f8f866ae73a353a5ae2197666a7f872cd8dade21a7ea084f6c511",
+        "ladder": "6e38a66963e64b5f4c30479a02c28763a135ec2d6322f4ab2c59aa87f0d06778",
+    }
+    for key, weights in ((None, None), ("ladder", ladder)):
+        digest = hashlib.sha256()
+        for a in hermite._psi_scaled_sorted(ks, x, weights):
+            if a is not None:
+                digest.update(a.astype("<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+        assert digest.hexdigest() == recorded[key], key
 
 
 @pytest.mark.parametrize("k", [1, 100, 10**4])
@@ -118,13 +155,14 @@ def test_coefficient_cache_keeps_bits(monkeypatch):
 
 
 def test_scaled_recurrence_coefficients(monkeypatch):
-    # y_j = D_j psi_j turns the step into y_{j+1} = c_j x y_j - y_{j-1};
-    # c_j <= 1 is what bounds a step's growth by |x| + 1 (hermite._stride)
+    # y_j = D_j psi_j turns the step into y_{j+1} = c_j x y_j - y_{j-1}
     monkeypatch.setattr(hermite, "_coeffs", ([], [1.0], np.empty(0)))
     hermite.phi_squared_many(100_000, [0.5])
-    c, inv_d, _ = hermite._coeffs
+    c, inv_d, cv = hermite._coeffs
     assert len(c) == 100_000 and len(inv_d) == 100_001
-    assert max(c) <= 1.0
+    # the bound the rescale rule rests on, an equality at j = 1
+    bound = np.sqrt(2.0 / np.arange(1.0, len(c) + 1.0)) * (1.0 + hermite._SLACK)
+    assert np.all(cv <= bound) and cv[1] == 1.0
     # D_{j+1} = D_{j-1} sqrt((j+1)/j) gives c_j c_{j-1} = 1/j
     j = np.arange(1.0, len(c))
     assert np.max(np.abs(np.array(c[1:]) * np.array(c[:-1]) * j - 1.0)) <= 1e-14
@@ -151,7 +189,7 @@ def test_psi_rows_keep_their_direction_past_overflow():
         ref = np.exp(0.5 * (log_sq - log_sq.max()))  # |psi_k| up to one factor
         got = np.abs(row) / np.linalg.norm(row)
         assert np.allclose(got, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
-    for bad in (math.inf, -math.inf, math.nan):  # no finite stride exists
+    for bad in (math.inf, -math.inf, math.nan):  # no finite rescale schedule exists
         with pytest.raises(ParameterError):
             hermite.psi_rows(3, [0.5, bad])
 
@@ -221,7 +259,8 @@ def test_phi_squared_batch_matches_scalar():
 @pytest.mark.parametrize("k", [0, 1, 3, 1000, 20_000])
 def test_batch_values_equal_one_point_values(k):
     # every value is a function of its own (k, x): 21 points run the numpy
-    # loop on the stride of |x| = 9e75, one point the lane loop on its own
+    # loop on the rescale schedule of |x| = 9e75, one point the lane loop on
+    # its own
     rng = np.random.default_rng(k)
     edge = 2.0 * math.sqrt(k + 1.0) + 3.0
     xs = np.array([0.0, 1e-300, -1e-300, 1e20, -1e20, 9e75, -9e75])
