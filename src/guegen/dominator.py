@@ -33,7 +33,9 @@ x_c minimizes the closed-form mass over [0, x1]: that mass is convex in
 x_c, so x_c is the root of its derivative, found by bracketed secant
 steps (Illinois) with a fixed step cap.  Every piece integrates and
 inverts in closed form, so sampling the normalized hat costs one sign,
-one piece selector and one inversion variate per draw.  The newest specs are cached.
+one piece selector and one inversion variate per draw, read as one
+uniform array.  The ``_SPEC_CACHE`` newest certified hats are cached, and
+the most recently used level hats.
 
 The certificate pass costs O(n), which a group of one draw does not
 win back in a smaller hat.  Such groups take the level hat
@@ -50,8 +52,12 @@ pieces with shoulder = plateau = M = ``_CRAMER``, so
 
 M lies 2.5e-5 above Cramer's constant, relative, so it carries no further
 slack.  The bulk piece and the van Veen squeeze in |x| <= x1 need no
-pass, and x_c comes from the same search, with M as the shoulder level.  The level
-hat's mass is about 4.5 at n = 100 and 3.8 at n = 1e5, against 3.5 and
+pass, and x_c comes from the same search, with M as the shoulder level.
+That x_c depends on the degree alone, so it is kept in a table by degree
+(:func:`_level_splits`): a level hat built again after its eviction
+costs 7-10 us instead of 30-47 us with the search (degrees 1 to 1e4,
+a 2-core x86-64 box), and the same bits.
+The level hat's mass is about 4.5 at n = 100 and 3.8 at n = 1e5, against 3.5 and
 2.7 certified.  :func:`_certified_pays` picks the hat from the group's
 count alone, as the table in :mod:`guegen.samplers` sets out.
 
@@ -110,6 +116,9 @@ _ROOT_STEPS = 100  # cap on the secant steps that find x_c; at most 34 run (k = 
 # the cache stays below 0.6 MB
 _SPEC_CACHE = 1024
 _specs = {}  # degree -> DominatorSpec, oldest first
+# the level hats' x_c by degree and the (_CRAMER, SLACK) they were solved at
+# (:func:`_level_splits`); at most hermite._COEFF_CAP degrees, 1 MB
+_splits = (None, np.empty(0))
 # sup phi_k^2 <= 1.086435^2 / sqrt(2 pi) = 0.470888 (Cramer), rounded up
 _CRAMER = 0.4709
 
@@ -135,6 +144,7 @@ class DominatorSpec:
     p2: float
     p3: float
     p4: float
+    cuts: tuple  # piece selector cut points: (p1, p1 + p2, p1 + p2 + p3) / half_mass
 
     @property
     def masses(self):
@@ -220,8 +230,32 @@ def _certified_pays(count):
 
 @functools.lru_cache(maxsize=_SPEC_CACHE)
 def _level_spec(n):
-    """The level hat of degree ``n`` >= 1, from closed forms alone."""
-    return _build(n, _window_edge(n), _CRAMER, _CRAMER)
+    """The level hat of degree ``n`` >= 1, from closed forms alone, its
+    x_c read from the table of :func:`_level_splits` where solved before."""
+    table = _level_splits(n)
+    x_c = table.item(n) if n < table.size else math.nan
+    spec = _build(n, _window_edge(n), _CRAMER, _CRAMER, None if math.isnan(x_c) else x_c)
+    if n < table.size:
+        table[n] = spec.x_c
+    return spec
+
+
+def _level_splits(n):
+    """The table of level-hat splits x_c by degree, NaN where not yet
+    solved, grown to cover degree n below ``hermite._COEFF_CAP``.  x_c
+    depends on the degree and on the constants ``_CRAMER`` and ``SLACK``
+    alone, so the table is kept with the constants it was solved at and
+    starts empty when either differs."""
+    global _splits
+    solved_at, table = _splits
+    if solved_at != (_CRAMER, SLACK):
+        solved_at, table = (_CRAMER, SLACK), np.empty(0)
+    if table.size <= n < hermite._COEFF_CAP:
+        grown = np.full(min(max(n + 1, 2 * table.size), hermite._COEFF_CAP), math.nan)
+        grown[: table.size] = table
+        table = grown
+    _splits = solved_at, table
+    return table
 
 
 def _window_edge(n):  # x1 of degree n, at x_t^2 - x1^2 = (pi / (pi + 1))^2 n^(1/3)
@@ -234,17 +268,22 @@ def _certified(n, x1, f, df):
     return _build(n, x1, shoulder, f * f * (1.0 + SLACK))
 
 
-def _build(n, x1, shoulder, plateau):
+def _build(n, x1, shoulder, plateau, x_c=None):
     """The hat of degree n with window edge x1 and the given shoulder and
-    plateau levels: the bulk piece and x_c follow from closed forms."""
+    plateau levels: the bulk piece and x_c follow from closed forms, x_c
+    from a root search unless it is given."""
     edge = math.sqrt(4.0 * n + 2.0)
     c = 4.0 / 3.0 * math.sqrt(edge / 2.0)
     s = c ** (-2.0 / 3.0)
     rate = c * math.sqrt(s)
     e = vanveen.domain_edge(n)
     bulk, slope = _inner_mass(n, x1, shoulder)
-    x_c = _root(slope, 0.0, x1)
+    if x_c is None:
+        x_c = _root(slope, 0.0, x1)
     b = bulk(x_c)
+    p1, p2 = b * math.asin(x_c / e), shoulder * (x1 - x_c)
+    p3, p4 = plateau * (edge + s - x1), plateau * math.exp(-rate * s) / rate
+    half = p1 + p2 + p3 + p4
     return DominatorSpec(
         n=n,
         x_c=x_c,
@@ -256,10 +295,11 @@ def _build(n, x1, shoulder, plateau):
         shoulder=shoulder,
         plateau=plateau,
         rate=rate,
-        p1=b * math.asin(x_c / e),
-        p2=shoulder * (x1 - x_c),
-        p3=plateau * (edge + s - x1),
-        p4=plateau * math.exp(-rate * s) / rate,
+        p1=p1,
+        p2=p2,
+        p3=p3,
+        p4=p4,
+        cuts=(p1 / half, (p1 + p2) / half, (p1 + p2 + p3) / half),
     )
 
 
@@ -269,8 +309,8 @@ def _inner_mass(n, x1, shoulder):
     of the hat's mass over [0, x1], bulk(x_c) asin(x_c / e) + shoulder
     (x1 - x_c), which increases with x_c, since C, asin(x_c / e) and its
     derivative all do."""
-    e = vanveen.domain_edge(n)
-    level = math.exp(vanveen.log_prefactor(n)) * PI * e / (n + 1.0)
+    e, _, _, pref = vanveen.constants(n)
+    level = pref * PI * e / (n + 1.0)
     r_over_a = 1.0 / (3.0 * math.sqrt(PI * (n + 1.0)))  # at x = 0; times sin^(-3/2) alpha
 
     def bulk(x_c):
@@ -292,8 +332,9 @@ def envelope_many(spec, x):
     out = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
     bulk = ax <= spec.x_c
     out[bulk] = spec.bulk / np.sqrt(spec.vv_edge**2 - ax[bulk] ** 2)
-    tail = ax > spec.x_tail
-    out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
+    tail = np.flatnonzero(ax > spec.x_tail)
+    if tail.size:
+        out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
     return out
 
 
@@ -317,19 +358,19 @@ def piece_inverse(spec, piece, v):
 def sample_envelope_many(spec, stream, size):
     """``size`` draws from the normalized hat density.
 
-    Consumes three uniform arrays of ``size``: signs, piece selectors, and
-    the piece-level inversion variates.
+    Consumes one uniform array of 3 ``size``: its thirds are the signs
+    (negative from 0.5 on), the piece selectors, and the piece-level
+    inversion variates.
     """
     size = whole("size", size, 0)
-    s = stream.rademachers(size)
-    u = stream.uniforms(size)
-    v = stream.uniforms(size)
-    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
+    s, u, v = stream.uniforms(3 * size).reshape(3, size)
+    piece = np.searchsorted(spec.cuts, u, side="right")
     x = np.empty(size)
-    for i in range(4):
-        mask = piece == i
-        x[mask] = piece_inverse(spec, i, v[mask])
-    return s * x
+    for i, drawn in enumerate(np.bincount(piece, minlength=4).tolist()):
+        if drawn:
+            mask = piece == i
+            x[mask] = piece_inverse(spec, i, v[mask])
+    return np.negative(x, out=x, where=s >= 0.5)
 
 
 # ----------------------------------------------------------------------

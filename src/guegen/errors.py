@@ -62,6 +62,11 @@ def whole(name, value, least):
     Integral floats such as 1e4 and numpy integers pass; 2.5, NaN, +-inf,
     strings, None and booleans do not, nor lists or tuples holding a
     boolean.  An array or list gives an int64 array, a 0-d array an int."""
+    if type(value) is int and value >= least:  # the common cases; never flags
+        return value
+    if type(value) is np.ndarray and value.dtype == np.int64 and value.ndim:
+        if not (value.size and value.min() < least):
+            return value
     if isinstance(value, np.ndarray) and not value.ndim:
         value = value[()]
     if _flag(value):

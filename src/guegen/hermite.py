@@ -45,7 +45,21 @@ further the pass has run.  It rescales once more at the end, so every
 pair it returns has its largest magnitude in [0.5, 1).  Rescaling by a
 power of two is exact, so the schedule changes no bit, and each value
 here is a function of its own (k, x) alone: the same bits in any batch,
-one point included, wherever ``_CHUNK`` cuts, on either path.
+one point included, wherever ``_CHUNK`` cuts, on either path.  For
+k <= 2e4 that holds at x = 0 and at every |x| >= 1e-305.  At tinier |x|
+the product (c_j x) y_j, of the size of c_j |x|, about 0.8 |x| / sqrt(j)
+at its smallest, can fall below 2^-1022, where its rounding depends on
+the power of two the pair carries, so a lane's last bits can depend on
+the batch's schedule or the path.  Measured against one-lane calls on
+the float loop, with the numpy loop at the lane's own |x| and in batches
+at the schedule of |x| = 90 and 9e75: lanes differ up to 3.5e-306 (k near
+2e4), at 3.3e-307 for k = 79-154, at normal points down to 2.2e-308 and
+at subnormal points for most k; none differ at 0, 1e-305 and 8 more
+points up to 9e-304 (every k <= 2e4), nor at 80 random points from
+3.9e-306 to 3.2e-304 (k = 19000-20000).  The values that can differ are
+of the size of x, which the densities square and the CDFs add to terms
+near 1, so no density or CDF differed (every k < 400 and k = 1201, at 12
+points from 5e-324 to 3.3e-307).
 The two paths are a numpy loop over all running points per step and a
 float loop per point, which takes over once at most ``_FEW_LANES``
 points are still running, since a numpy step costs microseconds however
@@ -225,6 +239,12 @@ def _coefficients_to(top):
     return fresh
 
 
+def run_starts(a):
+    """Where the runs of equal entries of the sorted 1-d array ``a`` start,
+    as a list: 0 first, empty for an empty array."""
+    return [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()] if a.size else []
+
+
 def _pair_rescale(prev, cur, expo, acc):
     """Scale each lane's pair in place by the power of two that puts its
     largest magnitude in [0.5, 1), and the ladder sum ``acc`` by its
@@ -246,7 +266,8 @@ def _psi_lane(k, x, j, prev, cur, expo, acc, c, inv_d, wy):
     that lane of the numpy loop: the same float operations per step, with
     the pair rescaled to a largest magnitude in [0.5, 1) on entry and then
     as :func:`_steps` of the lane's own |x| requires, and the division by
-    (D_{k-1}, D_k) at the end."""
+    (D_{k-1}, D_k) at the end, after which the pair is normalized as
+    :func:`_pair_rescale` normalizes it."""
     absx = abs(x)
     limit = _limit(absx, acc is not None)
     while j < k:
@@ -262,7 +283,10 @@ def _psi_lane(k, x, j, prev, cur, expo, acc, c, inv_d, wy):
                 prev, cur = cur, (cj * x) * cur - prev
                 acc += prev * cur * wj
         j = end
-    return prev * inv_d[k - 1], cur * inv_d[k], expo, acc
+    prev, cur = prev * inv_d[k - 1], cur * inv_d[k]
+    sh = math.frexp(max(abs(prev), abs(cur)))[1]
+    acc = None if acc is None else math.ldexp(acc, -2 * sh)
+    return math.ldexp(prev, -sh), math.ldexp(cur, -sh), expo + sh, acc
 
 
 def _psi_scaled_sorted(ks, x, weights=None):
@@ -280,7 +304,8 @@ def _psi_scaled_sorted(ks, x, weights=None):
     as one when :func:`_steps` of the slice's largest |x| (in the float
     loop, of the lane's own |x|) requires it, and at the end. Rescaling
     by a power of two is exact, so the schedule does not change the
-    normalized pair: it is a function of the lane's own (k, x) alone.
+    normalized pair: it is a function of the lane's own (k, x) alone, at
+    the points the module docstring states.
     Lanes run in a numpy loop, where a lane of degree k stops after step
     k-1 and the lanes still running form a prefix that shrinks at each
     degree boundary; once at most ``_FEW_LANES`` are left, each finishes
@@ -301,13 +326,15 @@ def _psi_scaled_sorted(ks, x, weights=None):
     the far-tail cutoff of :func:`_far`.
     """
     x = np.ascontiguousarray(x, dtype=float)
+    ks = np.asarray(ks)
     last = np.zeros_like(x)
     mant = np.ones_like(x)  # psi_0 = 1
     expo = np.zeros(x.shape, dtype=np.int64)
     total = None if weights is None else np.zeros_like(x)
-    degrees, counts = np.unique(ks, return_counts=True)
-    ends = np.cumsum(counts[::-1])[::-1].tolist()  # lanes of degree >= degrees[i]
-    degrees = degrees.tolist()
+    # the lanes of degree >= degrees[i] are the first ends[i], degrees ascending
+    starts = run_starts(ks)
+    degrees = ks[starts].tolist()[::-1]
+    ends = [*starts[1:], ks.size][::-1]
     if degrees and degrees[0] == 0:
         degrees, ends = degrees[1:], ends[1:]
     if not degrees:
@@ -320,9 +347,6 @@ def _psi_scaled_sorted(ks, x, weights=None):
         wy = np.array(weights[: top + 1], dtype=float)
         wy[1:] *= scale[1:] * scale[:-1]
         wy = wy.tolist()
-    absx = float(np.max(np.abs(x)))
-    limit = _limit(absx, weights is not None)
-    due = _steps(absx, 0, limit)  # from (y_{-1}, y_0) = (0, 1) before step 0
     mul, sub, add = np.multiply, np.subtract, np.add
     m = ends[0]
     xv, ev = x[:m], expo[:m]
@@ -330,16 +354,22 @@ def _psi_scaled_sorted(ks, x, weights=None):
     acc = None if wy is None else wy[1] * xv  # y_1 y_0 = x
     buf = None  # the block of products c_j x, made once few enough lanes run
     j = 1
+    alone = 0  # lanes finished by the float loop, which returns them normalized
     for i, d in enumerate(degrees):
         m = ends[i]
         if m <= _FEW_LANES:  # finish the running lanes one by one
-            state = [a[:m].tolist() for a in (np.asarray(ks), xv, prev, cur, ev)]
+            state = [a[:m].tolist() for a in (ks, xv, prev, cur, ev)]
             state.append([None] * m if acc is None else acc[:m].tolist())
             for n, (k, xn, p, q, e, a) in enumerate(zip(*state)):
                 last[n], mant[n], expo[n], a = _psi_lane(k, xn, j, p, q, e, a, c, inv_d, wy)
                 if a is not None:
                     total[n] = a
+            alone = m
             break
+        if i == 0:  # the numpy loop runs: its rescale rule reads the largest |x|
+            absx = float(np.max(np.abs(x)))
+            limit = _limit(absx, weights is not None)
+            due = _steps(absx, 0, limit)  # from (y_{-1}, y_0) = (0, 1) before step 0
         if m < cur.size:
             xv, ev, prev, cur, t = (a[:m] for a in (xv, ev, prev, cur, t))
             acc = None if acc is None else acc[:m]
@@ -379,7 +409,10 @@ def _psi_scaled_sorted(ks, x, weights=None):
         mul(cur[done:], inv_d[d], mant[done:m])
         if acc is not None:
             total[done:m] = acc[done:]
-    return _pair_rescale(last, mant, expo, total)
+    if alone < x.size:
+        rest = (last[alone:], mant[alone:], expo[alone:], None if total is None else total[alone:])
+        _pair_rescale(*rest)
+    return last, mant, expo, total
 
 
 def psi_rows(n, x):
@@ -416,16 +449,20 @@ _CHUNK = 32768
 def _sliced(slice_fn, ks, x, fill=-np.inf):
     """``slice_fn(ks, x)`` over ``_CHUNK``-sized slices of the flat points
     (degrees ``ks`` descending), in the shape of ``x``. Each value depends
-    on its own (degree, point) alone, so the slicing does not change it.
+    on its own (degree, point) alone (module docstring), so the slicing
+    does not change it.
     Lanes in the far tail (:func:`_far`) do not reach ``slice_fn``: they get
     ``fill``, the value their underflow gives, and NaN points NaN."""
     x = np.asarray(x, dtype=float)
-    flat = np.ravel(x)
+    flat = x.ravel()
+    near = ~_far(ks, flat)
+    if x.size <= _CHUNK and near.all():  # one slice, every lane near
+        return slice_fn(ks, flat).reshape(x.shape)
     out = np.full(x.size, fill)
     for lo in range(0, x.size, _CHUNK):
-        xs, kc = flat[lo : lo + _CHUNK], ks[lo : lo + _CHUNK]
-        near = ~_far(kc, xs)
-        out[lo : lo + _CHUNK][near] = slice_fn(kc[near], xs[near])
+        chunk = slice(lo, lo + _CHUNK)
+        keep = near[chunk]
+        out[chunk][keep] = slice_fn(ks[chunk][keep], flat[chunk][keep])
     out[np.isnan(flat)] = np.nan
     return out.reshape(x.shape)
 
@@ -473,8 +510,8 @@ def phi_squared_degrees(ks, x):
     ks = np.ravel(whole("degrees", ks, 0))
     order = np.argsort(-ks, kind="stable")
     out = np.empty(x.size)
-    out[order] = _sliced(_log_phi_sq_sorted, ks[order], np.ravel(x)[order])
-    return _exp(out.reshape(x.shape))
+    out[order] = _exp(_sliced(_log_phi_sq_sorted, ks[order], x.ravel()[order]))
+    return out.reshape(x.shape)
 
 
 def phi_squared_many(k, x):

@@ -94,6 +94,13 @@ the cold break-even near count 1.5, 2.1, 3.0 and 4.5 at k = 1e2 ...
 1e5; cold wall time is near it at 1e4 and 1e5 and above it at 1e2 and
 1e3, where the pass's fixed cost dominates.
 
+The table predates the table of level-hat splits
+(:func:`dominator._level_splits`), the cheaper proposal helpers and the
+leaner exact-call entry, and was not measured again.  Its "cold" means
+nothing cached, that table included, so a cold level hat still pays its
+x_c search; one whose x_c is in the table builds in 7-10 us instead of
+30-47 us, which favours the level hat further in calls that find it.
+
 Repeated calls at large n and small counts therefore keep paying the
 level hat's larger exact share: a warm
 ``sample_gue_eigenvalues(1e5, 100)`` takes about 140 ms against 60 ms
@@ -158,7 +165,13 @@ class SamplerStats:
     |x| <= x1 and outside it (for the grid hat: on its cells and in its
     tails): in squeeze mode the in-window inconclusive proposals and
     every out-of-window proposal, in plain mode every proposal.
-    ``exact_evals`` is their sum.
+    ``exact_evals`` is their sum.  Like every counter here they stop at
+    the group's cut, the proposal that gave its last needed accept.
+
+    ``exact_discarded`` counts the proposals the exact call evaluated past
+    the cut, which the counts above leave out: a block's undecided
+    proposals all share one exact call, before it is known which of them
+    gives the group's last accept.
     """
 
     proposals: int = 0
@@ -166,6 +179,7 @@ class SamplerStats:
     squeeze_upper_rejects: int = 0
     exact_in_window: int = 0
     exact_out_of_window: int = 0
+    exact_discarded: int = 0
     accepted: int = 0
     elapsed: float = 0.0
 
@@ -214,13 +228,13 @@ def _propose(g, stream, use_squeeze):
             f"no acceptance within {g.budget} proposals at {g.hat.label}", attempts=g.budget
         )
     x, uh, lower_acc, upper_rej = dominator.propose(g.hat, stream, block, use_squeeze)
-    undecided = ~(lower_acc | upper_rej)
+    lanes = (~(lower_acc | upper_rej)).nonzero()[0]
     # the group's last needed accept comes at or before its need-th lower
     # accept, so the undecided proposals after that lie past the cut
-    accepts = np.flatnonzero(lower_acc)
+    accepts = lower_acc.nonzero()[0]
     if accepts.size >= need:
-        undecided[accepts[need - 1] :] = False
-    return _Block(x, uh, lower_acc, upper_rej, np.flatnonzero(undecided))
+        lanes = lanes[: lanes.searchsorted(accepts[need - 1])]
+    return _Block(x, uh, lower_acc, upper_rej, lanes)
 
 
 def _decide(batch, exact, out, stats):
@@ -235,25 +249,26 @@ def _decide(batch, exact, out, stats):
     sizes = [b.lanes.size for _, b in batch]
     phi = exact(xs, [g.hat for g, _ in batch], sizes) if xs.size else xs
     start = 0
-    for g, b in batch:
+    for (g, b), size in zip(batch, sizes):
         accept = b.lower_acc.copy()
-        accept[b.lanes] = b.uh[b.lanes] <= phi[start : start + b.lanes.size]
-        start += b.lanes.size
+        accept[b.lanes] = b.uh[b.lanes] <= phi[start : start + size]
         need = g.count - g.filled
-        pos = np.flatnonzero(accept)
-        cut = pos[need - 1] + 1 if pos.size >= need else b.x.size
+        pos = accept.nonzero()[0]
+        cut = int(pos[need - 1]) + 1 if pos.size >= need else b.x.size
         take = pos[:need]
         out[g.offset + g.filled : g.offset + g.filled + take.size] = b.x[take]
         g.filled += take.size
-        g.spent += int(cut)
-        stats.proposals += int(cut)
-        stats.squeeze_lower_accepts += int(b.lower_acc[:cut].sum())
-        stats.squeeze_upper_rejects += int(b.upper_rej[:cut].sum())
-        evaluated = b.lanes[: np.searchsorted(b.lanes, cut)]
-        outside = int(np.count_nonzero(np.abs(b.x[evaluated]) > g.hat.x1))
-        stats.exact_in_window += evaluated.size - outside
+        g.spent += cut
+        stats.proposals += cut
+        stats.squeeze_lower_accepts += int(np.count_nonzero(b.lower_acc[:cut]))
+        stats.squeeze_upper_rejects += int(np.count_nonzero(b.upper_rej[:cut]))
+        evaluated = int(b.lanes.searchsorted(cut))  # the lanes before the cut
+        outside = int(np.count_nonzero(np.abs(xs[start : start + evaluated]) > g.hat.x1))
+        stats.exact_in_window += evaluated - outside
         stats.exact_out_of_window += outside
+        stats.exact_discarded += size - evaluated
         stats.accepted += take.size
+        start += size
 
 
 def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
@@ -311,7 +326,7 @@ def _degree_hats(degrees, counts):
     for k, count in zip(degrees, counts):
         if k and count:
             pays[dominator._certified_pays(count)].append(k)
-    specs = dict(zip(pays[True], dominator.make_specs(pays[True])))
+    specs = dict(zip(pays[True], dominator.make_specs(pays[True]))) if pays[True] else {}
     specs.update((k, dominator._level_spec(k)) for k in pays[False])
     return [specs.get(k) for k in degrees]
 
@@ -379,7 +394,10 @@ def sample_gue_eigenvalues(
         )
     ks = stream.indices(n, count)
     order = np.argsort(ks, kind="stable")
-    degrees, counts = (a.tolist() for a in np.unique(ks, return_counts=True))
+    ks = ks[order]
+    starts = hermite.run_starts(ks)
+    degrees = ks[starts].tolist()
+    counts = np.diff([*starts, count]).tolist()
     out = np.empty(count)
     out[order] = _sample(
         lambda: _degree_hats(degrees, counts),

@@ -25,6 +25,7 @@ and callers must bypass the squeeze.  The module imports no other: the
 hat and the sandwich-gap integral of :mod:`guegen.verify` build on it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ MU_BOUND = 4.2
 _LN_PI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EDGE_GUARD = 1e-12
+# degrees whose constants are kept, the most recently used; about 0.3 KB each
+_CONSTANTS_CACHE = 1024
 
 
 def domain_edge(n):
@@ -50,16 +53,27 @@ def log_prefactor(n):
     return 2.0 * log_a - _LN_SQRT_2PI - math.lgamma(n + 1.0)
 
 
+@functools.lru_cache(maxsize=_CONSTANTS_CACHE)
+def constants(n):
+    """(edge, guard, log pref, pref) of degree n: the domain edge
+    2 sqrt(n+1), the largest |x| :func:`terms_many` takes, the log
+    prefactor and the prefactor; cached, as every squeeze call and hat
+    build of the degree reads them."""
+    edge = domain_edge(n)
+    log_pref = log_prefactor(n)
+    return edge, edge * (1.0 - _EDGE_GUARD), log_pref, math.exp(log_pref)
+
+
 def _raw_terms(n, ax):
     """alpha, log_prefactor, B, R at |x| = ax (scalar or ndarray)."""
     np1 = n + 1.0
-    edge = 2.0 * math.sqrt(np1)
+    edge, _, log_pref, _ = constants(n)
     alpha = np.arccos(ax / edge)
     sin_a = np.sin(alpha)
     phase = (np1 / 2.0) * (np.sin(2.0 * alpha) - 2.0 * alpha) + alpha / 2.0 + 0.75 * math.pi
     b = math.sqrt(math.pi) / np.sqrt(np1 * sin_a) * np.sin(phase)
     r = 1.0 / (3.0 * np1 * sin_a * sin_a)
-    return alpha, log_prefactor(n), b, r
+    return alpha, log_pref, b, r
 
 
 def terms_many(n, x):
@@ -71,13 +85,12 @@ def terms_many(n, x):
     """
     n = whole("degree", n, 0)
     ax = np.abs(np.asarray(x, dtype=float))
-    edge = domain_edge(n)
-    if ax.size and float(ax.max()) > edge * (1.0 - _EDGE_GUARD):
+    edge, guard, _, pref = constants(n)
+    if ax.size and float(ax.max()) > guard:
         raise ParameterError(
             f"squeeze evaluated at |x|={float(ax.max())} near/beyond domain edge {edge}"
         )
-    _, log_pref, b, r = _raw_terms(n, ax)
-    pref = math.exp(log_pref)
+    _, _, b, r = _raw_terms(n, ax)
     f = b * b * pref
     eps_plus = pref * (2.0 * MU_BOUND * np.maximum(b, 0.0) * r + MU_BOUND**2 * r * r)
     eps_minus = pref * 2.0 * MU_BOUND * np.abs(b * r)

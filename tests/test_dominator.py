@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,90 @@ def test_level_spec_is_the_certified_layout_at_the_cramer_level():
         assert 0.0 <= level.x_c < level.x1
         assert dominator._level_spec(n) is level  # cached
         assert dominator._level_spec.__wrapped__(n) == level  # and pure
+
+
+@pytest.fixture
+def fresh_splits(monkeypatch):
+    # an empty table of level-hat splits and no cached level hats; the
+    # process's own table comes back afterwards
+    monkeypatch.setattr(dominator, "_splits", (None, np.empty(0)))
+    dominator._level_spec.cache_clear()
+    yield
+    dominator._level_spec.cache_clear()
+
+
+def _fresh_level_spec(n):
+    # the level hat with x_c from the root search, past the table
+    return dominator._build(n, dominator._window_edge(n), dominator._CRAMER, dominator._CRAMER)
+
+
+def test_level_split_table_holds_the_root_solve(fresh_splits):
+    cap = hermite._COEFF_CAP
+    degrees = [*range(1, 3001), 10**4, 10**5, cap - 1]
+    for n in degrees:
+        dominator._level_spec(n)
+    solved_at, table = dominator._splits
+    assert solved_at == (dominator._CRAMER, dominator.SLACK) and table.size == cap
+    for n in degrees:
+        x1 = dominator._window_edge(n)
+        _, slope = dominator._inner_mass(n, x1, dominator._CRAMER)
+        assert table[n].tobytes() == np.float64(dominator._root(slope, 0.0, x1)).tobytes(), n
+    # a hat built from the table is the hat built with the search
+    dominator._level_spec.cache_clear()
+    for n in degrees[::97] + degrees[-3:]:
+        assert dominator._level_spec(n) == _fresh_level_spec(n), n
+
+
+def test_level_split_table_changes_no_draw(fresh_splits, monkeypatch):
+    def draws():
+        out = []
+        for i in range(60):
+            if not full:  # every build solves for x_c
+                monkeypatch.setattr(dominator, "_splits", (None, np.empty(0)))
+            dominator._level_spec.cache_clear()
+            stats, stream = samplers.SamplerStats(), RandomStream(1, (i,))
+            x = samplers.sample_gue_eigenvalues(10**4, 4, stream, stats=stats)
+            out.append((x.tobytes(), stream.draw_count, replace(stats, elapsed=0.0)))
+        return out
+
+    full = False
+    empty = draws()
+    for n in range(1, 10**4):
+        dominator._level_spec(n)
+    assert not np.isnan(dominator._splits[1][1 : 10**4]).any()
+    full = True
+    assert draws() == empty
+
+
+def test_level_split_table_resets_after_a_planted_level(monkeypatch):
+    # the 0.6 M defect (test_squeeze_validity_fails_a_level_hat_below_cramer)
+    # solves x_c at another level; once the level is restored, the draws are
+    # those of a fresh process
+    call = "samplers.sample_gue_eigenvalues(400, 40, RandomStream(5)).tobytes().hex()"
+    with monkeypatch.context() as planted:
+        planted.setattr(dominator, "_CRAMER", 0.6 * dominator._CRAMER)
+        dominator._level_spec.cache_clear()
+        moved = [dominator._level_spec(n) for n in range(1, 400)]
+    dominator._level_spec.cache_clear()
+    assert all(m.x_c != _fresh_level_spec(m.n).x_c for m in moved[1:])  # x_c = 0 at n = 1
+    here = eval(call, {"samplers": samplers, "RandomStream": RandomStream})
+    code = f"from guegen import samplers; from guegen.rng import RandomStream; print({call})"
+    src = str(Path(samplers.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert fresh.stdout.strip() == here
+    assert dominator._splits[0] == (dominator._CRAMER, dominator.SLACK)
+
+
+def test_level_split_table_stays_within_its_cap(fresh_splits):
+    cap = hermite._COEFF_CAP
+    for n in (1, 5, 1000, cap - 1, cap, 10**6):
+        spec = dominator._level_spec(n)
+        assert dominator._splits[1].size <= cap
+        assert spec == _fresh_level_spec(n)
+    assert dominator._splits[1].size == cap and dominator._splits[1].nbytes <= 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -521,3 +609,118 @@ def test_grid_hat_is_symmetric_and_cached():
         hat.upper[0] = 1.0  # shared by every caller of the cache
     with pytest.raises(ParameterError):
         dominator.grid_hat(0)
+
+
+# ----------------------------------------------------------------------
+# proposals against the formulas, written out
+# ----------------------------------------------------------------------
+
+
+class _Words:
+    """A stream whose uniforms are the given values, in order, counted as
+    RandomStream counts them."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.draw_count = 0
+
+    def uniforms(self, size):
+        out = self.values[self.draw_count : self.draw_count + size].copy()
+        self.draw_count += size
+        return out
+
+
+def _reference_sandwich(n, ax):
+    # the van Veen sandwich ((f - eps-)_+, f + eps+), from its formulas
+    np1 = n + 1.0
+    alpha = np.arccos(ax / (2.0 * math.sqrt(np1)))
+    sin_a = np.sin(alpha)
+    phase = (np1 / 2.0) * (np.sin(2.0 * alpha) - 2.0 * alpha) + alpha / 2.0 + 0.75 * math.pi
+    b = math.sqrt(math.pi) / np.sqrt(np1 * sin_a) * np.sin(phase)
+    r = 1.0 / (3.0 * np1 * sin_a * sin_a)
+    pref = math.exp(vanveen.log_prefactor(n))
+    f = b * b * pref
+    eps_plus = pref * (2.0 * 4.2 * np.maximum(b, 0.0) * r + 4.2**2 * r * r)
+    eps_minus = pref * 2.0 * 4.2 * np.abs(b * r)
+    return np.maximum(f - eps_minus, 0.0), f + eps_plus
+
+
+def _reference_propose(spec, stream, size, squeeze):
+    # propose on a degree's hat: four separate uniform arrays (signs, piece
+    # selectors, inversion variates, u), one mask per piece, h from the
+    # pieces' |x| thresholds, and the sandwich on |x| <= x1
+    sign = np.where(stream.uniforms(size) < 0.5, 1.0, -1.0)
+    u, v = stream.uniforms(size), stream.uniforms(size)
+    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
+    e = spec.vv_edge
+    inverses = (
+        lambda v: e * np.sin(v * np.arcsin(spec.x_c / e)),
+        lambda v: spec.x_c + (spec.x1 - spec.x_c) * v,
+        lambda v: spec.x1 + (spec.x_tail - spec.x1) * v,
+        lambda v: spec.x_tail - np.log1p(-v) / spec.rate,
+    )
+    x = np.empty(size)
+    for i, inverse in enumerate(inverses):
+        mask = piece == i
+        x[mask] = inverse(v[mask])
+    x = sign * x
+    ax = np.abs(x)
+    h = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
+    bulk, tail = ax <= spec.x_c, ax > spec.x_tail
+    h[bulk] = spec.bulk / np.sqrt(e**2 - ax[bulk] ** 2)
+    h[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
+    uh = stream.uniforms(size) * h
+    lower_acc, upper_rej = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    if squeeze:
+        window = ax <= spec.x1
+        lo, up = _reference_sandwich(spec.n, ax[window])
+        lower_acc[window], upper_rej[window] = uh[window] <= lo, uh[window] > up
+    return x, uh, lower_acc, upper_rej
+
+
+def _same_proposals(spec, make_stream, size, squeeze):
+    got_stream, ref_stream = make_stream(), make_stream()
+    got = dominator.propose(spec, got_stream, size, squeeze)
+    ref = _reference_propose(spec, ref_stream, size, squeeze)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (spec.n, size, squeeze)
+    assert got_stream.draw_count == ref_stream.draw_count == 4 * size
+    return got
+
+
+_HATS = {"level": dominator._level_spec, "certified": dominator.make_spec}
+
+
+@pytest.mark.parametrize("kind", sorted(_HATS))
+@pytest.mark.parametrize("n", [1, 2, 100, 10**4, 10**6])
+def test_propose_follows_the_written_out_formulas(kind, n):
+    spec = _HATS[kind](n)
+    for size in (0, 1, 37, 5000):
+        for squeeze in (False, True):
+            _same_proposals(spec, lambda: RandomStream(1000 + size, (n,)), size, squeeze)
+
+
+@pytest.mark.parametrize("kind", sorted(_HATS))
+@pytest.mark.parametrize("n", [2, 100, 10**4])
+def test_proposals_on_the_piece_breakpoints(kind, n):
+    # v = 0 puts a shoulder draw on x_c, a plateau draw on x1 and a tail draw
+    # on x_tail, each with both signs; the hat there is the bulk's, the
+    # shoulder's and the plateau's level, and x1 lies in the squeeze window
+    spec = _HATS[kind](n)
+    c = (0.0, *spec.cuts, 1.0)
+    assert all(a < b for a, b in zip(c, c[1:]))
+    selectors = [(a + b) / 2.0 for a, b in zip(c, c[1:])] * 2
+    signs = [0.0, 0.25, 0.4999999999999999, 0.25, 0.5, 0.75, 0.9999999999999999, 0.5]
+    words = signs + selectors + [0.0] * 8 + [0.5] * 8
+    x, uh, lower_acc, upper_rej = _same_proposals(spec, lambda: _Words(words), 8, True)
+    ends = [0.0, spec.x_c, spec.x1, spec.x_tail]
+    assert x.tolist() == ends + [-a for a in ends]
+    h = [spec.bulk / spec.vv_edge, spec.bulk / math.sqrt(spec.vv_edge**2 - spec.x_c**2)]
+    h += [spec.shoulder, spec.plateau]
+    assert np.array_equal(uh, 0.5 * np.array(h * 2))
+    assert not (lower_acc[[3, 7]] | upper_rej[[3, 7]]).any()  # outside the window
+    # a selector on a cut point opens the next piece
+    cuts = (np.cumsum(spec.masses[:3]) / spec.half_mass).tolist()
+    words = [0.25] * 3 + cuts + [0.0] * 3 + [0.5] * 3
+    x, *_ = _same_proposals(spec, lambda: _Words(words), 3, True)
+    assert x.tolist() == ends[1:]

@@ -275,6 +275,42 @@ def test_batch_values_equal_one_point_values(k):
         assert np.array_equal(f(xs), alone)
 
 
+def _tiny_lane_paths(monkeypatch, ks, x):
+    # the kernel's (psi_{k-1}, psi_k, exponent) of the lanes (k, x), k in ks
+    # ascending: one-lane calls on the float loop; the numpy loop at the lane's
+    # own |x| (a batch of lanes at one |x| runs the one-lane schedule); and
+    # lanes of batches on the numpy loop at the schedule of |x| = 90 and 9e75,
+    # where 21 lanes of the top degree keep the numpy loop to the end
+    paths = [
+        [np.concatenate(v) for v in zip(*(
+            hermite._psi_scaled_sorted(np.array([k]), np.array([x]))[:3] for k in ks
+        ))]
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(hermite, "_FEW_LANES", 0)
+        own = hermite._psi_scaled_sorted(ks[::-1].copy(), np.full(ks.size, x))
+        paths.append([a[::-1] for a in own[:3]])
+    for big in (90.0, 9e75):
+        kk = np.concatenate([np.full(21, ks[-1]), ks[::-1]])
+        xx = np.concatenate([np.full(21, big), np.full(ks.size, x)])
+        paths.append([a[21:][::-1] for a in hermite._psi_scaled_sorted(kk, xx)[:3]])
+    return paths
+
+
+def test_tiny_points_keep_their_bits_from_the_stated_bound(monkeypatch):
+    # the module docstring's bound: at x = 0 and at |x| >= 1e-305, k <= 2e4,
+    # every path gives a lane the same bits; at 3.3e-307 they differ, for
+    # k = 79 ... 154, so the check can see a difference
+    ks = np.array([*range(1, 161), *range(19_950, 20_001)])
+    for x in (0.0, 1e-305, -1.3e-305, 2.2250738585072014e-305, 1e-304):
+        first, *others = _tiny_lane_paths(monkeypatch, ks, x)
+        for other in others:
+            for a, b in zip(first, other):
+                assert a.tobytes() == b.tobytes(), x
+    first, *others = _tiny_lane_paths(monkeypatch, ks, 3.3e-307)
+    assert any(a.tobytes() != b.tobytes() for other in others for a, b in zip(first, other))
+
+
 def test_phi_squared_degrees_matches_single_degree(monkeypatch):
     # one degree per lane: unsorted, duplicated, including degrees 0, 1, 2
     rng = np.random.default_rng(11)

@@ -68,6 +68,7 @@ def test_stats_counter_invariants():
         stats.exact_evals
         <= stats.proposals - stats.squeeze_lower_accepts - stats.squeeze_upper_rejects
     )
+    assert 0 < stats.exact_discarded < stats.exact_evals
     assert stats.elapsed > 0.0
 
 
@@ -113,13 +114,14 @@ def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
 
 def test_pruning_keeps_draws_and_counters():
     # the pruned lanes lie past the cut: the same draws and counters as
-    # evaluating every undecided proposal
+    # evaluating every undecided proposal, apart from the count of lanes
+    # evaluated past the cut, which pruning lowers
     def run():
         stats = samplers.SamplerStats()
         xs = samplers.sample_gue_eigenvalues(2000, 40, RandomStream(68), "squeeze", stats)
-        return xs.tobytes(), replace(stats, elapsed=0.0)
+        return xs.tobytes(), replace(stats, elapsed=0.0, exact_discarded=0), stats.exact_discarded
 
-    pruned = run()
+    *pruned, pruned_discarded = run()
     propose = samplers._propose
 
     def unpruned(g, stream, use_squeeze):
@@ -129,7 +131,9 @@ def test_pruning_keeps_draws_and_counters():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samplers, "_propose", unpruned)
-        assert run() == pruned
+        *unpruned_run, unpruned_discarded = run()
+    assert unpruned_run == pruned
+    assert unpruned_discarded > pruned_discarded
 
 
 def test_round_split_keeps_draws_and_counters(monkeypatch):
@@ -156,6 +160,25 @@ def test_round_split_keeps_draws_and_counters(monkeypatch):
     monkeypatch.setattr(samplers, "_BLOCK_CAP", 64)
     assert outputs() == whole
     assert len(batches) - whole_batches > 2 * whole_batches  # the small cap split the rounds
+
+
+@pytest.mark.parametrize("first_passes", [True, False])
+def test_exact_discarded_counts_the_lanes_past_the_cut(first_passes):
+    # a planted block of one draw: two undecided lanes ahead of a lower-squeeze
+    # accept share one exact call.  If the first passes, the draw is its
+    # proposal and the second lane was evaluated past the cut.
+    g = samplers._Group(count=1, offset=0, hat=dominator._level_spec(10), budget=100)
+    x = np.array([0.5, -0.6, 0.7, 0.8])
+    uh = np.array([0.1, 0.1, 0.3, 0.3])
+    lower_acc = np.array([False, False, True, False])
+    block = samplers._Block(x, uh, lower_acc, np.zeros(4, dtype=bool), np.array([0, 1]))
+    phi = np.array([0.2, 0.2]) if first_passes else np.array([0.05, 0.2])
+    out, stats = np.empty(1), samplers.SamplerStats()
+    samplers._decide([(g, block)], lambda xs, hats, sizes: phi, out, stats)
+    cut = 1 if first_passes else 2
+    assert out.tolist() == [x[cut - 1]] and g.filled == 1 and g.spent == cut
+    assert (stats.proposals, stats.exact_evals, stats.exact_discarded) == (cut, cut, 2 - cut)
+    assert (stats.squeeze_lower_accepts, stats.accepted) == (0, 1)
 
 
 def test_exact_counter_split():

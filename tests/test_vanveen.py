@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from guegen import cli, dominator, hermite, vanveen, verify
+from guegen import cli, dominator, hermite, samplers, vanveen, verify
 from guegen.errors import ParameterError
+from guegen.rng import RandomStream
 
 
 def test_terms_at_origin():
@@ -90,7 +91,8 @@ def test_gap_integral_finite_and_scaling():
 
 
 def test_squeeze_gate_and_table_use_the_sampler_bounds(monkeypatch):
-    # criterion 5 and tabulate-squeeze check the sandwich the samplers run
+    # the sampler's squeeze, criterion 5 and tabulate-squeeze all read one
+    # sandwich, so the last two check the one the first runs
     class Called(Exception):
         pass
 
@@ -98,6 +100,8 @@ def test_squeeze_gate_and_table_use_the_sampler_bounds(monkeypatch):
         raise Called
 
     monkeypatch.setattr(vanveen, "squeeze_bounds_many", spy)
+    with pytest.raises(Called):
+        samplers.sample_phi_sq_many(100, 5, RandomStream(1), "squeeze")
     with pytest.raises(Called):
         verify.check_squeeze_validity(quick=True)
     with pytest.raises(Called):
