@@ -440,7 +440,8 @@ def psi_rows(n, x):
             np.ldexp(y[:, : j + 1], -sh[:, None], out=y[:, : j + 1])
             due = j + _steps(top, j, limit)
         y[:, j + 1] = (c[j] * x) * y[:, j] - y[:, j - 1]
-    return y * inv_d[:n]
+    y *= inv_d[:n]
+    return y
 
 
 _CHUNK = 32768

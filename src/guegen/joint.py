@@ -61,13 +61,13 @@ spectrum, medians of 15 interleaved calls of 500 spectra each on a
 calls of 50 spectra, at n = 8 three calls of 5):
 
     n            2      3      4      5      6      7      8
-    pair bound   1.0    1.5    3.0    16.2   133    3.6e3  9.2e4
-    chain        3.0    4.7    7.7    9.9    10.6   13.4   21.6
+    pair bound   0.61   0.78   2.2    11.5   86     2.3e3  4.9e4
+    chain        1.6    2.5    3.7    5.1    6.2    8.2    9.0
 
 At these n the chain's mixture draws come from the grid hat
 (``samplers.N_GRID``).  Over 40 alternating pairs of calls, the chain
-was faster in 40 at n = 5 (medians 7.8 against 15.1 us) and in 1 at
-n = 4 (5.6 against 2.5 us).
+was faster in 39 at n = 5 (medians 5.0 against 8.7 us) and in none at
+n = 4 (3.6 against 2.0 us).
 
 Use ``max_attempts`` plus the progress callback to keep long runs
 observable.
@@ -244,22 +244,48 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     stays within.
 
     Proposals come from one pool of mixture draws shared by every
-    spectrum of the call.  A round fills its slots, in row-major order,
-    with the first values of the pool.  When the pool holds fewer than
-    t ceil(n / (n - i)) values, too few for ceil(n / (n - i)) slots per
-    spectrum, one :func:`samplers.sample_gue_eigenvalues` call appends
-    ceil(1.1 E) + 64 draws, E being the proposals the rest of the chunk
-    expects to read: sum_{j >= i} n / (n - j) for each spectrum missing
-    point i, and that sum from i + 1 for each spectrum past it (so the
-    pool stays O(``_CHAIN_ENTRIES`` H_n / n) values, like the basis).
-    E is at least t ceil(n / (n - i)), so the pool then holds that many,
-    and a round's width is capped at pool size // t: a round never asks
-    for more than the pool holds, so a chunk's first refill mostly serves
-    the whole chunk (one mixture call per 500-spectrum call at n = 5, 6
-    and 8 for each seed 0-99).  After the accept test, the slots
-    after a spectrum's first accept were not read; their values go back
-    to the front of the pool in row-major order, and their uniforms are
-    dropped.  Read and rejected proposals are consumed.
+    spectrum of the call; ``pool[head:]`` holds the values not yet read.
+    A round fills its slots, in row-major order, with the next values
+    from ``head`` on.  When fewer than t ceil(n / (n - i)) values are
+    left, too few for ceil(n / (n - i)) slots per spectrum, one
+    :func:`samplers.sample_gue_eigenvalues` call appends
+    ceil(1.1 E) + 64 draws to them, E being the proposals the rest of the
+    chunk expects to read: sum_{j >= i} n / (n - j) for each spectrum
+    missing point i, and that sum from i + 1 for each spectrum past it
+    (so the pool stays O(``_CHAIN_ENTRIES`` H_n / n) values, like the
+    basis).  E is at least t ceil(n / (n - i)), so the pool then holds
+    that many, and a round's width is capped at the values left // t: a
+    round never asks for more than the pool holds, so a chunk's first
+    refill mostly serves the whole chunk (one mixture call per
+    500-spectrum call at n = 5, 6 and 8 for each seed 0-99).  After the
+    accept test, the slots after a spectrum's first accept were not read;
+    their uniforms are dropped, and the k unread values go back, in
+    row-major order, into the last k places the round read, so ``head``
+    moves on by the slots read and the values left are the unread ones
+    followed by the rest of the pool.  Read and rejected proposals are
+    consumed.
+
+    Each pool value carries its psi row v(x), formed once: when a round
+    reaches values without rows, one :func:`hermite.psi_rows` call forms
+    the rows of the next ``_CHAIN_ENTRIES // n`` pool values, and the
+    unread slots go back with their rows.  The row buffer keeps the rows
+    from ``head`` on, fewer than one round's slots, plus that block, so
+    it holds at most 2 ``_CHAIN_ENTRIES`` entries: a block is at most
+    ``_CHAIN_ENTRIES`` of them, and so is a round (its m ceil(n / (n - i))
+    <= m n slots are at most ``_CHAIN_ENTRIES // n`` while
+    n^2 <= ``_CHAIN_ENTRIES``).  Rows are each up to a power-of-two
+    factor, which the test and the unit residuals do not see.
+
+    The accept test takes its residual from one projection:
+    ||r_i(x)||^2 = ||v||^2 - ||b v||^2, b the spectrum's basis, with one
+    batched v @ b^T for every slot of the round.  b is orthonormal to
+    working precision, so this rr is off by O(n eps ||v||^2), and the test
+    u ||v||^2 < rr moves by about 1e-15 per slot; a negative rr rejects.
+    Only each spectrum's accepted slot gets the residual projected out
+    twice ("twice is enough"), whose unit vector is its new basis row:
+    its v and v b^T are kept, and after the step's last round one pass
+    over the chunk forms every basis row of the step (none after the
+    last step, whose rows no step reads).
 
     The pool keeps the chain exact.  Pool values are i.i.d. mixture
     draws, independent of the uniforms.  A round's width depends only on
@@ -279,7 +305,11 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     # expected proposals a spectrum missing point i still reads; left[0] = n H_n
     left = np.append(np.cumsum(n / (n - np.arange(n))[::-1])[::-1], 0.0)
     capacity = max(1, _CHAIN_ENTRIES // (n * n))
-    pool = np.empty(0)  # i.i.d. mixture draws not yet read
+    block = max(1, _CHAIN_ENTRIES // n)  # pool values per psi_rows call
+    pool = np.empty(0)  # i.i.d. mixture draws, pool[head:] not yet read
+    head = 0
+    rows = np.empty((0, n))  # the psi rows of pool[formed - len(rows) : formed]
+    formed = 0
     spent = 0  # attempts of all spectra so far
     last_report = 0
     for lo in range(0, count, capacity):
@@ -287,6 +317,8 @@ def _sample_chain(n, count, stream, max_attempts, progress):
         tries = attempts[lo : lo + m]
         points = np.empty((m, n))
         basis = np.empty((m, n, n))
+        hit_rows = np.empty((m, n))  # v of each spectrum's accepted slot at step i
+        hit_proj = np.empty((m, n))  # and its v @ b^T, in the first i entries
         for i in range(n):
             todo = np.arange(m)  # the spectra still missing point i
             r = 0
@@ -295,30 +327,45 @@ def _sample_chain(n, count, stream, max_attempts, progress):
                     progress(spent)
                     last_report = spent
                 t = todo.size
-                if pool.size < t * first_slots[i]:
+                if pool.size - head < t * first_slots[i]:
                     expect = t * left[i] + (m - t) * left[i + 1]
                     more = math.ceil(1.1 * expect) + 64
-                    pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
-                width = min(first_slots[i] * min(2**r, m // t), pool.size // t)
+                    pool = np.concatenate(
+                        [pool[head:], samplers.sample_gue_eigenvalues(n, more, stream)]
+                    )
+                    formed -= head
+                    head = 0
+                width = min(first_slots[i] * min(2**r, m // t), (pool.size - head) // t)
                 size = t * width
-                x = pool[:size].reshape(t, width)
+                while formed < head + size:  # the head reached values without rows
+                    fresh = hermite.psi_rows(n, pool[formed : formed + block])
+                    if formed > head:  # the rows from head on come first
+                        fresh = np.concatenate([rows[len(rows) - (formed - head) :], fresh])
+                    rows = fresh
+                    formed = head + len(rows)
+                at = len(rows) - (formed - head)  # the row of pool[head]
+                v = rows[at : at + size].reshape(t, width, n)
                 u = stream.uniforms(size).reshape(t, width)
-                v = hermite.psi_rows(n, x.ravel()).reshape(t, width, n)
                 b = basis[todo, :i]
-                res = v
-                for _ in range(2):  # project out the basis, then once more ("twice is enough")
-                    res = res - (res @ b.transpose(0, 2, 1)) @ b
-                rr = np.einsum("abj,abj->ab", res, res)
-                accept = u * np.einsum("abj,abj->ab", v, v) < rr
+                vv = np.einsum("abj,abj->ab", v, v)
+                proj = v @ b.transpose(0, 2, 1)
+                accept = u * vv < vv - np.einsum("abk,abk->ab", proj, proj)
                 first = accept.argmax(axis=1)
                 hit = accept[np.arange(t), first]
                 used = np.where(hit, first + 1, width)
-                pool = np.concatenate([x[np.arange(width) >= used[:, None]], pool[size:]])
+                a = np.flatnonzero(hit)
+                hits, slot = todo[a], a * width + first[a]  # row-major slot
+                points[hits, i] = pool[head + slot]
+                hit_rows[hits] = rows[at + slot]
+                hit_proj[hits, :i] = proj.reshape(size, i)[slot]
+                unread = np.flatnonzero(np.arange(width) >= used[:, None])  # row-major
+                k = unread.size
+                if k:  # back into the last k places read
+                    pool[head + size - k : head + size] = pool[head + unread]
+                    rows[at + size - k : at + size] = rows[at + unread]
+                head += size - k
                 tries[todo] += used
-                spent += int(used.sum())
-                a, c = np.flatnonzero(hit), first[hit]
-                points[todo[a], i] = x[a, c]
-                basis[todo[a], i] = res[a, c] / np.sqrt(rr[a, c])[:, None]
+                spent += size - k
                 floor = tries[todo] + n - i - hit  # spent plus one per missing point
                 over = np.flatnonzero(floor > max_attempts)
                 if over.size:
@@ -328,6 +375,11 @@ def _sample_chain(n, count, stream, max_attempts, progress):
                     )
                 todo = todo[~hit]
                 r += 1
+            if i + 1 < n:  # the unit residuals, projected out once more ("twice is enough")
+                b = basis[:, :i]
+                res = hit_rows - np.einsum("ak,akj->aj", hit_proj[:, :i], b)
+                res -= np.einsum("ak,akj->aj", np.einsum("aj,akj->ak", res, b), b)
+                basis[:, i] = res / np.sqrt(np.einsum("aj,aj->a", res, res))[:, None]
         values[lo : lo + m] = np.sort(points, axis=1)
     return values, attempts
 

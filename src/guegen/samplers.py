@@ -171,7 +171,11 @@ class SamplerStats:
     ``exact_discarded`` counts the proposals the exact call evaluated past
     the cut, which the counts above leave out: a block's undecided
     proposals all share one exact call, before it is known which of them
-    gives the group's last accept.
+    gives the group's last accept.  Evaluating them in rounds until the
+    cut is known costs more than it saves: on ``mixture-n1e4`` (n = 1e4,
+    4 draws a call) a prototype cut the lane-steps from 15.3k to 13.2k a
+    call but raised the exact calls from 0.92 to 1.91, at about 50 us of
+    entry each, and the call went from 1.18 to 1.46 ms.
     """
 
     proposals: int = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import joint, samplers
+from guegen import hermite, joint, samplers
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
 from guegen.stats import ks_critical, ks_two_sample
@@ -318,6 +318,151 @@ def test_chain_pool_refills_stay_bounded(monkeypatch):
     bound = 1.1 * cap * _harmonic_attempts(n) + 64 + _max_round_slots(n, cap)
     assert len(sizes) > 1 and max(sizes) <= bound
     assert attempts.sum() <= sum(sizes)
+
+
+def _reference_chain(n, count, stream, max_attempts, progress):
+    # the chain's round in its first form, kept as the reference: psi rows
+    # of every slot each round, the twice-projected residual of every slot,
+    # and the unread slots put back by concatenating the whole pool
+    values = np.empty((count, n))
+    attempts = np.zeros(count, dtype=np.int64)
+    first_slots = -(-n // (n - np.arange(n)))
+    left = np.append(np.cumsum(n / (n - np.arange(n))[::-1])[::-1], 0.0)
+    capacity = max(1, joint._CHAIN_ENTRIES // (n * n))
+    pool = np.empty(0)
+    spent = 0
+    last_report = 0
+    for lo in range(0, count, capacity):
+        m = min(capacity, count - lo)
+        tries = attempts[lo : lo + m]
+        points = np.empty((m, n))
+        basis = np.empty((m, n, n))
+        for i in range(n):
+            todo = np.arange(m)
+            r = 0
+            while todo.size:
+                if progress is not None and spent - last_report >= joint.PROGRESS_EVERY:
+                    progress(spent)
+                    last_report = spent
+                t = todo.size
+                if pool.size < t * first_slots[i]:
+                    expect = t * left[i] + (m - t) * left[i + 1]
+                    more = math.ceil(1.1 * expect) + 64
+                    pool = np.concatenate([pool, samplers.sample_gue_eigenvalues(n, more, stream)])
+                width = min(first_slots[i] * min(2**r, m // t), pool.size // t)
+                size = t * width
+                x = pool[:size].reshape(t, width)
+                u = stream.uniforms(size).reshape(t, width)
+                v = hermite.psi_rows(n, x.ravel()).reshape(t, width, n)
+                b = basis[todo, :i]
+                res = v
+                for _ in range(2):
+                    res = res - (res @ b.transpose(0, 2, 1)) @ b
+                rr = np.einsum("abj,abj->ab", res, res)
+                accept = u * np.einsum("abj,abj->ab", v, v) < rr
+                first = accept.argmax(axis=1)
+                hit = accept[np.arange(t), first]
+                used = np.where(hit, first + 1, width)
+                pool = np.concatenate([x[np.arange(width) >= used[:, None]], pool[size:]])
+                tries[todo] += used
+                spent += int(used.sum())
+                a, c = np.flatnonzero(hit), first[hit]
+                points[todo[a], i] = x[a, c]
+                basis[todo[a], i] = res[a, c] / np.sqrt(rr[a, c])[:, None]
+                floor = tries[todo] + n - i - hit
+                over = np.flatnonzero(floor > max_attempts)
+                if over.size:
+                    raise BudgetError("over", attempts=int(floor[over[0]]))
+                todo = todo[~hit]
+                r += 1
+        values[lo : lo + m] = np.sort(points, axis=1)
+    return values, attempts
+
+
+def _chain_run(engine, n, count, seed, cap):
+    # values, attempts (or the BudgetError's attempts), draws and progress calls
+    stream, seen = RandomStream(seed), []
+    try:
+        values, attempts = engine(n, count, stream, cap, seen.append)
+    except BudgetError as err:
+        values, attempts = None, err.attempts
+    return values, attempts, stream.draw_count, seen
+
+
+@pytest.mark.parametrize(
+    "n, count, chunk", [(5, 60, 4), (6, 60, 4), (8, 40, 4), (8, 12, 0.5), (20, 12, 4), (64, 6, 4)]
+)
+def test_chain_matches_the_reference_round(monkeypatch, n, count, chunk):
+    # chunks of 4 spectra and psi_rows blocks of 4 n pool values, so a call
+    # spans several chunks, several row blocks and several refills; at
+    # chunk 0.5, one spectrum a chunk and blocks of n / 2 values, fewer
+    # than a late round's slots
+    monkeypatch.setattr(joint, "_CHAIN_ENTRIES", int(chunk * n * n))
+    monkeypatch.setattr(joint, "PROGRESS_EVERY", 8 * n)
+    seed = 30 + n
+    ref = _chain_run(_reference_chain, n, count, seed, joint.DEFAULT_MAX_ATTEMPTS)
+    assert len(ref[3]) >= 2  # the progress callback fired
+    top = int(ref[1].max())
+    # uncapped, capped at the largest spectrum's attempts, and two caps that raise
+    runs = ((seed, None, False), (seed, top, False), (seed, top - 1, True), (seed + 10, 2 * n, True))
+    for seed, cap, raises in runs:
+        want = ref if cap is None else _chain_run(_reference_chain, n, count, seed, cap)
+        got = _chain_run(joint._sample_chain, n, count, seed, cap or joint.DEFAULT_MAX_ATTEMPTS)
+        assert (want[0] is None) == (got[0] is None) == raises, (seed, cap)
+        if not raises:
+            assert np.array_equal(got[0], want[0]), (seed, cap)
+        assert np.array_equal(got[1], want[1]) and got[2:] == want[2:], (seed, cap)
+
+
+class _RowBufferSpy:
+    # numpy as seen from joint, logging the length of every 2-D concatenation
+    # (the chain's psi row buffer)
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, arrays, *args, **kwargs):
+        out = np.concatenate(arrays, *args, **kwargs)
+        if out.ndim == 2:
+            self.log.append(("rows", len(out)))
+        return out
+
+
+@pytest.mark.parametrize("chunk", [None, 4, 0.5])
+def test_chain_forms_each_row_once(monkeypatch, chunk):
+    n, count = 6, 200
+    if chunk is not None:  # chunk spectra a chunk, blocks of chunk n pool values
+        monkeypatch.setattr(joint, "_CHAIN_ENTRIES", int(chunk * n * n))
+    block = joint._CHAIN_ENTRIES // n
+    sizes = _spy_mixture_calls(monkeypatch)
+    log = []
+    monkeypatch.setattr(joint, "np", _RowBufferSpy(log))
+    real_rows, real_uniforms = hermite.psi_rows, RandomStream.uniforms
+
+    def rows(m, x):
+        log.append(("psi", len(x)))
+        return real_rows(m, x)
+
+    def uniforms(self, size):
+        log.append(("uniforms", int(size)))
+        return real_uniforms(self, size)
+
+    monkeypatch.setattr(hermite, "psi_rows", rows)
+    monkeypatch.setattr(RandomStream, "uniforms", uniforms)
+    _, attempts = joint.sample_joint_many(n, count, 2.0, RandomStream(25))
+    formed = [size for kind, size in log if kind == "psi"]
+    assert attempts.sum() <= sum(formed) <= sum(sizes)
+    assert max(formed) <= block
+    # a row buffer holds one block plus what is left of the rows it had,
+    # fewer than the slots of the round that formed it (its next uniforms)
+    for j, (kind, size) in enumerate(log):
+        if kind == "rows":
+            round_slots = next(s for k, s in log[j:] if k == "uniforms")
+            assert size <= block + round_slots
+    if chunk is not None:
+        assert len(formed) > 1 and len(sizes) > 1
 
 
 def _attempts_pmf(n, support):
