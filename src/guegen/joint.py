@@ -283,9 +283,9 @@ def _sample_chain(n, count, stream, max_attempts, progress):
     u ||v||^2 < rr moves by about 1e-15 per slot; a negative rr rejects.
     Only each spectrum's accepted slot gets the residual projected out
     twice ("twice is enough"), whose unit vector is its new basis row:
-    its v and v b^T are kept, and after the step's last round one pass
-    over the chunk forms every basis row of the step (none after the
-    last step, whose rows no step reads).
+    its v and v b^T are kept, and after the step's last round one
+    :func:`_unit_residuals` call over the chunk forms every basis row of
+    the step (none after the last step, whose rows no step reads).
 
     The pool keeps the chain exact.  Pool values are i.i.d. mixture
     draws, independent of the uniforms.  A round's width depends only on
@@ -375,13 +375,20 @@ def _sample_chain(n, count, stream, max_attempts, progress):
                     )
                 todo = todo[~hit]
                 r += 1
-            if i + 1 < n:  # the unit residuals, projected out once more ("twice is enough")
-                b = basis[:, :i]
-                res = hit_rows - np.einsum("ak,akj->aj", hit_proj[:, :i], b)
-                res -= np.einsum("ak,akj->aj", np.einsum("aj,akj->ak", res, b), b)
-                basis[:, i] = res / np.sqrt(np.einsum("aj,aj->a", res, res))[:, None]
+            if i + 1 < n:
+                basis[:, i] = _unit_residuals(hit_rows, hit_proj[:, :i], basis[:, :i])
         values[lo : lo + m] = np.sort(points, axis=1)
     return values, attempts
+
+
+def _unit_residuals(v, proj, b):
+    """The chain's new basis rows: the residuals of rows ``v`` (m, n)
+    against orthonormal rows ``b`` (m, i, n), given their projections
+    ``proj`` = v b^T (m, i), projected out once more ("twice is enough")
+    and scaled to unit length."""
+    res = v - np.einsum("ak,akj->aj", proj, b)
+    res -= np.einsum("ak,akj->aj", np.einsum("aj,akj->ak", res, b), b)
+    return res / np.sqrt(np.einsum("aj,aj->a", res, res))[:, None]
 
 
 def vandermonde_max_log(n):

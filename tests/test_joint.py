@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guegen import hermite, joint, samplers
+from guegen import hermite, joint, samplers, verify
 from guegen.errors import BudgetError, ParameterError
 from guegen.rng import RandomStream
 from guegen.stats import ks_critical, ks_two_sample
@@ -488,6 +488,49 @@ def test_chain_attempts_follow_the_exact_law(n):
     assert attempts.max() < support and cdf[-1] > 1.0 - 1e-12
     ecdf = np.cumsum(np.bincount(attempts, minlength=support)) / count
     assert math.sqrt(count) * np.abs(ecdf - cdf).max() < ks_critical(0.01)
+
+
+def _once_projected(v, proj, b):
+    # joint._unit_residuals with the second projection left out
+    res = v - np.einsum("ak,akj->aj", proj, b)
+    return res / np.sqrt(np.einsum("aj,aj->a", res, res))[:, None]
+
+
+def _basis_error(unit_residuals, x, n):
+    # max |B B^T - I| of the basis the chain builds from the points x, in order
+    v = hermite.psi_rows(n, x)
+    b = np.empty((1, x.size, n))
+    for i in range(x.size):
+        proj = v[i : i + 1] @ b[0, :i].T
+        b[:, i] = unit_residuals(v[i : i + 1], proj, b[:, :i])
+    return np.abs(b[0] @ b[0].T - np.eye(x.size)).max()
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_chain_basis_stays_orthonormal_on_clustered_points(seed):
+    # psi rows of nearby points are nearly parallel, so one projection leaves
+    # a residual far from orthogonal (0.999 and 0.24 at these seeds); the
+    # second brings it back to rounding (4.4e-16 and 6.7e-16)
+    x = np.random.default_rng(seed).uniform(-0.1, 0.1, 8)
+    assert _basis_error(joint._unit_residuals, x, 64) < 1e-12
+    assert _basis_error(_once_projected, x, 64) > 1e-12
+
+
+def test_criterion_10_fails_an_unscaled_middle_coordinate(monkeypatch):
+    # planted defect: at beta != 2 and odd n the block proposer leaves the
+    # middle coordinate at base scale, which the bit-identity row sees at
+    # (3, 1.0) and (5, 2.5) at the quick size
+    real = joint._propose_block
+
+    def unscaled_middle(n, beta, stream, size):
+        coords, gaps = real(n, beta, stream, size)
+        if n % 2 == 1:
+            coords[:, (n - 1) // 2] /= math.sqrt(2.0 / beta)
+        return coords, gaps
+
+    monkeypatch.setattr(joint, "_propose_block", unscaled_middle)
+    identity = verify.check_beta(quick=True)[0]
+    assert "bit-identical" in identity.test and not identity.passed
 
 
 def test_beta_one_gap_moment():

@@ -54,6 +54,11 @@ def _package_imports():
     return graph
 
 
+def test_oracle_is_independent_of_the_samplers():
+    # the ground truth must not share code with what it checks
+    assert _package_imports()["oracle"] == {"errors"}
+
+
 def test_package_imports_are_acyclic():
     graph = _package_imports()
     assert {"vanveen", "dominator", "hermite", "verify"} <= set(graph)
