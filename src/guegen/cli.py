@@ -16,7 +16,6 @@ CSV and JSON layout.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -206,9 +205,18 @@ def _cmd_bench(args):
         n_list = [int(s) for s in args.n_list.split(",") if s]
     except ValueError:
         raise ParameterError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    rows = samplers.benchmark(args.mode, n_list, args.samples_per_n, seed=args.seed)
-    header = [f.name for f in dataclasses.fields(samplers.BenchRow)]
-    _emit(_csv(header, map(dataclasses.astuple, rows)), args.out)
+    records = samplers.benchmark(args.mode, n_list, args.samples_per_n, seed=args.seed)
+    header = (
+        "n", "mode", "accepted", "proposals", "exact_evals", "exact_in_window",
+        "exact_out_of_window", "proposals_per_accept", "exact_share", "cost_proxy", "ns_per_sample",
+    )
+    rows = [
+        (n, args.mode, r.accepted, r.proposals, r.exact_evals, r.exact_in_window,
+         r.exact_out_of_window, r.proposals_per_accept, r.exact_share, r.cost_proxy(n),
+         r.ns_per_sample)
+        for n, r in zip(n_list, records)
+    ]
+    _emit(_csv(header, rows), args.out)
     return 0
 
 

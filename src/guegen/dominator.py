@@ -147,10 +147,6 @@ class DominatorSpec:
     cuts: tuple  # piece selector cut points: (p1, p1 + p2, p1 + p2 + p3) / half_mass
 
     @property
-    def masses(self):
-        return (self.p1, self.p2, self.p3, self.p4)
-
-    @property
     def half_mass(self):
         return self.p1 + self.p2 + self.p3 + self.p4
 

@@ -149,6 +149,7 @@ import numpy as np
 
 from . import dominator, hermite
 from .errors import BudgetError, ParameterError, whole
+from .rng import RandomStream
 
 DEFAULT_MAX_PROPOSALS = 10**6
 _MAX_BLOCK = 1_500_000  # proposals in one group's block
@@ -176,6 +177,16 @@ class SamplerStats:
     4 draws a call) a prototype cut the lane-steps from 15.3k to 13.2k a
     call but raised the exact calls from 0.92 to 1.91, at about 50 us of
     entry each, and the call went from 1.18 to 1.46 ms.
+
+    Four figures derive from the counters, each over max(accepted, 1) or
+    max(proposals, 1), so an empty record reads 0: ``proposals_per_accept``;
+    ``exact_share``, the share of proposals that needed the recurrence;
+    ``ns_per_sample``, wall time per accepted draw; and ``cost_proxy(n)``,
+    the Wald-style work per accepted draw, counting one unit per
+    constant-time proposal and n per O(n) recurrence evaluation.  It takes
+    n because the record does not know it: one call may span many
+    degrees, as a mixture's does, so the caller names the degree that
+    prices the exact evaluations.
     """
 
     proposals: int = 0
@@ -190,6 +201,21 @@ class SamplerStats:
     @property
     def exact_evals(self):
         return self.exact_in_window + self.exact_out_of_window
+
+    @property
+    def proposals_per_accept(self):
+        return self.proposals / max(self.accepted, 1)
+
+    @property
+    def exact_share(self):
+        return self.exact_evals / max(self.proposals, 1)
+
+    @property
+    def ns_per_sample(self):
+        return 1e9 * self.elapsed / max(self.accepted, 1)
+
+    def cost_proxy(self, n):
+        return (self.proposals + n * self.exact_evals) / max(self.accepted, 1)
 
 
 @dataclass
@@ -417,60 +443,20 @@ def sample_gue_eigenvalues(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    """Per-degree aggregate of a benchmark run.
-
-    ``cost_proxy`` is the Wald-style work estimate per accepted draw:
-    (proposals + n * exact_evals) / accepted, counting one unit per
-    constant-time proposal and n units per exact recurrence evaluation.
-    ``exact_evals`` is ``exact_in_window + exact_out_of_window``.
-    """
-
-    n: int
-    mode: str
-    accepted: int
-    proposals: int
-    exact_evals: int
-    exact_in_window: int
-    exact_out_of_window: int
-    proposals_per_accept: float
-    exact_share: float
-    cost_proxy: float
-    ns_per_sample: float
-
-
 def benchmark(mode, n_list, samples_per_n, seed=0):
-    """Run the sampler across degrees and aggregate its counters.
+    """Run ``sample_phi_sq_many`` at each degree of ``n_list`` and return
+    one :class:`SamplerStats` per degree, in the order of ``n_list``;
+    ``stats.cost_proxy(n)`` is the record's cost per accepted draw.
 
-    Each degree gets an independent derived stream, so rows do not
-    depend on each other or on the order of ``n_list``.
+    The degrees are checked before anything is drawn.  The i-th degree
+    draws from the i-th stream derived from ``seed``, so a record depends
+    on its degree and its position, not on the other degrees.
     """
-    if not n_list:
-        raise ParameterError("n_list must be nonempty")
+    degrees = whole("degrees", n_list, 0)
+    if np.ndim(degrees) != 1 or not np.size(degrees):
+        raise ParameterError(f"degrees must be a nonempty list, got {n_list!r}")
     samples_per_n = whole("samples_per_n", samples_per_n, 1)
-    from .rng import RandomStream
-
-    master = RandomStream(seed)
-    streams = master.spawn(len(n_list))
-    rows = []
-    for n, st in zip(n_list, streams):
-        stats = SamplerStats()
+    records = [SamplerStats() for _ in degrees]
+    for n, st, stats in zip(degrees, RandomStream(seed).spawn(len(degrees)), records):
         sample_phi_sq_many(n, samples_per_n, st, mode, stats)
-        rows.append(
-            BenchRow(
-                n=int(n),
-                mode=mode,
-                accepted=stats.accepted,
-                proposals=stats.proposals,
-                exact_evals=stats.exact_evals,
-                exact_in_window=stats.exact_in_window,
-                exact_out_of_window=stats.exact_out_of_window,
-                proposals_per_accept=stats.proposals / max(stats.accepted, 1),
-                exact_share=stats.exact_evals / max(stats.proposals, 1),
-                cost_proxy=(stats.proposals + n * stats.exact_evals)
-                / max(stats.accepted, 1),
-                ns_per_sample=1e9 * stats.elapsed / max(stats.accepted, 1),
-            )
-        )
-    return rows
+    return records

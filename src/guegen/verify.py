@@ -312,7 +312,7 @@ def _trials_row(hat, where, mass, counts, over=","):
     """Criterion 3's row: trials per accept are geometric with mean the
     hat's mass, so their mean over ``counts`` must lie within 3 standard
     errors of it."""
-    mean_trials = counts.proposals / counts.accepted
+    mean_trials = counts.proposals_per_accept
     sigma = math.sqrt((mass**2 - mass) / counts.accepted)
     return CheckResult(
         f"rejection constant: |proposals/accept - {hat} mass| at {where}",
@@ -390,11 +390,11 @@ def _cost_claim(what, lo, hi, n_list, hats, setups=None):
     """The closed-form half of a criterion-4 cost claim.  A squeeze
     proposal from a hat needs the exact recurrence, independently of the
     others, with probability p, the hat's exact share.  So the cost proxy
-    per accepted draw, (proposals + n * exact_evals) / accepted, has the
-    closed form mass * (1 + n p), plus the hat's set-up in ``setups`` for a
-    draw with no hat cached.  The claim is on the closed forms' log-log
-    slope, which must lie in [lo, hi].  Returns that row, the shares and
-    the closed forms, which each measured row must then match."""
+    per accepted draw, ``SamplerStats.cost_proxy(n)``, has the closed form
+    mass * (1 + n p), plus the hat's set-up in ``setups`` for a draw with
+    no hat cached.  The claim is on the closed forms' log-log slope, which
+    must lie in [lo, hi].  Returns that row, the shares and the closed
+    forms, which each measured row must then match."""
     shares = [_exact_share(hat) for hat in hats]
     proxies = [hat.mass * (1.0 + n * p) for n, hat, p in zip(n_list, hats, shares)]
     notes = [""] * len(n_list)
@@ -453,7 +453,7 @@ def _cold_draw_rows(n_list, calls):
         st = _stream(150 + i)
         for _ in range(c):
             samplers.sample_phi_sq_many(n, 1, st, "squeeze", counts)
-        measured = (counts.proposals + n * counts.exact_evals) / counts.accepted + setup
+        measured = counts.cost_proxy(n) + setup
         out.append(_proxy_row("cold-draw", n, hat.mass, p, measured, expected, counts.accepted, c))
     return out
 
@@ -486,12 +486,13 @@ def check_sublinearity(quick=False):
             f" {r.proposals} proposals"
         )
         out.append(_sigma_row("exact-evaluation share", n, r.exact_share, p, sigma, detail))
-        out.append(_proxy_row("squeeze", n, spec.mass, p, r.cost_proxy, expected, r.accepted))
+        out.append(_proxy_row("squeeze", n, spec.mass, p, r.cost_proxy(n), expected, r.accepted))
     out += _cold_draw_rows(n_list, cold_calls)
     rows = []
     for n, c in zip(n_list, plain_counts):
         rows += samplers.benchmark("plain", [n], c, seed=BASE_SEED + 7 * n)
-    slope, err = stats.loglog_slope([(r.n, r.cost_proxy) for r in rows])
+    plain = [(n, r.cost_proxy(n)) for n, r in zip(n_list, rows)]
+    slope, err = stats.loglog_slope(plain)
     # The plain proxy is (1 + n) * proposals / accepted, so its slope's
     # expectation follows from the closed-form hat masses: about 0.96 over
     # this n range, as the mass falls about n^-0.04.  Its sampling error
@@ -515,7 +516,7 @@ def check_sublinearity(quick=False):
             slope,
             lo,
             hi,
-            "; ".join(f"n={r.n}: proxy={r.cost_proxy:.1f}" for r in rows)
+            "; ".join(f"n={n}: proxy={v:.1f}" for n, v in plain)
             + f"; closed-form expectation {expected:.4f}, sampling sigma {sigma:.4f},"
             f" fit stderr {err:.3f}",
         )

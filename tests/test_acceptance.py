@@ -6,14 +6,16 @@ detail lines) and asserts that every check inside the suite passed, and
 that every row's pass flag is the one its own statistic, comparison,
 threshold and, for "in-window" rows, lower bound imply.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report;
-the same suites back ``guegen verify --suite all``.
+the same suites back ``guegen verify --suite all``.  The last tests plant
+a defect in the package and assert which rows of a criterion then fail.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from guegen import verify
+from guegen import dominator, hermite, verify
 
 CRITERIA = [
     ("1", "exactness", "squeeze draws match the ladder-identity CDF, k <= 1e5 (KS, scaled < 1.95)"),
@@ -84,3 +86,52 @@ def test_only_in_window_rows_take_a_lower_bound():
         verify.CheckResult("window without a lower bound", 0.0, 1.0, "in-window")
     with pytest.raises(ValueError):
         verify.CheckResult("lower bound without a window", 0.0, 1.0, "<", lower=-1.0)
+
+
+def test_sublinearity_fails_without_the_in_window_squeeze(monkeypatch):
+    # planted defect: dominator.propose leaves the in-window proposals of
+    # degree hats undecided, so each goes to the exact recurrence.  Criterion
+    # 4 at quick size must fail the share, squeeze-proxy and cold-draw rows
+    # at every n, 12 of its 15 rows, and no other: the closed-form slopes and
+    # the plain slope read no squeeze.
+    propose = dominator.propose
+
+    def no_window_squeeze(hat, stream, size, squeeze):
+        return propose(hat, stream, size, squeeze and isinstance(hat, dominator.GridHat))
+
+    monkeypatch.setattr(dominator, "propose", no_window_squeeze)
+    rows = verify.check_sublinearity(quick=True)
+    row = "sublinearity: {} at n={} within 5 sigma of the closed form"
+    n_list = (100, 1_000, 10_000, 100_000)
+    sure = [
+        row.format(what, n)
+        for n in n_list
+        for what in ("exact-evaluation share", "squeeze cost proxy")
+    ]
+    sure += [row.format("cold-draw cost proxy", n) for n in n_list]
+    assert len(rows) == 15
+    assert [r.test for r in rows if not r.passed] == sure
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_squeeze_validity_fails_a_certificate_that_rejects_degree_5000(monkeypatch, quick):
+    # planted defect: the decreasing-beyond-x1 certificate fails degree 5000.
+    # The full size certifies every degree from 1 to 1e4 and must fail its
+    # certificate row, and only that row; the quick size certifies criterion
+    # 5's ten degrees, which skip 5000, and passes.
+    certify = hermite.certify_decreasing
+
+    def reject_5000(ks, x):
+        f, df, ok = certify(ks, x)
+        return f, df, ok & (np.asarray(ks) != 5000)
+
+    monkeypatch.setattr(hermite, "certify_decreasing", reject_5000)
+    rows = verify.check_squeeze_validity(quick=quick)
+    failed = [r for r in rows if not r.passed]
+    if quick:
+        assert failed == []
+    else:
+        assert [r.test for r in failed] == [
+            "squeeze validity: degrees not certified decreasing beyond x1"
+        ]
+        assert failed[0].statistic == 1 and "first failures [5000]" in failed[0].detail

@@ -18,7 +18,7 @@ from guegen.rng import RandomStream
 def _envelope_cdf_abs(spec, x):
     """CDF of |X| under the normalized hat density (vectorized)."""
     ax = np.abs(np.asarray(x, dtype=float))
-    p1, p2, p3, p4 = spec.masses
+    p1, p2, p3, p4 = spec.p1, spec.p2, spec.p3, spec.p4
     e = spec.vv_edge
     out = np.where(
         ax <= spec.x1,
@@ -80,7 +80,7 @@ def test_spec_breakpoint_ordering():
         spec = dominator.make_spec(n)
         assert 0.0 < spec.x_c < spec.x1 < spec.edge < spec.x_tail
         assert spec.edge < spec.vv_edge
-        assert all(p > 0.0 for p in spec.masses)
+        assert all(p > 0.0 for p in (spec.p1, spec.p2, spec.p3, spec.p4))
 
 
 def test_spec_rejects_bad_degree():
@@ -488,7 +488,7 @@ def test_piece_inverse_roundtrip(n):
     spec = dominator.make_spec(n)
     v = np.linspace(0.0, 0.999, 200)
     start = 0.0
-    for piece, p in enumerate(spec.masses):
+    for piece, p in enumerate((spec.p1, spec.p2, spec.p3, spec.p4)):
         x = dominator.piece_inverse(spec, piece, v)
         back = (_envelope_cdf_abs(spec, x) * spec.half_mass - start) / p
         assert np.max(np.abs(back - v)) < 1e-9, piece
@@ -527,7 +527,7 @@ def test_cdf_abs_hits_piece_masses():
     for n in (1, 12, 10**4):
         spec = dominator.make_spec(n)
         t = spec.half_mass
-        cum = np.cumsum(spec.masses) / t
+        cum = np.cumsum((spec.p1, spec.p2, spec.p3, spec.p4)) / t
         got = _envelope_cdf_abs(spec, np.array([spec.x_c, spec.x1, spec.x_tail]))
         assert np.allclose(got, cum[:3], rtol=1e-12, atol=0.0)
         assert _envelope_cdf_abs(spec, 0.0) == 0.0
@@ -651,7 +651,8 @@ def _reference_propose(spec, stream, size, squeeze):
     # pieces' |x| thresholds, and the sandwich on |x| <= x1
     sign = np.where(stream.uniforms(size) < 0.5, 1.0, -1.0)
     u, v = stream.uniforms(size), stream.uniforms(size)
-    piece = np.searchsorted(np.cumsum(spec.masses[:3]) / spec.half_mass, u, side="right")
+    cuts = np.cumsum((spec.p1, spec.p2, spec.p3)) / spec.half_mass
+    piece = np.searchsorted(cuts, u, side="right")
     e = spec.vv_edge
     inverses = (
         lambda v: e * np.sin(v * np.arcsin(spec.x_c / e)),
@@ -720,7 +721,7 @@ def test_proposals_on_the_piece_breakpoints(kind, n):
     assert np.array_equal(uh, 0.5 * np.array(h * 2))
     assert not (lower_acc[[3, 7]] | upper_rej[[3, 7]]).any()  # outside the window
     # a selector on a cut point opens the next piece
-    cuts = (np.cumsum(spec.masses[:3]) / spec.half_mass).tolist()
+    cuts = (np.cumsum((spec.p1, spec.p2, spec.p3)) / spec.half_mass).tolist()
     words = [0.25] * 3 + cuts + [0.0] * 3 + [0.5] * 3
     x, *_ = _same_proposals(spec, lambda: _Words(words), 3, True)
     assert x.tolist() == ends[1:]

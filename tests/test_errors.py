@@ -25,6 +25,7 @@ ENTRY_POINTS = {
         10, 3, _stream(), max_proposals=v
     ),
     "benchmark samples_per_n": lambda v: samplers.benchmark("squeeze", [10], v),
+    "benchmark n_list": lambda v: samplers.benchmark("squeeze", [10, v], 5),
     "phi_squared_many k": lambda v: hermite.phi_squared_many(v, [0.5]),
     "mixture_density_many n": lambda v: hermite.mixture_density_many(v, [0.5]),
     "phi_sq_cdf_many k": lambda v: hermite.phi_sq_cdf_many(v, [0.5]),
@@ -102,6 +103,17 @@ def test_whole_array_form():
     for bad in (True, False, np.True_, np.bool_(False)):
         with pytest.raises(ParameterError):
             whole("d", bad, 0)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [np.array([], dtype=np.int64), [], [10, -1], 10, [[10, 100]]],
+    ids=["empty-array", "empty-list", "negative", "scalar", "nested"],
+)
+def test_benchmark_degrees_must_be_a_nonempty_list(degrees):
+    # an array is checked as a list, never asked for its ambiguous truth value
+    with pytest.raises(ParameterError, match="degrees"):
+        samplers.benchmark("squeeze", degrees, 5)
 
 
 def test_sizes_below_zero_are_parameter_errors_and_zero_draws_nothing():

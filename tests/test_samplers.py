@@ -312,17 +312,52 @@ def test_plain_and_squeeze_share_acceptance_law():
 
 
 def test_benchmark_rows():
-    rows = samplers.benchmark("squeeze", [10, 100], 300, seed=1)
-    assert [r.n for r in rows] == [10, 100]
-    for r in rows:
+    # one SamplerStats per degree, in the order of n_list
+    records = samplers.benchmark("squeeze", [10, 100], 300, seed=1)
+    assert len(records) == 2
+    for n, r in zip([10, 100], records):
+        assert isinstance(r, samplers.SamplerStats)
         assert r.accepted == 300
         assert r.proposals_per_accept > 1.0
-        assert r.cost_proxy >= r.proposals_per_accept
+        assert r.cost_proxy(n) >= r.proposals_per_accept
         assert 0.0 <= r.exact_share <= 1.0
+        assert r.ns_per_sample > 0.0
+    # position i draws from the i-th derived stream, whatever the other degrees
+    other = samplers.benchmark("squeeze", [50, 100], 300, seed=1)
+    assert _counters(other[1:]) == _counters(records[1:])
     with pytest.raises(ParameterError):
         samplers.benchmark("squeeze", [], 10)
     with pytest.raises(ParameterError):
         samplers.benchmark("squeeze", [10], 0)
+
+
+def _counters(records):
+    return [replace(r, elapsed=0.0) for r in records]
+
+
+def test_benchmark_checks_its_degrees_before_it_draws(monkeypatch):
+    # a numpy array of degrees is a list of degrees, not an ambiguous truth value
+    listed = samplers.benchmark("squeeze", [10, 100], 5, seed=3)
+    arrayed = samplers.benchmark("squeeze", np.array([10, 100]), 5, seed=3)
+    assert _counters(arrayed) == _counters(listed)
+    # a bad degree fails the call before any degree draws
+    drawn = []
+    monkeypatch.setattr(samplers, "sample_phi_sq_many", lambda k, *a: drawn.append(k))
+    with pytest.raises(ParameterError, match="degrees"):
+        samplers.benchmark("squeeze", [10, -1], 5)
+    assert drawn == []
+
+
+def test_stats_figures():
+    st = samplers.SamplerStats(
+        proposals=10, exact_in_window=3, exact_out_of_window=1, accepted=4, elapsed=0.5
+    )
+    assert (st.proposals_per_accept, st.exact_share, st.ns_per_sample) == (2.5, 0.4, 1.25e8)
+    assert st.cost_proxy(100) == (10 + 100 * 4) / 4
+    # an empty record reads 0, not a division by zero
+    empty = samplers.SamplerStats()
+    assert (empty.proposals_per_accept, empty.exact_share, empty.ns_per_sample) == (0, 0, 0)
+    assert empty.cost_proxy(100) == 0
 
 
 def test_kernel_paths_give_the_same_draws(monkeypatch):
