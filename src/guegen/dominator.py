@@ -92,13 +92,16 @@ O(n X / GRID_STEP) = O(n^(3/2)) recurrence steps to build; the most
 recently used grids are cached.  A draw costs one piece selector, read
 through a Walker alias table, and one position variate.
 
-:func:`propose` draws proposals from either kind of hat together with
-their squeeze verdicts, so the rejection engine of :mod:`guegen.samplers`
-never asks which kind of hat it runs.
+:func:`propose` draws proposals from either kind of hat, or from several
+degree hats at once, together with their squeeze verdicts, so the
+rejection engine of :mod:`guegen.samplers` never asks which kind of hat
+it runs.
 """
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,6 +135,7 @@ class DominatorSpec:
 
     n: int
     x_c: float  # bulk / shoulder breakpoint
+    arc: float  # arcsin(x_c / vv_edge), the scale of the bulk piece's inverse CDF
     x1: float  # squeeze-window edge: shoulder / plateau breakpoint
     edge: float  # turning point sqrt(4n + 2)
     x_tail: float  # plateau / tail breakpoint, edge + s
@@ -157,6 +161,52 @@ class DominatorSpec:
     @property
     def label(self):
         return f"degree {self.n}"
+
+    @property
+    def vv_edge2(self):
+        return self.vv_edge**2
+
+
+class HatRows(NamedTuple):
+    """The fields of several degree hats that proposing reads, one entry
+    per proposal (:func:`_rows`): the fields of the hat each proposal is
+    drawn from, under the names :class:`DominatorSpec` gives them.
+    :func:`sample_envelope_many`, :func:`envelope_many` and
+    :func:`piece_inverse` take either, and read a field of one hat as a
+    scalar and a field of rows at the points they work on."""
+
+    n: np.ndarray
+    cuts: np.ndarray  # shape (3, proposals)
+    x_c: np.ndarray
+    x1: np.ndarray
+    x_tail: np.ndarray
+    edge: np.ndarray
+    vv_edge: np.ndarray
+    vv_edge2: np.ndarray
+    arc: np.ndarray
+    bulk: np.ndarray
+    shoulder: np.ndarray
+    plateau: np.ndarray
+    rate: np.ndarray
+
+
+def _rows(hats, sizes):
+    """The :class:`HatRows` of ``sizes[j]`` proposals from ``hats[j]``, for
+    each j in turn.  Each field is read from its hat as a scalar, as one
+    hat's proposals read it, so every proposal gets the same bits either
+    way."""
+    table = np.array([h.cuts + _row_fields(h) for h in hats]).T
+    cols = table.repeat(sizes, axis=1)  # one contiguous row per field
+    return HatRows(np.array([h.n for h in hats]).repeat(sizes), cols[:3], *cols[3:])
+
+
+_row_fields = operator.attrgetter(*HatRows._fields[2:])
+
+
+def _at(field, where):
+    """A hat field at the points ``where`` picks: one hat's scalar as it
+    is, a row of :class:`HatRows` indexed."""
+    return field[where] if isinstance(field, np.ndarray) else field
 
 
 def _root(f, lo, hi):
@@ -283,6 +333,7 @@ def _build(n, x1, shoulder, plateau, x_c=None):
     return DominatorSpec(
         n=n,
         x_c=x_c,
+        arc=float(np.arcsin(x_c / e)),
         x1=x1,
         edge=edge,
         x_tail=edge + s,
@@ -323,14 +374,16 @@ def _inner_mass(n, x1, shoulder):
 
 
 def envelope_many(spec, x):
-    """Hat values at an array of points (even in x)."""
+    """Hat values at an array of points (even in x): of the hat ``spec``,
+    or of the hat of each point for :class:`HatRows`."""
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.where(ax <= spec.x1, spec.shoulder, spec.plateau)
     bulk = ax <= spec.x_c
-    out[bulk] = spec.bulk / np.sqrt(spec.vv_edge**2 - ax[bulk] ** 2)
-    tail = np.flatnonzero(ax > spec.x_tail)
+    out[bulk] = _at(spec.bulk, bulk) / np.sqrt(_at(spec.vv_edge2, bulk) - ax[bulk] ** 2)
+    tail = (ax > spec.x_tail).nonzero()[0]
     if tail.size:
-        out[tail] = spec.plateau * np.exp(-spec.rate * (ax[tail] - spec.edge))
+        rate, edge = _at(spec.rate, tail), _at(spec.edge, tail)
+        out[tail] = _at(spec.plateau, tail) * np.exp(-rate * (ax[tail] - edge))
     return out
 
 
@@ -339,33 +392,40 @@ def envelope_many(spec, x):
 # ----------------------------------------------------------------------
 
 
-def piece_inverse(spec, piece, v):
+def piece_inverse(spec, piece, v, where=slice(None)):
     """Inverse CDF of piece ``piece`` (0 bulk, 1 shoulder, 2 plateau,
     3 tail) restricted to the positive half-line: v in [0, 1) maps onto
-    the piece, v = 0 onto its inner end."""
+    the piece, v = 0 onto its inner end.  For :class:`HatRows`, ``where``
+    picks the rows of the variates ``v``."""
     if piece == 0:
-        return spec.vv_edge * np.sin(v * np.arcsin(spec.x_c / spec.vv_edge))
+        return _at(spec.vv_edge, where) * np.sin(v * _at(spec.arc, where))
     if piece == 3:
-        return spec.x_tail - np.log1p(-v) / spec.rate
+        return _at(spec.x_tail, where) - np.log1p(-v) / _at(spec.rate, where)
     lo, hi = (spec.x_c, spec.x1) if piece == 1 else (spec.x1, spec.x_tail)
+    lo, hi = _at(lo, where), _at(hi, where)
     return lo + (hi - lo) * v
 
 
-def sample_envelope_many(spec, stream, size):
-    """``size`` draws from the normalized hat density.
+def sample_envelope_many(spec, words, size):
+    """``size`` draws from the normalized hat density ``spec``, or one
+    draw from the hat of each row of :class:`HatRows`.
 
-    Consumes one uniform array of 3 ``size``: its thirds are the signs
-    (negative from 0.5 on), the piece selectors, and the piece-level
-    inversion variates.
+    Reads 3 ``size`` uniform ``words``, a flat array or three rows of
+    ``size``: the signs (negative from 0.5 on), the piece selectors, and
+    the piece-level inversion variates.
     """
     size = whole("size", size, 0)
-    s, u, v = stream.uniforms(3 * size).reshape(3, size)
-    piece = np.searchsorted(spec.cuts, u, side="right")
+    s, u, v = words.reshape(3, size)
+    cuts = spec.cuts
+    if isinstance(cuts, tuple):
+        piece = np.searchsorted(cuts, u, side="right")
+    else:
+        piece = (u >= cuts).sum(axis=0)  # the cuts at or below u, as searchsorted counts them
     x = np.empty(size)
     for i, drawn in enumerate(np.bincount(piece, minlength=4).tolist()):
         if drawn:
             mask = piece == i
-            x[mask] = piece_inverse(spec, i, v[mask])
+            x[mask] = piece_inverse(spec, i, v[mask], mask)
     return np.negative(x, out=x, where=s >= 0.5)
 
 
@@ -490,30 +550,48 @@ def sample_grid_many(hat, stream, size):
 # ----------------------------------------------------------------------
 
 
-def propose(hat, stream, size, squeeze):
-    """``size`` proposals from ``hat``, as ``(x, uh, lower_acc, upper_rej)``:
-    the draws, u h(x) for one uniform u each, and the masks of the draws
-    the squeeze accepts (uh at or below its lower bound) and rejects (uh
-    above its upper bound).  Without ``squeeze`` both masks are all False.
+def propose(hats, stream, sizes, squeeze):
+    """``sizes[j]`` proposals from each hat ``hats[j]`` in turn, concatenated,
+    as ``(x, uh, lower_acc, upper_rej)``: the draws, u h(x) for one uniform
+    u each, and the masks of the draws the squeeze accepts (uh at or below
+    its lower bound) and rejects (uh above its upper bound).  Without
+    ``squeeze`` both masks are all False.
 
-    Reads the hat's draws, then one uniform array.  A degree's squeeze is
-    the van Veen sandwich (:func:`vanveen.squeeze_bounds_many`) on the
-    draws in its window |x| <= x1; the grid hat's is its cell's squeeze
-    level, which only accepts.
+    A grid hat proposes alone: its draws, then one uniform array.  Its
+    squeeze is its cell's squeeze level, which only accepts.  Degree hats
+    read the stream hat after hat, each its draws' 3 ``sizes[j]`` words,
+    then its ``sizes[j]`` words for u, as one hat proposing alone would;
+    the words are then put side by side, so that one call each of
+    :func:`sample_envelope_many`, :func:`envelope_many` and
+    :func:`vanveen.squeeze_bounds_many` serves every hat, on
+    :class:`HatRows` where there are several.  A degree's squeeze is the
+    van Veen sandwich on the draws in its window |x| <= x1.  Each
+    proposal gets the bits it gets from its hat proposing alone.
     """
+    size = sum(sizes)
     lower_acc = np.zeros(size, dtype=bool)
     upper_rej = np.zeros(size, dtype=bool)
-    if isinstance(hat, GridHat):
+    if isinstance(hats[0], GridHat):
+        (hat,) = hats
         x, h, lower = sample_grid_many(hat, stream, size)
         uh = stream.uniforms(size) * h
         if squeeze:
             lower_acc = uh <= lower
         return x, uh, lower_acc, upper_rej
-    x = sample_envelope_many(hat, stream, size)
-    uh = stream.uniforms(size) * envelope_many(hat, x)
+    if len(hats) == 1:  # one hat's fields broadcast as scalars
+        hat = hats[0]
+        x = sample_envelope_many(hat, stream.uniforms(3 * size), size)
+        uh = stream.uniforms(size) * envelope_many(hat, x)
+    else:
+        words = stream.uniforms(4 * size)
+        ends = list(itertools.accumulate(sizes, initial=0))
+        words = [words[4 * a : 4 * b].reshape(4, b - a) for a, b in zip(ends, ends[1:])]
+        hat, words = _rows(hats, sizes), np.concatenate(words, axis=1)
+        x = sample_envelope_many(hat, words[:3], size)
+        uh = words[3] * envelope_many(hat, x)
     if squeeze:
         window = np.abs(x) <= hat.x1
-        lo, up = vanveen.squeeze_bounds_many(hat.n, x[window])
+        lo, up = vanveen.squeeze_bounds_many(_at(hat.n, window), x[window])
         uhw = uh[window]
         lower_acc[window] = uhw <= lo
         upper_rej[window] = uhw > up

@@ -64,20 +64,34 @@ def constants(n):
     return edge, edge * (1.0 - _EDGE_GUARD), log_pref, math.exp(log_pref)
 
 
-def _raw_terms(n, ax):
-    """alpha, log_prefactor, B, R at |x| = ax (scalar or ndarray)."""
-    np1 = n + 1.0
-    edge, _, log_pref, _ = constants(n)
+def _constants(n):
+    """:func:`constants` of degree ``n``, or, for an array of degrees, the
+    rows (edge, guard, log pref, pref) with one entry per degree, looked up
+    once per run of equal degrees."""
+    if not np.ndim(n):
+        return constants(n)
+    if not n.size:
+        return np.empty((4, 0))
+    bounds = [0, *(i + 1 for i in (n[1:] != n[:-1]).nonzero()[0].tolist()), n.size]
+    table = np.array([constants(k) for k in n[bounds[:-1]].tolist()]).T
+    return table.repeat([b - a for a, b in zip(bounds, bounds[1:])], axis=1)
+
+
+def _raw_terms(np1, edge, ax):
+    """alpha, B and R at |x| = ax, for degree n = np1 - 1 with domain edge
+    ``edge``; each a scalar, or arrays with one entry per point of ax."""
     alpha = np.arccos(ax / edge)
     sin_a = np.sin(alpha)
-    phase = (np1 / 2.0) * (np.sin(2.0 * alpha) - 2.0 * alpha) + alpha / 2.0 + 0.75 * math.pi
+    two_alpha = 2.0 * alpha
+    phase = (np1 / 2.0) * (np.sin(two_alpha) - two_alpha) + alpha / 2.0 + 0.75 * math.pi
     b = math.sqrt(math.pi) / np.sqrt(np1 * sin_a) * np.sin(phase)
     r = 1.0 / (3.0 * np1 * sin_a * sin_a)
-    return alpha, log_pref, b, r
+    return alpha, b, r
 
 
 def terms_many(n, x):
-    """(f, eps_plus, eps_minus) at an array of points, even in x.
+    """(f, eps_plus, eps_minus) at an array of points, even in x, of degree
+    ``n``, or of degree ``n[i]`` at ``x[i]`` for an array of degrees.
 
     Raises ParameterError unless every |x| is strictly inside the domain
     (sin(alpha) is singular at its edge); the squeeze window used by the
@@ -85,12 +99,13 @@ def terms_many(n, x):
     """
     n = whole("degree", n, 0)
     ax = np.abs(np.asarray(x, dtype=float))
-    edge, guard, _, pref = constants(n)
-    if ax.size and float(ax.max()) > guard:
-        raise ParameterError(
-            f"squeeze evaluated at |x|={float(ax.max())} near/beyond domain edge {edge}"
-        )
-    _, _, b, r = _raw_terms(n, ax)
+    edge, guard, _, pref = _constants(n)
+    beyond = ax > guard
+    if beyond.any():
+        i = int(beyond.argmax())
+        at_i = edge[i] if np.ndim(edge) else edge
+        raise ParameterError(f"squeeze evaluated at |x|={ax[i]} near/beyond domain edge {at_i}")
+    _, b, r = _raw_terms(n + 1.0, edge, ax)
     f = b * b * pref
     eps_plus = pref * (2.0 * MU_BOUND * np.maximum(b, 0.0) * r + MU_BOUND**2 * r * r)
     eps_minus = pref * 2.0 * MU_BOUND * np.abs(b * r)
@@ -98,6 +113,11 @@ def terms_many(n, x):
 
 
 def squeeze_bounds_many(n, x):
-    """Lower and raw upper squeeze bounds: ((f-eps-)_+, f+eps+)."""
+    """Lower and raw upper squeeze bounds, ((f-eps-)_+, f+eps+), at the
+    points ``x``: of degree ``n``, or of degree ``n[i]`` at ``x[i]`` for an
+    array of degrees, as :func:`dominator.propose` passes for the proposals
+    of many hats in one call.  An array of degrees costs one constants
+    lookup per run of equal degrees, and gives each point the bits its own
+    degree gives it alone."""
     f, ep, em = terms_many(n, x)
     return np.maximum(f - em, 0.0), f + ep

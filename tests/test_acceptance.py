@@ -96,8 +96,8 @@ def test_sublinearity_fails_without_the_in_window_squeeze(monkeypatch):
     # the plain slope read no squeeze.
     propose = dominator.propose
 
-    def no_window_squeeze(hat, stream, size, squeeze):
-        return propose(hat, stream, size, squeeze and isinstance(hat, dominator.GridHat))
+    def no_window_squeeze(hats, stream, sizes, squeeze):
+        return propose(hats, stream, sizes, squeeze and isinstance(hats[0], dominator.GridHat))
 
     monkeypatch.setattr(dominator, "propose", no_window_squeeze)
     rows = verify.check_sublinearity(quick=True)
@@ -135,3 +135,19 @@ def test_squeeze_validity_fails_a_certificate_that_rejects_degree_5000(monkeypat
             "squeeze validity: degrees not certified decreasing beyond x1"
         ]
         assert failed[0].statistic == 1 and "first failures [5000]" in failed[0].detail
+
+
+def test_equivalence_fails_when_a_pass_reads_the_next_groups_hat(monkeypatch):
+    # planted defect: an off-by-one group index in the merged proposal pass,
+    # so each group's proposals read the next group's hat fields (the last
+    # group its own).  Its squeeze then runs a neighbouring degree's sandwich
+    # and its envelope a neighbouring hat, which the laws at tier-1 sizes do
+    # not resolve; criterion 2 at quick size must fail its same-stream row
+    # for the n = 300 mixture (2000 draws), and only that row.
+    rows = dominator._rows
+    monkeypatch.setattr(dominator, "_rows", lambda hats, sizes: rows(hats[1:] + hats[-1:], sizes))
+    failed = [r.test for r in verify.check_equivalence(quick=True) if not r.passed]
+    assert failed == [
+        "equivalence: plain and squeeze on one stream, mixture n=300: "
+        "bytes, proposals, accepts differ"
+    ]

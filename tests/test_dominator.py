@@ -508,7 +508,7 @@ def test_forced_branch_endpoints():
 def test_sampler_matches_analytic_cdf():
     spec = dominator.make_spec(25)
     stream = RandomStream(321)
-    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream, 10**5)))
+    xs = np.sort(np.abs(dominator.sample_envelope_many(spec, stream.uniforms(3 * 10**5), 10**5)))
     f = _envelope_cdf_abs(spec, xs)
     n = xs.size
     i = np.arange(n)
@@ -519,7 +519,7 @@ def test_sampler_matches_analytic_cdf():
 def test_sampler_sign_symmetric():
     spec = dominator.make_spec(3)
     stream = RandomStream(11)
-    xs = dominator.sample_envelope_many(spec, stream, 10**5)
+    xs = dominator.sample_envelope_many(spec, stream.uniforms(3 * 10**5), 10**5)
     assert abs((xs > 0).mean() - 0.5) < 3.0 * 0.5 / math.sqrt(xs.size)
 
 
@@ -681,7 +681,7 @@ def _reference_propose(spec, stream, size, squeeze):
 
 def _same_proposals(spec, make_stream, size, squeeze):
     got_stream, ref_stream = make_stream(), make_stream()
-    got = dominator.propose(spec, got_stream, size, squeeze)
+    got = dominator.propose([spec], got_stream, [size], squeeze)
     ref = _reference_propose(spec, ref_stream, size, squeeze)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (spec.n, size, squeeze)

@@ -9,7 +9,7 @@ from guegen.rng import RandomStream
 
 
 def test_terms_at_origin():
-    alpha, _, _, r = vanveen._raw_terms(10, 0.0)
+    alpha, _, r = vanveen._raw_terms(11.0, vanveen.domain_edge(10), 0.0)
     assert alpha == math.pi / 2.0
     assert math.isclose(r, 1.0 / 33.0, rel_tol=1e-14)
     f, ep, em = vanveen.terms_many(10, np.array([0.0]))
@@ -39,7 +39,7 @@ def test_log_prefactor_matches_termwise_factorial():
     # same quantity with log n! summed term by term instead of lgamma
     for n in (3, 25, 150):
         x = 0.37
-        _, log_pref, _, _ = vanveen._raw_terms(n, x)
+        log_pref = vanveen.log_prefactor(n)
         log_fact = sum(math.log(j) for j in range(1, n + 1))
         log_a = (
             log_fact
@@ -66,7 +66,8 @@ def test_sandwich_on_dense_grid():
 
 
 def test_eps_minus_is_abs_product():
-    _, log_pref, b, r = vanveen._raw_terms(40, 3.3)
+    _, b, r = vanveen._raw_terms(41.0, vanveen.domain_edge(40), 3.3)
+    log_pref = vanveen.log_prefactor(40)
     _, _, em = vanveen.terms_many(40, np.array([3.3]))
     assert math.isclose(em[0], 8.4 * math.exp(log_pref) * abs(b * r), rel_tol=1e-13)
 
