@@ -563,10 +563,14 @@ def propose(hats, stream, sizes, squeeze):
     then its ``sizes[j]`` words for u, as one hat proposing alone would;
     the words are then put side by side, so that one call each of
     :func:`sample_envelope_many`, :func:`envelope_many` and
-    :func:`vanveen.squeeze_bounds_many` serves every hat, on
-    :class:`HatRows` where there are several.  A degree's squeeze is the
-    van Veen sandwich on the draws in its window |x| <= x1.  Each
-    proposal gets the bits it gets from its hat proposing alone.
+    :func:`vanveen.squeeze_bounds_many` serves every hat.  Several hats
+    pass their fields as :class:`HatRows`, one entry per proposal; one
+    hat passes its :class:`DominatorSpec`, whose fields broadcast as
+    scalars, since per-proposal rows would cost it more (a call of 2600
+    proposals from the degree-100 hat takes about 636 us on rows against
+    478 us on scalars, 2-core x86-64 box).  A degree's squeeze is the van
+    Veen sandwich on the draws in its window |x| <= x1.  Each proposal
+    gets the bits it gets from its hat proposing alone.
     """
     size = sum(sizes)
     lower_acc = np.zeros(size, dtype=bool)

@@ -31,29 +31,38 @@ represented degree, and tests them together with
 :func:`hermite.phi_squared_degrees`; up to ``N_GRID`` it passes the
 grid hat alone and :func:`hermite.mixture_density_many`.
 
-A round is one proposal pass for all unfinished groups: each draws its
-block and the squeeze's verdicts from :func:`dominator.propose`, the one
-place that knows how each kind of hat proposes and squeezes, which reads
-each group's stream words in turn and then serves every group with one
-call each of its envelope draw, hat values and van Veen squeeze, on the
-hat fields and degrees of each proposal.  The proposals left undecided
-in all groups share one exact call, and each group's cut, accepts and
-counters are then taken by array operations over the pass.  Over mixed
-degrees the exact call is one pass of the recurrence, which costs the
-largest degree of the round in Python-level steps rather than the sum
-of the degrees.  A pass runs over consecutive groups of at most about
+A call of one group (one degree, the grid hat, or a mixture whose draws
+share one degree) runs its rounds on Python scalars
+(:func:`_sample_one`): one block a round, drawn by a
+:func:`dominator.propose` call that reads its hat's fields as scalars.
+A call of several groups proposes each round's unfinished groups in
+passes: :func:`dominator.propose`, the one place that knows how each
+kind of hat proposes and squeezes, reads each group's stream words in
+turn and then serves every group of the pass with one call each of its
+envelope draw, hat values and van Veen squeeze, on the hat fields and
+degrees of each proposal.  The proposals left undecided in all groups
+share one exact call, and each group's cut, accepts and counters are
+then taken by array operations over the pass.  Over mixed degrees the
+exact call is one pass of the recurrence, which costs the largest
+degree of the round in Python-level steps rather than the sum of the
+degrees.  A pass runs over consecutive groups of at most about
 ``_PASS_CAP`` proposals in all, which bounds the per-proposal hat
 fields it holds, and exact calls over passes of at most about
-``_BLOCK_CAP``; a round with one group passes its hat's fields as
-scalars, and so does the bookkeeping of a pass of one group.  Against
-one :func:`dominator.propose` call and one bookkeeping step per group,
-every draw, counter and stream position is the same, and a call of
-many groups costs less.  Medians of five interleaved calls in one
-process on a 2-core x86-64 box (Python 3.11, numpy 2.4), per-group
-rounds / one pass per round: ``sample_gue_eigenvalues(1000, 10 000)``
-108 / 40 ms, ``(1e4, 1000)`` 146 / 67 ms, and a fresh process's
-``(1e4, 1e6)`` 3.9-4.4 / 3.4-3.5 s at a peak RSS of 124 / 117 MB.  A
-``mixture-n1e4`` call (four groups) spends about 340 / 190 us proposing.
+``_BLOCK_CAP``.  Against one :func:`dominator.propose` call and one
+bookkeeping step per group, every draw, counter and stream position is
+the same.  A call of many groups costs less: medians of seven paired
+calls in one process on a 2-core x86-64 box (Python 3.11, numpy 2.4),
+per-group rounds / passes: ``sample_gue_eigenvalues(1000, 10 000)``
+127 / 44 ms, ``(1e4, 1000)`` 131 / 44 ms, and a fresh process's
+``(1e4, 1e6)`` 3.9-4.1 / 3.2-3.3 s at a peak RSS of 124 / 114 MB; a
+``mixture-n1e4`` call (four groups) spends about 340 / 190 us
+proposing.  A call of one group would cost more in passes, whose array
+set-up outweighs what one group saves: paired calls in one process on
+the same box read the pass's bookkeeping at 1.20 times the scalar
+rounds' time on ``sample_gue_eigenvalues(6, 8200)`` and 1.10 times on
+``sample_phi_sq_many(100, 2000)``, and a propose call of 2600 proposals
+from one hat at 636 us on per-proposal hat fields against 478 us on
+scalars.
 
 Undecided proposals that lie after a block's ``need``-th lower-squeeze
 accept are never evaluated: the group's last needed accept comes at or
@@ -262,16 +271,17 @@ class _Groups:
 
 
 class _Block(NamedTuple):
-    """One proposal pass: the blocks of consecutive groups, concatenated,
-    and the squeeze's verdicts on them."""
+    """Proposals and the squeeze's verdicts on them: the block of a call's
+    one group, or the blocks of the consecutive groups of one proposal
+    pass, concatenated."""
 
-    groups: np.ndarray  # the groups, ascending
-    starts: np.ndarray  # where each group's block starts, then the end
     x: np.ndarray  # proposals
     uh: np.ndarray  # u * h(x), compared against the density
     lower_acc: np.ndarray  # accepted by the lower squeeze bound
     upper_rej: np.ndarray  # rejected by the upper squeeze bound
     lanes: np.ndarray  # ascending positions of the proposals left to the exact test
+    groups: np.ndarray | None = None  # a pass's groups, ascending
+    starts: np.ndarray | None = None  # where each group's block starts in a pass, then the end
 
 
 def _checked(count, mode, max_proposals):
@@ -279,6 +289,72 @@ def _checked(count, mode, max_proposals):
     if mode not in ("plain", "squeeze"):
         raise ParameterError(f"mode must be 'plain' or 'squeeze', got {mode!r}")
     return whole("count", count, 0), whole("max_proposals", max_proposals, 1)
+
+
+def _over_budget(hat, budget):
+    return BudgetError(f"no acceptance within {budget} proposals at {hat.label}", attempts=budget)
+
+
+def _count(stats, spent, lower, evaluated, outside, lanes, took):
+    """Add a block, or a pass of blocks, to ``stats``: ``spent`` proposals
+    before the cuts, ``lower`` of them lower-squeeze accepts and
+    ``evaluated`` of them evaluated lanes, ``outside`` of those outside
+    the squeeze window; then ``lanes`` evaluated in all and ``took`` draws
+    taken."""
+    stats.proposals += spent
+    stats.squeeze_lower_accepts += lower
+    # before its group's cut a proposal is a lower-squeeze accept, an
+    # upper-squeeze reject or an evaluated lane: the pruned lanes lie past it
+    stats.squeeze_upper_rejects += spent - lower - evaluated
+    stats.exact_in_window += evaluated - outside
+    stats.exact_out_of_window += outside
+    stats.exact_discarded += lanes - evaluated
+    stats.accepted += took
+
+
+def _sample_one(hat, count, exact, stream, use_squeeze, stats, max_proposals, out):
+    """The rounds of a call of one group, on Python scalars: ``count``
+    draws from ``hat`` into ``out``.  Each round proposes one block, sized
+    from the hat's mass, and leaves out of its lanes the undecided
+    proposals after its need-th lower accept, which lie past the cut."""
+    budget, filled, spent = max_proposals * count, 0, 0
+    while filled < count:
+        need = count - filled
+        size = min(int(need * hat.mass * 1.2) + 32, _MAX_BLOCK, budget - spent)
+        if size <= 0:
+            raise _over_budget(hat, budget)
+        t1 = time.perf_counter()
+        x, uh, lower_acc, upper_rej = dominator.propose([hat], stream, [size], use_squeeze)
+        lanes = (~(lower_acc | upper_rej)).nonzero()[0]
+        accepts = lower_acc.nonzero()[0]
+        if accepts.size >= need:
+            lanes = lanes[: lanes.searchsorted(accepts[need - 1])]
+        stats.propose_s += time.perf_counter() - t1
+        block = _Block(x, uh, lower_acc, upper_rej, lanes)
+        took, cut = _decide_one(block, need, hat, exact, out[filled:], stats)
+        filled += took
+        spent += cut
+
+
+def _decide_one(b, need, hat, exact, out, stats):
+    """Exact-test the lanes of the block ``b`` of a call's one group, take
+    its first ``need`` accepts into ``out`` and count the block up to its
+    cut; return the draws taken and the cut."""
+    xs = b.x[b.lanes]
+    accept = b.lower_acc.copy()
+    if xs.size:
+        t0 = time.perf_counter()
+        accept[b.lanes] = b.uh[b.lanes] <= exact(xs, [hat.n], [xs.size])
+        stats.exact_s += time.perf_counter() - t0
+    pos = accept.nonzero()[0]
+    cut = int(pos[need - 1]) + 1 if pos.size >= need else b.x.size
+    take = pos[:need]
+    out[: take.size] = b.x[take]
+    evaluated = int(b.lanes.searchsorted(cut))
+    outside = int(np.count_nonzero(np.abs(xs[:evaluated]) > hat.x1))
+    lower = int(np.count_nonzero(b.lower_acc[:cut]))
+    _count(stats, cut, lower, evaluated, outside, b.lanes.size, take.size)
+    return take.size, cut
 
 
 def _block_sizes(groups, active):
@@ -289,10 +365,7 @@ def _block_sizes(groups, active):
     sizes = np.minimum(sizes, np.minimum(groups.budget - groups.spent, _MAX_BLOCK)[active])
     if sizes.min() <= 0:
         g = int(active[(sizes <= 0).argmax()])
-        budget = groups.max_proposals * int(groups.count[g])
-        raise BudgetError(
-            f"no acceptance within {budget} proposals at {groups.hats[g].label}", attempts=budget
-        )
+        raise _over_budget(groups.hats[g], groups.max_proposals * int(groups.count[g]))
     return need, sizes
 
 
@@ -325,19 +398,18 @@ def _propose(groups, pass_groups, need, sizes, stream, use_squeeze):
         limit[enough] = accepts[(first[:-1] + need - 1)[enough]]
         ends = lanes.searchsorted(starts)
         lanes = lanes[lanes < limit.repeat(ends[1:] - ends[:-1])]
-    return _Block(pass_groups, starts, x, uh, lower_acc, upper_rej, lanes)
+    return _Block(x, uh, lower_acc, upper_rej, lanes, pass_groups, starts)
 
 
 def _decide(batch, exact, groups, out, stats):
-    """Exact-test the undecided proposals of every block in ``batch`` with
+    """Exact-test the undecided proposals of every pass in ``batch`` with
     one ``exact`` call, then take each group's accepts.
 
     Counters reflect the sequential semantics: a group's block is
     truncated at the proposal that produced its last needed accept, and
     everything after it is discarded as if never drawn.  The groups of a
-    block are decided together, by array operations over the block
-    (:func:`_take_many`), and a block of one group with scalars
-    (:func:`_take_one`).
+    pass are decided together, by array operations over the pass
+    (:func:`_take`).
     """
     ends = [b.lanes.searchsorted(b.starts) for b in batch]
     lane_counts = [e[1:] - e[:-1] for e in ends]
@@ -353,43 +425,16 @@ def _decide(batch, exact, groups, out, stats):
         stop = start + b.lanes.size
         accept = b.lower_acc.copy()
         accept[b.lanes] = b.uh[b.lanes] <= phi[start:stop]
-        one = _take_one if b.groups.size == 1 else _take_many
-        spent, lower, evaluated, outside, took = one(b, accept, xs[start:stop], counts, groups, out)
-        stats.proposals += spent
-        stats.squeeze_lower_accepts += lower
-        # before its group's cut a proposal is a lower-squeeze accept, an
-        # upper-squeeze reject or an evaluated lane: the pruned lanes lie past it
-        stats.squeeze_upper_rejects += spent - lower - evaluated
-        stats.exact_in_window += evaluated - outside
-        stats.exact_out_of_window += outside
-        stats.exact_discarded += b.lanes.size - evaluated
-        stats.accepted += took
+        _take(b, accept, xs[start:stop], counts, groups, out, stats)
         start = stop
 
 
-def _take_one(b, accept, xs, counts, groups, out):
-    """Take the accepts of a block of one group, given ``accept`` on every
-    proposal and ``xs``, its lanes' points: cut the block past the need-th
-    accept, fill the group's next slots of ``out`` and return the counts
-    (proposals spent, lower accepts, evaluated lanes and those outside
-    the window before the cut, draws taken)."""
-    g = int(b.groups[0])
-    need = int(groups.count[g] - groups.filled[g])
-    pos = accept.nonzero()[0]
-    cut = int(pos[need - 1]) + 1 if pos.size >= need else b.x.size
-    take = pos[:need]
-    at = int(groups.offset[g] + groups.filled[g])
-    out[at : at + take.size] = b.x[take]
-    groups.filled[g] += take.size
-    groups.spent[g] += cut
-    evaluated = int(b.lanes.searchsorted(cut))
-    outside = int(np.count_nonzero(np.abs(xs[:evaluated]) > groups.x1[g]))
-    return cut, int(np.count_nonzero(b.lower_acc[:cut])), evaluated, outside, take.size
-
-
-def _take_many(b, accept, xs, counts, groups, out):
-    """:func:`_take_one` for a block of several groups, by array operations
-    over the block; ``counts`` holds each group's number of lanes."""
+def _take(b, accept, xs, counts, groups, out, stats):
+    """Take the accepts of the groups of the pass ``b`` by array operations
+    over the pass, given ``accept`` on every proposal, ``xs``, the points
+    of its lanes, and ``counts``, each group's number of lanes: cut each
+    group's block past its need-th accept, fill the group's next slots of
+    ``out`` and count the pass up to the cuts."""
     g, starts = b.groups, b.starts
     need = groups.count[g] - groups.filled[g]
     pos = accept.nonzero()[0]
@@ -398,28 +443,20 @@ def _take_many(b, accept, xs, counts, groups, out):
     full = have >= need
     cut = starts[1:].copy()  # past the need-th accept, or the whole block
     cut[full] = pos[(first[:-1] + need - 1)[full]] + 1
-    took = np.minimum(have, need)
+    spent = cut - starts[:-1]
+    live = np.arange(b.x.size) < cut.repeat(starts[1:] - starts[:-1])  # before its group's cut
     # each group's accepts before its cut fill its next slots, in order
-    taken = pos[pos < cut.repeat(have)]
+    taken = pos[live[pos]]
+    took = np.minimum(have, need)
     at = groups.offset[g] + groups.filled[g] - took.cumsum() + took
     out[at.repeat(took) + np.arange(taken.size)] = b.x[taken]
-    spent = cut - starts[:-1]
     groups.filled[g] += took
     groups.spent[g] += spent
-    far = b.lanes[np.abs(xs) > groups.x1[g].repeat(counts)]
-    return (
-        int(spent.sum()),
-        _before_cut(b.lower_acc.nonzero()[0], starts, cut),
-        _before_cut(b.lanes, starts, cut),
-        _before_cut(far, starts, cut),
-        taken.size,
-    )
-
-
-def _before_cut(marks, starts, cut):
-    """How many of the ascending positions ``marks`` lie before the cut of
-    their group's block."""
-    return int((marks.searchsorted(cut) - marks.searchsorted(starts[:-1])).sum())
+    lanes_before = live[b.lanes]
+    outside = np.count_nonzero(lanes_before & (np.abs(xs) > groups.x1[g].repeat(counts)))
+    evaluated = np.count_nonzero(lanes_before)
+    lower = np.count_nonzero(b.lower_acc & live)
+    _count(stats, int(spent.sum()), lower, evaluated, outside, b.lanes.size, taken.size)
 
 
 def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
@@ -434,16 +471,18 @@ def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
 
     Each group draws proposal blocks, sized from its hat's mass, until it
     has its count, spending at most ``max_proposals * count`` proposals.
-    In each round the unfinished groups draw their blocks and apply the
-    squeeze in proposal passes, each over consecutive groups whose blocks
-    total at most about ``_PASS_CAP`` proposals, which bounds the pass's
-    per-proposal hat fields; the proposals the squeeze leaves undecided
-    then share one ``exact`` call per batch of passes of at most about
-    ``_BLOCK_CAP`` proposals, which bounds memory.  The exact recurrence
-    gives each point the same bits in any batch, a pass gives each
-    proposal the bits its group's block alone gives it, and the stream is
-    consumed block by block, so where a round splits changes no draw,
-    counter or stream position.
+    A call of one group runs its rounds on Python scalars
+    (:func:`_sample_one`).  With several groups, in each round the
+    unfinished groups draw their blocks and apply the squeeze in proposal
+    passes, each over consecutive groups whose blocks total at most about
+    ``_PASS_CAP`` proposals, which bounds the pass's per-proposal hat
+    fields; the proposals the squeeze leaves undecided then share one
+    ``exact`` call per batch of passes of at most about ``_BLOCK_CAP``
+    proposals, which bounds memory.  The exact recurrence gives each point
+    the same bits in any batch, a pass gives each proposal the bits its
+    group's block alone gives it, and the stream is consumed block by
+    block, so where a round splits changes no draw, counter or stream
+    position.
     """
     t0 = time.perf_counter()
     stats = SamplerStats() if stats is None else stats
@@ -456,9 +495,12 @@ def _sample(hats, counts, exact, stream, mode, stats, max_proposals):
             stats.accepted += count
         elif count:
             kept.append((hat, count, offset))
-    if kept:
+    use_squeeze = mode == "squeeze"
+    if len(kept) == 1:
+        hat, count, offset = kept[0]
+        _sample_one(hat, count, exact, stream, use_squeeze, stats, max_proposals, out[offset:])
+    elif kept:
         groups = _Groups(*zip(*kept), max_proposals)
-        use_squeeze = mode == "squeeze"
         while (active := (groups.filled < groups.count).nonzero()[0]).size:
             need, sizes = _block_sizes(groups, active)
             batch, batched = [], 0
@@ -494,7 +536,7 @@ def _degree_hats(degrees, counts):
 def _degree_density(x, ks, counts):
     """phi_k^2 at the points of a mixture's batch, k the degree of each
     point's hat: one pass of the recurrence for all the batch's degrees."""
-    return hermite.phi_squared_degrees(ks.repeat(counts), x)
+    return hermite.phi_squared_degrees(np.repeat(ks, counts), x)
 
 
 def sample_phi_sq_many(

@@ -2,11 +2,11 @@
 
 The engine of :mod:`guegen.samplers` proposes the blocks of all unfinished
 degree groups of a round in one pass and decides them with array
-operations.  Below is a copy of the per-group round it replaced, kept for
-this test only: each group draws its block with its own
-:func:`dominator.propose` call, and ``_decide`` walks the groups one by
-one.  Both must give the same draws, every counter of ``SamplerStats``
-and the same stream position.
+operations, and runs a call of one group in scalar rounds.  Below is a
+copy of the per-group round it replaced, kept for this test only: each
+group draws its block with its own :func:`dominator.propose` call, and
+``_decide`` walks the groups one by one.  Both must give the same draws,
+every counter of ``SamplerStats`` and the same stream position.
 """
 
 import itertools

@@ -105,6 +105,16 @@ def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
             seen.append(b.lanes.size)
         return decide(batch, exact, groups, out, stats)
 
+    decide_one = samplers._decide_one
+
+    def checked_one(b, need, *rest):
+        # a call of one group decides its block alone
+        accepts = np.flatnonzero(b.lower_acc)
+        if accepts.size >= need and b.lanes.size:
+            assert b.lanes[-1] < accepts[need - 1]
+        seen.append(b.lanes.size)
+        return decide_one(b, need, *rest)
+
     evaluated = []
 
     def counted(kernel):
@@ -113,6 +123,7 @@ def test_no_lane_past_the_need_th_lower_accept(monkeypatch):
     for name in ("phi_squared_many", "phi_squared_degrees"):
         monkeypatch.setattr(hermite, name, counted(getattr(hermite, name)))
     monkeypatch.setattr(samplers, "_decide", checked)
+    monkeypatch.setattr(samplers, "_decide_one", checked_one)
     samplers.sample_phi_sq_many(100, 3000, RandomStream(66), "squeeze")
     samplers.sample_gue_eigenvalues(300, 500, RandomStream(67), "squeeze")
     assert sum(evaluated) == sum(seen) > 0
@@ -179,13 +190,21 @@ def test_exact_discarded_counts_the_lanes_past_the_cut(first_passes):
     uh = np.array([0.1, 0.1, 0.3, 0.3])
     lower_acc = np.array([False, False, True, False])
     block = samplers._Block(
-        np.array([0]), np.array([0, 4]), x, uh, lower_acc, np.zeros(4, dtype=bool), np.array([0, 1])
+        x, uh, lower_acc, np.zeros(4, dtype=bool), np.array([0, 1]), np.array([0]), np.array([0, 4])
     )
     phi = np.array([0.2, 0.2]) if first_passes else np.array([0.05, 0.2])
-    out, stats = np.empty(1), samplers.SamplerStats()
-    samplers._decide([block], lambda xs, ks, counts: phi, groups, out, stats)
+
+    def exact(*_):
+        return phi
+
     cut = 1 if first_passes else 2
+    # as a pass of the many-group rounds, and as the block of a one-group call
+    out, stats = np.empty(1), samplers.SamplerStats()
+    samplers._decide([block], exact, groups, out, stats)
     assert out.tolist() == [x[cut - 1]] and groups.filled[0] == 1 and groups.spent[0] == cut
+    out_one, stats_one = np.empty(1), samplers.SamplerStats()
+    assert samplers._decide_one(block, 1, groups.hats[0], exact, out_one, stats_one) == (1, cut)
+    assert out_one.tolist() == out.tolist() and stats_one == stats
     assert (stats.proposals, stats.exact_evals, stats.exact_discarded) == (cut, cut, 2 - cut)
     assert (stats.squeeze_lower_accepts, stats.accepted) == (0, 1)
 
