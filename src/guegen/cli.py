@@ -17,6 +17,7 @@ CSV and JSON layout.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -54,16 +55,21 @@ def _emit(lines, out_path):
         sys.stdout.writelines(lines)
 
 
+_CSV_ROWS = 4096  # rows formatted in one operation
+
+
 def _csv(header, rows):
-    """CSV lines of a nonempty table: the header, then each row tuple in
-    one %-format built from the types of the first row."""
+    """CSV text of a nonempty table: the header line, then the row tuples
+    in chunks of up to ``_CSV_ROWS`` rows, each chunk in one repeated
+    %-format built from the types of the first row."""
     rows = iter(rows)
     first = next(rows)
     fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
     yield ",".join(header) + "\n"
-    yield fmt % first
-    for row in rows:
-        yield fmt % row
+    chunk = [first, *itertools.islice(rows, _CSV_ROWS - 1)]
+    while chunk:
+        yield (fmt * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+        chunk = list(itertools.islice(rows, _CSV_ROWS))
 
 
 # keyword arguments of each flag that two or more subcommands take

@@ -1,6 +1,6 @@
 """Dominating hats: one per degree for the squared Hermite function
-density, certified or level, and a grid hat for the one-eigenvalue
-density of a small GUE(n).
+density, certified or level, a grid hat for the one-eigenvalue density
+of a small GUE(n), and a grid hat for one small degree.
 
 For degree n >= 1 write f = phi_n, e = 2 sqrt(n+1) (the edge of the van
 Veen representation, :mod:`guegen.vanveen`), x_t = sqrt(4n + 2) (the
@@ -90,7 +90,50 @@ the density of one uniformly chosen GUE(n) eigenvalue, directly:
 The levels come from one kernel pass over the points, so a grid costs
 O(n X / GRID_STEP) = O(n^(3/2)) recurrence steps to build; the most
 recently used grids are cached.  A draw costs one piece selector, read
-through a Walker alias table, and one position variate.
+through a Walker alias table, and one position variate.  Both grids'
+densities are even, so their levels are worked out on the cells of
+[0, X] and mirrored.
+
+The degree grid (:func:`degree_grid`) covers g = phi_k^2 itself, for
+1 <= k <= ``GRID_DEGREES``, with levels from two-sided Taylor bounds
+(after the strip and table methods of Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. VIII):
+
+* values: one kernel pass over the cell edges gives f = phi_k and
+  f' = sqrt(k) phi_{k-1} - (x/2) phi_k, by the ladder relation quoted in
+  :mod:`guegen.hermite` (:func:`hermite.phi_and_slope`), so g = f^2 and
+  g' = 2 f f'.
+* curvature: f'' = -q f with q = k + 1/2 - x^2/4 (Weber's equation), so
+  g'' = 2 f'^2 - 2 q f^2.  Cramer's M bounds phi_k^2 and phi_{k-1}^2, so
+  |f'| <= sqrt(M) (sqrt(k) + |x|/2) and
+  |g''| <= L2(x) = 2 M ((sqrt(k) + |x|/2)^2 + k + 1/2 + x^2/4)
+  (:func:`_bracket`), which grows with |x|; a cell takes it at its
+  outer end b.
+* levels: on a cell [a, b] of width w, Taylor's theorem with |g''| <= L2
+  gives g(x) <= P_a(x) = g(a) + g'(a) (x - a) + L2 (x - a)^2 / 2, and
+  g(x) <= P_b(x), the same from b.  Each is a convex quadratic, which
+  takes its largest value on the cell at an end, so on the cell
+  g <= min(max(g(a), P_a(b)), max(g(b), P_b(a))).  Mirrored, with -L2,
+  each of Q_a and Q_b is concave and smallest at an end, so
+  g >= max(min(g(a), Q_a(b)), min(g(b), Q_b(a))), floored at 0.
+* float slack: the kernel's g carries at most SLACK of relative error,
+  as for the other hats.  The error of g' w comes from cancellation
+  between the two terms of f', so it is bounded absolutely, by SLACK
+  times the bound 2 M (sqrt(k) + b/2) w on |g'| w; it joins the
+  curvature term L2 w^2 / 2 on both sides.  The hat level then takes a
+  factor 1 + SLACK and the squeeze level 1 - SLACK, so the levels also
+  bound the kernel's value at any x of the cell, which the exact test
+  reads.
+* cells: of one width on [0, X], DEGREE_STEP / sqrt(I) with I the
+  integral of (sqrt(k) + x/2)^2 + k + 1/2 + x^2/4 over [0, X], so their
+  curvature terms add up to about the same mass at every degree: the hat's
+  mass is 1.036-1.050 for k = 1 to 256 (table in :mod:`guegen.samplers`).
+* tails: phi_k^2 <= 0.47 2^k e^(-x^2/6), A = 0.47 2^k, as above.
+
+A degree grid costs one kernel pass of k steps over its about X / w
+edges on [0, X]: 0.27, 0.33, 0.54, 2.2 and 10 ms to build at k = 1, 10,
+30, 100 and 256 (2-core x86-64 box).  It has 1154, 2530, 5680, 18 956
+and 55 810 cells there.
 
 :func:`propose` draws proposals from either kind of hat, or from several
 degree hats at once, together with their squeeze verdicts, so the
@@ -108,7 +151,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hermite, vanveen
-from .errors import CertificateError, whole
+from .errors import CertificateError, ParameterError, whole
 
 PI = math.pi
 # relative slack on each level: 100x the float kernel's relative error
@@ -435,17 +478,23 @@ def sample_envelope_many(spec, words, size):
 
 GRID_STEP = 0.02  # cell width; the samplers module docstring has the mass table
 _TAIL_LOG = 14.0  # the tail piece starts at e^(-14) at |x| = X
-# grids kept, the most recently used; one takes 40 B a cell, at most 135 KB
-# at n <= 256, so the cache stays below 2.2 MB
+# mixture grids kept, the most recently used; one takes 36 B a cell, at most
+# 120 KB at n <= 256, so the cache stays below 2 MB
 _GRID_CACHE = 16
+GRID_DEGREES = 256  # K: degree grids serve degrees 1 ... K
+DEGREE_STEP = 0.22  # the degree grid's cell width times sqrt(I) (module docstring)
+# degree grids kept, the most recently used; one takes 36 B a cell, at most
+# 2.0 MB at k <= K (55 810 cells), so the cache stays below 8.1 MB
+_DEGREE_GRID_CACHE = 4
 
 
 class GridHat(NamedTuple):
-    """The grid hat of the GUE(n) one-eigenvalue density (see the module
-    docstring): levels on the cells between consecutive ``points``, which
-    cover [-x1, x1], and an exponential tail beyond.  Its pieces are the
-    cells from the left, then the left and the right tail, and ``keep``
-    and ``alias`` are their Walker alias table (:func:`_alias_table`)."""
+    """A grid hat (see the module docstring): levels on the cells between
+    consecutive ``points``, which cover [-x1, x1], and an exponential tail
+    beyond.  Its pieces are the cells from the left, then the left and the
+    right tail, and ``keep`` and ``alias`` are their Walker alias table
+    (:func:`_alias_table`).  ``n`` is the degree of a degree grid, the
+    ensemble size of a mixture's, and ``label`` names which."""
 
     n: int
     x1: float  # X: the cells cover [-X, X]
@@ -457,10 +506,7 @@ class GridHat(NamedTuple):
     mass: float  # the hat's integral, the mean number of proposals per accept
     keep: np.ndarray
     alias: np.ndarray
-
-    @property
-    def label(self):
-        return f"the n = {self.n} mixture"
+    label: str
 
 
 def grid_hat(n):
@@ -468,31 +514,110 @@ def grid_hat(n):
     return _grid_hat(whole("ensemble size", n, 1))
 
 
+def _tail_edge(log_a):
+    """X, where the tail bound A e^(-x^2/6), ln A = ``log_a``, is e^(-14)."""
+    return math.sqrt(6.0 * (log_a + _TAIL_LOG))
+
+
+def _half_line(x1, step):
+    """The cell edges on [0, x1], about ``step`` apart."""
+    return np.linspace(0.0, x1, math.ceil(x1 / step) + 1)
+
+
 @functools.lru_cache(maxsize=_GRID_CACHE)
 def _grid_hat(n):
     # ln A, A = 0.47 (2^n - 1) / n, in logs: 2^n overflows from n = 1024
     log_a = math.log(0.47) + n * math.log(2.0) + math.log1p(-(2.0**-n)) - math.log(n)
-    x1 = math.sqrt(6.0 * (log_a + _TAIL_LOG))
-    half = np.linspace(0.0, x1, math.ceil(x1 / GRID_STEP) + 1)
+    half = _half_line(_tail_edge(log_a), GRID_STEP)
     g = hermite.mixture_density_many(n, half)
-    points = np.concatenate((-half[:0:-1], half))
-    g = np.concatenate((g[:0:-1], g))
     mid = 0.5 * (g[:-1] + g[1:])
-    width = np.diff(points)
-    reach = (1.0 + SLACK) * 0.5 * _CRAMER / math.sqrt(n) * width  # L w / 2, with slack
+    reach = (1.0 + SLACK) * 0.5 * _CRAMER / math.sqrt(n) * np.diff(half)  # L w / 2, with slack
     upper = mid * (1.0 + SLACK) + reach
     lower = np.maximum(mid * (1.0 - SLACK) - reach, 0.0)
+    return _assemble(n, f"the n = {n} mixture", log_a, half, upper, lower)
+
+
+def degree_grid(k):
+    """The grid hat of phi_k^2, 1 <= k <= ``GRID_DEGREES``, cached."""
+    k = whole("degree", k, 1)
+    if k > GRID_DEGREES:
+        raise ParameterError(f"degree grids serve degrees 1 to {GRID_DEGREES}, got {k}")
+    return _degree_grid(k)
+
+
+def _degree_edges(k):
+    """ln A of the degree-k tail bound, and the grid's half-line cell edges
+    on [0, X], about ``DEGREE_STEP / sqrt(I)`` apart, where I is the integral
+    of :func:`_bracket` over [0, X] (module docstring)."""
+    log_a = math.log(0.47) + k * math.log(2.0)  # phi_k^2 <= 0.47 2^k e^(-x^2/6)
+    x1 = _tail_edge(log_a)
+    root_k = math.sqrt(k)
+    bracket = (2.0 / 3.0) * ((root_k + 0.5 * x1) ** 3 - root_k**3) + (k + 0.5) * x1 + x1**3 / 12.0
+    return log_a, _half_line(x1, DEGREE_STEP / math.sqrt(bracket))
+
+
+def _bracket(k, x):
+    """(sqrt(k) + x/2)^2 + k + 1/2 + x^2/4 at x >= 0, which times 2 M bounds
+    |(phi_k^2)''| on [-x, x] (module docstring)."""
+    return (math.sqrt(k) + 0.5 * x) ** 2 + (k + 0.5) + 0.25 * x * x
+
+
+@functools.lru_cache(maxsize=_DEGREE_GRID_CACHE)
+def _degree_grid(k):
+    log_a, half = _degree_edges(k)
+    upper, lower = _degree_levels(k, half, *hermite.phi_and_slope(k, half))
+    return _assemble(k, f"the degree {k} grid", log_a, half, upper, lower)
+
+
+def _degree_levels(k, half, f, df):
+    """The hat and squeeze levels of the degree-k grid's cells between the
+    points ``half`` >= 0, from f = phi_k and f' = phi_k' there (module
+    docstring)."""
+    g, dg = f * f, 2.0 * f * df
+    w = np.diff(half)
+    b = half[1:]  # each cell's outer end
+    # the curvature term L2 w^2 / 2; then the float error of g' w, at most
+    # SLACK times its bound 2 M (sqrt(k) + x/2) w
+    reach = _bracket(k, b) * (_CRAMER * w * w)
+    reach += (SLACK * 2.0 * _CRAMER) * (math.sqrt(k) + 0.5 * b) * w
+    ga, gb = g[:-1], g[1:]
+    from_a = ga + dg[:-1] * w  # the Taylor line from a, at b
+    from_b = gb - dg[1:] * w  # the Taylor line from b, at a
+    upper = np.minimum(np.maximum(ga, from_a + reach), np.maximum(gb, from_b + reach))
+    upper *= 1.0 + SLACK
+    lower = np.maximum(np.minimum(ga, from_a - reach), np.minimum(gb, from_b - reach))
+    lower *= 1.0 - SLACK
+    return upper, np.maximum(lower, 0.0, out=lower)
+
+
+def _assemble(n, label, log_a, half, upper, lower):
+    """The grid hat whose cells on [0, X] lie between the points ``half``
+    with levels ``upper`` and ``lower``, mirrored onto [-X, 0], and whose
+    tails are bounded by A e^(-x^2/6), ln A = ``log_a``."""
+    x1 = float(half[-1])
     tail = math.exp(log_a - x1 * x1 / 6.0)
     rate = x1 / 3.0
-    masses = np.concatenate((upper * width, [tail / rate] * 2))
+    # the alias table first, before the mirrored arrays exist, which keeps
+    # the build's peak memory down
+    masses = np.append(_even(upper * np.diff(half)), [tail / rate] * 2)
+    mass = float(masses.sum())
     keep, alias = _alias_table(masses)
+    points = np.concatenate((-half[:0:-1], half))
+    upper, lower = _even(upper), _even(lower)
     for a in (points, upper, lower, keep, alias):
         a.flags.writeable = False  # shared by every caller of the cache
-    return GridHat(n, x1, points, upper, lower, tail, rate, float(masses.sum()), keep, alias)
+    return GridHat(n, x1, points, upper, lower, tail, rate, mass, keep, alias, label)
+
+
+def _even(levels):
+    """Levels of the cells on [0, X], from 0 out, extended to the cells
+    on [-X, X], from -X: the mirror images first."""
+    return np.concatenate((levels[::-1], levels))
 
 
 def _alias_table(masses):
-    """Walker's alias table of the distribution proportional to ``masses``:
+    """Walker's alias table of the distribution proportional to ``masses``,
+    which it scales in place:
     index j, drawn uniformly, is kept with probability ``keep[j]`` and
     otherwise replaced by ``alias[j]``.  Vose's pairing, run on every pair
     at once: each round pairs as many indices of scaled mass below 1 with
@@ -500,9 +625,10 @@ def _alias_table(masses):
     first is finished, and each of the second gives up what its partner
     lacks and joins the first kind if it falls below 1.  Indices left over
     keep their own share (about 1, up to rounding)."""
-    p = masses * (masses.size / masses.sum())
+    p = masses
+    p *= masses.size / masses.sum()
     keep = np.ones(masses.size)
-    alias = np.arange(masses.size)
+    alias = np.arange(masses.size, dtype=np.int32)  # m + 2 < 2^17 (sample_grid_many)
     small, large = np.flatnonzero(p < 1.0), np.flatnonzero(p >= 1.0)
     while small.size and large.size:
         k = min(small.size, large.size)
@@ -527,8 +653,9 @@ def sample_grid_many(hat, stream, size):
     """
     cells = hat.upper.size
     u = stream.uniforms(size) * (cells + 2)
-    # u < 1 keeps the product below m + 2 after rounding, and m + 2 < 2^12
-    # at n <= 256 leaves the coin at least 41 bits
+    # u < 1 keeps the product below m + 2 after rounding, and m + 2 < 2^17
+    # (55 812 at the degree grid of k = K, 3336 at the mixture's of n = 256)
+    # leaves the coin at least 36 bits
     j = u.astype(np.intp)
     piece = np.where(u - j < hat.keep[j], j, hat.alias[j])
     v = stream.uniforms(size)

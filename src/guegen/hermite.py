@@ -172,15 +172,30 @@ def certify_decreasing(ks, x):
         raise ParameterError("points must be finite, with finite squares")
     order = np.argsort(-ks, kind="stable")
     k, xs = ks[order], x[order]
-    prev, cur, expo, _ = _psi_scaled_sorted(k, xs)
-    slope = np.sqrt(k) * prev - 0.5 * xs * cur
+    cur, slope, scale = _phi_slope_sorted(k, xs)
     q = k + 0.5 - 0.25 * xs * xs
     w = np.sqrt(np.maximum(q, 0.0))
     before_turn = np.arctan2(w * cur, -slope) > w * (np.sqrt(4.0 * k + 2.0) - xs)
     certified = (xs > 0.0) & (cur > 0.0) & (slope < 0.0) & ((q <= 0.0) | before_turn)
-    scale = np.exp(expo * LN2 - 0.25 * xs * xs - 0.5 * LN_SQRT_2PI)
     back = np.argsort(order)
     return (cur * scale)[back], (slope * scale)[back], certified[back]
+
+
+def _phi_slope_sorted(ks, x):
+    """The mantissas of phi_k and phi_k' = sqrt(k) phi_{k-1} - (x/2) phi_k
+    and their common scale, over lanes sorted by degree, largest first."""
+    prev, cur, expo, _ = _psi_scaled_sorted(ks, x)
+    slope = np.sqrt(ks) * prev - 0.5 * x * cur
+    return cur, slope, np.exp(expo * LN2 - 0.25 * x * x - 0.5 * LN_SQRT_2PI)
+
+
+def phi_and_slope(k, x):
+    """``(phi_k(x), phi_k'(x))`` at an array of points short of the far
+    tail, from one plain kernel pass, as :func:`certify_decreasing` reads
+    them."""
+    x = np.asarray(x, dtype=float)
+    cur, slope, scale = _phi_slope_sorted(np.full(x.size, whole("degree", k, 0)), x)
+    return cur * scale, slope * scale
 
 
 def _limit(absx, squared):

@@ -16,7 +16,11 @@ Four layers, all targeting the same densities exactly:
   mixture density itself (:func:`dominator.grid_hat`), with no index
   draws: 1.02-1.06 proposals per draw (n = 256 down to 2) against about
   3.1 for the per-degree hats, and a squeeze level per cell that leaves
-  4-9% of the draws to one exact mixture-density evaluation each.
+  4-9% of the draws to one exact mixture-density evaluation each;
+* for 1 <= k <= K = ``dominator.GRID_DEGREES`` and counts from T(k) on,
+  rejection from the degree grid of phi_k^2 (:func:`dominator.degree_grid`):
+  1.036-1.050 proposals per draw against 3.4-3.6 for the degree's hat,
+  and 6-7% of the proposals to one exact evaluation each.
 
 Degree 0 short-circuits to a standard normal draw, since the degree-0
 density is exactly the standard normal density, and so does n = 1.
@@ -24,7 +28,7 @@ density is exactly the standard normal density, and so does n = 1.
 Both entry points run one rejection engine, which never asks what kind
 of hat it runs.  It takes groups of draws, each with its hat, and the
 density the hats bound as an exact test that the caller names:
-``sample_phi_sq_many`` passes one degree's hat and
+``sample_phi_sq_many`` passes one degree's hat or degree grid and
 :func:`hermite.phi_squared_many`; ``sample_gue_eigenvalues`` above
 ``N_GRID`` draws all mixture indices, passes the hat of every
 represented degree, and tests them together with
@@ -156,6 +160,53 @@ costs about 1.3 ms, which the grid's saving of about 0.11 ms a draw
 recovers within about 12 draws, and at n = 1024 about 5.5 ms, recovered
 within about 42.  ``N_GRID`` = 256 keeps that one-off cost under 1.5 ms.
 
+A ``sample_phi_sq_many(k, count)`` call takes the degree grid when
+1 <= k <= K and count >= T(k) (:func:`_grid_pays`), reading (k, count)
+alone, by the rule of the level hat: where a call made once cold and
+once warm costs less on the grid in total.  Milliseconds of cold plus
+warm grid calls minus cold plus warm calls on the degree's hat, medians
+of 15-21 interleaved pairs on fresh seeds, 2-core x86-64 box (Python
+3.11, numpy 2.4); "cold" clears every hat cache before the call, and a
+warm call repeats it on the next seed (rows from separate runs of the
+same cell are both shown):
+
+    k     count: grid minus hat, cold + warm                        crossover
+    1     1: +0.01   2: -0.18   8: -0.12   50: -0.10   500: -0.65     2
+    10    1: +0.10   2: -0.15   10: -0.05  100: -0.10  800: -1.03     2
+    30    100: +0.06  200: +0.08, -0.03  250: +0.03  300: -0.07      about 270
+    60    450: +0.49  600: +0.21  800: -0.06                          about 780
+    100   1000: +0.39, +0.84  1200: +0.07  1300: 0.00  1400: -0.23
+          1600: -0.55, -0.64  2000: -1.05, -1.29                      about 1300
+    160   2500: +0.12  3000: -0.66  3500: -1.36                       about 2550
+    256   5000: +1.7, +1.9  6000: +1.2  7000: -0.10  8000: -2.8, -1.6 about 6900
+
+The grid's cold call pays its build, 0.3 ms at k = 1 and 10 ms at
+k = 256 (:mod:`guegen.dominator`), and then saves about 0.75-0.85 us a
+draw: 2000 warm draws take 0.2 ms at k = 1 and 0.35 ms at k = 100 on
+the grid against 1.9 ms on the hat.  Below k = 20 the hat's fixed cost
+per call, about 0.2 ms more than the grid's, also outweighs the build.
+T(k) = max(2, ceil(1.45 k^1.5)), the least-squares power law through
+the crossovers from k = 60 to 256, gives 2, 46, 239, 674, 1450, 2935 and
+5940 at k = 1, 10, 30, 60, 100, 160 and 256.  It keeps calls of up to
+about 40 draws at k = 10 to 20 on the hat, where the grid would save at
+most 0.15 ms a cold-warm pair.  K = 256 is the largest power of two
+whose grid keeps ``dominator.sample_grid_many``'s coin bits with m + 2
+< 2^17 (55 810 cells; 2^17 would be passed near k = 520), and its grid
+takes 2.0 MB.  The degree grids' cell width is set by
+``dominator.DEGREE_STEP`` = 0.22, from 2000-draw warm calls on the same
+box, in ms, with the hat's mass and cell count (width = DEGREE_STEP /
+sqrt(I), module docstring of :mod:`guegen.dominator`):
+
+    DEGREE_STEP   0.13                   0.22                   0.31
+    k = 1         0.20 (1.020, 1922)     0.20 (1.050, 1154)     0.20 (1.093, 824)
+    k = 100       0.33 (1.013, 31 594)   0.35 (1.036, 18 956)   0.39 (1.076, 13 540)
+    k = 256       0.50 (1.012, 93 016)   0.56 (1.038, 55 810)   0.59 (1.078, 39 864)
+
+and builds in 0.44 / 0.33 / 0.29 ms at k = 1, 5.4 / 2.4 / 2.0 ms at
+k = 100 and 22 / 9.0 / 7.1 ms at k = 256: 0.13 costs twice the build
+for at most 0.06 ms a call, and 0.31 saves a fifth of it for more
+exact evaluations (13% of the proposals at k = 100 against 6.5%).
+
 The grid hat's cell width ``dominator.GRID_STEP`` = 0.02 comes from
 the same box: 8200 draws at n = 6 (the size the chain of
 :mod:`guegen.joint` asks for at n = 6) cost, in ms, with the hat's mass
@@ -168,6 +219,7 @@ and cell count:
 
 import bisect
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -539,6 +591,20 @@ def _degree_density(x, ks, counts):
     return hermite.phi_squared_degrees(np.repeat(ks, counts), x)
 
 
+def _grid_pays(k, count):
+    """Whether a ``sample_phi_sq_many(k, count)`` call takes the degree grid
+    (:func:`dominator.degree_grid`): for k <= ``dominator.GRID_DEGREES`` and
+    counts from ``_grid_count(k)`` on.  Reads (k, count) alone, never the
+    caches, so draws never depend on which hats are cached."""
+    return 1 <= k <= dominator.GRID_DEGREES and count >= _grid_count(k)
+
+
+def _grid_count(k):
+    """T(k), the count from which the degree grid's build pays: 1.45 k^1.5,
+    at least 2 (table above)."""
+    return max(2, math.ceil(1.45 * k**1.5))
+
+
 def sample_phi_sq_many(
     k,
     count,
@@ -548,7 +614,8 @@ def sample_phi_sq_many(
     max_proposals=DEFAULT_MAX_PROPOSALS,
 ):
     """``count`` exact draws from the degree-k density, vectorized: the
-    one-group case of the rejection engine.
+    one-group case of the rejection engine, on the degree grid where
+    :func:`_grid_pays` and else on the degree's hat.
 
     Proposals are generated in blocks sized from the known acceptance
     rate. Counters in ``stats`` reflect the sequential semantics: blocks
@@ -558,12 +625,16 @@ def sample_phi_sq_many(
     """
     k = whole("degree", k, 0)
     count, max_proposals = _checked(count, mode, max_proposals)
-    return _sample(
-        lambda: _degree_hats([k], [count]),
-        [count],
-        lambda x, *_: hermite.phi_squared_many(k, x),
-        stream, mode, stats, max_proposals,
-    )
+    grid = _grid_pays(k, count)
+    return _sample_degree(k, count, stream, mode, stats, max_proposals, grid)
+
+
+def _sample_degree(k, count, stream, mode, stats, max_proposals, grid):
+    """:func:`sample_phi_sq_many` on the degree grid if ``grid``, else on
+    the degree's hat, on checked arguments."""
+    hats = (lambda: [dominator.degree_grid(k)]) if grid else (lambda: _degree_hats([k], [count]))
+    exact = lambda x, *_: hermite.phi_squared_many(k, x)
+    return _sample(hats, [count], exact, stream, mode, stats, max_proposals)
 
 
 def sample_gue_eigenvalues(

@@ -217,6 +217,19 @@ def _ks_row(sample, where, xs, cdf, note=""):
     )
 
 
+def _path(k, count):
+    """Which hat a ``sample_phi_sq_many(k, count)`` call draws from."""
+    return "degree grid" if samplers._grid_pays(k, count) else "degree hat"
+
+
+def _on_degree_hat(k, count, stream, mode, stats=None):
+    """``sample_phi_sq_many(k, count, stream, mode, stats)`` on the degree's
+    hat, certified or level as the count picks, whatever the call's size:
+    for rows that check that hat."""
+    max_proposals = samplers.DEFAULT_MAX_PROPOSALS
+    return samplers._sample_degree(k, count, stream, mode, stats, max_proposals, False)
+
+
 def check_exactness(quick=False):
     draws = 10_000 if quick else 100_000
     out = [
@@ -225,6 +238,7 @@ def check_exactness(quick=False):
             f"degree {k}",
             samplers.sample_phi_sq_many(k, draws, _stream(10 + i), "squeeze"),
             lambda s: hermite.phi_sq_cdf_many(k, s),
+            f"; {_path(k, draws)}",
         )
         for i, k in enumerate((1, 3, 10, 100, 1_000, 10_000, 100_000))
     ]
@@ -259,7 +273,7 @@ def check_exactness(quick=False):
 # ----------------------------------------------------------------------
 
 
-def _same_stream(label, draw):
+def _same_stream(label, draw, note=""):
     """Plain and squeeze runs of ``draw(mode, stats)`` on one seed: the
     squeeze only settles decisions the exact test would take alike, so
     the draws agree byte for byte and so do the proposal counts."""
@@ -273,7 +287,7 @@ def _same_stream(label, draw):
         differ,
         0.0,
         "==",
-        f"{runs[1][2]} draws, {runs[1][1]} proposals",
+        f"{runs[1][2]} draws, {runs[1][1]} proposals{note}",
     )
 
 
@@ -282,16 +296,20 @@ def check_equivalence(quick=False):
     same = 2_000 if quick else 10_000
     crit = stats.ks_critical(0.01)
     out = []
+    # degrees 1 and 10 draw from their degree grids, 100 from its degree hat
     for i, k in enumerate((1, 10, 100)):
-        a = samplers.sample_phi_sq_many(k, draws, _stream(20 + i), "plain")
-        b = samplers.sample_phi_sq_many(k, draws, _stream(30 + i), "squeeze")
+        draw = _on_degree_hat if k == 100 else samplers.sample_phi_sq_many
+        a = draw(k, draws, _stream(20 + i), "plain")
+        b = draw(k, draws, _stream(30 + i), "squeeze")
         test = f"equivalence: two-sample KS plain vs squeeze, degree {k}, alpha=0.01"
-        out.append(CheckResult(test, stats.ks_two_sample(a, b).scaled, crit))
+        path = "degree hat" if k == 100 else _path(k, draws)
+        out.append(CheckResult(test, stats.ks_two_sample(a, b).scaled, crit, detail=path))
     for i, k in enumerate((1, 10, 100, 10_000)):
         out.append(
             _same_stream(
                 f"degree {k}",
                 lambda mode, counts: samplers.sample_phi_sq_many(k, same, _stream(140 + i), mode, counts),
+                f"; {_path(k, same)}",
             )
         )
     out.append(
@@ -338,7 +356,7 @@ def check_rejection_constant(quick=False):
             st = _stream(base + i)
             s = samplers.SamplerStats()
             for size in sizes(calls):
-                samplers.sample_phi_sq_many(n, size, st, "squeeze", s)
+                _on_degree_hat(n, size, st, "squeeze", s)
             over = f" over {calls} count-1 calls," if kind else ","
             out.append(_trials_row(f"{kind}hat", f"degree {n}", spec.mass, s, over))
             quad = 2.0 * half_mass_numeric(spec)
@@ -353,6 +371,11 @@ def check_rejection_constant(quick=False):
         s = samplers.SamplerStats()
         samplers.sample_gue_eigenvalues(n, accepts, _stream(130 + i), "squeeze", s)
         out.append(_trials_row("grid hat", f"n={n}", dominator.grid_hat(n).mass, s))
+    for i, k in enumerate((1, 100, dominator.GRID_DEGREES)):
+        s = samplers.SamplerStats()
+        max_proposals = samplers.DEFAULT_MAX_PROPOSALS
+        samplers._sample_degree(k, accepts, _stream(190 + i), "squeeze", s, max_proposals, True)
+        out.append(_trials_row("degree grid", f"k={k}", dominator.degree_grid(k).mass, s))
     return out
 
 
@@ -458,6 +481,14 @@ def _cold_draw_rows(n_list, calls):
     return out
 
 
+def _hat_record(mode, n, count, seed):
+    """The record ``samplers.benchmark(mode, [n], count, seed)`` gives, with
+    the draws on the degree's hat at any count."""
+    stats = samplers.SamplerStats()
+    _on_degree_hat(n, count, RandomStream(seed).spawn(1)[0], mode, stats)
+    return stats
+
+
 def check_sublinearity(quick=False):
     n_list = (100, 1_000, 10_000, 100_000)
     if quick:
@@ -478,7 +509,7 @@ def check_sublinearity(quick=False):
     )
     out = [row]
     for n, c, spec, p, expected in zip(n_list, squeeze_counts, specs, shares, proxies):
-        (r,) = samplers.benchmark("squeeze", [n], c, seed=BASE_SEED + n)
+        r = _hat_record("squeeze", n, c, BASE_SEED + n)
         # the share: exact evaluations are binomial over the proposals
         sigma = math.sqrt(p * (1.0 - p) / r.proposals)
         detail = (
@@ -488,9 +519,7 @@ def check_sublinearity(quick=False):
         out.append(_sigma_row("exact-evaluation share", n, r.exact_share, p, sigma, detail))
         out.append(_proxy_row("squeeze", n, spec.mass, p, r.cost_proxy(n), expected, r.accepted))
     out += _cold_draw_rows(n_list, cold_calls)
-    rows = []
-    for n, c in zip(n_list, plain_counts):
-        rows += samplers.benchmark("plain", [n], c, seed=BASE_SEED + 7 * n)
+    rows = [_hat_record("plain", n, c, BASE_SEED + 7 * n) for n, c in zip(n_list, plain_counts)]
     plain = [(n, r.cost_proxy(n)) for n, r in zip(n_list, rows)]
     slope, err = stats.loglog_slope(plain)
     # The plain proxy is (1 + n) * proposals / accepted, so its slope's
@@ -559,8 +588,9 @@ def check_squeeze_validity(quick=False):
     detail = f"one certificate pass over degrees {covered}; first failures {failed[:10]}"
     name = "squeeze validity: degrees not certified decreasing beyond x1"
     out.append(CheckResult(name, len(failed), 1, detail=detail))
-    for n in (2, 3, 6, 64, samplers.N_GRID):
-        out.append(_grid_domination(n, 32 if quick else 128))
+    per_cell = 32 if quick else 128
+    out += [_mixture_domination(n, per_cell) for n in (2, 3, 6, 64, samplers.N_GRID)]
+    out += [_degree_domination(k, per_cell) for k in (1, 10, 100, dominator.GRID_DEGREES)]
     return out
 
 
@@ -596,24 +626,45 @@ def _whole_line(specs, points):
     return out
 
 
-def _grid_domination(n, per_cell):
-    """Worst violation of lower <= g_n <= hat by the grid hat of GUE(n),
-    relative to the hat: on ``per_cell`` + 1 evenly spaced points of every
-    cell, ends included, and on 400 points of each tail out to where the
-    tail piece has fallen by e^-60."""
-    hat = dominator.grid_hat(n)
-    width = np.diff(hat.points)
-    xs = hat.points[:-1, None] + width[:, None] * np.linspace(0.0, 1.0, per_cell + 1)
-    g = hermite.mixture_density_many(n, xs)
-    over = float(np.max((g - hat.upper[:, None]) / hat.upper[:, None]))
-    under = float(np.max((hat.lower[:, None] - g) / hat.upper[:, None]))
+_DOMINATION_CELLS = 4096  # cells whose points one density call takes
+
+
+def _mixture_domination(n, per_cell):
+    """Criterion 5's row on the grid hat of GUE(n) (:func:`_grid_domination`)."""
+    density = lambda xs: hermite.mixture_density_many(n, xs)
+    what = f"g_n <= grid hat over the hat, n={n}"
+    return _grid_domination(dominator.grid_hat(n), density, what, per_cell)
+
+
+def _degree_domination(k, per_cell):
+    """Criterion 5's row on the degree-k grid (:func:`_grid_domination`)."""
+    density = lambda xs: hermite.phi_squared_many(k, xs)
+    what = f"phi_k^2 <= degree grid over the hat, k={k}"
+    return _grid_domination(dominator.degree_grid(k), density, what, per_cell)
+
+
+def _grid_domination(hat, density, what, per_cell):
+    """Worst violation of squeeze <= density <= hat by a grid hat, relative
+    to the hat: on ``per_cell`` + 1 evenly spaced points of every cell,
+    ends included, taken ``_DOMINATION_CELLS`` cells at a time, and on 400
+    points of each tail out to where the tail piece has fallen by e^-60."""
+    starts, width = hat.points[:-1], np.diff(hat.points)
+    steps = np.linspace(0.0, 1.0, per_cell + 1)
+    over, under = [], []
+    for lo in range(0, width.size, _DOMINATION_CELLS):
+        cells = slice(lo, lo + _DOMINATION_CELLS)
+        upper = hat.upper[cells, None]
+        g = density(starts[cells, None] + width[cells, None] * steps)
+        over.append(np.max((g - upper) / upper))
+        under.append(np.max((hat.lower[cells, None] - g) / upper))
+    over, under = float(np.max(over)), float(np.max(under))
     t = np.linspace(0.0, 60.0 / hat.rate, 400)
     tail = hat.tail * np.exp(-hat.rate * t)
     beyond = np.concatenate((-hat.x1 - t, hat.x1 + t))
-    tail_over = float(np.max(hermite.mixture_density_many(n, beyond) / np.tile(tail, 2))) - 1.0
+    tail_over = float(np.max(density(beyond) / np.tile(tail, 2))) - 1.0
     worst = float(np.max([over, under, tail_over]))  # NaN, as from a zero hat, fails
     return CheckResult(
-        f"squeeze validity: worst violation of squeeze <= g_n <= grid hat over the hat, n={n}",
+        f"squeeze validity: worst violation of squeeze <= {what}",
         worst,
         0.0,
         "<=",

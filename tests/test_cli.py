@@ -333,3 +333,42 @@ def test_json_output_keeps_its_key_order(capsys, argv, keys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
     assert list(json.loads(out)) == keys
+
+
+def _csv_line_by_line(header, rows):
+    # the CSV writer as it was before it formatted rows in chunks: one
+    # %-format per row, built from the types of the first row
+    rows = iter(rows)
+    first = next(rows)
+    fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    yield ",".join(header) + "\n"
+    yield fmt % first
+    for row in rows:
+        yield fmt % row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "1", "--count", "9000", "--seed", "3"],  # three chunks, the last short
+        ["sample", "--k", "100", "--count", "2000", "--seed", "5"],
+        ["sample", "--n", "6", "--count", str(cli._CSV_ROWS), "--seed", "6"],  # one full chunk
+        ["sample", "--n", "4", "--count", "1", "--seed", "7", "--convention", "intro"],
+        ["sample-joint", "--n", "3", "--count", "50", "--seed", "2"],
+        ["oracle", "--n", "4", "--count", "30", "--seed", "1"],
+        ["bench", "--n-list", "3,10", "--samples-per-n", "20", "--seed", "4"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_chunked_csv_keeps_the_bytes(tmp_path, monkeypatch, argv):
+    outputs = []
+    for writer in (cli._csv, _csv_line_by_line):
+        monkeypatch.setattr(cli, "_csv", writer)
+        path = tmp_path / f"{len(outputs)}.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    if argv[0] == "bench":  # its last column is a wall time per sample
+        outputs = [b"\n".join(line.rsplit(b",", 1)[0] for line in o.split(b"\n")) for o in outputs]
+    assert outputs[0] == outputs[1]
+    rows = 2 if argv[0] == "bench" else int(argv[argv.index("--count") + 1])
+    assert outputs[0].count(b"\n") == 1 + rows

@@ -265,6 +265,12 @@ def test_level_split_table_stays_within_its_cap(fresh_splits):
     assert dominator._splits[1].size == cap and dominator._splits[1].nbytes <= 1 << 20
 
 
+def _clear_hat_caches():
+    # hats built under a planted defect must not outlive it
+    for cache in (dominator._level_spec, dominator._grid_hat, dominator._degree_grid):
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize(
     "factor, degrees",
     [(0.6, [1]), (0.05, [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000])],
@@ -277,13 +283,11 @@ def test_squeeze_validity_fails_a_level_hat_below_cramer(monkeypatch, factor, de
     # rows must fail exactly there.  Both hats reading the level are built
     # fresh under the defect and dropped after it.
     monkeypatch.setattr(dominator, "_CRAMER", factor * dominator._CRAMER)
-    dominator._level_spec.cache_clear()
-    dominator._grid_hat.cache_clear()
+    _clear_hat_caches()
     try:
         rows = verify.check_squeeze_validity(quick=True)
     finally:
-        dominator._level_spec.cache_clear()
-        dominator._grid_hat.cache_clear()
+        _clear_hat_caches()
     name = "squeeze validity: worst phi^2 / level hat over the whole line, degree "
     failed = [int(r.test[len(name):]) for r in rows if not r.passed and r.test.startswith(name)]
     assert failed == degrees
@@ -308,7 +312,7 @@ def test_grid_domination_fails_a_grid_hat_below_the_slope_bound(monkeypatch, fac
     monkeypatch.setattr(dominator, "_CRAMER", factor * dominator._CRAMER)
     dominator._grid_hat.cache_clear()
     try:
-        rows = {n: verify._grid_domination(n, 32) for n in (2, 3, 6, 64, samplers.N_GRID)}
+        rows = {n: verify._mixture_domination(n, 32) for n in (2, 3, 6, 64, samplers.N_GRID)}
     finally:
         dominator._grid_hat.cache_clear()
     assert [n for n, r in rows.items() if not r.passed] == failing, [r.detail for r in rows.values()]
@@ -342,6 +346,7 @@ def _plant_no_slack(monkeypatch):
 _CRITERION_5_DEGREES = [1, 2, 3, 5, 10, 50, 200, 1000, 10_000, 100_000]
 _SANDWICH_ROW = "squeeze validity: worst sandwich violation, degree {}"
 _HAT_ROW = "squeeze validity: worst phi^2 / hat over the whole line, degree {}"
+_DEGREE_GRID_ROW = "squeeze validity: worst violation of squeeze <= phi_k^2 <= degree grid over the hat, k={}"
 
 
 @pytest.mark.parametrize(
@@ -358,7 +363,11 @@ _HAT_ROW = "squeeze validity: worst phi^2 / hat over the whole line, degree {}"
             [_HAT_ROW.format(n) for n in _CRITERION_5_DEGREES],
             (_HAT_ROW,),
         ),
-        (_plant_no_slack, [_HAT_ROW.format(n) for n in (10_000, 100_000)], (_HAT_ROW,)),
+        (
+            _plant_no_slack,
+            [_HAT_ROW.format(n) for n in (10_000, 100_000)],
+            (_HAT_ROW, _DEGREE_GRID_ROW),
+        ),
     ],
     ids=["shoulder-at-plateau", "tail-rate-doubled", "slack-0"],
 )
@@ -369,17 +378,17 @@ def test_squeeze_validity_fails_a_planted_certified_hat_defect(monkeypatch, plan
     # degree-1 sandwich; the doubled rate fails the 10 certified-hat
     # whole-line rows (phi^2 / hat 1.19 to 1.34).  Slack 0 fails 5, by
     # 2e-16 at degree 3 and by 5.8e-13 and 1.0e-11 at degrees 1e4 and 1e5,
-    # so only those two are sure to fail on every platform.  The hats are
+    # so only those two are sure to fail on every platform; it also fails
+    # the degree-grid rows, by 9e-16 to 3e-15, as a cell's level at its end
+    # reads phi_k^2 from another float path than the row's.  The hats are
     # built fresh under the defect and dropped after it.
     monkeypatch.setattr(dominator, "_specs", {})
     plant(monkeypatch)
-    dominator._level_spec.cache_clear()
-    dominator._grid_hat.cache_clear()
+    _clear_hat_caches()
     try:
         rows = verify.check_squeeze_validity(quick=True)
     finally:
-        dominator._level_spec.cache_clear()
-        dominator._grid_hat.cache_clear()
+        _clear_hat_caches()
     failed = [r.test for r in rows if not r.passed]
     assert set(sure) <= set(failed), failed
     prefixes = tuple(kind.format("") for kind in kinds)
@@ -609,6 +618,104 @@ def test_grid_hat_is_symmetric_and_cached():
         hat.upper[0] = 1.0  # shared by every caller of the cache
     with pytest.raises(ParameterError):
         dominator.grid_hat(0)
+
+
+# ----------------------------------------------------------------------
+# the degree grid against its proof, written out
+# ----------------------------------------------------------------------
+
+_GRID_DEGREES = [1, 10, 100, dominator.GRID_DEGREES]
+
+
+def _taylor_sides(k, half):
+    """On the degree-k grid's half-line cells [a, b], from phi_k and phi_k'
+    at the edges: g(a), g(b), the Taylor lines g(a) + g'(a) w and
+    g(b) - g'(b) w, and the reach L2 w^2 / 2 + SLACK 2 M (sqrt(k) + b/2) w
+    with L2 = 2 M ((sqrt(k) + b/2)^2 + k + 1/2 + b^2/4), as the dominator
+    docstring derives them."""
+    f, df, _ = hermite.certify_decreasing([k] * half.size, half)
+    g, dg = f * f, 2.0 * f * df
+    w, b, m = np.diff(half), half[1:], dominator._CRAMER
+    l2 = 2.0 * m * ((math.sqrt(k) + b / 2.0) ** 2 + k + 0.5 + b * b / 4.0)
+    reach = l2 * w * w / 2.0 + dominator.SLACK * 2.0 * m * (math.sqrt(k) + b / 2.0) * w
+    return g[:-1], g[1:], g[:-1] + dg[:-1] * w, g[1:] - dg[1:] * w, reach
+
+
+def _level_mismatch(k):
+    """Largest relative difference between the degree-k grid's levels and
+    the two-sided Taylor levels written out, on every cell of [-X, X]."""
+    hat = dominator.degree_grid(k)
+    half = hat.points[hat.points.size // 2 :]
+    ga, gb, from_a, from_b, reach = _taylor_sides(k, half)
+    upper = np.minimum(np.maximum(ga, from_a + reach), np.maximum(gb, from_b + reach))
+    lower = np.maximum(np.minimum(ga, from_a - reach), np.minimum(gb, from_b - reach))
+    upper, lower = upper * (1.0 + dominator.SLACK), np.maximum(lower * (1.0 - dominator.SLACK), 0.0)
+    mirrored = lambda a: np.concatenate((a[::-1], a))
+    return max(
+        float(np.max(np.abs(hat.upper - mirrored(upper)) / hat.upper)),
+        float(np.max(np.abs(hat.lower - mirrored(lower)) / hat.upper)),
+    )
+
+
+@pytest.mark.parametrize("k", _GRID_DEGREES)
+def test_degree_grid_levels_follow_the_written_out_bounds(k):
+    assert _level_mismatch(k) <= 1e-12
+
+
+def _levels_from_a_alone(k, half, f, df, levels=dominator._degree_levels):
+    # planted defect: the hat level from the Taylor bound at the cell's left
+    # end alone, max(g(a), P_a(b)); a valid hat, but looser
+    ga, _, from_a, _, reach = _taylor_sides(k, half)
+    return np.maximum(ga, from_a + reach) * (1.0 + dominator.SLACK), levels(k, half, f, df)[1]
+
+
+_LEVEL_DEFECTS = {
+    # L2 without its k + 1/2 + x^2/4 term: still a bound on |g''| in
+    # practice, so criterion 5 passes the grid it builds at every grid
+    # degree (at 2, 3, 5 and 33 points a cell), and only the written-out
+    # levels see it
+    "no-curvature-term": ("_bracket", lambda k, x: (math.sqrt(k) + 0.5 * x) ** 2),
+    # the levels of [0, X] copied onto [-X, 0] unreversed
+    "mirror-unreversed": ("_even", lambda levels: np.concatenate((levels, levels))),
+    "taylor-from-a-alone": ("_degree_levels", _levels_from_a_alone),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_LEVEL_DEFECTS))
+def test_planted_degree_grid_defects_are_caught(monkeypatch, defect):
+    # each defect fails the written-out levels at every grid degree; the
+    # unreversed mirror also fails criterion 5's domination rows at every
+    # grid degree, by a factor of 60 or more at 2 points a cell
+    name, planted = _LEVEL_DEFECTS[defect]
+    monkeypatch.setattr(dominator, name, planted)
+    dominator._degree_grid.cache_clear()
+    try:
+        mismatch = {k: _level_mismatch(k) for k in _GRID_DEGREES}
+        rows = {k: verify._degree_domination(k, 1) for k in _GRID_DEGREES}
+    finally:
+        dominator._degree_grid.cache_clear()
+    assert all(m > 1e-6 for m in mismatch.values()), mismatch
+    dominated = [r.passed for r in rows.values()]
+    assert dominated == [defect != "mirror-unreversed"] * len(_GRID_DEGREES)
+
+
+@pytest.mark.parametrize("k", _GRID_DEGREES)
+def test_degree_grid_is_tight_symmetric_and_cached(k):
+    hat = dominator.degree_grid(float(k))
+    assert hat is dominator.degree_grid(k) and hat.n == k
+    assert np.array_equal(hat.points, -hat.points[::-1])
+    assert np.array_equal(hat.upper, hat.upper[::-1])
+    assert 1.0 < hat.mass < 1.06  # the cell-width rule's design, about 1.04
+    # the coin bits of sample_grid_many: m + 2 < 2^17
+    assert hat.upper.size + 2 < 2**17
+    with pytest.raises(ValueError):
+        hat.upper[0] = 1.0  # shared by every caller of the cache
+
+
+def test_degree_grid_degrees():
+    for k in (0, dominator.GRID_DEGREES + 1):
+        with pytest.raises(ParameterError):
+            dominator.degree_grid(k)
 
 
 # ----------------------------------------------------------------------

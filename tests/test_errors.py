@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from guegen import dominator, hermite, joint, oracle, samplers, vanveen
-from guegen.errors import ParameterError, whole
+from guegen.errors import BudgetError, ParameterError, whole
 from guegen.rng import RandomStream
 
 
@@ -37,6 +37,7 @@ ENTRY_POINTS = {
     "make_spec n": dominator.make_spec,
     "make_specs ns": lambda v: dominator.make_specs([4, v]),
     "grid_hat n": dominator.grid_hat,
+    "degree_grid k": dominator.degree_grid,
     "sample_joint_many n": lambda v: joint.sample_joint_many(v, 3, 2.0, _stream()),
     "sample_joint_many count": lambda v: joint.sample_joint_many(3, v, 2.0, _stream()),
     "sample_joint_many max_attempts": lambda v: joint.sample_joint_many(
@@ -123,3 +124,18 @@ def test_sizes_below_zero_are_parameter_errors_and_zero_draws_nothing():
         with pytest.raises(ParameterError):
             ENTRY_POINTS[name](-1)
         assert ENTRY_POINTS[name](0).size == 0
+
+
+def test_budget_errors_name_their_grid():
+    # a degree grid names its degree, the mixture's grid its ensemble size;
+    # both hats' masses are about 1.04, so a draw a proposal cannot last
+    calls = (
+        (lambda: samplers.sample_phi_sq_many(100, 2000, _stream(), max_proposals=1),
+         "the degree 100 grid"),
+        (lambda: samplers.sample_gue_eigenvalues(6, 2000, _stream(), max_proposals=1),
+         "the n = 6 mixture"),
+    )
+    for call, label in calls:
+        with pytest.raises(BudgetError, match=label) as info:
+            call()
+        assert info.value.attempts == 2000

@@ -54,13 +54,20 @@ def test_output_sign_symmetric():
     assert abs((xs > 0).mean() - 0.5) < 3.0 * 0.5 / math.sqrt(xs.size)
 
 
+def _on_degree_hat(k, count, stream, mode="squeeze", stats=None, max_proposals=10**6):
+    # sample_phi_sq_many on the degree's hat, at counts that take the degree grid
+    return samplers._sample_degree(k, count, stream, mode, stats, max_proposals, False)
+
+
 def test_wald_proposals_per_accept():
+    # on the degree hat and on the degree grid, which 20 000 draws take
     k = 10
-    spec = dominator.make_spec(k)
-    stats = samplers.SamplerStats()
-    samplers.sample_phi_sq_many(k, 20_000, RandomStream(9), "squeeze", stats)
-    sigma = math.sqrt((spec.mass**2 - spec.mass) / stats.accepted)
-    assert abs(stats.proposals / stats.accepted - spec.mass) < 3.0 * sigma
+    for hat, draw in ((dominator.make_spec(k), _on_degree_hat),
+                      (dominator.degree_grid(k), samplers.sample_phi_sq_many)):
+        stats = samplers.SamplerStats()
+        draw(k, 20_000, RandomStream(9), "squeeze", stats)
+        sigma = math.sqrt((hat.mass**2 - hat.mass) / stats.accepted)
+        assert abs(stats.proposals / stats.accepted - hat.mass) < 3.0 * sigma
 
 
 def test_stats_counter_invariants():
@@ -80,7 +87,7 @@ def test_exact_share_declines_with_degree():
     shares = []
     for k in (100, 10_000):
         stats = samplers.SamplerStats()
-        samplers.sample_phi_sq_many(k, 2_000, RandomStream(900 + k), "squeeze", stats)
+        _on_degree_hat(k, 2_000, RandomStream(900 + k), "squeeze", stats)
         shares.append(stats.exact_evals / stats.proposals)
     # in-window sandwich gap plus out-of-window mass, over the hat's half
     # mass: about 0.27 at degree 100 and 0.09 at degree 10^4
@@ -220,21 +227,15 @@ def test_layer_timers_split_the_call_and_stay_out_of_comparisons():
     assert replace(a, elapsed=0.0) == replace(b, elapsed=0.0)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB, as Linux reports it")
-def test_many_group_call_peak_rss():
-    # a fresh interpreter makes one call of about 1 s, 10^4 degree groups of
-    # about 20 draws, and reports its peak RSS above the peak after import.  On a
-    # 2-core x86-64 box (Python 3.11, numpy 2.4) the per-group round this
-    # engine replaced measured 61 MB and this engine 51 MB; proposal passes
-    # without the _PASS_CAP bound, which hold every group's per-proposal
-    # hat fields at once, measured 322 MB.  The bound is the per-group
-    # round's 61 MB with a 25% margin for allocators and platforms.
+def _fresh_peak_mb(call):
+    # a fresh interpreter runs the statement ``call`` and reports its peak
+    # RSS above the peak after import, in MB (ru_maxrss is in kB on Linux)
     code = (
         "import resource\n"
-        "from guegen import samplers\n"
+        "from guegen import dominator, samplers\n"
         "from guegen.rng import RandomStream\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "samplers.sample_gue_eigenvalues(10**4, 2 * 10**5, RandomStream(1))\n"
+        f"{call}\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
     )
     src = str(pathlib.Path(samplers.__file__).parents[1])
@@ -243,13 +244,36 @@ def test_many_group_call_peak_rss():
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert int(done.stdout) / 1024 < 1.25 * 61
+    return int(done.stdout) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB, as Linux reports it")
+def test_many_group_call_peak_rss():
+    # one call of about 1 s, 10^4 degree groups of about 20 draws.  On a
+    # 2-core x86-64 box (Python 3.11, numpy 2.4) the per-group round this
+    # engine replaced measured 61 MB and this engine 51 MB; proposal passes
+    # without the _PASS_CAP bound, which hold every group's per-proposal
+    # hat fields at once, measured 322 MB.  The bound is the per-group
+    # round's 61 MB with a 25% margin for allocators and platforms.
+    call = "samplers.sample_gue_eigenvalues(10**4, 2 * 10**5, RandomStream(1))"
+    assert _fresh_peak_mb(call) < 1.25 * 61
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB, as Linux reports it")
+def test_largest_degree_grid_call_peak_rss():
+    # T(K) draws at k = K, the largest degree grid and the smallest count
+    # that takes it: on the same box 9.6 MB, of which the cached grid holds
+    # 2.0 MB, against 8.4 MB on the degree hat at the same count.  The bound
+    # gives it a 25% margin.
+    k = "dominator.GRID_DEGREES"
+    call = f"samplers.sample_phi_sq_many({k}, samplers._grid_count({k}), RandomStream(1))"
+    assert _fresh_peak_mb(call) < 1.25 * 9.6
 
 
 def test_exact_counter_split():
     for mode in ("squeeze", "plain"):
         stats = samplers.SamplerStats()
-        samplers.sample_phi_sq_many(30, 3000, RandomStream(69), mode, stats)
+        _on_degree_hat(30, 3000, RandomStream(69), mode, stats)
         assert stats.exact_out_of_window > 0 and stats.exact_in_window > 0
         assert stats.exact_evals == stats.exact_in_window + stats.exact_out_of_window
     # plain mode tests every proposal exactly
@@ -302,13 +326,14 @@ def _engine_on_degrees(degrees, counts, stream, mode, stats):
 
 
 def test_engine_one_group_matches_fixed_degree():
-    # the fixed-degree sampler is the one-group case of the mixture's engine,
-    # whose pooled exact test gives the same bits at a single degree
+    # the fixed-degree sampler on its degree hat is the one-group case of the
+    # mixture's engine, whose pooled exact test gives the same bits at a
+    # single degree
     for mode in ("squeeze", "plain"):
         for k, count in ((0, 50), (1, 300), (9, 300), (250, 200)):
             st_a, st_b = samplers.SamplerStats(), samplers.SamplerStats()
             a = _engine_on_degrees([k], [count], RandomStream(60 + k), mode, st_a)
-            b = samplers.sample_phi_sq_many(k, count, RandomStream(60 + k), mode, st_b, 1000)
+            b = _on_degree_hat(k, count, RandomStream(60 + k), mode, st_b, 1000)
             assert a.tobytes() == b.tobytes()
             assert replace(st_a, elapsed=0.0) == replace(st_b, elapsed=0.0)
 
